@@ -23,10 +23,13 @@ from .verifier import (
     LemmaId,
     named_instances,
     random_instances,
-    summarize_csv,
     sweep,
+    tally_csv,
     twisted_instances,
 )
+
+# size range of each generated corpus when --n is not given
+DEFAULT_N = {"random": (4, 14), "twisted": (4, 26)}
 
 
 def _load_graph(args):
@@ -118,7 +121,7 @@ def _cmd_generate(args) -> int:
         raise CubicpmError("generate needs --name NAME or --random COUNT")
     if args.seed is None:
         raise CubicpmError("random generation requires an explicit --seed")
-    lo, hi = args.n
+    lo, hi = args.n or DEFAULT_N["random"]
     blocks = [
         write_edge_list(inst.graph)
         for inst in random_instances(args.random, lo, hi, args.seed)
@@ -153,12 +156,12 @@ def _cmd_verify(args) -> int:
     if args.random is not None:
         if args.seed is None:
             raise CubicpmError("random sweeps require an explicit --seed")
-        lo, hi = args.n
+        lo, hi = args.n or DEFAULT_N["random"]
         instances += random_instances(args.random, lo, hi, args.seed)
     if args.twisted is not None:
         if args.seed is None:
             raise CubicpmError("family sweeps require an explicit --seed")
-        lo, hi = args.n if args.n != (4, 14) else (4, 26)
+        lo, hi = args.n or DEFAULT_N["twisted"]
         instances += twisted_instances(args.twisted, args.seed, lo, hi)
     if not instances:
         raise CubicpmError("verify needs --name, --graph, --random or --twisted instances")
@@ -187,18 +190,7 @@ def _cmd_report(args) -> int:
             data = json.load(fh)
     else:
         data = json.load(sys.stdin)
-    rows = ["lemma,total,pass,fail,skipped"]
-    by: dict[str, list[dict]] = {}
-    for r in data:
-        by.setdefault(r["lemma"], []).append(r)
-    for lemma in sorted(by):
-        rs = by[lemma]
-        rows.append(
-            f"{lemma},{len(rs)},{sum(r['verdict'] == 'Pass' for r in rs)},"
-            f"{sum(r['verdict'] == 'Fail' for r in rs)},"
-            f"{sum(r['verdict'] == 'Skipped' for r in rs)}"
-        )
-    _emit(args, "\n".join(rows) + "\n")
+    _emit(args, tally_csv((r["lemma"], r["verdict"]) for r in data))
     return 0
 
 
@@ -232,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="emit graphs in edge-list format")
     common(g)
     g.add_argument("--random", type=int, help="number of random cubic bridgeless samples")
-    g.add_argument("--n", type=_range, default=(4, 14), help="size range LO..HI")
+    g.add_argument("--n", type=_range, help="size range LO..HI (default 4..14)")
     g.add_argument("--seed", type=int, help="seed (mandatory for random output)")
 
     v = sub.add_parser("verify", help="run lemma checks over a corpus")
@@ -240,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--lemma", required=True, help="comma-separated LemmaIds or 'all'")
     v.add_argument("--random", type=int, help="random corpus size")
     v.add_argument("--twisted", type=int, help="twisted-net corpus size")
-    v.add_argument("--n", type=_range, default=(4, 14), help="size range LO..HI")
+    v.add_argument(
+        "--n", type=_range, help="size range LO..HI (default: random 4..14, twisted 4..26)"
+    )
     v.add_argument("--seed", type=int, help="seed (mandatory for generated corpora)")
 
     r = sub.add_parser("report", help="summarize a JSON report as CSV")

@@ -215,10 +215,6 @@ def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> tuple[EdgeCut, ...]:
     return tuple(enumerate_cuts(g, max_size, cyclic_only=True))
 
 
-def is_cyclically_k_edge_connected(g: Multigraph, k: int) -> bool:
-    return cyclic_edge_connectivity(g).at_least(k)
-
-
 def observation_cyc_check(g: Multigraph, cut: EdgeCut) -> bool:
     """Hypothesis test for the size-(k-1) observation on min-degree-3 graphs.
 

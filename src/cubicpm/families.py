@@ -109,10 +109,6 @@ def ladder(k: int) -> Multigraph:
     return from_edge_list(2 * k, pairs)
 
 
-def ladder_ends(k: int) -> tuple[int, int]:
-    return (0, k - 1)
-
-
 def recognize_ladder(g: Multigraph) -> tuple[int, int] | None:
     """End-edge ids if g is a 2 x k grid, else None."""
     n, m = g.vertex_count, g.edge_count

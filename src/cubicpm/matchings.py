@@ -19,7 +19,7 @@ from .errors import (
     NotUniquePM,
     TooLarge,
 )
-from .multigraph import Multigraph
+from .multigraph import Multigraph, two_coloring
 
 COUNT_CAP = 30
 ENUMERATE_CAP = 20
@@ -199,10 +199,6 @@ def enumerate_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> list[Matc
     return [Matching(frozenset(t)) for t in out]
 
 
-def perfect_matching_count(g: Multigraph) -> int:
-    return count_matchings(g)
-
-
 def containment_counts(g: Multigraph) -> list[int]:
     """Number of perfect matchings through each edge, by edge id."""
     return [
@@ -264,29 +260,11 @@ def _bipartition_with_pattern(
     g: Multigraph, e: int, f: int
 ) -> dict[int, int] | None:
     """2-coloring of g minus {e, f} with ends(e) one color, ends(f) the other."""
-    n = g.vertex_count
-    color = [-1] * n
-    comp = [-1] * n
-    ncomp = 0
-    for s in range(n):
-        if comp[s] != -1:
-            continue
-        comp[s] = ncomp
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for eid in g.incident(v):
-                if eid in (e, f):
-                    continue
-                w = g.other_end(eid, v)
-                if comp[w] == -1:
-                    comp[w] = ncomp
-                    color[w] = color[v] ^ 1
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None  # odd cycle
-        ncomp += 1
+    coloring = two_coloring(g, frozenset({e, f}))
+    if coloring is None:
+        return None  # odd cycle
+    color, comp = coloring
+    ncomp = max(comp, default=-1) + 1
     # per-component flips: parity union-find over components
     parent = list(range(ncomp))
     parity = [0] * ncomp  # parity to parent
@@ -322,7 +300,7 @@ def _bipartition_with_pattern(
     flips = [find(i)[1] for i in range(ncomp)]
     # anchor so that ends of e get color 0 (a convention, either works)
     anchor = color[a] ^ flips[comp[a]]
-    return {v: color[v] ^ flips[comp[v]] ^ anchor for v in range(n)}
+    return {v: color[v] ^ flips[comp[v]] ^ anchor for v in range(g.vertex_count)}
 
 
 def special_pair(g: Multigraph, e: int, f: int) -> SpecialPairResult:
@@ -362,22 +340,7 @@ def uniform_third(g: Multigraph) -> dict[int, Fraction]:
 
 
 def is_bipartite(g: Multigraph) -> bool:
-    color = [-1] * g.vertex_count
-    for s in range(g.vertex_count):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for e in g.incident(v):
-                w = g.other_end(e, v)
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    return two_coloring(g) is not None
 
 
 def polytope_membership(
@@ -432,24 +395,6 @@ def matching_indicator(g: Multigraph, m: Matching) -> dict[int, Fraction]:
 # fractional perfect matching from a 4-unit flow
 
 
-def _two_coloring(g: Multigraph) -> list[int] | None:
-    color = [-1] * g.vertex_count
-    color[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for e in g.incident(v):
-            w = g.other_end(e, v)
-            if color[w] == -1:
-                color[w] = color[v] ^ 1
-                stack.append(w)
-            elif color[w] == color[v]:
-                return None
-    if any(c == -1 for c in color):
-        return None  # disconnected: shape violation for this construction
-    return color
-
-
 def fractional_pm_via_flow(
     h: Multigraph, u: int, u2: int, v: int, v2: int
 ) -> dict[int, Fraction]:
@@ -462,9 +407,10 @@ def fractional_pm_via_flow(
     paths and the edge weights are 1/3 + forward/6 - reverse/6, which lands
     every entry in {1/6, 1/3, 1/2, 2/3} and every vertex sum at 1.
     """
-    color = _two_coloring(h)
-    if color is None:
+    coloring = two_coloring(h)
+    if coloring is None or any(coloring[1]):  # an odd cycle, or a second component
         raise FlowInfeasible("graph is not a connected bipartite contraction")
+    color = coloring[0]
     if color[u] != color[u2]:
         raise FlowInfeasible("u and u2 must share a color class")
     if color[v] != color[v2] or color[v] == color[u]:
@@ -543,21 +489,10 @@ def biadjacency(g: Multigraph) -> tuple[list[list[int]], list[int], list[int]] |
     Returns (matrix, left vertex ids, right vertex ids); entry [i][j] is the
     number of parallel edges between left i and right j.
     """
-    color = [-1] * g.vertex_count
-    for s in range(g.vertex_count):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for e in g.incident(x):
-                y = g.other_end(e, x)
-                if color[y] == -1:
-                    color[y] = color[x] ^ 1
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return None
+    coloring = two_coloring(g)
+    if coloring is None:
+        return None
+    color = coloring[0]
     left = [x for x in range(g.vertex_count) if color[x] == 0]
     right = [x for x in range(g.vertex_count) if color[x] == 1]
     li = {x: i for i, x in enumerate(left)}

@@ -154,6 +154,40 @@ def connected_subset(g: Multigraph, part: frozenset[int] | set[int]) -> bool:
     return seen == part
 
 
+def two_coloring(
+    g: Multigraph, skip: frozenset[int] = frozenset()
+) -> tuple[list[int], list[int]] | None:
+    """Proper 2-coloring of g minus the edge ids in ``skip``, or None on an odd cycle.
+
+    Returns (color, component id) per vertex; components are numbered in
+    order of their lowest vertex, which gets color 0.
+    """
+    n = g.vertex_count
+    color = [-1] * n
+    comp = [-1] * n
+    ncomp = 0
+    for s in range(n):
+        if comp[s] != -1:
+            continue
+        comp[s] = ncomp
+        color[s] = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for e in g.incident(v):
+                if e in skip:
+                    continue
+                w = g.other_end(e, v)
+                if comp[w] == -1:
+                    comp[w] = ncomp
+                    color[w] = color[v] ^ 1
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return None
+        ncomp += 1
+    return color, comp
+
+
 def induced_subgraph(
     g: Multigraph, vertices: Sequence[int] | frozenset[int]
 ) -> tuple[Multigraph, dict[int, int], tuple[int, ...]]:

@@ -10,6 +10,7 @@ never pass silently by checking nothing.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -18,6 +19,7 @@ from typing import Callable, Iterable
 from . import decomposition as dc
 from . import families as fam
 from .connectivity import (
+    CUT_CAP,
     EdgeCut,
     bridges,
     build_cut,
@@ -43,6 +45,7 @@ from .multigraph import (
     find_isomorphism,
     induced_subgraph,
     split_off,
+    two_coloring,
 )
 
 
@@ -188,27 +191,28 @@ class Instance:
         return dict(self.hints).get(key, False)
 
 
-def _skip(lemma, inst, params, reason) -> LemmaReport:
-    return LemmaReport(
-        lemma, inst.name, params, hypothesis_met=False, bound=None, measured=None,
-        verdict="Skipped", reason=reason,
-    )
+# A check returns the verdict fields of its report; the dispatcher adds the
+# lemma, the instance name and the params, unless the check names its own
+# "params" (an aggregate's argument, or the params plus what it derived).
 
 
-def _judge(lemma, inst, params, bound, measured, direction=">=", note=None) -> LemmaReport:
+def _skip(reason: str) -> dict:
+    return {
+        "hypothesis_met": False, "bound": None, "measured": None,
+        "verdict": "Skipped", "reason": reason,
+    }
+
+
+def _judge(bound: Bound, measured, direction=">=", note=None) -> dict:
     ok = bound.holds_lower(measured) if direction == ">=" else bound.holds_upper(measured)
-    return LemmaReport(
-        lemma, inst.name, params, hypothesis_met=True, bound=bound,
-        measured=measured, direction=direction,
-        verdict="Pass" if ok else "Fail", note=note,
-    )
+    return {
+        "hypothesis_met": True, "bound": bound, "measured": measured,
+        "direction": direction, "verdict": "Pass" if ok else "Fail", "note": note,
+    }
 
 
-def _fail(lemma, inst, params, bound, measured, direction=">=", note=None) -> LemmaReport:
-    return LemmaReport(
-        lemma, inst.name, params, hypothesis_met=True, bound=bound,
-        measured=measured, direction=direction, verdict="Fail", note=note,
-    )
+def _fail(bound: Bound, measured, direction=">=", note=None) -> dict:
+    return {**_judge(bound, measured, direction, note), "verdict": "Fail"}
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +229,13 @@ def _is_3ec(g: Multigraph) -> bool:
     return not enumerate_cuts(g, 2, cyclic_only=False)
 
 
-def _cyclic3_edge_union(g: Multigraph) -> frozenset[int]:
-    out: set[int] = set()
-    for cut in cyclic_cuts_up_to(g, 3):
-        if cut.size == 3:
-            out |= cut.crossing_edges
-    return frozenset(out)
+def _cyclic_cuts_of_size(g: Multigraph, k: int) -> list[EdgeCut]:
+    return [cut for cut in cyclic_cuts_up_to(g, k) if cut.size == k]
+
+
+def _cyclic_cut_edges(g: Multigraph, k: int) -> frozenset[int]:
+    """Edges crossing some cyclic cut of exactly k edges."""
+    return frozenset().union(*(cut.crossing_edges for cut in _cyclic_cuts_of_size(g, k)))
 
 
 def _avoid_count(g: Multigraph, e: int) -> int:
@@ -244,18 +249,18 @@ def _delete_edges(g: Multigraph, drop: set[int]) -> Multigraph:
     )
 
 
-def _twisted_hypothesis(inst: Instance) -> tuple[bool, str | None]:
-    """(is a twisted net, skip reason).  Corpus hints bypass the recognizer."""
+def _twisted_skip(inst: Instance) -> str | None:
+    """Why the instance is not taken as a twisted net; corpus hints bypass the recognizer."""
     if inst.hint("known_twisted"):
-        return True, None
+        return None
     g = inst.graph
     if g.vertex_count > fam.TWISTED_CAP:
-        return False, f"recognizer capped at {fam.TWISTED_CAP} vertices"
+        return f"recognizer capped at {fam.TWISTED_CAP} vertices"
     try:
         ok = fam.recognize_twisted_net(g) is not None
     except CubicpmError:
-        return False, "recognizer rejected the instance"
-    return ok, None if ok else "not a twisted net"
+        return "recognizer rejected the instance"
+    return None if ok else "not a twisted net"
 
 
 def _is_c4(g: Multigraph) -> bool:
@@ -279,18 +284,6 @@ def _corner_pair_counts(g: Multigraph) -> dict[tuple[int, int], int]:
     return out
 
 
-def _cut_side_params(g: Multigraph) -> list[dict]:
-    """One params dict per (cyclic 4-cut, side), sides given by vertex list."""
-    out = []
-    for cut in cyclic_cuts_up_to(g, 4):
-        if cut.size != 4:
-            continue
-        for side in ("A", "B"):
-            vs = cut.side_a if side == "A" else frozenset(range(g.vertex_count)) - cut.side_a
-            out.append({"side": sorted(vs)})
-    return out
-
-
 def _anchors_on_side(g: Multigraph, cut: EdgeCut) -> list[int] | None:
     """Endpoints of the four cut edges on side A, in cut-edge id order."""
     anchors = []
@@ -303,7 +296,7 @@ def _anchors_on_side(g: Multigraph, cut: EdgeCut) -> list[int] | None:
 def _surgery_graphs(g: Multigraph, cut: EdgeCut):
     """Subdivided and paired closures for pairings (1i), i in {2,3,4}.
 
-    Returns ({i: subdivided}, {i: paired}, attach edge id range start).
+    Returns ({i: subdivided}, {i: paired}).
     """
     es = sorted(cut.crossing_edges)
     sub = {}
@@ -318,7 +311,7 @@ def _surgery_graphs(g: Multigraph, cut: EdgeCut):
     return sub, paired
 
 
-def _attach_edge_ids(g: Multigraph, cut: EdgeCut, subdivided: Multigraph) -> list[int]:
+def _attach_edge_ids(subdivided: Multigraph) -> list[int]:
     """Ids of the four attachment edges in a subdivided closure."""
     m_inner = subdivided.edge_count - 5
     return [m_inner, m_inner + 1, m_inner + 2, m_inner + 3]
@@ -326,11 +319,6 @@ def _attach_edge_ids(g: Multigraph, cut: EdgeCut, subdivided: Multigraph) -> lis
 
 def _c4ec(g: Multigraph) -> bool:
     return cyclic_edge_connectivity(g).at_least(4)
-
-
-def _edge_in_cyclic3(g: Multigraph, eids: Iterable[int]) -> bool:
-    bad = _cyclic3_edge_union(g)
-    return any(e in bad for e in eids)
 
 
 def _is_solid_side(g: Multigraph, side: frozenset[int]) -> bool:
@@ -347,82 +335,107 @@ def _is_solid_side(g: Multigraph, side: frozenset[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# per-lemma admissible parameters
+# parameter generators: admissible params per graph; none means one
+# parameterless slot, whose check then skips
 
 
-def params_for(lemma: LemmaId, inst: Instance) -> list[dict | None]:
-    g = inst.graph
-    if lemma in (LemmaId.THM_BIP,):
-        return [{"edge": e} for e in range(g.edge_count)]
-    if lemma is LemmaId.LM_3CONN or lemma is LemmaId.LM_BB_3E or lemma is LemmaId.LM_BB_3EF:
-        if not (g.is_cubic and g.vertex_count <= 24 and _is_3ec(g)):
-            return [None]
-        bad = _cyclic3_edge_union(g)
-        ps = [{"edge": e} for e in range(g.edge_count) if e not in bad]
-        return ps or [None]
-    if lemma is LemmaId.LM_SPECIAL:
-        return [
-            {"e": e, "f": f}
-            for e in range(g.edge_count)
-            for f in range(e + 1, g.edge_count)
-        ]
-    if lemma is LemmaId.LM_SPLITOFF:
-        ps = []
-        for eid, (v2, v3) in enumerate(g.edges):
-            for e1 in g.incident(v2):
-                v1 = g.other_end(e1, v2)
-                if v1 in (v2, v3):
+def _no_params(g: Multigraph) -> list[dict]:
+    return []
+
+
+def _edge_params(g: Multigraph) -> list[dict]:
+    return [{"edge": e} for e in range(g.edge_count)]
+
+
+def _edge_pair_params(g: Multigraph) -> list[dict]:
+    return [
+        {"e": e, "f": f}
+        for e in range(g.edge_count)
+        for f in range(e + 1, g.edge_count)
+    ]
+
+
+def _path_params(g: Multigraph) -> list[dict]:
+    ps = []
+    for v2, v3 in g.edges:
+        for e1 in g.incident(v2):
+            v1 = g.other_end(e1, v2)
+            if v1 in (v2, v3):
+                continue
+            for e4 in g.incident(v3):
+                v4 = g.other_end(e4, v3)
+                if v4 in (v1, v2, v3):
                     continue
-                for e4 in g.incident(v3):
-                    v4 = g.other_end(e4, v3)
-                    if v4 in (v1, v2, v3):
-                        continue
-                    ps.append({"path": [v1, v2, v3, v4]})
-        return ps or [None]
-    if lemma is LemmaId.LM_SPLIT5_SAME:
-        ps = []
-        for v2 in range(g.vertex_count):
-            nbrs = g.neighbors(v2)
-            for v1 in nbrs:
-                for v3 in nbrs:
-                    if v3 != v1:
-                        ps.append({"triple": [v1, v2, v3]})
-        return ps or [None]
-    if lemma is LemmaId.LM_SPLIT5_DIFF:
-        ps = []
-        for v2 in range(g.vertex_count):
-            for v1 in g.neighbors(v2):
-                rest = [x for x in g.neighbors(v2) if x != v1]
-                if len(rest) != 2:
+                ps.append({"path": [v1, v2, v3, v4]})
+    return ps
+
+
+def _triple_params(g: Multigraph) -> list[dict]:
+    ps = []
+    for v2 in range(g.vertex_count):
+        nbrs = g.neighbors(v2)
+        for v1 in nbrs:
+            for v3 in nbrs:
+                if v3 != v1:
+                    ps.append({"triple": [v1, v2, v3]})
+    return ps
+
+
+def _branch_params(g: Multigraph) -> list[dict]:
+    ps = []
+    for v2 in range(g.vertex_count):
+        for v1 in g.neighbors(v2):
+            rest = [x for x in g.neighbors(v2) if x != v1]
+            if len(rest) != 2:
+                continue
+            v3, v3p = sorted(rest)
+            for v4 in g.neighbors(v3):
+                if v4 == v2:
                     continue
-                v3, v3p = sorted(rest)
-                for v4 in g.neighbors(v3):
-                    if v4 == v2:
+                for v4p in g.neighbors(v3p):
+                    if v4p == v2:
                         continue
-                    for v4p in g.neighbors(v3p):
-                        if v4p == v2:
-                            continue
-                        ps.append({"v1": v1, "v2": v2, "v4": v4, "v4p": v4p})
-        return ps or [None]
-    if lemma in (LemmaId.LM_SPLIT4A, LemmaId.LM_SPLIT4B, LemmaId.LM_LADDER):
-        return _cut_side_params(g) or [None]
-    if lemma is LemmaId.LM_ORDERED:
-        if g.vertex_count > 24:
-            return [None]
-        in4 = set()
-        for cut in cyclic_cuts_up_to(g, 4):
-            if cut.size == 4:
-                in4 |= cut.crossing_edges
-        return [{"edge": e} for e in sorted(in4)] or [None]
-    if lemma is LemmaId.LM_TWISTED_STRUC:
-        if g.vertex_count > 24:
-            return [None]
-        in4 = set()
-        for cut in cyclic_cuts_up_to(g, 4):
-            if cut.size == 4:
-                in4 |= cut.crossing_edges
-        return [{"edge": e} for e in range(g.edge_count) if e not in in4] or [None]
-    return [None]
+                    ps.append({"v1": v1, "v2": v2, "v4": v4, "v4p": v4p})
+    return ps
+
+
+def _cut_sweeping(params: Callable[[Multigraph], list[dict]]):
+    """A generator that sweeps cuts yields no params above the sweep cap."""
+
+    def capped(g: Multigraph) -> list[dict]:
+        return params(g) if g.vertex_count <= CUT_CAP else []
+
+    return capped
+
+
+@_cut_sweeping
+def _3ec_edge_params(g: Multigraph) -> list[dict]:
+    """On 3-edge-connected cubic graphs, the edges in no cyclic 3-cut."""
+    if not (g.is_cubic and _is_3ec(g)):
+        return []
+    bad = _cyclic_cut_edges(g, 3)
+    return [{"edge": e} for e in range(g.edge_count) if e not in bad]
+
+
+@_cut_sweeping
+def _cut_side_params(g: Multigraph) -> list[dict]:
+    """One params dict per (cyclic 4-cut, side), sides given by vertex list."""
+    return [
+        {"side": sorted(side)}
+        for cut in _cyclic_cuts_of_size(g, 4)
+        for side in (cut.side_a, cut.flipped(g).side_a)
+    ]
+
+
+def _4cut_edge_params(inside: bool):
+    """The edges that do (inside) or do not cross some cyclic 4-cut."""
+
+    @_cut_sweeping
+    def params(g: Multigraph) -> list[dict]:
+        in4 = _cyclic_cut_edges(g, 4)
+        return [{"edge": e} for e in range(g.edge_count) if (e in in4) == inside]
+
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -432,33 +445,26 @@ def params_for(lemma: LemmaId, inst: Instance) -> list[dict | None]:
 def _check_th_half(inst, params):
     g = inst.graph
     if not _is_bridgeless_cubic(g):
-        return _skip(LemmaId.TH_HALF, inst, params, "not cubic bridgeless")
-    return _judge(
-        LemmaId.TH_HALF, inst, params,
-        Bound.rational(Fraction(g.vertex_count, 2)), count_matchings(g),
-    )
+        return _skip("not cubic bridgeless")
+    return _judge(Bound.rational(Fraction(g.vertex_count, 2)), count_matchings(g))
 
 
 def _check_thm_bip(inst, params):
     g = inst.graph
-    if not (_is_bridgeless_cubic(g) and is_bipartite(g)):
-        return _skip(LemmaId.THM_BIP, inst, params, "not cubic bridgeless bipartite")
+    if params is None or not (_is_bridgeless_cubic(g) and is_bipartite(g)):
+        return _skip("not cubic bridgeless bipartite")
     e = params["edge"]
     half = g.vertex_count // 2
-    return _judge(
-        LemmaId.THM_BIP, inst, params,
-        Bound.rational(Fraction(4**half, 3**half)), _avoid_count(g, e),
-    )
+    return _judge(Bound.rational(Fraction(4**half, 3**half)), _avoid_count(g, e))
 
 
 def _check_thm_klee(inst, params):
     g = inst.graph
     if g.vertex_count > fam.KLEE_CAP:
-        return _skip(LemmaId.THM_KLEE, inst, params, "recognizer size cap")
+        return _skip("recognizer size cap")
     if not (g.is_cubic and fam.is_klee(g)):
-        return _skip(LemmaId.THM_KLEE, inst, params, "not a Klee graph")
+        return _skip("not a Klee graph")
     return _judge(
-        LemmaId.THM_KLEE, inst, params,
         Bound.pow2(Fraction(g.vertex_count, KLEE_DENOMINATOR)), count_matchings(g),
         note=f"exponent denominator {KLEE_DENOMINATOR} per the Chudnovsky-Seymour planar bound",
     )
@@ -467,7 +473,7 @@ def _check_thm_klee(inst, params):
 def _check_thm_ef(inst, params):
     g = inst.graph
     if not _is_bridgeless_cubic(g):
-        return _skip(LemmaId.THM_EF, inst, params, "not cubic bridgeless")
+        return _skip("not cubic bridgeless")
     worst = None
     arg = None
     for e in range(g.edge_count):
@@ -476,92 +482,74 @@ def _check_thm_ef(inst, params):
             if worst is None or c < worst:
                 worst, arg = c, (e, f)
     if worst is None:  # single-edge graphs have no pair
-        return _skip(LemmaId.THM_EF, inst, params, "fewer than two edges")
-    return _judge(
-        LemmaId.THM_EF, inst, {"worst_pair": list(arg)}, Bound.rational(1), worst,
-    )
+        return _skip("fewer than two edges")
+    return {**_judge(Bound.rational(1), worst), "params": {"worst_pair": list(arg)}}
 
 
 def _check_lm_double(inst, params):
     g = inst.graph
     if not (g.is_cubic and _is_3ec(g)):
-        return _skip(LemmaId.LM_DOUBLE, inst, params, "not cyclically 3-edge-connected cubic")
+        return _skip("not cyclically 3-edge-connected cubic")
     if g.vertex_count > fam.KLEE_CAP:
-        return _skip(LemmaId.LM_DOUBLE, inst, params, "Klee recognizer size cap")
+        return _skip("Klee recognizer size cap")
     if fam.is_klee(g):
-        return _skip(LemmaId.LM_DOUBLE, inst, params, "Klee graphs are exempt")
-    return _judge(
-        LemmaId.LM_DOUBLE, inst, params, Bound.rational(2), min(containment_counts(g)),
-    )
+        return _skip("Klee graphs are exempt")
+    return _judge(Bound.rational(2), min(containment_counts(g)))
 
 
 def _check_lm_triple(inst, params):
     g = inst.graph
     if not (g.is_cubic and is_bipartite(g) and g.vertex_count >= 8 and _c4ec(g)):
         return _skip(
-            LemmaId.LM_TRIPLE, inst, params,
-            "needs a cyclically 4-edge-connected bipartite cubic graph on >= 8 vertices",
+            "needs a cyclically 4-edge-connected bipartite cubic graph on >= 8 vertices"
         )
-    return _judge(
-        LemmaId.LM_TRIPLE, inst, params, Bound.rational(3), min(containment_counts(g)),
-    )
+    return _judge(Bound.rational(3), min(containment_counts(g)))
 
 
 def _check_lm_special(inst, params):
     g = inst.graph
-    if not (g.is_cubic and _c4ec(g)):
-        return _skip(LemmaId.LM_SPECIAL, inst, params, "not cyclically 4-edge-connected cubic")
+    if params is None or not (g.is_cubic and _c4ec(g)):
+        return _skip("not cyclically 4-edge-connected cubic")
     e, f = params["e"], params["f"]
     try:
         r1 = special_pair(g, e, f)
         r2 = special_pair(g, f, e)
     except AssertionError as exc:
-        return _fail(LemmaId.LM_SPECIAL, inst, params, Bound.rational(1), 0, note=str(exc))
-    return _judge(
-        LemmaId.LM_SPECIAL, inst, params, Bound.rational(1), 1,
-        note=f"{r1.verdict}/{r2.verdict}",
-    )
+        return _fail(Bound.rational(1), 0, note=str(exc))
+    return _judge(Bound.rational(1), 1, note=f"{r1.verdict}/{r2.verdict}")
 
 
 def _check_lm_bridge(inst, params):
     g = inst.graph
     if g.vertex_count > 20:
-        return _skip(LemmaId.LM_BRIDGE, inst, params, "enumeration size cap")
+        return _skip("enumeration size cap")
     if count_matchings(g) != 1:
-        return _skip(LemmaId.LM_BRIDGE, inst, params, "perfect matching is not unique")
+        return _skip("perfect matching is not unique")
     try:
         e = kotzig_bridge(g)
     except AssertionError as exc:
-        return _fail(LemmaId.LM_BRIDGE, inst, params, Bound.rational(1), 0, note=str(exc))
+        return _fail(Bound.rational(1), 0, note=str(exc))
     ok = e in bridges(g) and count_matchings(
         g, CountQuery(required=frozenset({e}))
     ) == 1
-    return _judge(
-        LemmaId.LM_BRIDGE, inst, params, Bound.rational(1), int(ok), note=f"bridge={e}",
-    )
+    return _judge(Bound.rational(1), int(ok), note=f"bridge={e}")
 
 
 def _check_lm_3conn(inst, params):
     g = inst.graph
     if params is None or not (g.is_cubic and _is_3ec(g)):
-        return _skip(LemmaId.LM_3CONN, inst, params, "needs a 3-edge-connected cubic graph with an admissible edge")
+        return _skip("needs a 3-edge-connected cubic graph with an admissible edge")
     e = params["edge"]
-    return _judge(
-        LemmaId.LM_3CONN, inst, params,
-        Bound.rational(Fraction(g.vertex_count, 8)), _avoid_count(g, e),
-    )
+    return _judge(Bound.rational(Fraction(g.vertex_count, 8)), _avoid_count(g, e))
 
 
 def _check_lm_semiblock(inst, params):
     g = inst.graph
     if not _is_bridgeless_cubic(g):
-        return _skip(LemmaId.LM_SEMIBLOCK, inst, params, "not cubic bridgeless")
+        return _skip("not cubic bridgeless")
     _, s = fam.semiblocks(g)
     worst = min(_avoid_count(g, e) for e in range(g.edge_count))
-    return _judge(
-        LemmaId.LM_SEMIBLOCK, inst, params, Bound.rational(s + 1), worst,
-        note=f"s={s}",
-    )
+    return _judge(Bound.rational(s + 1), worst, note=f"s={s}")
 
 
 def _decomposable(g: Multigraph) -> str | None:
@@ -579,24 +567,20 @@ def _check_thm_bb(inst, params):
     g = inst.graph
     why = _decomposable(g)
     if why:
-        return _skip(LemmaId.THM_BB, inst, params, why)
+        return _skip(why)
     b = dc.brick_count(g)
     bound = g.edge_count - g.vertex_count + 1 - b
-    return _judge(
-        LemmaId.THM_BB, inst, params, Bound.rational(bound), count_matchings(g),
-        note=f"b={b}",
-    )
+    return _judge(Bound.rational(bound), count_matchings(g), note=f"b={b}")
 
 
 def _check_lm_bb_cubic(inst, params):
     g = inst.graph
     if not _is_bridgeless_cubic(g):
-        return _skip(LemmaId.LM_BB_CUBIC, inst, params, "not cubic bridgeless")
+        return _skip("not cubic bridgeless")
     why = _decomposable(g)
     if why:
-        return _skip(LemmaId.LM_BB_CUBIC, inst, params, why)
+        return _skip(why)
     return _judge(
-        LemmaId.LM_BB_CUBIC, inst, params,
         Bound.rational(Fraction(g.vertex_count, 4)), dc.brick_count(g), direction="<=",
     )
 
@@ -604,27 +588,23 @@ def _check_lm_bb_cubic(inst, params):
 def _check_lm_bb_bip(inst, params):
     g = inst.graph
     if not is_bipartite(g):
-        return _skip(LemmaId.LM_BB_BIP, inst, params, "not bipartite")
+        return _skip("not bipartite")
     why = _decomposable(g)
     if why:
-        return _skip(LemmaId.LM_BB_BIP, inst, params, why)
-    return _judge(
-        LemmaId.LM_BB_BIP, inst, params, Bound.rational(0), dc.brick_count(g),
-        direction="<=",
-    )
+        return _skip(why)
+    return _judge(Bound.rational(0), dc.brick_count(g), direction="<=")
 
 
 def _check_lm_bb_3e(inst, params):
     g = inst.graph
     if params is None or not (g.is_cubic and _is_3ec(g)):
-        return _skip(LemmaId.LM_BB_3E, inst, params, "needs 3-edge-connected cubic with admissible edge")
+        return _skip("needs 3-edge-connected cubic with admissible edge")
     e = params["edge"]
     ge = _delete_edges(g, {e})
     why = _decomposable(ge)
     if why:
-        return _skip(LemmaId.LM_BB_3E, inst, params, f"graph minus edge: {why}")
+        return _skip(f"graph minus edge: {why}")
     return _judge(
-        LemmaId.LM_BB_3E, inst, params,
         Bound.rational(Fraction(3 * g.vertex_count, 8) - 2), dc.brick_count(ge),
         direction="<=",
     )
@@ -633,43 +613,43 @@ def _check_lm_bb_3e(inst, params):
 def _check_lm_bb_3ef(inst, params):
     g = inst.graph
     if params is None or not (g.is_cubic and _is_3ec(g)):
-        return _skip(LemmaId.LM_BB_3EF, inst, params, "needs 3-edge-connected cubic with admissible edge")
+        return _skip("needs 3-edge-connected cubic with admissible edge")
     e = params["edge"]
     ge = _delete_edges(g, {e})
     if g.vertex_count > dc.TIGHT_CAP:
-        return _skip(LemmaId.LM_BB_3EF, inst, params, "decomposition size cap")
+        return _skip("decomposition size cap")
     if dc.is_matching_covered(ge):
-        return _skip(LemmaId.LM_BB_3EF, inst, params, "graph minus edge is matching-covered")
+        return _skip("graph minus edge is matching-covered")
     bound = Bound.rational(Fraction(g.vertex_count, 4) - 1)
     for f in range(g.edge_count):
         if f == e:
             continue
         gef = _delete_edges(g, {e, f})
         if dc.is_matching_covered(gef):
-            return _judge(
-                LemmaId.LM_BB_3EF, inst, {**params, "companion": f}, bound,
-                dc.brick_count(gef), direction="<=",
-            )
+            return {
+                **_judge(bound, dc.brick_count(gef), direction="<="),
+                "params": {**params, "companion": f},
+            }
     return _fail(
-        LemmaId.LM_BB_3EF, inst, params, bound, g.edge_count,
-        direction="<=", note="no companion edge makes the graph matching-covered",
+        bound, g.edge_count, direction="<=",
+        note="no companion edge makes the graph matching-covered",
     )
 
 
 def _check_lm_splitoff(inst, params):
     g = inst.graph
     if params is None or not g.is_cubic:
-        return _skip(LemmaId.LM_SPLITOFF, inst, params, "not cubic or no admissible path")
+        return _skip("not cubic or no admissible path")
     cec = cyclic_edge_connectivity(g)
     if cec.is_unbounded:
-        return _skip(LemmaId.LM_SPLITOFF, inst, params, "no cyclic structure")
+        return _skip("no cyclic structure")
     ell = min(cec.value, (g.vertex_count - 2) // 2)
     if ell < 3:
-        return _skip(LemmaId.LM_SPLITOFF, inst, params, f"effective connectivity {ell} below 3")
+        return _skip(f"effective connectivity {ell} below 3")
     try:
         h = split_off(g, tuple(params["path"]))
     except CubicpmError as exc:
-        return _skip(LemmaId.LM_SPLITOFF, inst, params, f"degenerate path: {exc}")
+        return _skip(f"degenerate path: {exc}")
     new_edges = {h.edge_count - 2, h.edge_count - 1}
     ok = True
     worst = None
@@ -678,79 +658,67 @@ def _check_lm_splitoff(inst, params):
             ok = False
             worst = sorted(cut.side_a)
             break
-    return _judge(
-        LemmaId.LM_SPLITOFF, inst, {**params, "ell": ell}, Bound.rational(1), int(ok),
-        note=None if ok else f"violating side {worst}",
-    )
+    return {
+        **_judge(Bound.rational(1), int(ok), note=None if ok else f"violating side {worst}"),
+        "params": {**params, "ell": ell},
+    }
 
 
-def _split5_common(lemma, inst, params, paths):
-    g = inst.graph
+def _split5_common(g: Multigraph, paths):
     if not (g.is_cubic and g.vertex_count >= 12 and cyclic_edge_connectivity(g).at_least(5)):
-        return _skip(lemma, inst, params, "needs cyclically 5-edge-connected cubic, >= 12 vertices")
+        return _skip("needs cyclically 5-edge-connected cubic, >= 12 vertices")
     results = []
     for path in paths:
         try:
             h = split_off(g, path)
         except CubicpmError as exc:
-            return _skip(lemma, inst, params, f"degenerate path: {exc}")
+            return _skip(f"degenerate path: {exc}")
         ok, _ = is_k_almost_cyclically_4ec(h, 4)
         results.append(ok)
-    return _judge(lemma, inst, params, Bound.rational(1), int(any(results)))
+    return _judge(Bound.rational(1), int(any(results)))
 
 
 def _check_lm_split5_same(inst, params):
     g = inst.graph
     if params is None:
-        return _skip(LemmaId.LM_SPLIT5_SAME, inst, params, "no admissible path")
+        return _skip("no admissible path")
     v1, v2, v3 = params["triple"]
     tails = [w for w in g.neighbors(v3) if w != v2]
     if len(tails) != 2:
-        return _skip(LemmaId.LM_SPLIT5_SAME, inst, params, "tail neighbors not distinct")
-    return _split5_common(
-        LemmaId.LM_SPLIT5_SAME, inst, params,
-        [(v1, v2, v3, tails[0]), (v1, v2, v3, tails[1])],
-    )
+        return _skip("tail neighbors not distinct")
+    return _split5_common(g, [(v1, v2, v3, tails[0]), (v1, v2, v3, tails[1])])
 
 
 def _check_lm_split5_diff(inst, params):
     g = inst.graph
     if params is None:
-        return _skip(LemmaId.LM_SPLIT5_DIFF, inst, params, "no admissible path")
+        return _skip("no admissible path")
     v1, v2 = params["v1"], params["v2"]
     rest = sorted(x for x in g.neighbors(v2) if x != v1)
     if len(rest) != 2:
-        return _skip(LemmaId.LM_SPLIT5_DIFF, inst, params, "branch neighbors not distinct")
+        return _skip("branch neighbors not distinct")
     v3, v3p = rest
     return _split5_common(
-        LemmaId.LM_SPLIT5_DIFF, inst, params,
-        [(v1, v2, v3, params["v4"]), (v1, v2, v3p, params["v4p"])],
+        g, [(v1, v2, v3, params["v4"]), (v1, v2, v3p, params["v4p"])],
     )
-
-
-def _side_cut(inst, params):
-    g = inst.graph
-    side = frozenset(params["side"])
-    cut = build_cut(g, side)
-    return cut
 
 
 def _check_lm_split4a(inst, params):
     g = inst.graph
     if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip(LemmaId.LM_SPLIT4A, inst, params, "needs cyclically 4-edge-connected cubic with a cyclic 4-cut")
-    cut = _side_cut(inst, params)
+        return _skip("needs cyclically 4-edge-connected cubic with a cyclic 4-cut")
+    cut = build_cut(g, params["side"])
     if not (cut.size == 4 and cut.cyclic):
-        return _skip(LemmaId.LM_SPLIT4A, inst, params, "side does not define a cyclic 4-cut")
+        return _skip("side does not define a cyclic 4-cut")
     if _anchors_on_side(g, cut) is None:
-        return _skip(LemmaId.LM_SPLIT4A, inst, params, "two cut edges share a side vertex")
+        return _skip("two cut edges share a side vertex")
     sub, _ = _surgery_graphs(g, cut)
     attach_bad = False
     not_3ec = False
     for s in sub.values():
         if not _is_3ec(s):
             not_3ec = True
-        if _edge_in_cyclic3(s, _attach_edge_ids(g, cut, s)):
+        if not _cyclic_cut_edges(s, 3).isdisjoint(_attach_edge_ids(s)):
             attach_bad = True
     side_graph, _, _ = induced_subgraph(g, cut.side_a)
     c4_side = _is_c4(side_graph)
@@ -759,7 +727,7 @@ def _check_lm_split4a(inst, params):
         enough_c4ec = sum(1 for s in sub.values() if _c4ec(s)) >= 2
     ok = not not_3ec and not attach_bad and enough_c4ec
     return _judge(
-        LemmaId.LM_SPLIT4A, inst, params, Bound.rational(1), int(ok),
+        Bound.rational(1), int(ok),
         note="4-cycle side, connectivity clause only" if c4_side else None,
     )
 
@@ -767,19 +735,19 @@ def _check_lm_split4a(inst, params):
 def _check_lm_split4b(inst, params):
     g = inst.graph
     if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip(LemmaId.LM_SPLIT4B, inst, params, "needs cyclically 4-edge-connected cubic with a cyclic 4-cut")
-    cut = _side_cut(inst, params)
+        return _skip("needs cyclically 4-edge-connected cubic with a cyclic 4-cut")
+    cut = build_cut(g, params["side"])
     if not (cut.size == 4 and cut.cyclic):
-        return _skip(LemmaId.LM_SPLIT4B, inst, params, "side does not define a cyclic 4-cut")
+        return _skip("side does not define a cyclic 4-cut")
     if _anchors_on_side(g, cut) is None:
-        return _skip(LemmaId.LM_SPLIT4B, inst, params, "two cut edges share a side vertex")
+        return _skip("two cut edges share a side vertex")
     side_graph, _, _ = induced_subgraph(g, cut.side_a)
     if _is_c4(side_graph):
-        return _skip(LemmaId.LM_SPLIT4B, inst, params, "side is a 4-cycle")
+        return _skip("side is a 4-cycle")
     if side_graph.vertex_count == 6 and find_isomorphism(
         side_graph, fam.named("exceptional6")
     ):
-        return _skip(LemmaId.LM_SPLIT4B, inst, params, "side is the exceptional 6-vertex graph")
+        return _skip("side is the exceptional 6-vertex graph")
     sub, paired = _surgery_graphs(g, cut)
     s = {i: _c4ec(sub[i]) for i in (2, 3, 4)}
     p = {i: _c4ec(paired[i]) for i in (2, 3, 4)}
@@ -788,44 +756,31 @@ def _check_lm_split4b(inst, params):
         s[i] and p[i] and any(s[j] for j in (2, 3, 4) if j != i) for i in (2, 3, 4)
     )
     return _judge(
-        LemmaId.LM_SPLIT4B, inst, params, Bound.rational(1), int(first or second),
-        note=f"subdivided={s}, paired={p}",
+        Bound.rational(1), int(first or second), note=f"subdivided={s}, paired={p}",
     )
 
 
 def _check_lm_ordered(inst, params):
     g = inst.graph
     if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip(LemmaId.LM_ORDERED, inst, params, "needs cyclically 4-edge-connected cubic with the edge in a cyclic 4-cut")
+        return _skip("needs cyclically 4-edge-connected cubic with the edge in a cyclic 4-cut")
     try:
         chain = ordered_4cut_chain(g, params["edge"])
     except ChainViolation as exc:
-        return _fail(LemmaId.LM_ORDERED, inst, params, Bound.rational(1), 0, note=str(exc))
-    return _judge(
-        LemmaId.LM_ORDERED, inst, params, Bound.rational(1), 1,
-        note=f"chain length {len(chain)}",
-    )
-
-
-def check_lm_ladder(g: Multigraph, cut: EdgeCut, side: str = "A",
-                    instance: str = "adhoc") -> LemmaReport:
-    """The zero/one/ladder trichotomy for near-perfect counts on a 4-cut side."""
-    inst = Instance(instance, g)
-    params = {"side": sorted(cut.side_a if side == "A" else
-                             frozenset(range(g.vertex_count)) - cut.side_a)}
-    return _check_lm_ladder(inst, params)
+        return _fail(Bound.rational(1), 0, note=str(exc))
+    return _judge(Bound.rational(1), 1, note=f"chain length {len(chain)}")
 
 
 def _check_lm_ladder(inst, params):
     g = inst.graph
     if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip(LemmaId.LM_LADDER, inst, params, "needs cyclically 4-edge-connected cubic with a cyclic 4-cut")
-    cut = _side_cut(inst, params)
+        return _skip("needs cyclically 4-edge-connected cubic with a cyclic 4-cut")
+    cut = build_cut(g, params["side"])
     if not (cut.size == 4 and cut.cyclic):
-        return _skip(LemmaId.LM_LADDER, inst, params, "side does not define a cyclic 4-cut")
+        return _skip("side does not define a cyclic 4-cut")
     anchors = _anchors_on_side(g, cut)
     if anchors is None:
-        return _skip(LemmaId.LM_LADDER, inst, params, "two cut edges share a side vertex")
+        return _skip("two cut edges share a side vertex")
     sub, vmap, _ = induced_subgraph(g, cut.side_a)
     va = {i + 1: vmap[anchors[i]] for i in range(4)}  # cut-edge label -> side vertex
 
@@ -837,10 +792,7 @@ def _check_lm_ladder(inst, params):
     counts = {(2, 3): near(2, 3), (2, 4): near(2, 4), (3, 4): near(3, 4)}
     zeros = [pair for pair, c in counts.items() if c == 0]
     if not zeros:
-        return _judge(
-            LemmaId.LM_LADDER, inst, params, Bound.rational(1), 1,
-            note=f"all positive {counts}",
-        )
+        return _judge(Bound.rational(1), 1, note=f"all positive {counts}")
     recognized = fam.recognize_ladder(sub)
     for z in zeros:
         others = [pair for pair in counts if pair != z]
@@ -871,96 +823,80 @@ def _check_lm_ladder(inst, params):
                 break
         if not ok_branch:
             return _judge(
-                LemmaId.LM_LADDER, inst, params, Bound.rational(1), 0,
-                note=f"counts {counts}, ladder ends {recognized}",
+                Bound.rational(1), 0, note=f"counts {counts}, ladder ends {recognized}",
             )
-    return _judge(
-        LemmaId.LM_LADDER, inst, params, Bound.rational(1), 1,
-        note=f"zero case verified {counts}",
-    )
+    return _judge(Bound.rational(1), 1, note=f"zero case verified {counts}")
 
 
 def _check_lm_twisted_num(inst, params):
     g = inst.graph
-    ok, why = _twisted_hypothesis(inst)
-    if not ok:
-        return _skip(LemmaId.LM_TWISTED_NUM, inst, params, why or "not a twisted net")
+    why = _twisted_skip(inst)
+    if why:
+        return _skip(why)
     n = g.vertex_count
-    return _judge(
-        LemmaId.LM_TWISTED_NUM, inst, params,
-        Bound.pow2(Fraction(n + 12, 18)), count_matchings(g),
-    )
+    return _judge(Bound.pow2(Fraction(n + 12, 18)), count_matchings(g))
 
 
 def _check_lm_twisted_bip(inst, params):
     g = inst.graph
-    ok, why = _twisted_hypothesis(inst)
-    if not ok:
-        return _skip(LemmaId.LM_TWISTED_BIP, inst, params, why or "not a twisted net")
-    if not is_bipartite(g):
-        return _skip(LemmaId.LM_TWISTED_BIP, inst, params, "not bipartite")
+    why = _twisted_skip(inst)
+    if why:
+        return _skip(why)
+    coloring = two_coloring(g)
+    if coloring is None:
+        return _skip("not bipartite")
+    color = coloring[0]
     n = g.vertex_count
     cs = fam.corners(g)
-    color = _coloring(g)
     us = [c for c in cs if color[c] == 0]
     vs = [c for c in cs if color[c] == 1]
     bound = Bound.pow2(Fraction(n - 4, 18))
     if len(us) != 2 or len(vs) != 2:
-        return _fail(LemmaId.LM_TWISTED_BIP, inst, params, bound, 0,
-                     note="corners not split two per color class")
+        return _fail(bound, 0, note="corners not split two per color class")
     if count_matchings(g, CountQuery(missed_vertices=frozenset(cs))) < 1:
-        return _fail(LemmaId.LM_TWISTED_BIP, inst, params, bound, 0,
-                     note="no matching avoiding all four corners")
+        return _fail(bound, 0, note="no matching avoiding all four corners")
     cross = {
         (u, v): count_matchings(g, CountQuery(missed_vertices=frozenset({u, v})))
         for u in us
         for v in vs
     }
     if any(c < 1 for c in cross.values()):
-        return _fail(LemmaId.LM_TWISTED_BIP, inst, params, bound, 0,
-                     note=f"a cross-class corner pair has no matching: {cross}")
-    return _judge(LemmaId.LM_TWISTED_BIP, inst, params, bound, max(cross.values()))
+        return _fail(bound, 0, note=f"a cross-class corner pair has no matching: {cross}")
+    return _judge(bound, max(cross.values()))
 
 
 def _check_lm_twisted_nonbip(inst, params):
     g = inst.graph
-    ok, why = _twisted_hypothesis(inst)
-    if not ok:
-        return _skip(LemmaId.LM_TWISTED_NONBIP, inst, params, why or "not a twisted net")
+    why = _twisted_skip(inst)
+    if why:
+        return _skip(why)
     if is_bipartite(g):
-        return _skip(LemmaId.LM_TWISTED_NONBIP, inst, params, "bipartite")
+        return _skip("bipartite")
     n = g.vertex_count
     prod = 1
     for c in _corner_pair_counts(g).values():
         prod *= c
-    return _judge(
-        LemmaId.LM_TWISTED_NONBIP, inst, params,
-        Bound.pow2(Fraction(n + 8, 18)), prod,
-    )
+    return _judge(Bound.pow2(Fraction(n + 8, 18)), prod)
 
 
 def _check_lm_twisted_bis(inst, params):
     g = inst.graph
-    ok, why = _twisted_hypothesis(inst)
-    if not ok:
-        return _skip(LemmaId.LM_TWISTED_BIS, inst, params, why or "not a twisted net")
+    why = _twisted_skip(inst)
+    if why:
+        return _skip(why)
     n = g.vertex_count
     best = max(_corner_pair_counts(g).values())
-    return _judge(
-        LemmaId.LM_TWISTED_BIS, inst, params, Bound.pow2(Fraction(n - 4, 108)), best,
-    )
+    return _judge(Bound.pow2(Fraction(n - 4, 108)), best)
 
 
 def _check_lm_twisted_struc(inst, params):
     g = inst.graph
     if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip(LemmaId.LM_TWISTED_STRUC, inst, params, "needs cyclically 4-edge-connected cubic with an admissible edge")
+        return _skip("needs cyclically 4-edge-connected cubic with an admissible edge")
     e = params["edge"]
     a, b = g.endpoints(e)
     sides = []
-    for cut in cyclic_cuts_up_to(g, 4):
-        if cut.size != 4:
-            continue
+    for cut in _cyclic_cuts_of_size(g, 4):
         if a in cut.side_a and b in cut.side_a:
             sides.append(frozenset(range(g.vertex_count)) - cut.side_a)
         elif a not in cut.side_a and b not in cut.side_a:
@@ -968,66 +904,71 @@ def _check_lm_twisted_struc(inst, params):
         # e crossing is impossible: the edge is outside every cyclic 4-cut
     for s in sides:
         if _is_solid_side(g, s):
-            return _skip(LemmaId.LM_TWISTED_STRUC, inst, params, "an opposite side is solid")
+            return _skip("an opposite side is solid")
         if len(s) > fam.TWISTED_CAP:
-            return _skip(LemmaId.LM_TWISTED_STRUC, inst, params, "opposite side exceeds recognizer cap")
+            return _skip("opposite side exceeds recognizer cap")
     bad = []
     for s in sides:
         sub, _, _ = induced_subgraph(g, s)
         if fam.recognize_twisted_net(sub) is None:
             bad.append(sorted(s))
     return _judge(
-        LemmaId.LM_TWISTED_STRUC, inst, params, Bound.rational(1), int(not bad),
+        Bound.rational(1), int(not bad),
         note=f"{len(sides)} sides checked" if not bad else f"unrecognized sides {bad}",
     )
 
 
-def _coloring(g: Multigraph) -> list[int]:
-    color = [-1] * g.vertex_count
-    for s in range(g.vertex_count):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for e in g.incident(v):
-                w = g.other_end(e, v)
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    stack.append(w)
-    return color
+# ---------------------------------------------------------------------------
+# the registry: one entry per lemma
 
 
-_CHECKS: dict[LemmaId, Callable] = {
-    LemmaId.TH_HALF: _check_th_half,
-    LemmaId.THM_BIP: _check_thm_bip,
-    LemmaId.THM_KLEE: _check_thm_klee,
-    LemmaId.THM_EF: _check_thm_ef,
-    LemmaId.LM_DOUBLE: _check_lm_double,
-    LemmaId.LM_TRIPLE: _check_lm_triple,
-    LemmaId.LM_SPECIAL: _check_lm_special,
-    LemmaId.LM_BRIDGE: _check_lm_bridge,
-    LemmaId.LM_3CONN: _check_lm_3conn,
-    LemmaId.LM_SEMIBLOCK: _check_lm_semiblock,
-    LemmaId.THM_BB: _check_thm_bb,
-    LemmaId.LM_BB_CUBIC: _check_lm_bb_cubic,
-    LemmaId.LM_BB_BIP: _check_lm_bb_bip,
-    LemmaId.LM_BB_3E: _check_lm_bb_3e,
-    LemmaId.LM_BB_3EF: _check_lm_bb_3ef,
-    LemmaId.LM_SPLITOFF: _check_lm_splitoff,
-    LemmaId.LM_SPLIT5_SAME: _check_lm_split5_same,
-    LemmaId.LM_SPLIT5_DIFF: _check_lm_split5_diff,
-    LemmaId.LM_SPLIT4A: _check_lm_split4a,
-    LemmaId.LM_SPLIT4B: _check_lm_split4b,
-    LemmaId.LM_ORDERED: _check_lm_ordered,
-    LemmaId.LM_LADDER: _check_lm_ladder,
-    LemmaId.LM_TWISTED_NUM: _check_lm_twisted_num,
-    LemmaId.LM_TWISTED_BIP: _check_lm_twisted_bip,
-    LemmaId.LM_TWISTED_NONBIP: _check_lm_twisted_nonbip,
-    LemmaId.LM_TWISTED_BIS: _check_lm_twisted_bis,
-    LemmaId.LM_TWISTED_STRUC: _check_lm_twisted_struc,
+@dataclass(frozen=True)
+class _Lemma:
+    """A lemma's check and the generator of its parameter slots."""
+
+    check: Callable[[Instance, dict | None], dict]
+    params: Callable[[Multigraph], list[dict]] = _no_params
+
+
+_LEMMAS: dict[LemmaId, _Lemma] = {
+    LemmaId.TH_HALF: _Lemma(_check_th_half),
+    LemmaId.THM_BIP: _Lemma(_check_thm_bip, _edge_params),
+    LemmaId.THM_KLEE: _Lemma(_check_thm_klee),
+    LemmaId.THM_EF: _Lemma(_check_thm_ef),
+    LemmaId.LM_DOUBLE: _Lemma(_check_lm_double),
+    LemmaId.LM_TRIPLE: _Lemma(_check_lm_triple),
+    LemmaId.LM_SPECIAL: _Lemma(_check_lm_special, _edge_pair_params),
+    LemmaId.LM_BRIDGE: _Lemma(_check_lm_bridge),
+    LemmaId.LM_3CONN: _Lemma(_check_lm_3conn, _3ec_edge_params),
+    LemmaId.LM_SEMIBLOCK: _Lemma(_check_lm_semiblock),
+    LemmaId.THM_BB: _Lemma(_check_thm_bb),
+    LemmaId.LM_BB_CUBIC: _Lemma(_check_lm_bb_cubic),
+    LemmaId.LM_BB_BIP: _Lemma(_check_lm_bb_bip),
+    LemmaId.LM_BB_3E: _Lemma(_check_lm_bb_3e, _3ec_edge_params),
+    LemmaId.LM_BB_3EF: _Lemma(_check_lm_bb_3ef, _3ec_edge_params),
+    LemmaId.LM_SPLITOFF: _Lemma(_check_lm_splitoff, _path_params),
+    LemmaId.LM_SPLIT5_SAME: _Lemma(_check_lm_split5_same, _triple_params),
+    LemmaId.LM_SPLIT5_DIFF: _Lemma(_check_lm_split5_diff, _branch_params),
+    LemmaId.LM_SPLIT4A: _Lemma(_check_lm_split4a, _cut_side_params),
+    LemmaId.LM_SPLIT4B: _Lemma(_check_lm_split4b, _cut_side_params),
+    LemmaId.LM_ORDERED: _Lemma(_check_lm_ordered, _4cut_edge_params(inside=True)),
+    LemmaId.LM_LADDER: _Lemma(_check_lm_ladder, _cut_side_params),
+    LemmaId.LM_TWISTED_NUM: _Lemma(_check_lm_twisted_num),
+    LemmaId.LM_TWISTED_BIP: _Lemma(_check_lm_twisted_bip),
+    LemmaId.LM_TWISTED_NONBIP: _Lemma(_check_lm_twisted_nonbip),
+    LemmaId.LM_TWISTED_BIS: _Lemma(_check_lm_twisted_bis),
+    LemmaId.LM_TWISTED_STRUC: _Lemma(_check_lm_twisted_struc, _4cut_edge_params(inside=False)),
 }
+
+
+def params_for(lemma: LemmaId, inst: Instance) -> list[dict | None]:
+    """The lemma's admissible params on the instance, or one parameterless slot."""
+    return _LEMMAS[lemma].params(inst.graph) or [None]
+
+
+def _run(lemma: LemmaId, inst: Instance, params: dict | None) -> LemmaReport:
+    found = _LEMMAS[lemma].check(inst, params)
+    return LemmaReport(lemma=lemma, instance=inst.name, **{"params": params, **found})
 
 
 def check(
@@ -1044,12 +985,18 @@ def check(
     """
     inst = Instance(instance, g, hints)
     if params is not None:
-        return _CHECKS[lemma](inst, params)
-    reports = [_CHECKS[lemma](inst, p) for p in params_for(lemma, inst)]
-    return _aggregate(lemma, inst, reports)
+        return _run(lemma, inst, params)
+    return _aggregate([_run(lemma, inst, p) for p in params_for(lemma, inst)])
 
 
-def _aggregate(lemma, inst, reports: list[LemmaReport]) -> LemmaReport:
+def check_lm_ladder(g: Multigraph, cut: EdgeCut, side: str = "A",
+                    instance: str = "adhoc") -> LemmaReport:
+    """The zero/one/ladder trichotomy for near-perfect counts on a 4-cut side."""
+    chosen = cut.side_a if side == "A" else cut.flipped(g).side_a
+    return check(LemmaId.LM_LADDER, g, {"side": sorted(chosen)}, instance)
+
+
+def _aggregate(reports: list[LemmaReport]) -> LemmaReport:
     fails = [r for r in reports if r.verdict == "Fail"]
     if fails:
         return fails[0]
@@ -1082,7 +1029,7 @@ def sweep(
     for lemma in lemmas:
         for inst in instances:
             for p in params_for(lemma, inst):
-                rep = _CHECKS[lemma](inst, p)
+                rep = _run(lemma, inst, p)
                 out.append(rep)
                 if rep.verdict == "Fail" and fail_fast:
                     raise LemmaFailure(rep, inst.graph)
@@ -1091,17 +1038,18 @@ def sweep(
 
 def summarize_csv(reports: list[LemmaReport]) -> str:
     """Per-lemma pass/fail/skip tallies as CSV."""
+    return tally_csv((r.lemma.value, r.verdict) for r in reports)
+
+
+def tally_csv(verdicts: Iterable[tuple[str, str]]) -> str:
+    """Per-lemma pass/fail/skip tallies as CSV, from (lemma id, verdict) pairs."""
+    by: dict[str, Counter] = {}
+    for lemma, verdict in verdicts:
+        by.setdefault(lemma, Counter())[verdict] += 1
     rows = ["lemma,total,pass,fail,skipped"]
-    by: dict[str, list[LemmaReport]] = {}
-    for r in reports:
-        by.setdefault(r.lemma.value, []).append(r)
     for lemma in sorted(by):
-        rs = by[lemma]
-        rows.append(
-            f"{lemma},{len(rs)},{sum(r.verdict == 'Pass' for r in rs)},"
-            f"{sum(r.verdict == 'Fail' for r in rs)},"
-            f"{sum(r.verdict == 'Skipped' for r in rs)}"
-        )
+        c = by[lemma]
+        rows.append(f"{lemma},{sum(c.values())},{c['Pass']},{c['Fail']},{c['Skipped']}")
     return "\n".join(rows) + "\n"
 
 

@@ -11,6 +11,7 @@ pinned in `test_split5_diff_counterexample_is_genuine`), and (d) the
 disjunction at budget 6 on every exercised path pair.
 """
 
+import functools
 import json
 import subprocess
 import sys
@@ -351,7 +352,14 @@ def test_criterion_9_polytope():
     _criterion(9, f"polytope membership plus {len(scenarios)} flow scenarios", ok)
 
 
+@functools.cache
 def _splitting_corpus():
+    """Built once for both criterion-10 tests.
+
+    It holds two isomorphic searched graphs, search(seed=1280,n=12) and
+    search(seed=2710,n=12); both stay, since the refutation counts are
+    stated over this exact corpus.
+    """
     corpus = named_instances(["petersen", "dodecahedron", "moebius_kantor", "cube"])
     corpus += [
         Instance(name, g)
@@ -367,7 +375,7 @@ def _splitting_corpus():
             [10, 12], budget=200, want=3,
         )
     ]
-    return corpus
+    return tuple(corpus)
 
 
 @pytest.mark.acceptance

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -76,6 +77,30 @@ def test_verify_json_exit_zero(capsys):
     assert len(reports) == 5
     assert all(r["verdict"] == "Pass" for r in reports)
     assert all(r["lemma"] == "TH_HALF" for r in reports)
+
+
+def test_verify_cut_sweeping_lemmas_above_the_cut_cap(capsys):
+    code, out, err = _capture(
+        capsys,
+        ["verify", "--lemma", "LM_SPLIT4A,LM_SPLIT4B,LM_LADDER", "--twisted", "5",
+         "--n", "26..26", "--seed", "7", "--json"],
+    )
+    assert code == 0, err
+    reports = json.loads(out)
+    assert len(reports) == 15 and all(r["verdict"] == "Skipped" for r in reports)
+
+
+def test_verify_n_bounds_the_twisted_corpus(capsys):
+    def sizes(extra):
+        code, out, _ = _capture(
+            capsys,
+            ["verify", "--lemma", "TH_HALF", "--twisted", "12", "--seed", "7", "--json"] + extra,
+        )
+        assert code == 0
+        return {int(re.search(r",n=(\d+),", r["instance"]).group(1)) for r in json.loads(out)}
+
+    assert max(sizes(["--n", "4..14"])) == 14
+    assert max(sizes([])) == 26  # the twisted default range
 
 
 def test_verify_unknown_lemma(capsys):

@@ -1,11 +1,13 @@
+import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import ladder_host, pendant_triangle_chain
 from cubicpm import check, check_lm_ladder, named
-from cubicpm.connectivity import build_cut
+from cubicpm.connectivity import CUT_CAP, build_cut
 from cubicpm.families import BASE_4CYCLE
 from cubicpm.multigraph import from_edge_list
 from cubicpm.verifier import (
@@ -227,3 +229,45 @@ def test_twisted_instances_are_hinted():
     assert all(i.hint("known_twisted") for i in insts)
     reports = sweep([LemmaId.LM_TWISTED_NUM, LemmaId.LM_TWISTED_BIS], insts, fail_fast=True)
     assert all(r.verdict == "Pass" for r in reports)
+
+
+# Lemmas whose params come from a cut sweep.
+CUT_SWEEPING = [
+    LemmaId.LM_3CONN,
+    LemmaId.LM_BB_3E,
+    LemmaId.LM_BB_3EF,
+    LemmaId.LM_SPLIT4A,
+    LemmaId.LM_SPLIT4B,
+    LemmaId.LM_ORDERED,
+    LemmaId.LM_LADDER,
+    LemmaId.LM_TWISTED_STRUC,
+]
+
+
+def test_cut_sweeping_lemmas_skip_above_the_cut_cap():
+    # the n = 26 twisted nets of the README corpus: no params, so a skip, not TooLarge
+    big = [
+        inst for inst in twisted_instances(60, seed=8, n_lo=4, n_hi=26)
+        if inst.graph.vertex_count == 26
+    ]
+    assert len(big) == 5 and 26 > CUT_CAP
+    reports = sweep(CUT_SWEEPING, big, fail_fast=True)
+    assert len(reports) == len(CUT_SWEEPING) * len(big)
+    assert all(r.verdict == "Skipped" and r.params is None for r in reports)
+
+
+# sha256 of the canonical JSON of every catalog report on a small corpus
+# (n <= 24) with Pass, Fail and Skipped verdicts.  It was recorded while
+# params_for still held one branch per lemma; a change that alters any
+# report must re-record it and say why.
+CATALOG_DIGEST = "2001a0f242e8c0e4ecc02d6321d4105f0769e0f88e08dff8510e361f9d2b95c3"
+
+
+def test_catalog_reports_match_the_recorded_digest():
+    corpus = named_instances(["theta", "k4", "k33", "prism", "cube", "petersen", "exceptional6"])
+    corpus += random_instances(12, 4, 12, seed=3)
+    corpus += twisted_instances(12, seed=4, n_lo=4, n_hi=24)
+    reports = sweep(list(LemmaId), corpus, fail_fast=False)
+    assert Counter(r.verdict for r in reports) == {"Pass": 767, "Fail": 19, "Skipped": 10942}
+    text = json.dumps([r.to_json() for r in reports], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGEST
