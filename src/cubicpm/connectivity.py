@@ -1,9 +1,10 @@
 """Edge cuts, cyclic edge-connectivity, and the 4-cut surgeries.
 
-Cut enumeration is deliberate brute force over the 2^(n-1) bipartitions
-that keep vertex 0 on side A, vectorized with numpy so the n=20..24 range
-stays at desk scale.  Correctness beats asymptotics here: these sweeps are
-the oracles everything else is checked against.
+Every exhaustive cut question is brute force over the 2^(n-1) bipartitions
+that keep vertex 0 on side A, read from one array of weighted crossing sums
+(``cut_sums``); only this module decodes an array index into a side.
+Correctness beats asymptotics here: these sweeps are the oracles everything
+else is checked against.
 """
 
 from __future__ import annotations
@@ -123,32 +124,57 @@ def side_has_cycle(g: Multigraph, side) -> bool:
     return False
 
 
+def cut_sums(g: Multigraph, weights: list[int]) -> np.ndarray:
+    """Weighted crossing sum of every bipartition with vertex 0 on side A.
+
+    ``weights`` holds one non-negative int per edge id.  The array is built
+    one vertex at a time, each step doubling it, so a graph of maximum
+    degree d costs O(d * 2^n) array work.  Its dtype fits the total weight:
+    uint8, then int64, then exact Python ints.
+    """
+    total = sum(weights)
+    dtype = np.uint8 if total < 1 << 8 else np.int64 if total < 1 << 63 else object
+    back: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    for (u, v), x in zip(g.edges, weights):  # u < v: edges are canonical
+        back[v][u] = back[v].get(u, 0) + x
+    sums = np.zeros((1 << g.vertex_count) >> 1, dtype)
+    for v in range(1, g.vertex_count):
+        half = 1 << (v - 1)
+        # weight from v to the earlier vertices on side A, for every mask of them
+        to_a = np.full(half, back[v].get(0, 0), dtype)
+        for u, x in back[v].items():
+            if u:
+                to_a.reshape(-1, 2, 1 << (u - 1))[:, 1] += x
+        low = sums[:half]
+        sums[half : 2 * half] = low + (sum(back[v].values()) - to_a)  # v on side A
+        low += to_a  # v on side B
+    return sums
+
+
+def side_sizes(n: int) -> np.ndarray:
+    """Size of side A for every bipartition, in the index layout of ``cut_sums``."""
+    sizes = np.ones((1 << n) >> 1, np.uint8)
+    for v in range(1, n):
+        half = 1 << (v - 1)
+        sizes[half : 2 * half] += sizes[:half]
+    return sizes
+
+
+def sides(selected: np.ndarray, n: int):
+    """Side A of every selected bipartition, lazily, in ascending index order."""
+    for mask in np.flatnonzero(selected):
+        yield _mask_to_side(int(mask), n)
+
+
 @lru_cache(maxsize=16)
 def _crossing_counts(g: Multigraph) -> np.ndarray:
-    """Crossing sizes for every bipartition with vertex 0 on side A.
-
-    Index = bitmask over vertices 1..n-1 naming the rest of side A.
-    """
-    n = g.vertex_count
-    masks = np.arange(1 << (n - 1), dtype=np.uint32 if n - 1 <= 32 else np.uint64)
-    counts = np.zeros(len(masks), dtype=np.uint8)
-
-    def bit(x):
-        if x == 0:
-            return np.ones(len(masks), dtype=np.uint8)  # vertex 0 is always on side A
-        return ((masks >> np.uint32(x - 1)) & 1).astype(np.uint8)
-
-    for u, v in g.edges:
-        counts += bit(u) ^ bit(v)
-    return counts
+    """Crossing sizes for every bipartition with vertex 0 on side A."""
+    return cut_sums(g, [1] * g.edge_count)
 
 
 def _mask_to_side(mask: int, n: int) -> frozenset[int]:
-    side = {0}
-    for i in range(n - 1):
-        if (mask >> i) & 1:
-            side.add(i + 1)
-    return frozenset(side)
+    """Index i names side A = {0} plus every vertex v whose bit v-1 is set."""
+    return frozenset([0] + [v for v in range(1, n) if (mask >> (v - 1)) & 1])
 
 
 def build_cut(g: Multigraph, side) -> EdgeCut:
@@ -171,16 +197,11 @@ def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[Edge
     n = g.vertex_count
     if n > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
-    if n < 2:
-        return []
-    counts = _crossing_counts(g)
-    full = (1 << (n - 1)) - 1
+    selected = _crossing_counts(g) <= max_size
+    selected[-1:] = False  # empty side B
     out = []
-    for mask in np.nonzero(counts <= max_size)[0]:
-        mask = int(mask)
-        if mask == full:
-            continue  # empty side B
-        cut = build_cut(g, _mask_to_side(mask, n))
+    for side in sides(selected, n):
+        cut = build_cut(g, side)
         if cyclic_only and not cut.cyclic:
             continue
         out.append(cut)
@@ -193,18 +214,12 @@ def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
     n = g.vertex_count
     if n > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
-    if n < 2:
-        return CyclicConnectivity(None)
     counts = _crossing_counts(g)
-    full = (1 << (n - 1)) - 1
-    for c in range(int(counts.max()) + 1):
-        for mask in np.nonzero(counts == c)[0]:
-            mask = int(mask)
-            if mask == full:
-                continue
-            side = _mask_to_side(mask, n)
-            other = frozenset(range(n)) - side
-            if side_has_cycle(g, side) and side_has_cycle(g, other):
+    for c in range(int(counts.max(initial=0)) + 1):
+        selected = counts == c
+        selected[-1:] = False  # empty side B
+        for side in sides(selected, n):
+            if side_has_cycle(g, side) and side_has_cycle(g, frozenset(range(n)) - side):
                 return CyclicConnectivity(c)
     return CyclicConnectivity(None)
 

@@ -2,19 +2,22 @@
 
 A tight cut is crossed exactly once by every perfect matching; splitting
 along nontrivial tight cuts until none remain yields bricks (non-bipartite)
-and braces (bipartite).  The leaf multiset is unique up to edge multiplicity
-(Lovasz), which is asserted by decomposing under two different cut-selection
-orders rather than assumed.
+and braces (bipartite).  Tight cuts come from one weighted sweep of the
+bipartitions (``connectivity.cut_sums``), not from a list of matchings.  The
+leaf multiset is unique up to edge multiplicity (Lovasz), which is asserted
+by decomposing under two different cut-selection orders rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .connectivity import EdgeCut, build_cut
+
+from .connectivity import EdgeCut, build_cut, cut_sums, side_sizes, sides
 from .errors import NotMatchingCovered, TooLarge
 from .matchings import (
     CountQuery,
-    enumerate_matchings,
+    containment_counts,
+    count_matchings,
     has_matching,
     is_bipartite,
     is_matching_covered,
@@ -33,37 +36,29 @@ class TightCut:
 
 
 def tight_cuts(g: Multigraph) -> list[TightCut]:
-    """All nontrivial tight cuts, by sweeping odd bipartitions against the PM list."""
+    """All nontrivial tight cuts, by one weighted sweep of the odd bipartitions.
+
+    Weigh edge e by c(e), the number of perfect matchings through it.  Each
+    perfect matching crosses an odd cut an odd number of times, so an odd
+    cut weighs at least N, the number of perfect matchings, and is tight
+    exactly when it weighs N, as the trivial cuts do (asserted).  Sorted by
+    the sorted vertex sequence of side A, which holds vertex 0.
+    """
     if g.vertex_count > TIGHT_CAP:
         raise TooLarge(f"tight-cut sweep capped at {TIGHT_CAP} vertices")
-    if not is_matching_covered(g):
+    through = containment_counts(g)
+    if not all(through):
         raise NotMatchingCovered("tight cuts are defined for matching-covered graphs")
     n = g.vertex_count
-    pms = [
-        [g.endpoints(e) for e in sorted(m.edge_ids)] for m in enumerate_matchings(g)
-    ]
-    out = []
-    for mask in range(1 << (n - 1)):
-        size_a = bin(mask).count("1") + 1
-        size_b = n - size_a
-        if size_a < 3 or size_b < 3 or size_a % 2 == 0:
-            continue
-        amask = (mask << 1) | 1  # vertex 0 always on side A
-        tight = True
-        for pm in pms:
-            crossings = 0
-            for u, v in pm:
-                crossings += ((amask >> u) & 1) ^ ((amask >> v) & 1)
-                if crossings > 1:
-                    break
-            if crossings != 1:
-                tight = False
-                break
-        if tight:
-            side = frozenset(v for v in range(n) if (amask >> v) & 1)
-            out.append(TightCut(build_cut(g, side), nontrivial=True))
-    out.sort(key=lambda t: tuple(sorted(t.cut.side_a)))
-    return out
+    sums = cut_sums(g, through)
+    size_a = side_sizes(n)
+    odd = size_a % 2 == 1
+    pm_count = count_matchings(g)
+    if n and sums[odd].min() != pm_count:
+        raise AssertionError(f"an odd cut weighs {sums[odd].min()}, not {pm_count}")
+    tight = odd & (size_a >= 3) & (n - size_a >= 3) & (sums == pm_count)
+    ordered = sorted(sides(tight, n), key=sorted)
+    return [TightCut(build_cut(g, side), nontrivial=True) for side in ordered]
 
 
 def _simple(g: Multigraph) -> Multigraph:
@@ -166,8 +161,7 @@ def decompose(g: Multigraph, order: str = "lex_min") -> DecompositionNode:
     if not cuts:
         kind = "brace" if is_bipartite(g) else "brick"
         return DecompositionNode(g, kind=kind)
-    keyed = sorted(cuts, key=lambda t: tuple(sorted(t.cut.side_a)))
-    chosen = keyed[0].cut if order == "lex_min" else keyed[-1].cut
+    chosen = cuts[0].cut if order == "lex_min" else cuts[-1].cut  # cuts are sorted
     side_b = frozenset(range(g.vertex_count)) - chosen.side_a
     ga, _ = contract(g, chosen.side_a)
     gb, _ = contract(g, side_b)

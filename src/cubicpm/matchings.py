@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
+from .connectivity import bridges, cut_sums, cyclic_edge_connectivity, side_sizes
 from .errors import (
     FlowInfeasible,
     InconsistentQuery,
@@ -223,8 +225,6 @@ def kotzig_bridge(g: Multigraph) -> int:
 
     Kotzig: such a bridge always exists.  Returns the lowest-id one.
     """
-    from .connectivity import bridges  # local import, no cycle at module load
-
     pms = enumerate_matchings(g)
     if len(pms) != 1:
         raise NotUniquePM(f"graph has {len(pms)} perfect matchings, need exactly 1")
@@ -311,8 +311,6 @@ def special_pair(g: Multigraph, e: int, f: int) -> SpecialPairResult:
     class and f's ends in the other; both routes are computed and the
     biconditional is asserted.
     """
-    from .connectivity import cyclic_edge_connectivity
-
     if e == f:
         raise InconsistentQuery("e and f must be distinct edges")
     if not g.is_cubic:
@@ -367,22 +365,13 @@ def polytope_membership(
             return False
     if is_bipartite(g) and not force_odd_set_check:
         return True
-    # odd-set sweep, exact: scale to a common denominator and compare ints
-    from math import lcm
-
-    den = lcm(*[x.denominator for x in weights.values()]) if weights else 1
-    iw = [int(weights[e] * den) for e in range(g.edge_count)]
-    ends = list(g.edges)
-    for mask in range(1, 1 << n):
-        if bin(mask).count("1") % 2 == 0:
-            continue
-        s = 0
-        for eid, (u, v) in enumerate(ends):
-            if ((mask >> u) & 1) != ((mask >> v) & 1):
-                s += iw[eid]
-        if s < den:
-            return False
-    return True
+    # odd sets, in integers scaled by the common denominator: every bipartition
+    # with an odd side (the whole vertex set too, for odd n) must cross >= den
+    den = lcm(*[x.denominator for x in weights.values()])
+    sums = cut_sums(g, [int(weights[e] * den) for e in range(g.edge_count)])
+    size_a = side_sizes(n)
+    odd = (size_a % 2 == 1) | ((n - size_a) % 2 == 1)
+    return int(sums[odd].min(initial=den)) >= den
 
 
 def matching_indicator(g: Multigraph, m: Matching) -> dict[int, Fraction]:

@@ -2,13 +2,19 @@
 
 These deliberately avoid the package's counting engine: brute-force subset
 enumeration, permanent by expansion over minors, and a direct exhaustive
-generator for small cubic multigraphs.  They exist so every exact value the
-tests assert was computed by a second route.
+generator for small cubic multigraphs.  The bipartition sweeps below are the
+per-edge and per-matching loops that ``connectivity.cut_sums`` replaced.
+They exist so every exact value the tests assert was computed by a second
+route.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
+
+import numpy as np
 
 from cubicpm import Multigraph
 from cubicpm.multigraph import contract
@@ -111,6 +117,78 @@ def all_cubic_multigraphs(n: int):
             residual[v] += 1
 
     yield from rec((0, 0))
+
+
+def slow_crossing_counts(g: Multigraph) -> np.ndarray:
+    """Crossing sizes for every bipartition with vertex 0 on side A.
+
+    Index = bitmask over vertices 1..n-1 naming the rest of side A; one pair
+    of bit arrays per edge.
+    """
+    n = g.vertex_count
+    masks = np.arange(1 << (n - 1), dtype=np.int64)
+    counts = np.zeros(len(masks), dtype=np.int64)
+
+    def bit(x):
+        if x == 0:
+            return np.ones(len(masks), dtype=np.int64)  # vertex 0 is always on side A
+        return (masks >> (x - 1)) & 1
+
+    for u, v in g.edges:
+        counts += bit(u) ^ bit(v)
+    return counts
+
+
+def slow_tight_cuts(g: Multigraph) -> list[frozenset[int]]:
+    """Sides A (holding vertex 0) of the nontrivial tight cuts, sorted.
+
+    Sweeps the odd bipartitions against the list of perfect matchings.
+    """
+    from cubicpm.matchings import enumerate_matchings
+
+    n = g.vertex_count
+    pms = [
+        [g.endpoints(e) for e in sorted(m.edge_ids)] for m in enumerate_matchings(g)
+    ]
+    out = []
+    for mask in range(1 << (n - 1)):
+        size_a = bin(mask).count("1") + 1
+        size_b = n - size_a
+        if size_a < 3 or size_b < 3 or size_a % 2 == 0:
+            continue
+        amask = (mask << 1) | 1  # vertex 0 always on side A
+        tight = True
+        for pm in pms:
+            crossings = 0
+            for u, v in pm:
+                crossings += ((amask >> u) & 1) ^ ((amask >> v) & 1)
+                if crossings > 1:
+                    break
+            if crossings != 1:
+                tight = False
+                break
+        if tight:
+            out.append(frozenset(v for v in range(n) if (amask >> v) & 1))
+    out.sort(key=lambda side: tuple(sorted(side)))
+    return out
+
+
+def slow_odd_set_ok(g: Multigraph, w) -> bool:
+    """Does every odd vertex set have a crossing weight of at least 1?"""
+    weights = {e: Fraction(w[e]) for e in w}
+    den = lcm(*[x.denominator for x in weights.values()])
+    iw = [int(weights[e] * den) for e in range(g.edge_count)]
+    ends = list(g.edges)
+    for mask in range(1, 1 << g.vertex_count):
+        if bin(mask).count("1") % 2 == 0:
+            continue
+        s = 0
+        for eid, (u, v) in enumerate(ends):
+            if ((mask >> u) & 1) != ((mask >> v) & 1):
+                s += iw[eid]
+        if s < den:
+            return False
+    return True
 
 
 def slow_k_almost_c4ec(g: Multigraph, k: int) -> bool:
