@@ -17,7 +17,6 @@ from .errors import NotMatchingCovered, TooLarge
 from .matchings import (
     CountQuery,
     containment_counts,
-    count_matchings,
     has_matching,
     is_bipartite,
     is_matching_covered,
@@ -38,11 +37,13 @@ class TightCut:
 def tight_cuts(g: Multigraph) -> list[TightCut]:
     """All nontrivial tight cuts, by one weighted sweep of the odd bipartitions.
 
-    Weigh edge e by c(e), the number of perfect matchings through it.  Each
-    perfect matching crosses an odd cut an odd number of times, so an odd
-    cut weighs at least N, the number of perfect matchings, and is tight
-    exactly when it weighs N, as the trivial cuts do (asserted).  Sorted by
-    the sorted vertex sequence of side A, which holds vertex 0.
+    Weigh edge e by c(e), the number of perfect matchings through it; one
+    pass of the matching DP gives every c(e).  The trivial cut around vertex
+    0 weighs N, the number of perfect matchings, because each of them covers
+    vertex 0 once.  Each perfect matching crosses an odd cut an odd number
+    of times, so an odd cut weighs at least N (asserted), and it is tight
+    exactly when it weighs N.  Sorted by the sorted vertex sequence of side
+    A, which holds vertex 0.
     """
     if g.vertex_count > TIGHT_CAP:
         raise TooLarge(f"tight-cut sweep capped at {TIGHT_CAP} vertices")
@@ -50,11 +51,13 @@ def tight_cuts(g: Multigraph) -> list[TightCut]:
     if not all(through):
         raise NotMatchingCovered("tight cuts are defined for matching-covered graphs")
     n = g.vertex_count
+    if not n:
+        return []
     sums = cut_sums(g, through)
     size_a = side_sizes(n)
     odd = size_a % 2 == 1
-    pm_count = count_matchings(g)
-    if n and sums[odd].min() != pm_count:
+    pm_count = sum(through[e] for e in g.incident(0))
+    if sums[odd].min() != pm_count:
         raise AssertionError(f"an odd cut weighs {sums[odd].min()}, not {pm_count}")
     tight = odd & (size_a >= 3) & (n - size_a >= 3) & (sums == pm_count)
     ordered = sorted(sides(tight, n), key=sorted)

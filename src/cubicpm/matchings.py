@@ -1,9 +1,16 @@
 """Exact perfect-matching counting and the matching-polytope machinery.
 
-Counting branches on the lowest uncovered vertex with a memo keyed by the
-covered-vertex bitmask; constraints (required edges, forbidden edges,
-vertices deliberately left uncovered) are folded into the initial state.
-Everything is exact: counts are ints, polytope arithmetic uses Fractions.
+One DP over covered-vertex bitmasks serves every matching query.  Vertices
+are taken in a frontier order (``Multigraph.frontier_order``), which keeps
+few vertices half-finished at a time and so keeps the number of states
+small.  Each step matches the first uncovered vertex.  Constraints (required
+edges, forbidden edges, vertices deliberately left uncovered) are folded
+into the initial state.  A forward pass, level by level, counts the paths
+into each state, which gives the count.  A backward pass counts each
+state's completions; summing the product of the two over the transitions
+that use an edge gives the number of matchings through it, for every edge
+at once.  Everything is exact: counts are ints, polytope arithmetic uses
+Fractions.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .errors import (
 )
 from .multigraph import Multigraph, two_coloring
 
-COUNT_CAP = 30
+COUNT_CAP = 64
 ENUMERATE_CAP = 20
 POLYTOPE_CAP = 20
 
@@ -73,21 +80,90 @@ def _validate(g: Multigraph, q: CountQuery) -> None:
             raise InconsistentQuery(f"required edge {e} touches a missed vertex")
 
 
-def _initial_mask(g: Multigraph, q: CountQuery) -> int | None:
-    """Fold missed vertices and required edges into a covered mask.
+class _StateDag:
+    """The states of the matching DP, one forward sweep level by level.
 
-    Returns None when two required edges collide (count is zero).
+    Vertex v sits at its position in ``g.frontier_order`` and a state is the
+    bitmask of covered positions.  Missed vertices and the ends of required
+    edges are covered from the start.  A transition covers the first
+    uncovered position and one uncovered neighbour of it through an edge
+    that is not forbidden, so every matching of the query is one path from
+    the start to the full mask.  ``levels[k]`` maps each state reached by k
+    transitions to alpha, the number of paths into it.
     """
-    mask = 0
-    for v in q.missed_vertices:
-        mask |= 1 << v
-    for e in q.required:
-        u, v = g.endpoints(e)
-        bu, bv = 1 << u, 1 << v
-        if mask & bu or mask & bv:
-            return None
-        mask |= bu | bv
-    return mask
+
+    def __init__(self, g: Multigraph, q: CountQuery, cap: int, what: str):
+        if g.vertex_count > cap:
+            raise TooLarge(f"{what} capped at {cap} vertices")
+        _validate(g, q)
+        n = g.vertex_count
+        pos = [0] * n
+        for p, v in enumerate(g.frontier_order):
+            pos[v] = p
+        bit = [1 << p for p in pos]
+        self.edge_count = g.edge_count
+        self.full = full = (1 << n) - 1
+        # moves[p]: (edge id, position bit of its other end) at position p
+        self.moves = moves = [[] for _ in range(n)]
+        forbidden = q.forbidden
+        for e, (u, v) in enumerate(g.edges):
+            if e not in forbidden:
+                moves[pos[u]].append((e, bit[v]))
+                moves[pos[v]].append((e, bit[u]))
+        self.levels: list[dict[int, int]] = []
+        self.start = 0
+        for v in q.missed_vertices:
+            self.start |= bit[v]
+        for e in q.required:
+            u, v = g.endpoints(e)
+            ends = bit[u] | bit[v]
+            if self.start & ends:
+                return  # two required edges collide: no matching
+            self.start |= ends
+        level = {self.start: 1}
+        self.levels.append(level)
+        while level and full not in level:
+            nxt: dict[int, int] = {}
+            for s, paths in level.items():
+                low = ~s & (s + 1)
+                for _, b in moves[low.bit_length() - 1]:
+                    if not s & b:
+                        t = s | low | b
+                        nxt[t] = nxt.get(t, 0) + paths
+            level = nxt
+            self.levels.append(level)
+
+    @property
+    def count(self) -> int:
+        return self.levels[-1].get(self.full, 0) if self.levels else 0
+
+    def outside(self) -> tuple[dict[int, int], list[int]]:
+        """The backward pass: beta and the number c(e) of matchings through e.
+
+        beta(s), the number of paths from s to the full mask, is kept only
+        where it is nonzero.  The transitions through edge e lie on
+        alpha(s)·beta(t) matchings each, summed into c(e).  Required edges
+        are not transitions and keep c(e) = 0.
+        """
+        beta: dict[int, int] = {}
+        through = [0] * self.edge_count
+        if not self.count:
+            return beta, through
+        moves = self.moves
+        beta[self.full] = 1
+        for level in reversed(self.levels[:-1]):
+            for s, paths in level.items():
+                low = ~s & (s + 1)
+                total = 0
+                for e, b in moves[low.bit_length() - 1]:
+                    if not s & b:
+                        rest = beta.get(s | low | b)
+                        if rest:
+                            total += rest
+                            through[e] += paths * rest
+                if total:
+                    beta[s] = total
+        return beta, through
 
 
 def count_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> int:
@@ -95,125 +171,53 @@ def count_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> int:
 
     Parallel edges count as distinct matchings.
     """
-    if g.vertex_count > COUNT_CAP:
-        raise TooLarge(f"counting capped at {COUNT_CAP} vertices")
-    _validate(g, q)
-    mask0 = _initial_mask(g, q)
-    if mask0 is None:
-        return 0
-    full = (1 << g.vertex_count) - 1
-    inc = [
-        tuple((e, g.other_end(e, v)) for e in g.incident(v) if e not in q.forbidden)
-        for v in range(g.vertex_count)
-    ]
-    memo: dict[int, int] = {}
-
-    def rec(mask: int) -> int:
-        if mask == full:
-            return 1
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        free = (~mask) & full
-        v = (free & -free).bit_length() - 1
-        total = 0
-        bv = 1 << v
-        for e, w in inc[v]:
-            bw = 1 << w
-            if mask & bw:
-                continue
-            total += rec(mask | bv | bw)
-        memo[mask] = total
-        return total
-
-    return rec(mask0)
+    return _StateDag(g, q, COUNT_CAP, "counting").count
 
 
 def has_matching(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> bool:
-    """Existence check with early exit (same semantics as count > 0)."""
-    if g.vertex_count > COUNT_CAP:
-        raise TooLarge(f"counting capped at {COUNT_CAP} vertices")
-    _validate(g, q)
-    mask0 = _initial_mask(g, q)
-    if mask0 is None:
-        return False
-    full = (1 << g.vertex_count) - 1
-    inc = [
-        tuple((e, g.other_end(e, v)) for e in g.incident(v) if e not in q.forbidden)
-        for v in range(g.vertex_count)
-    ]
-    dead: set[int] = set()
-
-    def rec(mask: int) -> bool:
-        if mask == full:
-            return True
-        if mask in dead:
-            return False
-        free = (~mask) & full
-        v = (free & -free).bit_length() - 1
-        bv = 1 << v
-        for e, w in inc[v]:
-            bw = 1 << w
-            if mask & bw:
-                continue
-            if rec(mask | bv | bw):
-                return True
-        dead.add(mask)
-        return False
-
-    return rec(mask0)
+    """Existence check: the count is positive."""
+    return count_matchings(g, q) > 0
 
 
 def enumerate_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> list[Matching]:
-    """All matchings for the query, sorted by their sorted edge-id tuples."""
-    if g.vertex_count > ENUMERATE_CAP:
-        raise TooLarge(f"enumeration capped at {ENUMERATE_CAP} vertices")
-    _validate(g, q)
-    mask0 = _initial_mask(g, q)
-    if mask0 is None:
-        return []
-    full = (1 << g.vertex_count) - 1
-    inc = [
-        tuple((e, g.other_end(e, v)) for e in g.incident(v) if e not in q.forbidden)
-        for v in range(g.vertex_count)
-    ]
-    base = sorted(q.required)
+    """All matchings for the query, sorted by their sorted edge-id tuples.
+
+    Walks only the states with a completion, so no branch is a dead end.
+    """
+    dag = _StateDag(g, q, ENUMERATE_CAP, "enumeration")
+    beta, _ = dag.outside()
     out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
+    chosen = sorted(q.required)
 
-    def rec(mask: int) -> None:
-        if mask == full:
-            out.append(tuple(sorted(base + chosen)))
+    def walk(s: int) -> None:
+        if s == dag.full:
+            out.append(tuple(sorted(chosen)))
             return
-        free = (~mask) & full
-        v = (free & -free).bit_length() - 1
-        bv = 1 << v
-        for e, w in inc[v]:
-            bw = 1 << w
-            if mask & bw:
-                continue
-            chosen.append(e)
-            rec(mask | bv | bw)
-            chosen.pop()
+        low = ~s & (s + 1)
+        for e, b in dag.moves[low.bit_length() - 1]:
+            if not s & b and (s | low | b) in beta:
+                chosen.append(e)
+                walk(s | low | b)
+                chosen.pop()
 
-    rec(mask0)
+    if beta:
+        walk(dag.start)
     out.sort()
     return [Matching(frozenset(t)) for t in out]
 
 
 def containment_counts(g: Multigraph) -> list[int]:
-    """Number of perfect matchings through each edge, by edge id."""
-    return [
-        count_matchings(g, CountQuery(required=frozenset({e})))
-        for e in range(g.edge_count)
-    ]
+    """Number c(e) of perfect matchings through each edge, by edge id.
+
+    One forward and one backward pass over the DP states, not one count per
+    edge.
+    """
+    return _StateDag(g, EMPTY_QUERY, COUNT_CAP, "counting").outside()[1]
 
 
 def is_matching_covered(g: Multigraph) -> bool:
-    return all(
-        has_matching(g, CountQuery(required=frozenset({e})))
-        for e in range(g.edge_count)
-    )
+    """Does every edge lie in some perfect matching?"""
+    return all(containment_counts(g))
 
 
 def is_double_covered(g: Multigraph) -> bool:

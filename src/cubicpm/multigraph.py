@@ -63,6 +63,43 @@ class Multigraph:
         return tuple(tuple(x) for x in inc)
 
     @cached_property
+    def frontier_order(self) -> tuple[int, ...]:
+        """A vertex order with a small frontier, for the matching DP.
+
+        Greedy: each step places the vertex that adds the fewest unplaced
+        vertices to the boundary (the unplaced neighbours of placed
+        vertices), preferring boundary vertices, then the lowest id.  Costs
+        are kept incrementally: a vertex leaves the pool of unplaced
+        vertices off the boundary once, and then each of its d neighbours'
+        costs drops by one.  Each step scans the n keys once for the
+        minimum.
+        """
+        n = self.vertex_count
+        nbrs: list[set[int]] = [set() for _ in range(n)]
+        for u, v in self.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        # key = 2 * (neighbours in the pool) + (1 while in the pool)
+        key = [2 * len(x) + 1 for x in nbrs]
+        placed = 2 * n  # above every key, and even: not in the pool
+        order: list[int] = []
+        vertices, lookup = range(n), key.__getitem__
+        for _ in vertices:
+            v = min(vertices, key=lookup)  # lowest key, then lowest id
+            order.append(v)
+            if key[v] & 1:  # v leaves the pool; no neighbour of it is placed
+                for x in nbrs[v]:
+                    key[x] -= 2
+            key[v] = placed
+            for w in nbrs[v]:
+                if key[w] & 1:  # w joins the boundary, so it leaves the pool
+                    key[w] -= 1
+                    for x in nbrs[w]:
+                        if key[x] < placed:
+                            key[x] -= 2
+        return tuple(order)
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(x) for x in self._incidence)
 

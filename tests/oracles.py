@@ -2,10 +2,11 @@
 
 These deliberately avoid the package's counting engine: brute-force subset
 enumeration, permanent by expansion over minors, and a direct exhaustive
-generator for small cubic multigraphs.  The bipartition sweeps below are the
-per-edge and per-matching loops that ``connectivity.cut_sums`` replaced.
-They exist so every exact value the tests assert was computed by a second
-route.
+generator for small cubic multigraphs.  The label-order matching recursions
+are the routes that the frontier-ordered DP of ``matchings`` replaced.  The
+bipartition sweeps below are the per-edge and per-matching loops that
+``connectivity.cut_sums`` replaced.  They exist so every exact value the
+tests assert was computed by a second route.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from math import lcm
 import numpy as np
 
 from cubicpm import Multigraph
+from cubicpm.matchings import EMPTY_QUERY, CountQuery
 from cubicpm.multigraph import contract
 
 
@@ -88,6 +90,84 @@ def permanent(matrix: list[list[int]]) -> int:
         return total
 
     return rec(0, 0)
+
+
+def _label_order_start(g: Multigraph, q: CountQuery):
+    """Covered-vertex mask and per-vertex (edge, other end) moves, or None.
+
+    None when two required edges collide.
+    """
+    mask = 0
+    for v in q.missed_vertices:
+        mask |= 1 << v
+    for e in q.required:
+        u, v = g.endpoints(e)
+        if mask & ((1 << u) | (1 << v)):
+            return None
+        mask |= (1 << u) | (1 << v)
+    inc = [
+        tuple((e, g.other_end(e, v)) for e in g.incident(v) if e not in q.forbidden)
+        for v in range(g.vertex_count)
+    ]
+    return mask, inc
+
+
+def slow_count_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> int:
+    """Matchings of a query, branching on the lowest uncovered vertex label.
+
+    The memo is keyed by the covered-vertex bitmask, so the number of states
+    follows the labelling; practical up to about 30 vertices.
+    """
+    start = _label_order_start(g, q)
+    if start is None:
+        return 0
+    mask0, inc = start
+    full = (1 << g.vertex_count) - 1
+    memo: dict[int, int] = {}
+
+    def rec(mask: int) -> int:
+        if mask == full:
+            return 1
+        if mask in memo:
+            return memo[mask]
+        free = ~mask & full
+        v = (free & -free).bit_length() - 1
+        total = 0
+        for _, w in inc[v]:
+            if not mask & (1 << w):
+                total += rec(mask | (1 << v) | (1 << w))
+        memo[mask] = total
+        return total
+
+    return rec(mask0)
+
+
+def slow_enumerate_matchings(
+    g: Multigraph, q: CountQuery = EMPTY_QUERY
+) -> list[tuple[int, ...]]:
+    """Sorted edge-id tuples of the query's matchings, by the same recursion."""
+    start = _label_order_start(g, q)
+    if start is None:
+        return []
+    mask0, inc = start
+    full = (1 << g.vertex_count) - 1
+    out: list[tuple[int, ...]] = []
+    chosen = sorted(q.required)
+
+    def rec(mask: int) -> None:
+        if mask == full:
+            out.append(tuple(sorted(chosen)))
+            return
+        free = ~mask & full
+        v = (free & -free).bit_length() - 1
+        for e, w in inc[v]:
+            if not mask & (1 << w):
+                chosen.append(e)
+                rec(mask | (1 << v) | (1 << w))
+                chosen.pop()
+
+    rec(mask0)
+    return sorted(out)
 
 
 def all_cubic_multigraphs(n: int):

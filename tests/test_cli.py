@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cubicpm import named, write_edge_list
+from cubicpm import count_matchings, named, random_cubic_bridgeless, write_edge_list
 from cubicpm.cli import run
 
 
@@ -25,6 +25,14 @@ def test_count_from_file(tmp_path, capsys):
     path.write_text(write_edge_list(named("petersen")))
     code, out, _ = _capture(capsys, ["count", "--graph", str(path)])
     assert code == 0 and out == "6\n"
+
+
+def test_count_beyond_thirty_vertices(tmp_path, capsys):
+    g = random_cubic_bridgeless(1, 40)
+    path = tmp_path / "random40.el"
+    path.write_text(write_edge_list(g))
+    code, out, _ = _capture(capsys, ["count", "--graph", str(path)])
+    assert code == 0 and out == f"{count_matchings(g)}\n"
 
 
 def test_count_graph6(tmp_path, capsys):

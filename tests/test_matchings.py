@@ -34,6 +34,7 @@ from cubicpm.errors import (
     TooLarge,
 )
 from cubicpm.matchings import (
+    COUNT_CAP,
     biadjacency,
     containment_counts,
     matching_indicator,
@@ -120,7 +121,7 @@ def test_query_validation(named_graphs):
             g, CountQuery(required=frozenset({0}), missed_vertices=frozenset({0}))
         )
     with pytest.raises(TooLarge):
-        count_matchings(random_cubic_bridgeless(0, 32))
+        count_matchings(random_cubic_bridgeless(0, COUNT_CAP + 2))
 
 
 def test_counting_consistency_at_each_vertex(named_graphs):
