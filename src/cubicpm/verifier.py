@@ -2,9 +2,14 @@
 
 Every quantitative bound is compared exactly.  Rational bounds use
 Fractions; bounds of the form 2^(p/q) are decided by integer
-cross-powering (is measured^q >= 2^p), never by floating point.  A check
-whose hypothesis an instance fails is Skipped with a reason, so sweeps can
-never pass silently by checking nothing.
+cross-powering (is measured^q >= 2^p), never by floating point.
+
+Each lemma's table entry declares its hypothesis once: a test of the
+instance that returns why the lemma does not apply, or None.  It runs once
+per (lemma, instance), ahead of the parameter slots, and a reason becomes
+the same Skipped report in every slot, so sweeps can never pass silently by
+checking nothing.  A graph above a size cap is Skipped with a reason naming
+the cap.  The checks do only per-slot work.
 """
 
 from __future__ import annotations
@@ -14,11 +19,13 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable
+from itertools import combinations
+from typing import Callable, Iterable, Iterator
 
 from . import decomposition as dc
 from . import families as fam
 from .connectivity import (
+    ALMOST_CAP,
     CUT_CAP,
     EdgeCut,
     bridges,
@@ -30,9 +37,11 @@ from .connectivity import (
     is_k_almost_cyclically_4ec,
     ordered_4cut_chain,
 )
-from .errors import ChainViolation, CubicpmError, TooLarge
+from .errors import ChainViolation, CubicpmError, NotMatchingCovered
 from .formats import write_edge_list
 from .matchings import (
+    COUNT_CAP,
+    ENUMERATE_CAP,
     CountQuery,
     containment_counts,
     count_matchings,
@@ -224,9 +233,17 @@ def _is_bridgeless_cubic(g: Multigraph) -> bool:
 
 
 def _is_3ec(g: Multigraph) -> bool:
-    if g.vertex_count < 2:
-        return False
-    return not enumerate_cuts(g, 2, cyclic_only=False)
+    """No cut of at most two edges: connected, with no bridge in G or in any G - e."""
+    return (
+        g.vertex_count >= 2
+        and g.is_connected()
+        and not bridges(g)
+        and not any(bridges(_delete_edges(g, {e})) for e in range(g.edge_count))
+    )
+
+
+def _is_3ec_cubic(g: Multigraph) -> bool:
+    return g.is_cubic and _is_3ec(g)
 
 
 def _cyclic_cuts_of_size(g: Multigraph, k: int) -> list[EdgeCut]:
@@ -336,11 +353,7 @@ def _is_solid_side(g: Multigraph, side: frozenset[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # parameter generators: admissible params per graph; none means one
-# parameterless slot, whose check then skips
-
-
-def _no_params(g: Multigraph) -> list[dict]:
-    return []
+# parameterless slot, Skipped with the entry's no-slot reason
 
 
 def _edge_params(g: Multigraph) -> list[dict]:
@@ -411,7 +424,7 @@ def _cut_sweeping(params: Callable[[Multigraph], list[dict]]):
 @_cut_sweeping
 def _3ec_edge_params(g: Multigraph) -> list[dict]:
     """On 3-edge-connected cubic graphs, the edges in no cyclic 3-cut."""
-    if not (g.is_cubic and _is_3ec(g)):
+    if not _is_3ec_cubic(g):
         return []
     bad = _cyclic_cut_edges(g, 3)
     return [{"edge": e} for e in range(g.edge_count) if e not in bad]
@@ -439,31 +452,91 @@ def _4cut_edge_params(inside: bool):
 
 
 # ---------------------------------------------------------------------------
-# the checks
+# hypotheses: why an instance is outside a lemma, or None
+
+
+_Hypothesis = Callable[[Instance], "str | None"]
+
+
+def _needs(reason: str, test: Callable[[Multigraph], bool]) -> _Hypothesis:
+    """Holds when ``test`` accepts the graph, and otherwise gives ``reason``."""
+    return lambda inst: None if test(inst.graph) else reason
+
+
+def _cap(limit: int, reason: str) -> _Hypothesis:
+    """Gives ``reason`` above ``limit`` vertices."""
+    return lambda inst: reason if inst.graph.vertex_count > limit else None
+
+
+def _first(*hypotheses: _Hypothesis) -> _Hypothesis:
+    """The reason of the first hypothesis that fails, tested in order."""
+    return lambda inst: next(filter(None, (h(inst) for h in hypotheses)), None)
+
+
+_CUT_SWEEP = _cap(CUT_CAP, f"cut sweep capped at {CUT_CAP} vertices")
+_COUNTING = _cap(COUNT_CAP, f"counting capped at {COUNT_CAP} vertices")
+_DECOMPOSITION = _cap(dc.TIGHT_CAP, "decomposition size cap")
+_BRIDGELESS_CUBIC = _needs("not cubic bridgeless", _is_bridgeless_cubic)
+
+
+def _swept(reason: str, test, swept) -> _Hypothesis:
+    """``test``, then the cut-sweeping ``swept``, which is not run above the sweep cap."""
+    return _first(_needs(reason, test), _CUT_SWEEP, _needs(reason, swept))
+
+
+def _is_cubic(g: Multigraph) -> bool:
+    return g.is_cubic
+
+
+def _effective_connectivity(g: Multigraph) -> int | None:
+    """min(cyclic edge-connectivity, (n - 2) // 2), or None with no cyclic cut."""
+    cec = cyclic_edge_connectivity(g)
+    return None if cec.is_unbounded else min(cec.value, (g.vertex_count - 2) // 2)
+
+
+def _splitoff_connectivity(inst: Instance) -> str | None:
+    ell = _effective_connectivity(inst.graph)
+    if ell is None:
+        return "no cyclic structure"
+    return f"effective connectivity {ell} below 3" if ell < 3 else None
+
+
+_split5_hypothesis = _first(
+    _swept(
+        "needs cyclically 5-edge-connected cubic, >= 12 vertices",
+        lambda g: g.is_cubic and g.vertex_count >= 12,
+        lambda g: cyclic_edge_connectivity(g).at_least(5),
+    ),
+    # splitting off drops two vertices before the k-almost search
+    _cap(ALMOST_CAP + 2, f"split graph over the k-almost search cap of {ALMOST_CAP} vertices"),
+)
+
+
+def _bricks(g: Multigraph) -> int | None:
+    """The brick count, or None if g is not matching-covered (found by the root cut sweep)."""
+    try:
+        return dc.brick_count(g)
+    except NotMatchingCovered:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# the checks: per-slot work on an instance whose hypothesis holds
 
 
 def _check_th_half(inst, params):
     g = inst.graph
-    if not _is_bridgeless_cubic(g):
-        return _skip("not cubic bridgeless")
     return _judge(Bound.rational(Fraction(g.vertex_count, 2)), count_matchings(g))
 
 
 def _check_thm_bip(inst, params):
     g = inst.graph
-    if params is None or not (_is_bridgeless_cubic(g) and is_bipartite(g)):
-        return _skip("not cubic bridgeless bipartite")
-    e = params["edge"]
     half = g.vertex_count // 2
-    return _judge(Bound.rational(Fraction(4**half, 3**half)), _avoid_count(g, e))
+    return _judge(Bound.rational(Fraction(4**half, 3**half)), _avoid_count(g, params["edge"]))
 
 
 def _check_thm_klee(inst, params):
     g = inst.graph
-    if g.vertex_count > fam.KLEE_CAP:
-        return _skip("recognizer size cap")
-    if not (g.is_cubic and fam.is_klee(g)):
-        return _skip("not a Klee graph")
     return _judge(
         Bound.pow2(Fraction(g.vertex_count, KLEE_DENOMINATOR)), count_matchings(g),
         note=f"exponent denominator {KLEE_DENOMINATOR} per the Chudnovsky-Seymour planar bound",
@@ -472,44 +545,23 @@ def _check_thm_klee(inst, params):
 
 def _check_thm_ef(inst, params):
     g = inst.graph
-    if not _is_bridgeless_cubic(g):
-        return _skip("not cubic bridgeless")
-    worst = None
-    arg = None
-    for e in range(g.edge_count):
-        for f in range(e + 1, g.edge_count):
-            c = count_matchings(g, CountQuery(forbidden=frozenset({e, f})))
-            if worst is None or c < worst:
-                worst, arg = c, (e, f)
-    if worst is None:  # single-edge graphs have no pair
-        return _skip("fewer than two edges")
-    return {**_judge(Bound.rational(1), worst), "params": {"worst_pair": list(arg)}}
+    worst, pair = min(  # the first pair in edge order among the tightest
+        (count_matchings(g, CountQuery(forbidden=frozenset(pair))), pair)
+        for pair in combinations(range(g.edge_count), 2)
+    )
+    return {**_judge(Bound.rational(1), worst), "params": {"worst_pair": list(pair)}}
 
 
 def _check_lm_double(inst, params):
-    g = inst.graph
-    if not (g.is_cubic and _is_3ec(g)):
-        return _skip("not cyclically 3-edge-connected cubic")
-    if g.vertex_count > fam.KLEE_CAP:
-        return _skip("Klee recognizer size cap")
-    if fam.is_klee(g):
-        return _skip("Klee graphs are exempt")
-    return _judge(Bound.rational(2), min(containment_counts(g)))
+    return _judge(Bound.rational(2), min(containment_counts(inst.graph)))
 
 
 def _check_lm_triple(inst, params):
-    g = inst.graph
-    if not (g.is_cubic and is_bipartite(g) and g.vertex_count >= 8 and _c4ec(g)):
-        return _skip(
-            "needs a cyclically 4-edge-connected bipartite cubic graph on >= 8 vertices"
-        )
-    return _judge(Bound.rational(3), min(containment_counts(g)))
+    return _judge(Bound.rational(3), min(containment_counts(inst.graph)))
 
 
 def _check_lm_special(inst, params):
     g = inst.graph
-    if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip("not cyclically 4-edge-connected cubic")
     e, f = params["e"], params["f"]
     try:
         r1 = special_pair(g, e, f)
@@ -521,115 +573,70 @@ def _check_lm_special(inst, params):
 
 def _check_lm_bridge(inst, params):
     g = inst.graph
-    if g.vertex_count > 20:
-        return _skip("enumeration size cap")
-    if count_matchings(g) != 1:
-        return _skip("perfect matching is not unique")
     try:
         e = kotzig_bridge(g)
     except AssertionError as exc:
         return _fail(Bound.rational(1), 0, note=str(exc))
-    ok = e in bridges(g) and count_matchings(
-        g, CountQuery(required=frozenset({e}))
-    ) == 1
+    ok = e in bridges(g) and count_matchings(g, CountQuery(required=frozenset({e}))) == 1
     return _judge(Bound.rational(1), int(ok), note=f"bridge={e}")
 
 
 def _check_lm_3conn(inst, params):
     g = inst.graph
-    if params is None or not (g.is_cubic and _is_3ec(g)):
-        return _skip("needs a 3-edge-connected cubic graph with an admissible edge")
-    e = params["edge"]
-    return _judge(Bound.rational(Fraction(g.vertex_count, 8)), _avoid_count(g, e))
+    return _judge(Bound.rational(Fraction(g.vertex_count, 8)), _avoid_count(g, params["edge"]))
 
 
 def _check_lm_semiblock(inst, params):
     g = inst.graph
-    if not _is_bridgeless_cubic(g):
-        return _skip("not cubic bridgeless")
     _, s = fam.semiblocks(g)
     worst = min(_avoid_count(g, e) for e in range(g.edge_count))
     return _judge(Bound.rational(s + 1), worst, note=f"s={s}")
 
 
-def _decomposable(g: Multigraph) -> str | None:
-    if g.vertex_count > dc.TIGHT_CAP:
-        return "decomposition size cap"
-    try:
-        if not dc.is_matching_covered(g):
-            return "not matching-covered"
-    except TooLarge:
-        return "decomposition size cap"
-    return None
-
-
 def _check_thm_bb(inst, params):
     g = inst.graph
-    why = _decomposable(g)
-    if why:
-        return _skip(why)
-    b = dc.brick_count(g)
+    b = _bricks(g)
+    if b is None:
+        return _skip("not matching-covered")
     bound = g.edge_count - g.vertex_count + 1 - b
     return _judge(Bound.rational(bound), count_matchings(g), note=f"b={b}")
 
 
 def _check_lm_bb_cubic(inst, params):
     g = inst.graph
-    if not _is_bridgeless_cubic(g):
-        return _skip("not cubic bridgeless")
-    why = _decomposable(g)
-    if why:
-        return _skip(why)
-    return _judge(
-        Bound.rational(Fraction(g.vertex_count, 4)), dc.brick_count(g), direction="<=",
-    )
+    b = _bricks(g)
+    if b is None:
+        return _skip("not matching-covered")
+    return _judge(Bound.rational(Fraction(g.vertex_count, 4)), b, direction="<=")
 
 
 def _check_lm_bb_bip(inst, params):
-    g = inst.graph
-    if not is_bipartite(g):
-        return _skip("not bipartite")
-    why = _decomposable(g)
-    if why:
-        return _skip(why)
-    return _judge(Bound.rational(0), dc.brick_count(g), direction="<=")
+    b = _bricks(inst.graph)
+    if b is None:
+        return _skip("not matching-covered")
+    return _judge(Bound.rational(0), b, direction="<=")
 
 
 def _check_lm_bb_3e(inst, params):
     g = inst.graph
-    if params is None or not (g.is_cubic and _is_3ec(g)):
-        return _skip("needs 3-edge-connected cubic with admissible edge")
-    e = params["edge"]
-    ge = _delete_edges(g, {e})
-    why = _decomposable(ge)
-    if why:
-        return _skip(f"graph minus edge: {why}")
-    return _judge(
-        Bound.rational(Fraction(3 * g.vertex_count, 8) - 2), dc.brick_count(ge),
-        direction="<=",
-    )
+    b = _bricks(_delete_edges(g, {params["edge"]}))
+    if b is None:
+        return _skip("graph minus edge: not matching-covered")
+    return _judge(Bound.rational(Fraction(3 * g.vertex_count, 8) - 2), b, direction="<=")
 
 
 def _check_lm_bb_3ef(inst, params):
     g = inst.graph
-    if params is None or not (g.is_cubic and _is_3ec(g)):
-        return _skip("needs 3-edge-connected cubic with admissible edge")
     e = params["edge"]
-    ge = _delete_edges(g, {e})
-    if g.vertex_count > dc.TIGHT_CAP:
-        return _skip("decomposition size cap")
-    if dc.is_matching_covered(ge):
+    if dc.is_matching_covered(_delete_edges(g, {e})):
         return _skip("graph minus edge is matching-covered")
     bound = Bound.rational(Fraction(g.vertex_count, 4) - 1)
     for f in range(g.edge_count):
         if f == e:
             continue
-        gef = _delete_edges(g, {e, f})
-        if dc.is_matching_covered(gef):
-            return {
-                **_judge(bound, dc.brick_count(gef), direction="<="),
-                "params": {**params, "companion": f},
-            }
+        b = _bricks(_delete_edges(g, {e, f}))
+        if b is not None:
+            return {**_judge(bound, b, direction="<="), "params": {**params, "companion": f}}
     return _fail(
         bound, g.edge_count, direction="<=",
         note="no companion edge makes the graph matching-covered",
@@ -638,14 +645,7 @@ def _check_lm_bb_3ef(inst, params):
 
 def _check_lm_splitoff(inst, params):
     g = inst.graph
-    if params is None or not g.is_cubic:
-        return _skip("not cubic or no admissible path")
-    cec = cyclic_edge_connectivity(g)
-    if cec.is_unbounded:
-        return _skip("no cyclic structure")
-    ell = min(cec.value, (g.vertex_count - 2) // 2)
-    if ell < 3:
-        return _skip(f"effective connectivity {ell} below 3")
+    ell = _effective_connectivity(g)
     try:
         h = split_off(g, tuple(params["path"]))
     except CubicpmError as exc:
@@ -664,68 +664,52 @@ def _check_lm_splitoff(inst, params):
     }
 
 
-def _split5_common(g: Multigraph, paths):
-    if not (g.is_cubic and g.vertex_count >= 12 and cyclic_edge_connectivity(g).at_least(5)):
-        return _skip("needs cyclically 5-edge-connected cubic, >= 12 vertices")
-    results = []
-    for path in paths:
-        try:
-            h = split_off(g, path)
-        except CubicpmError as exc:
-            return _skip(f"degenerate path: {exc}")
-        ok, _ = is_k_almost_cyclically_4ec(h, 4)
-        results.append(ok)
-    return _judge(Bound.rational(1), int(any(results)))
+def _split5(g: Multigraph, paths):
+    try:
+        splits = [split_off(g, path) for path in paths]
+    except CubicpmError as exc:
+        return _skip(f"degenerate path: {exc}")
+    return _judge(Bound.rational(1), int(any(is_k_almost_cyclically_4ec(h, 4)[0] for h in splits)))
 
 
 def _check_lm_split5_same(inst, params):
     g = inst.graph
-    if params is None:
-        return _skip("no admissible path")
     v1, v2, v3 = params["triple"]
     tails = [w for w in g.neighbors(v3) if w != v2]
     if len(tails) != 2:
         return _skip("tail neighbors not distinct")
-    return _split5_common(g, [(v1, v2, v3, tails[0]), (v1, v2, v3, tails[1])])
+    # The lemma's hypothesis is tested here, per slot, because the tail guard
+    # above comes first in the reports (at a degree-2 vertex or a parallel
+    # edge it names the tails).  The connectivity it reads is cached.
+    why = _split5_hypothesis(inst)
+    if why:
+        return _skip(why)
+    return _split5(g, [(v1, v2, v3, tails[0]), (v1, v2, v3, tails[1])])
 
 
 def _check_lm_split5_diff(inst, params):
     g = inst.graph
-    if params is None:
-        return _skip("no admissible path")
     v1, v2 = params["v1"], params["v2"]
     rest = sorted(x for x in g.neighbors(v2) if x != v1)
     if len(rest) != 2:
         return _skip("branch neighbors not distinct")
     v3, v3p = rest
-    return _split5_common(
-        g, [(v1, v2, v3, params["v4"]), (v1, v2, v3p, params["v4p"])],
-    )
+    return _split5(g, [(v1, v2, v3, params["v4"]), (v1, v2, v3p, params["v4p"])])
 
 
 def _check_lm_split4a(inst, params):
     g = inst.graph
-    if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip("needs cyclically 4-edge-connected cubic with a cyclic 4-cut")
     cut = build_cut(g, params["side"])
     if not (cut.size == 4 and cut.cyclic):
         return _skip("side does not define a cyclic 4-cut")
     if _anchors_on_side(g, cut) is None:
         return _skip("two cut edges share a side vertex")
     sub, _ = _surgery_graphs(g, cut)
-    attach_bad = False
-    not_3ec = False
-    for s in sub.values():
-        if not _is_3ec(s):
-            not_3ec = True
-        if not _cyclic_cut_edges(s, 3).isdisjoint(_attach_edge_ids(s)):
-            attach_bad = True
-    side_graph, _, _ = induced_subgraph(g, cut.side_a)
-    c4_side = _is_c4(side_graph)
-    enough_c4ec = True
-    if not c4_side:
-        enough_c4ec = sum(1 for s in sub.values() if _c4ec(s)) >= 2
-    ok = not not_3ec and not attach_bad and enough_c4ec
+    c4_side = _is_c4(induced_subgraph(g, cut.side_a)[0])
+    ok = all(
+        _is_3ec(s) and _cyclic_cut_edges(s, 3).isdisjoint(_attach_edge_ids(s))
+        for s in sub.values()
+    ) and (c4_side or sum(1 for s in sub.values() if _c4ec(s)) >= 2)
     return _judge(
         Bound.rational(1), int(ok),
         note="4-cycle side, connectivity clause only" if c4_side else None,
@@ -734,8 +718,6 @@ def _check_lm_split4a(inst, params):
 
 def _check_lm_split4b(inst, params):
     g = inst.graph
-    if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip("needs cyclically 4-edge-connected cubic with a cyclic 4-cut")
     cut = build_cut(g, params["side"])
     if not (cut.size == 4 and cut.cyclic):
         return _skip("side does not define a cyclic 4-cut")
@@ -761,11 +743,8 @@ def _check_lm_split4b(inst, params):
 
 
 def _check_lm_ordered(inst, params):
-    g = inst.graph
-    if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip("needs cyclically 4-edge-connected cubic with the edge in a cyclic 4-cut")
     try:
-        chain = ordered_4cut_chain(g, params["edge"])
+        chain = ordered_4cut_chain(inst.graph, params["edge"])
     except ChainViolation as exc:
         return _fail(Bound.rational(1), 0, note=str(exc))
     return _judge(Bound.rational(1), 1, note=f"chain length {len(chain)}")
@@ -773,8 +752,6 @@ def _check_lm_ordered(inst, params):
 
 def _check_lm_ladder(inst, params):
     g = inst.graph
-    if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip("needs cyclically 4-edge-connected cubic with a cyclic 4-cut")
     cut = build_cut(g, params["side"])
     if not (cut.size == 4 and cut.cyclic):
         return _skip("side does not define a cyclic 4-cut")
@@ -830,27 +807,16 @@ def _check_lm_ladder(inst, params):
 
 def _check_lm_twisted_num(inst, params):
     g = inst.graph
-    why = _twisted_skip(inst)
-    if why:
-        return _skip(why)
-    n = g.vertex_count
-    return _judge(Bound.pow2(Fraction(n + 12, 18)), count_matchings(g))
+    return _judge(Bound.pow2(Fraction(g.vertex_count + 12, 18)), count_matchings(g))
 
 
 def _check_lm_twisted_bip(inst, params):
     g = inst.graph
-    why = _twisted_skip(inst)
-    if why:
-        return _skip(why)
-    coloring = two_coloring(g)
-    if coloring is None:
-        return _skip("not bipartite")
-    color = coloring[0]
-    n = g.vertex_count
+    color = two_coloring(g)[0]
     cs = fam.corners(g)
     us = [c for c in cs if color[c] == 0]
     vs = [c for c in cs if color[c] == 1]
-    bound = Bound.pow2(Fraction(n - 4, 18))
+    bound = Bound.pow2(Fraction(g.vertex_count - 4, 18))
     if len(us) != 2 or len(vs) != 2:
         return _fail(bound, 0, note="corners not split two per color class")
     if count_matchings(g, CountQuery(missed_vertices=frozenset(cs))) < 1:
@@ -867,34 +833,21 @@ def _check_lm_twisted_bip(inst, params):
 
 def _check_lm_twisted_nonbip(inst, params):
     g = inst.graph
-    why = _twisted_skip(inst)
-    if why:
-        return _skip(why)
-    if is_bipartite(g):
-        return _skip("bipartite")
-    n = g.vertex_count
     prod = 1
     for c in _corner_pair_counts(g).values():
         prod *= c
-    return _judge(Bound.pow2(Fraction(n + 8, 18)), prod)
+    return _judge(Bound.pow2(Fraction(g.vertex_count + 8, 18)), prod)
 
 
 def _check_lm_twisted_bis(inst, params):
     g = inst.graph
-    why = _twisted_skip(inst)
-    if why:
-        return _skip(why)
-    n = g.vertex_count
     best = max(_corner_pair_counts(g).values())
-    return _judge(Bound.pow2(Fraction(n - 4, 108)), best)
+    return _judge(Bound.pow2(Fraction(g.vertex_count - 4, 108)), best)
 
 
 def _check_lm_twisted_struc(inst, params):
     g = inst.graph
-    if params is None or not (g.is_cubic and _c4ec(g)):
-        return _skip("needs cyclically 4-edge-connected cubic with an admissible edge")
-    e = params["edge"]
-    a, b = g.endpoints(e)
+    a, b = g.endpoints(params["edge"])
     sides = []
     for cut in _cyclic_cuts_of_size(g, 4):
         if a in cut.side_a and b in cut.side_a:
@@ -924,51 +877,124 @@ def _check_lm_twisted_struc(inst, params):
 
 @dataclass(frozen=True)
 class _Lemma:
-    """A lemma's check and the generator of its parameter slots."""
+    """A lemma's check, its hypothesis and the generator of its parameter slots.
+
+    The hypothesis runs once per (lemma, instance), and its reason fills every
+    slot with the same Skipped report.  A generator that yields nothing gives
+    one parameterless slot, Skipped with ``no_slot`` before the hypothesis runs.
+    """
 
     check: Callable[[Instance, dict | None], dict]
-    params: Callable[[Multigraph], list[dict]] = _no_params
+    hypothesis: _Hypothesis
+    params: Callable[[Multigraph], list[dict]] | None = None
+    no_slot: str | None = None
 
+
+# reasons shared by a hypothesis and the empty parameter set of its lemma
+_BIP = "not cubic bridgeless bipartite"
+_C4EC_CUBIC = "not cyclically 4-edge-connected cubic"
+_3EC_CUBIC = "needs a 3-edge-connected cubic graph with an admissible edge"
+_3EC_EDGE = "needs 3-edge-connected cubic with admissible edge"
+_PATH = "not cubic or no admissible path"
+_4CUT = "needs cyclically 4-edge-connected cubic with a cyclic 4-cut"
+_4CUT_EDGE = "needs cyclically 4-edge-connected cubic with the edge in a cyclic 4-cut"
+_STRUC = "needs cyclically 4-edge-connected cubic with an admissible edge"
+_needs_3ec_edge = _needs(_3EC_EDGE, _is_3ec_cubic)
+_twisted_net = _first(_twisted_skip, _COUNTING)  # hinted nets skip the recognizer and its cap
+_needs_4cut = _swept(_4CUT, _is_cubic, _c4ec)
 
 _LEMMAS: dict[LemmaId, _Lemma] = {
-    LemmaId.TH_HALF: _Lemma(_check_th_half),
-    LemmaId.THM_BIP: _Lemma(_check_thm_bip, _edge_params),
-    LemmaId.THM_KLEE: _Lemma(_check_thm_klee),
-    LemmaId.THM_EF: _Lemma(_check_thm_ef),
-    LemmaId.LM_DOUBLE: _Lemma(_check_lm_double),
-    LemmaId.LM_TRIPLE: _Lemma(_check_lm_triple),
-    LemmaId.LM_SPECIAL: _Lemma(_check_lm_special, _edge_pair_params),
-    LemmaId.LM_BRIDGE: _Lemma(_check_lm_bridge),
-    LemmaId.LM_3CONN: _Lemma(_check_lm_3conn, _3ec_edge_params),
-    LemmaId.LM_SEMIBLOCK: _Lemma(_check_lm_semiblock),
-    LemmaId.THM_BB: _Lemma(_check_thm_bb),
-    LemmaId.LM_BB_CUBIC: _Lemma(_check_lm_bb_cubic),
-    LemmaId.LM_BB_BIP: _Lemma(_check_lm_bb_bip),
-    LemmaId.LM_BB_3E: _Lemma(_check_lm_bb_3e, _3ec_edge_params),
-    LemmaId.LM_BB_3EF: _Lemma(_check_lm_bb_3ef, _3ec_edge_params),
-    LemmaId.LM_SPLITOFF: _Lemma(_check_lm_splitoff, _path_params),
-    LemmaId.LM_SPLIT5_SAME: _Lemma(_check_lm_split5_same, _triple_params),
-    LemmaId.LM_SPLIT5_DIFF: _Lemma(_check_lm_split5_diff, _branch_params),
-    LemmaId.LM_SPLIT4A: _Lemma(_check_lm_split4a, _cut_side_params),
-    LemmaId.LM_SPLIT4B: _Lemma(_check_lm_split4b, _cut_side_params),
-    LemmaId.LM_ORDERED: _Lemma(_check_lm_ordered, _4cut_edge_params(inside=True)),
-    LemmaId.LM_LADDER: _Lemma(_check_lm_ladder, _cut_side_params),
-    LemmaId.LM_TWISTED_NUM: _Lemma(_check_lm_twisted_num),
-    LemmaId.LM_TWISTED_BIP: _Lemma(_check_lm_twisted_bip),
-    LemmaId.LM_TWISTED_NONBIP: _Lemma(_check_lm_twisted_nonbip),
-    LemmaId.LM_TWISTED_BIS: _Lemma(_check_lm_twisted_bis),
-    LemmaId.LM_TWISTED_STRUC: _Lemma(_check_lm_twisted_struc, _4cut_edge_params(inside=False)),
+    LemmaId.TH_HALF: _Lemma(_check_th_half, _first(_BRIDGELESS_CUBIC, _COUNTING)),
+    LemmaId.THM_BIP: _Lemma(_check_thm_bip, _first(
+        _needs(_BIP, lambda g: _is_bridgeless_cubic(g) and is_bipartite(g)), _COUNTING,
+    ), _edge_params, _BIP),
+    LemmaId.THM_KLEE: _Lemma(_check_thm_klee, _first(
+        _cap(fam.KLEE_CAP, "recognizer size cap"),
+        _needs("not a Klee graph", lambda g: g.is_cubic and fam.is_klee(g)),
+    )),
+    LemmaId.THM_EF: _Lemma(_check_thm_ef, _first(
+        _BRIDGELESS_CUBIC, _COUNTING, _needs("fewer than two edges", lambda g: g.edge_count >= 2),
+    )),
+    LemmaId.LM_DOUBLE: _Lemma(_check_lm_double, _first(
+        _needs("not cyclically 3-edge-connected cubic", _is_3ec_cubic),
+        _cap(fam.KLEE_CAP, "Klee recognizer size cap"),
+        _needs("Klee graphs are exempt", lambda g: not fam.is_klee(g)),
+    )),
+    LemmaId.LM_TRIPLE: _Lemma(_check_lm_triple, _swept(
+        "needs a cyclically 4-edge-connected bipartite cubic graph on >= 8 vertices",
+        lambda g: g.is_cubic and is_bipartite(g) and g.vertex_count >= 8, _c4ec,
+    )),
+    LemmaId.LM_SPECIAL: _Lemma(
+        _check_lm_special, _swept(_C4EC_CUBIC, _is_cubic, _c4ec),
+        _edge_pair_params, _C4EC_CUBIC,
+    ),
+    LemmaId.LM_BRIDGE: _Lemma(_check_lm_bridge, _first(
+        _cap(ENUMERATE_CAP, "enumeration size cap"),
+        _needs("perfect matching is not unique", lambda g: count_matchings(g) == 1),
+    )),
+    LemmaId.LM_3CONN: _Lemma(
+        _check_lm_3conn, _needs(_3EC_CUBIC, _is_3ec_cubic), _3ec_edge_params, _3EC_CUBIC,
+    ),
+    LemmaId.LM_SEMIBLOCK: _Lemma(_check_lm_semiblock, _first(_BRIDGELESS_CUBIC, _CUT_SWEEP)),
+    LemmaId.THM_BB: _Lemma(_check_thm_bb, _DECOMPOSITION),
+    LemmaId.LM_BB_CUBIC: _Lemma(_check_lm_bb_cubic, _first(_BRIDGELESS_CUBIC, _DECOMPOSITION)),
+    LemmaId.LM_BB_BIP: _Lemma(
+        _check_lm_bb_bip, _first(_needs("not bipartite", is_bipartite), _DECOMPOSITION),
+    ),
+    LemmaId.LM_BB_3E: _Lemma(
+        _check_lm_bb_3e,  # G - e keeps every vertex, so its cap is decided on G
+        _first(_needs_3ec_edge, _cap(dc.TIGHT_CAP, "graph minus edge: decomposition size cap")),
+        _3ec_edge_params, _3EC_EDGE,
+    ),
+    LemmaId.LM_BB_3EF: _Lemma(
+        _check_lm_bb_3ef, _first(_needs_3ec_edge, _DECOMPOSITION), _3ec_edge_params, _3EC_EDGE,
+    ),
+    LemmaId.LM_SPLITOFF: _Lemma(
+        _check_lm_splitoff, _first(_needs(_PATH, _is_cubic), _CUT_SWEEP, _splitoff_connectivity),
+        _path_params, _PATH,
+    ),
+    LemmaId.LM_SPLIT5_SAME: _Lemma(  # its check tests the hypothesis, after a per-slot guard
+        _check_lm_split5_same, lambda inst: None, _triple_params, "no admissible path",
+    ),
+    LemmaId.LM_SPLIT5_DIFF: _Lemma(
+        _check_lm_split5_diff, _split5_hypothesis, _branch_params, "no admissible path",
+    ),
+    LemmaId.LM_SPLIT4A: _Lemma(_check_lm_split4a, _needs_4cut, _cut_side_params, _4CUT),
+    LemmaId.LM_SPLIT4B: _Lemma(_check_lm_split4b, _needs_4cut, _cut_side_params, _4CUT),
+    LemmaId.LM_ORDERED: _Lemma(
+        _check_lm_ordered, _swept(_4CUT_EDGE, _is_cubic, _c4ec),
+        _4cut_edge_params(inside=True), _4CUT_EDGE,
+    ),
+    LemmaId.LM_LADDER: _Lemma(_check_lm_ladder, _needs_4cut, _cut_side_params, _4CUT),
+    LemmaId.LM_TWISTED_NUM: _Lemma(_check_lm_twisted_num, _twisted_net),
+    LemmaId.LM_TWISTED_BIP: _Lemma(
+        _check_lm_twisted_bip, _first(_twisted_net, _needs("not bipartite", is_bipartite)),
+    ),
+    LemmaId.LM_TWISTED_NONBIP: _Lemma(
+        _check_lm_twisted_nonbip,
+        _first(_twisted_net, _needs("bipartite", lambda g: not is_bipartite(g))),
+    ),
+    LemmaId.LM_TWISTED_BIS: _Lemma(_check_lm_twisted_bis, _twisted_net),
+    LemmaId.LM_TWISTED_STRUC: _Lemma(
+        _check_lm_twisted_struc, _swept(_STRUC, _is_cubic, _c4ec),
+        _4cut_edge_params(inside=False), _STRUC,
+    ),
 }
 
 
 def params_for(lemma: LemmaId, inst: Instance) -> list[dict | None]:
     """The lemma's admissible params on the instance, or one parameterless slot."""
-    return _LEMMAS[lemma].params(inst.graph) or [None]
+    entry = _LEMMAS[lemma]
+    return (entry.params(inst.graph) if entry.params else []) or [None]
 
 
-def _run(lemma: LemmaId, inst: Instance, params: dict | None) -> LemmaReport:
-    found = _LEMMAS[lemma].check(inst, params)
-    return LemmaReport(lemma=lemma, instance=inst.name, **{"params": params, **found})
+def _reports(lemma: LemmaId, inst: Instance, slots: list[dict | None]) -> Iterator[LemmaReport]:
+    """One report per slot, with the hypothesis tested once, before the first."""
+    entry = _LEMMAS[lemma]
+    why = entry.no_slot if entry.params and slots == [None] else entry.hypothesis(inst)
+    for p in slots:
+        found = _skip(why) if why else entry.check(inst, p)
+        yield LemmaReport(lemma=lemma, instance=inst.name, **{"params": p, **found})
 
 
 def check(
@@ -984,9 +1010,8 @@ def check(
     tightest margin; if nothing is admissible the result is Skipped.
     """
     inst = Instance(instance, g, hints)
-    if params is not None:
-        return _run(lemma, inst, params)
-    return _aggregate([_run(lemma, inst, p) for p in params_for(lemma, inst)])
+    slots = params_for(lemma, inst) if params is None else [params]
+    return _aggregate(list(_reports(lemma, inst, slots)))
 
 
 def check_lm_ladder(g: Multigraph, cut: EdgeCut, side: str = "A",
@@ -1021,15 +1046,14 @@ def sweep(
     """One report per (lemma, instance, admissible parameter choice).
 
     Deterministic order: lemmas as given, instances as given, parameters in
-    enumeration order.  With ``fail_fast`` a Fail raises LemmaFailure with a
-    full instance dump.
+    enumeration order.  Each lemma's hypothesis is tested once per instance.
+    With ``fail_fast`` a Fail raises LemmaFailure with a full instance dump.
     """
     instances = list(instances)
     out: list[LemmaReport] = []
     for lemma in lemmas:
         for inst in instances:
-            for p in params_for(lemma, inst):
-                rep = _run(lemma, inst, p)
+            for rep in _reports(lemma, inst, params_for(lemma, inst)):
                 out.append(rep)
                 if rep.verdict == "Fail" and fail_fast:
                     raise LemmaFailure(rep, inst.graph)

@@ -271,6 +271,13 @@ def slow_odd_set_ok(g: Multigraph, w) -> bool:
     return True
 
 
+def slow_is_3ec(g: Multigraph) -> bool:
+    """3-edge-connectivity by the cut sweep: no bipartition crossed by two edges or fewer."""
+    from cubicpm.connectivity import enumerate_cuts
+
+    return g.vertex_count >= 2 and not enumerate_cuts(g, 2, cyclic_only=False)
+
+
 def slow_k_almost_c4ec(g: Multigraph, k: int) -> bool:
     """Reference for the k-almost reduction: try all cyclic-3-cut sides,
     minimal or not, in every order."""

@@ -98,6 +98,14 @@ def test_verify_cut_sweeping_lemmas_above_the_cut_cap(capsys):
     assert len(reports) == 15 and all(r["verdict"] == "Skipped" for r in reports)
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_verify_all_lemmas_above_the_cut_cap(tmp_path, capsys, seed):
+    path = tmp_path / "n26.el"
+    path.write_text(write_edge_list(random_cubic_bridgeless(seed, 26)))
+    code, _, err = _capture(capsys, ["verify", "--lemma", "all", "--graph", str(path)])
+    assert code in (0, 1), err  # a cut sweep over the cap used to abort with 2
+
+
 def test_verify_n_bounds_the_twisted_corpus(capsys):
     def sizes(extra):
         code, out, _ = _capture(

@@ -2,7 +2,8 @@
 
 Cut sizes, tight cuts and the odd-set constraints of the matching polytope
 all read one weighted cut-sum array; each is compared with the per-edge,
-per-matching or per-set loop kept in ``oracles``.
+per-matching or per-set loop kept in ``oracles``.  The verifier's bridge
+test for 3-edge-connectivity is compared with the cut sweep it replaced.
 """
 
 from fractions import Fraction
@@ -26,7 +27,8 @@ from cubicpm import (
 from cubicpm.connectivity import _crossing_counts, cut_sums
 from cubicpm.errors import NotMatchingCovered
 from cubicpm.matchings import matching_indicator, uniform_third
-from oracles import slow_crossing_counts, slow_odd_set_ok, slow_tight_cuts
+from cubicpm.verifier import _is_3ec
+from oracles import slow_crossing_counts, slow_is_3ec, slow_odd_set_ok, slow_tight_cuts
 
 MIX = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
 
@@ -90,8 +92,18 @@ def test_kernel_agrees_with_the_replaced_loops(route, g):
             assert polytope_membership(g, w, force_odd_set_check=True) == _in_polytope(g, w)
 
 
+TWO_K4 = Multigraph(8, named("k4").edges + tuple((u + 4, v + 4) for u, v in named("k4").edges))
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in GRAPHS] + [TWO_K4], ids=[name for name, _ in GRAPHS] + ["two_k4"],
+)
+def test_3_edge_connectivity_by_bridges_agrees_with_the_cut_sweep(g):
+    assert _is_3ec(g) == slow_is_3ec(g)
+
+
 def test_the_cross_check_meets_every_outcome():
-    """The corpus above has tight cuts, uncovered graphs and odd-set violations."""
+    """The corpus has tight cuts, uncovered graphs, odd-set violations and 2-edge cuts."""
     by_name = dict(GRAPHS)
     assert slow_tight_cuts(by_name["cube-e"]) and slow_tight_cuts(by_name["random16-e"])
     assert not is_matching_covered(by_name["bridged"])
@@ -99,6 +111,8 @@ def test_the_cross_check_meets_every_outcome():
     assert not slow_odd_set_ok(g, uniform_third(g))
     assert not polytope_membership(by_name["triangle"], {e: Fraction(1, 2) for e in range(3)})
     assert any(len(_weight_vectors(g)) == 3 for _, g in GRAPHS)
+    three_ec = [slow_is_3ec(g) for _, g in GRAPHS]
+    assert any(three_ec) and not all(three_ec) and not slow_is_3ec(TWO_K4)
 
 
 def test_crossing_counts_do_not_wrap_at_255():

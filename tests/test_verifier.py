@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -6,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import ladder_host, pendant_triangle_chain
-from cubicpm import check, check_lm_ladder, named
-from cubicpm.connectivity import CUT_CAP, build_cut
+from cubicpm import check, check_lm_ladder, named, random_cubic_bridgeless
+from cubicpm import verifier
+from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut
 from cubicpm.families import BASE_4CYCLE
+from cubicpm.matchings import COUNT_CAP
 from cubicpm.multigraph import from_edge_list
 from cubicpm.verifier import (
     Bound,
@@ -254,6 +257,75 @@ def test_cut_sweeping_lemmas_skip_above_the_cut_cap():
     reports = sweep(CUT_SWEEPING, big, fail_fast=True)
     assert len(reports) == len(CUT_SWEEPING) * len(big)
     assert all(r.verdict == "Skipped" and r.params is None for r in reports)
+
+
+# Lemmas whose hypothesis sweeps cuts: above the cut cap they raised TooLarge.
+HYPOTHESIS_SWEEPS = [
+    LemmaId.LM_SPECIAL,
+    LemmaId.LM_SEMIBLOCK,
+    LemmaId.LM_SPLITOFF,
+    LemmaId.LM_SPLIT5_SAME,
+    LemmaId.LM_SPLIT5_DIFF,
+]
+
+
+@pytest.mark.parametrize("seed,double", [
+    (3, "Klee recognizer size cap"),
+    (4, "not cyclically 3-edge-connected cubic"),  # 3-edge-connectivity needs no sweep
+])
+def test_hypotheses_skip_above_the_cut_cap_and_name_it(seed, double):
+    g = random_cubic_bridgeless(seed, 26)
+    reports = sweep(list(LemmaId), [Instance("n26", g)], fail_fast=False)
+    for lemma in HYPOTHESIS_SWEEPS:
+        mine = [r for r in reports if r.lemma == lemma]
+        assert mine and all(r.verdict == "Skipped" for r in mine)
+        # LM_SPLIT5_SAME's per-slot tail guard comes before its hypothesis
+        reasons = {r.reason for r in mine} - {"tail neighbors not distinct"}
+        assert reasons == {f"cut sweep capped at {CUT_CAP} vertices"}
+    (r,) = [r for r in reports if r.lemma == LemmaId.LM_DOUBLE]
+    assert (r.verdict, r.reason) == ("Skipped", double)
+
+
+def test_split5_lemmas_skip_above_the_k_almost_cap():
+    # GP(12, 5) has 24 vertices and cyclic connectivity 6; splitting leaves 22
+    edges = [(i, (i + 1) % 12) for i in range(12)] + [(i, 12 + i) for i in range(12)]
+    edges += [(12 + i, 12 + (i + 5) % 12) for i in range(12)]
+    g = from_edge_list(24, edges)
+    reports = sweep([LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF], [Instance("gp12_5", g)],
+                    fail_fast=False)
+    assert len(reports) == 144 + 288 and 24 - 2 > ALMOST_CAP
+    assert {r.reason for r in reports} == {
+        f"split graph over the k-almost search cap of {ALMOST_CAP} vertices"
+    }
+
+
+def test_counting_lemmas_skip_above_the_counting_cap():
+    g = random_cubic_bridgeless(0, COUNT_CAP + 2)
+    inst = Instance("n66", g, hints=(("known_twisted", True),))  # the hint skips the recognizer
+    lemmas = [LemmaId.TH_HALF, LemmaId.THM_EF, LemmaId.LM_TWISTED_NUM, LemmaId.LM_TWISTED_BIS]
+    reports = sweep(lemmas, [inst], fail_fast=True)
+    assert len(reports) == 4
+    assert {(r.verdict, r.reason) for r in reports} == {
+        ("Skipped", f"counting capped at {COUNT_CAP} vertices")
+    }
+
+
+def test_the_hypothesis_runs_once_per_lemma_and_instance(monkeypatch):
+    entry = verifier._LEMMAS[LemmaId.LM_SPECIAL]
+    calls = []
+
+    def counted(inst):
+        calls.append(inst.name)
+        return entry.hypothesis(inst)
+
+    monkeypatch.setitem(
+        verifier._LEMMAS, LemmaId.LM_SPECIAL, dataclasses.replace(entry, hypothesis=counted),
+    )
+    reports = sweep([LemmaId.LM_SPECIAL], named_instances(["prism"]), fail_fast=True)
+    assert len(reports) == 36 and all(r.verdict == "Skipped" for r in reports)
+    assert calls == ["prism"]
+    assert check(LemmaId.LM_SPECIAL, named("prism"), instance="prism").verdict == "Skipped"
+    assert calls == ["prism", "prism"]
 
 
 # sha256 of the canonical JSON of every catalog report on a small corpus
