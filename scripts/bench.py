@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Measure one checkout end to end and write BENCH_<label>.json.
+
+Runs the tier-1 suite once and ``perfbench/run.py`` once per workload, all in
+the checkout given by ``--root`` (by default the one holding this script),
+and writes the results with the medians, the environment and the commit.
+
+    python scripts/bench.py --label change [--root DIR] [--seed 7] [--append]
+
+The file is written beside this script's checkout, whichever ``--root`` is
+measured, so one checkout can collect the files of others.
+
+With ``--append`` the new run joins the runs already in the file, which must
+name the same commit, and the medians are taken over all of them.  Running
+``--append`` for two checkouts in turn gives alternating before/after pairs,
+one file per checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+from statistics import median
+
+HERE = Path(__file__).resolve().parent
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+WORKLOADS = ("catalog", "oracle_queries")
+
+
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=root, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def tier1(root: Path) -> dict:
+    """Wall time and outcome tallies of one tier-1 run."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    )}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True
+    )
+    wall = time.perf_counter() - start
+    tail = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
+    found = {kind: int(n) for n, kind in re.findall(r"(\d+) (\w+)", tail)}
+    return {"wall_s": wall, "exit_code": done.returncode, **found}
+
+
+def perfbench(root: Path, workload: str, seed: int) -> dict:
+    """The result object that ``perfbench/run.py`` prints last, metrics flattened."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        cwd=root, capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines:
+        raise SystemExit(f"perfbench {workload} failed:\n{done.stdout}{done.stderr}")
+    result = json.loads(lines[-1])
+    metrics = {name: m["value"] for name, m in result.pop("metrics").items()}
+    return {**result, **metrics}
+
+
+def environment() -> dict:
+    import numpy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "system": f"{platform.system()} {platform.release()}",
+        "machine": platform.machine(),
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+    }
+
+
+def medians(runs: list[dict]) -> dict:
+    """Median of every numeric field over the runs."""
+    numeric = [k for k, v in runs[0].items() if type(v) in (int, float)]
+    return {k: median(run[k] for run in runs) for k in numeric}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
+    ap.add_argument("--root", type=Path, default=HERE.parent, help="checkout to measure")
+    ap.add_argument("--seed", type=int, default=7, help="perfbench seed")
+    ap.add_argument("--append", action="store_true", help="add to the runs in the file")
+    args = ap.parse_args()
+
+    root = args.root.resolve()
+    path = HERE.parent / f"BENCH_{args.label}.json"
+    commit = git(root, "rev-parse", "HEAD")
+    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
+    old = json.loads(path.read_text()) if args.append and path.is_file() else None
+    if old and (old["commit"], old["dirty"], old["seed"]) != (commit, dirty, args.seed):
+        raise SystemExit(f"{path} holds another commit or seed; drop --append")
+
+    run = {"tier1": tier1(root)}
+    for workload in WORKLOADS:
+        run[workload] = perfbench(root, workload, args.seed)
+    runs = (old["runs"] if old else []) + [run]
+    out = {
+        "label": args.label,
+        "commit": commit,
+        "dirty": dirty,
+        "seed": args.seed,
+        "environment": environment(),
+        "median": {part: medians([r[part] for r in runs]) for part in run},
+        "runs": runs,
+    }
+    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(out["median"], indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,9 @@
 Every exhaustive cut question is brute force over the 2^(n-1) bipartitions
 that keep vertex 0 on side A, read from one array of weighted crossing sums
 (``cut_sums``); only this module decodes an array index into a side.
+Whether a cut is cyclic is read from the edge counts of its two sides at the
+selected indices; an exact union-find runs only where those counts leave it
+open, and an ``EdgeCut`` is built only for a cut that is returned.
 Correctness beats asymptotics here: these sweeps are the oracles everything
 else is checked against.
 """
@@ -177,50 +180,105 @@ def _mask_to_side(mask: int, n: int) -> frozenset[int]:
     return frozenset([0] + [v for v in range(1, n) if (mask >> (v - 1)) & 1])
 
 
-def build_cut(g: Multigraph, side) -> EdgeCut:
-    """The cut determined by one side of a bipartition, cyclicity included."""
-    side = frozenset(side)
+def _edge_cut(g: Multigraph, side: frozenset[int], cyclic: bool) -> EdgeCut:
     crossing = frozenset(
         e for e, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
     )
-    other = frozenset(range(g.vertex_count)) - side
-    cyclic = side_has_cycle(g, side) and side_has_cycle(g, other)
     return EdgeCut(side, crossing, len(crossing), cyclic)
+
+
+def _both_sides_cyclic(g: Multigraph, side: frozenset[int]) -> bool:
+    return side_has_cycle(g, side) and side_has_cycle(g, frozenset(range(g.vertex_count)) - side)
+
+
+def build_cut(g: Multigraph, side) -> EdgeCut:
+    """The cut determined by one side of a bipartition, cyclicity included."""
+    side = frozenset(side)
+    return _edge_cut(g, side, _both_sides_cyclic(g, side))
+
+
+def _cycle_certificates(
+    g: Multigraph, masks: np.ndarray, crossing: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which bipartitions are certainly cyclic, and which need the exact test.
+
+    A side S spans e(S) = (deg(S) - cut(S)) / 2 edges.  With e(S) >= |S| it
+    has a cycle (a forest has fewer edges than vertices); with e(S) <= 1 it
+    has none (a loopless cycle needs two edges).  A cut is certainly cyclic
+    when both sides have a cycle, and undecided when neither side is known
+    to be acyclic and one is not yet known to have a cycle.  Degree sums and
+    side sizes are read from the bits of the selected ``masks`` only, never
+    as a full 2^(n-1) array.
+    """
+    if not len(masks):
+        return np.zeros(0, bool), np.zeros(0, bool)
+    n, deg = g.vertex_count, g.degrees
+    bits = (masks[:, None] >> np.arange(n - 1)) & 1  # row i: vertices 1..n-1 on side A
+    size_a = 1 + bits.sum(axis=1)
+    deg_a = deg[0] + bits @ np.array(deg[1:], np.int64)
+    crossing = crossing.astype(np.int64)
+    inner_a = (deg_a - crossing) // 2
+    inner_b = (2 * g.edge_count - deg_a - crossing) // 2
+    has_a, has_b = inner_a >= size_a, inner_b >= n - size_a
+    certain = has_a & has_b
+    undecided = (inner_a > 1) & (inner_b > 1) & ~certain
+    return certain, undecided
+
+
+def _cyclic_flags(g: Multigraph, masks: np.ndarray, crossing: np.ndarray) -> np.ndarray:
+    """Exact cyclicity of each selected bipartition: the union-find only where undecided."""
+    cyclic, undecided = _cycle_certificates(g, masks, crossing)
+    for i in np.flatnonzero(undecided):
+        cyclic[i] = _both_sides_cyclic(g, _mask_to_side(int(masks[i]), g.vertex_count))
+    return cyclic
+
+
+def _proper_masks(selected: np.ndarray) -> np.ndarray:
+    """The selected indices, less the last one (side B empty)."""
+    selected[-1:] = False
+    return np.flatnonzero(selected)
 
 
 def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[EdgeCut]:
     """All bipartitions with crossing size <= max_size, side A holding vertex 0.
 
     Ordered by ascending side-A bitmask (deterministic); flagged cyclic when
-    both sides contain a cycle, and filtered to those when requested.
+    both sides contain a cycle, and filtered to those when requested.  The
+    flags are read from the crossing sizes at the selected masks, so an
+    ``EdgeCut`` is built only for a cut that is returned.
     """
     n = g.vertex_count
     if n > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
-    selected = _crossing_counts(g) <= max_size
-    selected[-1:] = False  # empty side B
-    out = []
-    for side in sides(selected, n):
-        cut = build_cut(g, side)
-        if cyclic_only and not cut.cyclic:
-            continue
-        out.append(cut)
-    return out
+    counts = _crossing_counts(g)
+    masks = _proper_masks(counts <= max_size)
+    cyclic = _cyclic_flags(g, masks, counts[masks])
+    return [
+        _edge_cut(g, _mask_to_side(int(mask), n), bool(flag))
+        for mask, flag in zip(masks, cyclic)
+        if flag or not cyclic_only
+    ]
 
 
 @lru_cache(maxsize=256)
 def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
-    """Minimum size of a cyclic edge-cut, found by exhaustive sweep."""
+    """Minimum size of a cyclic edge-cut, found by exhaustive sweep.
+
+    Crossing sizes are tried in ascending order; a size is settled by a
+    certainly cyclic bipartition, or else by the exact test on the
+    undecided ones.
+    """
     n = g.vertex_count
     if n > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
     counts = _crossing_counts(g)
     for c in range(int(counts.max(initial=0)) + 1):
-        selected = counts == c
-        selected[-1:] = False  # empty side B
-        for side in sides(selected, n):
-            if side_has_cycle(g, side) and side_has_cycle(g, frozenset(range(n)) - side):
-                return CyclicConnectivity(c)
+        masks = _proper_masks(counts == c)
+        certain, undecided = _cycle_certificates(g, masks, counts[masks])
+        if certain.any() or any(
+            _both_sides_cyclic(g, _mask_to_side(int(mask), n)) for mask in masks[undecided]
+        ):
+            return CyclicConnectivity(c)
     return CyclicConnectivity(None)
 
 

@@ -9,8 +9,12 @@ into the initial state.  A forward pass, level by level, counts the paths
 into each state, which gives the count.  A backward pass counts each
 state's completions; summing the product of the two over the transitions
 that use an edge gives the number of matchings through it, for every edge
-at once.  Everything is exact: counts are ints, polytope arithmetic uses
-Fractions.
+at once.  The same two passes with one edge required give the matchings
+through each pair of edges, and inclusion-exclusion over these per-edge and
+per-pair counts answers every query that avoids or requires one or two
+edges.  The unconstrained count, the per-edge and the per-pair counts are
+kept in the graph's own memo (``Multigraph._memo``).  Everything is exact:
+counts are ints, polytope arithmetic uses Fractions.
 """
 
 from __future__ import annotations
@@ -166,12 +170,28 @@ class _StateDag:
         return beta, through
 
 
+def _through_all(g: Multigraph, q: CountQuery) -> list[int]:
+    """The number of the query's matchings through each edge (``_StateDag.outside``)."""
+    return _StateDag(g, q, COUNT_CAP, "counting").outside()[1]
+
+
+def _memoized(g: Multigraph, key: str, build):
+    """``build()``, run once per graph object and kept in its memo under ``key``."""
+    memo = g._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def count_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> int:
     """Exact number of matchings covering V minus the missed vertices.
 
-    Parallel edges count as distinct matchings.
+    Parallel edges count as distinct matchings.  The unconstrained count is
+    kept in the graph's memo.
     """
-    return _StateDag(g, q, COUNT_CAP, "counting").count
+    if q != EMPTY_QUERY:
+        return _StateDag(g, q, COUNT_CAP, "counting").count
+    return _memoized(g, "count", lambda: _StateDag(g, q, COUNT_CAP, "counting").count)
 
 
 def has_matching(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> bool:
@@ -210,9 +230,31 @@ def containment_counts(g: Multigraph) -> list[int]:
     """Number c(e) of perfect matchings through each edge, by edge id.
 
     One forward and one backward pass over the DP states, not one count per
-    edge.
+    edge, kept in the graph's memo.
     """
-    return _StateDag(g, EMPTY_QUERY, COUNT_CAP, "counting").outside()[1]
+    return list(_memoized(g, "through", lambda: tuple(_through_all(g, EMPTY_QUERY))))
+
+
+def pair_counts(g: Multigraph) -> tuple[tuple[int, ...], ...]:
+    """P[f][e], the number of perfect matchings through both f and e.
+
+    The diagonal holds c(f).  Row f is one forward and one backward pass
+    with f required, skipped when c(f) = 0, which makes the row zero.  By
+    inclusion-exclusion, N - c(e) - c(f) + P[e][f] perfect matchings avoid
+    both e and f, and c(f) - P[f][e] contain f and avoid e.  Kept in the
+    graph's memo.
+    """
+
+    def row(f: int, through: int) -> tuple[int, ...]:
+        out = [0] * g.edge_count
+        if through:
+            out = _through_all(g, CountQuery(required=frozenset({f})))
+        out[f] = through
+        return tuple(out)
+
+    return _memoized(g, "pairs", lambda: tuple(
+        row(f, through) for f, through in enumerate(containment_counts(g))
+    ))
 
 
 def is_matching_covered(g: Multigraph) -> bool:
@@ -312,8 +354,9 @@ def special_pair(g: Multigraph, e: int, f: int) -> SpecialPairResult:
 
     On cyclically 4-edge-connected cubic graphs the negative case happens
     exactly when g minus both edges is bipartite with e's ends in one color
-    class and f's ends in the other; both routes are computed and the
-    biconditional is asserted.
+    class and f's ends in the other.  Both routes are computed, the count
+    read from ``pair_counts`` and the 2-coloring, and the biconditional is
+    asserted.
     """
     if e == f:
         raise InconsistentQuery("e and f must be distinct edges")
@@ -321,9 +364,9 @@ def special_pair(g: Multigraph, e: int, f: int) -> SpecialPairResult:
         raise NotCyclically4EC("graph is not cubic")
     if not cyclic_edge_connectivity(g).at_least(4):
         raise NotCyclically4EC("graph is not cyclically 4-edge-connected")
-    exists = has_matching(
-        g, CountQuery(required=frozenset({f}), forbidden=frozenset({e}))
-    )
+    _validate(g, CountQuery(required=frozenset({f}), forbidden=frozenset({e})))
+    pairs = pair_counts(g)
+    exists = pairs[f][f] > pairs[f][e]  # c(f) - P[f][e] matchings contain f and avoid e
     coloring = _bipartition_with_pattern(g, e, f)
     if exists == (coloring is not None):
         raise AssertionError(

@@ -55,6 +55,15 @@ class Multigraph:
         return len(self.edges)
 
     @cached_property
+    def _memo(self) -> dict:
+        """Results other modules derive from this graph object, keyed by their name.
+
+        Like the cached properties, it is not a field, so it is left out of
+        equality and hashing, and it dies with the graph.
+        """
+        return {}
+
+    @cached_property
     def _incidence(self) -> tuple[tuple[int, ...], ...]:
         inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for eid, (u, v) in enumerate(self.edges):

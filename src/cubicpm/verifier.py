@@ -47,6 +47,7 @@ from .matchings import (
     count_matchings,
     is_bipartite,
     kotzig_bridge,
+    pair_counts,
     special_pair,
 )
 from .multigraph import (
@@ -256,7 +257,8 @@ def _cyclic_cut_edges(g: Multigraph, k: int) -> frozenset[int]:
 
 
 def _avoid_count(g: Multigraph, e: int) -> int:
-    return count_matchings(g, CountQuery(forbidden=frozenset({e})))
+    """Perfect matchings avoiding e: N - c(e)."""
+    return count_matchings(g) - containment_counts(g)[e]
 
 
 def _delete_edges(g: Multigraph, drop: set[int]) -> Multigraph:
@@ -477,6 +479,8 @@ _CUT_SWEEP = _cap(CUT_CAP, f"cut sweep capped at {CUT_CAP} vertices")
 _COUNTING = _cap(COUNT_CAP, f"counting capped at {COUNT_CAP} vertices")
 _DECOMPOSITION = _cap(dc.TIGHT_CAP, "decomposition size cap")
 _BRIDGELESS_CUBIC = _needs("not cubic bridgeless", _is_bridgeless_cubic)
+# the decomposition contracts shores that must induce connected parts
+_CONNECTED = _needs("not connected", Multigraph.is_connected)
 
 
 def _swept(reason: str, test, swept) -> _Hypothesis:
@@ -545,9 +549,10 @@ def _check_thm_klee(inst, params):
 
 def _check_thm_ef(inst, params):
     g = inst.graph
+    total, p = count_matchings(g), pair_counts(g)
     worst, pair = min(  # the first pair in edge order among the tightest
-        (count_matchings(g, CountQuery(forbidden=frozenset(pair))), pair)
-        for pair in combinations(range(g.edge_count), 2)
+        (total - p[e][e] - p[f][f] + p[e][f], (e, f))  # N - c(e) - c(f) + P[e][f]
+        for e, f in combinations(range(g.edge_count), 2)
     )
     return {**_judge(Bound.rational(1), worst), "params": {"worst_pair": list(pair)}}
 
@@ -589,7 +594,7 @@ def _check_lm_3conn(inst, params):
 def _check_lm_semiblock(inst, params):
     g = inst.graph
     _, s = fam.semiblocks(g)
-    worst = min(_avoid_count(g, e) for e in range(g.edge_count))
+    worst = count_matchings(g) - max(containment_counts(g))  # the least N - c(e)
     return _judge(Bound.rational(s + 1), worst, note=f"s={s}")
 
 
@@ -935,11 +940,14 @@ _LEMMAS: dict[LemmaId, _Lemma] = {
     LemmaId.LM_3CONN: _Lemma(
         _check_lm_3conn, _needs(_3EC_CUBIC, _is_3ec_cubic), _3ec_edge_params, _3EC_CUBIC,
     ),
-    LemmaId.LM_SEMIBLOCK: _Lemma(_check_lm_semiblock, _first(_BRIDGELESS_CUBIC, _CUT_SWEEP)),
-    LemmaId.THM_BB: _Lemma(_check_thm_bb, _DECOMPOSITION),
+    LemmaId.LM_SEMIBLOCK: _Lemma(_check_lm_semiblock, _first(
+        _BRIDGELESS_CUBIC, _CUT_SWEEP, _needs("no edges", lambda g: g.edge_count >= 1),
+    )),
+    LemmaId.THM_BB: _Lemma(_check_thm_bb, _first(_CONNECTED, _DECOMPOSITION)),
     LemmaId.LM_BB_CUBIC: _Lemma(_check_lm_bb_cubic, _first(_BRIDGELESS_CUBIC, _DECOMPOSITION)),
     LemmaId.LM_BB_BIP: _Lemma(
-        _check_lm_bb_bip, _first(_needs("not bipartite", is_bipartite), _DECOMPOSITION),
+        _check_lm_bb_bip,
+        _first(_needs("not bipartite", is_bipartite), _CONNECTED, _DECOMPOSITION),
     ),
     LemmaId.LM_BB_3E: _Lemma(
         _check_lm_bb_3e,  # G - e keeps every vertex, so its cap is decided on G

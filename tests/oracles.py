@@ -3,10 +3,12 @@
 These deliberately avoid the package's counting engine: brute-force subset
 enumeration, permanent by expansion over minors, and a direct exhaustive
 generator for small cubic multigraphs.  The label-order matching recursions
-are the routes that the frontier-ordered DP of ``matchings`` replaced.  The
-bipartition sweeps below are the per-edge and per-matching loops that
-``connectivity.cut_sums`` replaced.  They exist so every exact value the
-tests assert was computed by a second route.
+are the routes that the frontier-ordered DP of ``matchings`` replaced, and
+the one-count-per-slot loops are those that ``matchings.pair_counts``
+replaced.  The bipartition sweeps below are the per-edge and per-matching
+loops that ``connectivity.cut_sums`` replaced, and the per-mask cut builds
+that the cycle certificates of ``connectivity`` replaced.  They exist so
+every exact value the tests assert was computed by a second route.
 """
 
 from __future__ import annotations
@@ -217,6 +219,60 @@ def slow_crossing_counts(g: Multigraph) -> np.ndarray:
     for u, v in g.edges:
         counts += bit(u) ^ bit(v)
     return counts
+
+
+def _slow_selected_sides(g: Multigraph, selected) -> list[frozenset[int]]:
+    """Side A of every selected mask of ``slow_crossing_counts``, side B never empty."""
+    n = g.vertex_count
+    out = []
+    for mask in np.flatnonzero(selected):
+        side = frozenset([0] + [v for v in range(1, n) if (int(mask) >> (v - 1)) & 1])
+        if len(side) < n:
+            out.append(side)
+    return out
+
+
+def slow_enumerate_cuts(g: Multigraph, max_size: int) -> list:
+    """Cuts of at most max_size edges, with a full ``build_cut`` (cyclicity too) per mask."""
+    from cubicpm.connectivity import build_cut
+
+    if not g.vertex_count:
+        return []
+    selected = slow_crossing_counts(g) <= max_size
+    return [build_cut(g, side) for side in _slow_selected_sides(g, selected)]
+
+
+def slow_cyclic_edge_connectivity(g: Multigraph) -> int | None:
+    """The least crossing size whose masks hold a side pair with cycles on both sides."""
+    from cubicpm.connectivity import side_has_cycle
+
+    if not g.vertex_count:
+        return None
+    counts = slow_crossing_counts(g)
+    allv = frozenset(range(g.vertex_count))
+    for c in range(int(counts.max()) + 1):
+        for side in _slow_selected_sides(g, counts == c):
+            if side_has_cycle(g, side) and side_has_cycle(g, allv - side):
+                return c
+    return None
+
+
+def slow_avoid_count(g: Multigraph, e: int) -> int:
+    """Perfect matchings avoiding e, one count of its own."""
+    return slow_count_matchings(g, CountQuery(forbidden=frozenset({e})))
+
+
+def slow_contain_avoid(g: Multigraph, f: int, e: int) -> int:
+    """Perfect matchings through f that avoid e, one count of their own."""
+    return slow_count_matchings(g, CountQuery(required=frozenset({f}), forbidden=frozenset({e})))
+
+
+def slow_worst_avoided_pair(g: Multigraph) -> tuple[int, tuple[int, int]]:
+    """THM_EF's tightest pair: one count per pair of avoided edges, first in edge order."""
+    return min(
+        (slow_count_matchings(g, CountQuery(forbidden=frozenset(pair))), pair)
+        for pair in combinations(range(g.edge_count), 2)
+    )
 
 
 def slow_tight_cuts(g: Multigraph) -> list[frozenset[int]]:

@@ -2,13 +2,16 @@
 
 Cut sizes, tight cuts and the odd-set constraints of the matching polytope
 all read one weighted cut-sum array; each is compared with the per-edge,
-per-matching or per-set loop kept in ``oracles``.  The verifier's bridge
-test for 3-edge-connectivity is compared with the cut sweep it replaced.
+per-matching or per-set loop kept in ``oracles``.  Cut cyclicity, read from
+edge counts at the selected masks, is compared with a full ``build_cut`` per
+mask.  The verifier's bridge test for 3-edge-connectivity is compared with
+the cut sweep it replaced.
 """
 
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from conftest import bridged_cubic, two_block_chain
@@ -24,11 +27,18 @@ from cubicpm import (
     random_cubic_bridgeless,
     tight_cuts,
 )
-from cubicpm.connectivity import _crossing_counts, cut_sums
+from cubicpm.connectivity import _crossing_counts, _cycle_certificates, cut_sums
 from cubicpm.errors import NotMatchingCovered
 from cubicpm.matchings import matching_indicator, uniform_third
 from cubicpm.verifier import _is_3ec
-from oracles import slow_crossing_counts, slow_is_3ec, slow_odd_set_ok, slow_tight_cuts
+from oracles import (
+    slow_crossing_counts,
+    slow_cyclic_edge_connectivity,
+    slow_enumerate_cuts,
+    slow_is_3ec,
+    slow_odd_set_ok,
+    slow_tight_cuts,
+)
 
 MIX = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
 
@@ -90,6 +100,35 @@ def test_kernel_agrees_with_the_replaced_loops(route, g):
     elif route == "polytope":
         for w in _weight_vectors(g):
             assert polytope_membership(g, w, force_odd_set_check=True) == _in_polytope(g, w)
+
+
+WITH_EMPTY = GRAPHS + [("empty", Multigraph(0, ()))]
+CUT_SIZES = (2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("g", [g for _, g in WITH_EMPTY], ids=[name for name, _ in WITH_EMPTY])
+def test_cyclicity_from_the_certificates_agrees_with_a_build_per_mask(g):
+    slow = slow_enumerate_cuts(g, max(CUT_SIZES))
+    for k in CUT_SIZES:
+        want = [cut for cut in slow if cut.size <= k]
+        assert enumerate_cuts(g, k, cyclic_only=False) == want
+        assert enumerate_cuts(g, k, cyclic_only=True) == [cut for cut in want if cut.cyclic]
+    assert cyclic_edge_connectivity(g).value == slow_cyclic_edge_connectivity(g)
+
+
+def test_the_cyclicity_corpus_reaches_every_route():
+    """Some cuts are certainly cyclic, some certainly acyclic, some go to the union-find."""
+    certain = acyclic = undecided = 0
+    for _, g in GRAPHS:
+        counts = _crossing_counts(g)
+        selected = counts <= max(CUT_SIZES)
+        selected[-1] = False
+        masks = np.flatnonzero(selected)
+        sure, open_ = _cycle_certificates(g, masks, counts[masks])
+        certain += int(sure.sum())
+        undecided += int(open_.sum())
+        acyclic += int((~sure & ~open_).sum())
+    assert certain and acyclic and undecided
 
 
 TWO_K4 = Multigraph(8, named("k4").edges + tuple((u + 4, v + 4) for u, v in named("k4").edges))

@@ -1,12 +1,14 @@
 """The frontier-ordered matching DP against the label-order recursion it replaced.
 
 Every public matching query (count, existence, per-edge containment,
-coverage, enumeration) reads one state DAG; each is compared with the
-memoized recursion kept in ``oracles`` on every query kind, including
-parallel edges, odd and disconnected graphs and the empty graph.
+per-pair containment, coverage, enumeration) reads one state DAG; each is
+compared with the memoized recursion kept in ``oracles`` on every query
+kind, including parallel edges, odd and disconnected graphs and the empty
+graph.  So are the lemma checks that read avoided and contained edges from
+per-edge and per-pair counts instead of one count per slot.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -22,8 +24,22 @@ from cubicpm import (
     named,
     random_cubic_bridgeless,
 )
-from cubicpm.matchings import COUNT_CAP, ENUMERATE_CAP, containment_counts
-from oracles import slow_count_matchings, slow_enumerate_matchings
+from cubicpm.connectivity import CUT_CAP, cyclic_edge_connectivity
+from cubicpm.matchings import (
+    COUNT_CAP,
+    ENUMERATE_CAP,
+    containment_counts,
+    pair_counts,
+    special_pair,
+)
+from cubicpm.verifier import Instance, _avoid_count, _check_thm_ef
+from oracles import (
+    slow_avoid_count,
+    slow_contain_avoid,
+    slow_count_matchings,
+    slow_enumerate_matchings,
+    slow_worst_avoided_pair,
+)
 
 K4 = named("k4")
 
@@ -90,6 +106,26 @@ def test_dp_agrees_with_the_label_order_recursion(name, g):
     assert is_matching_covered(g) == all(through)
 
 
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_pair_counts_agree_with_one_count_per_pair(name, g):
+    m = g.edge_count
+    total, through, pairs = count_matchings(g), containment_counts(g), pair_counts(g)
+    assert [pairs[f][f] for f in range(m)] == through
+    for e, f in permutations(range(0, m, max(1, m // 6)), 2):
+        assert pairs[f][e] == slow_count_matchings(g, CountQuery(required=frozenset({e, f})))
+        avoid_both = slow_count_matchings(g, CountQuery(forbidden=frozenset({e, f})))
+        assert total - through[e] - through[f] + pairs[e][f] == avoid_both
+        assert through[f] - pairs[f][e] == slow_contain_avoid(g, f, e)
+    assert [_avoid_count(g, e) for e in range(m)] == [slow_avoid_count(g, e) for e in range(m)]
+    if 2 <= m and g.vertex_count <= 20:  # the oracle counts every pair
+        worst, pair = slow_worst_avoided_pair(g)
+        report = _check_thm_ef(Instance(name, g), None)
+        assert (report["measured"], report["params"]["worst_pair"]) == (worst, list(pair))
+    if g.is_cubic and 0 < g.vertex_count <= CUT_CAP and cyclic_edge_connectivity(g).at_least(4):
+        for e, f in permutations(range(0, m, max(1, m // 6)), 2):
+            assert special_pair(g, e, f).pm_exists == (slow_contain_avoid(g, f, e) > 0)
+
+
 def test_colliding_required_edges_and_the_empty_graph():
     assert count_matchings(K4, CountQuery(required=frozenset({0, 1}))) == 0
     assert enumerate_matchings(K4, CountQuery(required=frozenset({0, 1}))) == []
@@ -131,3 +167,11 @@ def test_counts_beyond_the_recursion_reach_do_not_depend_on_labels(n):
     assert through == containment_counts(flipped)
     for v in range(n):
         assert sum(through[e] for e in g.incident(v)) == total
+
+
+def test_the_memo_belongs_to_one_graph_object_and_not_to_its_equality():
+    g, twin = random_cubic_bridgeless(3, 12), random_cubic_bridgeless(3, 12)
+    pairs = pair_counts(g)
+    assert g == twin and hash(g) == hash(twin)
+    assert g._memo and not twin._memo
+    assert pair_counts(g) is pairs and pair_counts(twin) == pairs

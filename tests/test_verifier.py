@@ -310,6 +310,22 @@ def test_counting_lemmas_skip_above_the_counting_cap():
     }
 
 
+def test_no_exception_escapes_on_disconnected_or_empty_graphs():
+    k4, c4 = named("k4").edges, ((0, 1), (1, 2), (2, 3), (0, 3))
+    corpus = [
+        Instance("two_k4", from_edge_list(8, k4 + tuple((u + 4, v + 4) for u, v in k4))),
+        Instance("two_c4", from_edge_list(8, c4 + tuple((u + 4, v + 4) for u, v in c4))),
+        Instance("empty", from_edge_list(0, [])),
+    ]
+    reports = sweep(list(LemmaId), corpus, fail_fast=False)
+    reasons = {(r.lemma, r.instance): r.reason for r in reports}
+    assert {reasons[LemmaId.THM_BB, "two_k4"], reasons[LemmaId.THM_BB, "two_c4"]} == {
+        "not connected"
+    }
+    assert reasons[LemmaId.LM_BB_BIP, "two_c4"] == "not connected"
+    assert reasons[LemmaId.LM_SEMIBLOCK, "empty"] == "no edges"
+
+
 def test_the_hypothesis_runs_once_per_lemma_and_instance(monkeypatch):
     entry = verifier._LEMMAS[LemmaId.LM_SPECIAL]
     calls = []
