@@ -32,19 +32,24 @@ from .verifier import (
 DEFAULT_N = {"random": (4, 14), "twisted": (4, 26)}
 
 
+def _read_input(path: str) -> str:
+    """The text of the file at ``path``, or of standard input for '-'."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CubicpmError(f"cannot read {path}: {exc}") from None
+
+
 def _load_graph(args):
     if getattr(args, "name", None):
         return fam.named(args.name), args.name
     if getattr(args, "graph", None):
-        if args.graph == "-":
-            text = sys.stdin.read()
-            source = "<stdin>"
-        else:
-            with open(args.graph) as fh:
-                text = fh.read()
-            source = args.graph
+        text = _read_input(args.graph)
         g = read_graph6(text) if args.g6 else read_edge_list(text)
-        return g, source
+        return g, "<stdin>" if args.graph == "-" else args.graph
     raise CubicpmError("no graph given: use --graph FILE or --name NAME")
 
 
@@ -185,12 +190,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.graph and args.graph != "-":
-        with open(args.graph) as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(sys.stdin)
-    _emit(args, tally_csv((r["lemma"], r["verdict"]) for r in data))
+    text = _read_input(args.graph or "-")
+    try:
+        csv = tally_csv((r["lemma"], r["verdict"]) for r in json.loads(text))
+    except (ValueError, TypeError, KeyError) as exc:  # not a list of report objects
+        raise CubicpmError(f"malformed report: {exc!r}") from None
+    _emit(args, csv)
     return 0
 
 

@@ -6,14 +6,15 @@ that keep vertex 0 on side A, read from one array of weighted crossing sums
 Whether a cut is cyclic is read from the edge counts of its two sides at the
 selected indices; an exact union-find runs only where those counts leave it
 open, and an ``EdgeCut`` is built only for a cut that is returned.
-Correctness beats asymptotics here: these sweeps are the oracles everything
-else is checked against.
+Each graph object keeps its cut lists and its cyclic edge-connectivity in
+its own memo (``multigraph._memoized``); the crossing-size array is rebuilt
+for each sweep and never kept.  Correctness beats asymptotics here: these
+sweeps are the oracles everything else is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     SharedEndpoint,
     TooLarge,
 )
-from .multigraph import Multigraph, connected_subset, contract, induced_subgraph
+from .multigraph import Multigraph, _memoized, connected_subset, contract, induced_subgraph
 
 CUT_CAP = 24
 ALMOST_CAP = 20
@@ -169,7 +170,6 @@ def sides(selected: np.ndarray, n: int):
         yield _mask_to_side(int(mask), n)
 
 
-@lru_cache(maxsize=16)
 def _crossing_counts(g: Multigraph) -> np.ndarray:
     """Crossing sizes for every bipartition with vertex 0 on side A."""
     return cut_sums(g, [1] * g.edge_count)
@@ -225,12 +225,16 @@ def _cycle_certificates(
     return certain, undecided
 
 
-def _cyclic_flags(g: Multigraph, masks: np.ndarray, crossing: np.ndarray) -> np.ndarray:
-    """Exact cyclicity of each selected bipartition: the union-find only where undecided."""
+def _cuts(g: Multigraph, masks: np.ndarray, crossing: np.ndarray, cyclic_only: bool):
+    """The cuts of the selected bipartitions: the union-find only where undecided."""
     cyclic, undecided = _cycle_certificates(g, masks, crossing)
     for i in np.flatnonzero(undecided):
         cyclic[i] = _both_sides_cyclic(g, _mask_to_side(int(masks[i]), g.vertex_count))
-    return cyclic
+    return tuple(
+        _edge_cut(g, _mask_to_side(int(mask), g.vertex_count), bool(flag))
+        for mask, flag in zip(masks, cyclic)
+        if flag or not cyclic_only
+    )
 
 
 def _proper_masks(selected: np.ndarray) -> np.ndarray:
@@ -245,46 +249,46 @@ def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[Edge
     Ordered by ascending side-A bitmask (deterministic); flagged cyclic when
     both sides contain a cycle, and filtered to those when requested.  The
     flags are read from the crossing sizes at the selected masks, so an
-    ``EdgeCut`` is built only for a cut that is returned.
+    ``EdgeCut`` is built only for a cut that is returned.  The list is kept
+    in the graph's memo under (max_size, cyclic_only).
     """
-    n = g.vertex_count
-    if n > CUT_CAP:
+    if g.vertex_count > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
-    counts = _crossing_counts(g)
-    masks = _proper_masks(counts <= max_size)
-    cyclic = _cyclic_flags(g, masks, counts[masks])
-    return [
-        _edge_cut(g, _mask_to_side(int(mask), n), bool(flag))
-        for mask, flag in zip(masks, cyclic)
-        if flag or not cyclic_only
-    ]
+
+    def sweep():
+        counts = _crossing_counts(g)
+        masks = _proper_masks(counts <= max_size)
+        return _cuts(g, masks, counts[masks], cyclic_only)
+
+    return list(_memoized(g, ("cuts", max_size, cyclic_only), sweep))
 
 
-@lru_cache(maxsize=256)
 def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
     """Minimum size of a cyclic edge-cut, found by exhaustive sweep.
 
-    Crossing sizes are tried in ascending order; a size is settled by a
-    certainly cyclic bipartition, or else by the exact test on the
-    undecided ones.
+    Crossing sizes are tried in ascending order until one has a cyclic
+    bipartition.  The value is kept in the graph's memo, and so are the
+    cyclic cuts of that size, where ``enumerate_cuts(g, value,
+    cyclic_only=True)`` finds them without another sweep.
     """
-    n = g.vertex_count
-    if n > CUT_CAP:
+    if g.vertex_count > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
-    counts = _crossing_counts(g)
-    for c in range(int(counts.max(initial=0)) + 1):
-        masks = _proper_masks(counts == c)
-        certain, undecided = _cycle_certificates(g, masks, counts[masks])
-        if certain.any() or any(
-            _both_sides_cyclic(g, _mask_to_side(int(mask), n)) for mask in masks[undecided]
-        ):
-            return CyclicConnectivity(c)
-    return CyclicConnectivity(None)
+
+    def sweep():
+        counts = _crossing_counts(g)
+        for c in range(int(counts.max(initial=0)) + 1):
+            masks = _proper_masks(counts == c)
+            cuts = _cuts(g, masks, counts[masks], cyclic_only=True)
+            if cuts:  # no smaller size has a cyclic cut: these are all those of size <= c
+                _memoized(g, ("cuts", c, True), lambda: cuts)
+                return CyclicConnectivity(c)
+        return CyclicConnectivity(None)
+
+    return _memoized(g, "cyclic connectivity", sweep)
 
 
-@lru_cache(maxsize=128)
 def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> tuple[EdgeCut, ...]:
-    """Cached cyclic cuts of size <= max_size (deterministic order)."""
+    """The cyclic cuts of size <= max_size (deterministic order)."""
     return tuple(enumerate_cuts(g, max_size, cyclic_only=True))
 
 
@@ -312,7 +316,7 @@ def ordered_4cut_chain(g: Multigraph, e: int) -> list[EdgeCut]:
     On a cyclically 4-edge-connected graph those sides form a chain under
     inclusion; a ChainViolation indicates a precondition violation or a bug.
     """
-    if not cyclic_edge_connectivity(g).at_least(4):
+    if cyclic_cuts_up_to(g, 3):
         raise NotCyclically4EC("chain ordering needs cyclic 4-edge-connectivity")
     anchor = g.endpoints(e)[0]
     cuts = []
@@ -408,7 +412,7 @@ def is_k_almost_cyclically_4ec(
         raise DegreeMismatch("the reduction is defined on cubic graphs")
 
     def search(h: Multigraph, budget: int, acc):
-        if cyclic_edge_connectivity(h).at_least(4):
+        if not cyclic_cuts_up_to(h, 3):
             return acc
         if budget < 2:
             return None

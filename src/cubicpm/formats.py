@@ -23,19 +23,18 @@ def read_edge_list(text: str) -> Multigraph:
     rows = [ln for ln in rows if ln]
     if not rows:
         raise CubicpmError("empty edge-list input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise CubicpmError(f"expected 'n m' header, got {rows[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(rows[0], "expected 'n m' header")
     if len(rows) - 1 != m:
         raise CubicpmError(f"header promises {m} edges, found {len(rows) - 1}")
-    pairs = []
-    for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise CubicpmError(f"bad edge line {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return from_edge_list(n, pairs)
+    return from_edge_list(n, [_int_pair(ln, "bad edge line") for ln in rows[1:]])
+
+
+def _int_pair(line: str, what: str) -> tuple[int, int]:
+    """The two non-negative integers of one line, or an error naming the line."""
+    parts = line.split()
+    if len(parts) == 2 and all(p.isdecimal() for p in parts):
+        return int(parts[0]), int(parts[1])
+    raise CubicpmError(f"{what}, got {line!r}")
 
 
 def read_graph6(text: str) -> Multigraph:

@@ -13,8 +13,9 @@ at once.  The same two passes with one edge required give the matchings
 through each pair of edges, and inclusion-exclusion over these per-edge and
 per-pair counts answers every query that avoids or requires one or two
 edges.  The unconstrained count, the per-edge and the per-pair counts are
-kept in the graph's own memo (``Multigraph._memo``).  Everything is exact:
-counts are ints, polytope arithmetic uses Fractions.
+kept in the memo of the graph object asked (``_memoized``) and die with it;
+constrained counts are not kept.  Everything is exact: counts are ints,
+polytope arithmetic uses Fractions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .connectivity import bridges, cut_sums, cyclic_edge_connectivity, side_sizes
+from .connectivity import bridges, cut_sums, cyclic_cuts_up_to, side_sizes
 from .errors import (
     FlowInfeasible,
     InconsistentQuery,
@@ -32,7 +33,7 @@ from .errors import (
     NotUniquePM,
     TooLarge,
 )
-from .multigraph import Multigraph, two_coloring
+from .multigraph import Multigraph, _memoized, two_coloring
 
 COUNT_CAP = 64
 ENUMERATE_CAP = 20
@@ -173,14 +174,6 @@ class _StateDag:
 def _through_all(g: Multigraph, q: CountQuery) -> list[int]:
     """The number of the query's matchings through each edge (``_StateDag.outside``)."""
     return _StateDag(g, q, COUNT_CAP, "counting").outside()[1]
-
-
-def _memoized(g: Multigraph, key: str, build):
-    """``build()``, run once per graph object and kept in its memo under ``key``."""
-    memo = g._memo
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
 
 
 def count_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> int:
@@ -362,7 +355,7 @@ def special_pair(g: Multigraph, e: int, f: int) -> SpecialPairResult:
         raise InconsistentQuery("e and f must be distinct edges")
     if not g.is_cubic:
         raise NotCyclically4EC("graph is not cubic")
-    if not cyclic_edge_connectivity(g).at_least(4):
+    if cyclic_cuts_up_to(g, 3):
         raise NotCyclically4EC("graph is not cyclically 4-edge-connected")
     _validate(g, CountQuery(required=frozenset({f}), forbidden=frozenset({e})))
     pairs = pair_counts(g)

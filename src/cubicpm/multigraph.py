@@ -56,7 +56,7 @@ class Multigraph:
 
     @cached_property
     def _memo(self) -> dict:
-        """Results other modules derive from this graph object, keyed by their name.
+        """Results other modules derive from this graph object: the package's one cache.
 
         Like the cached properties, it is not a field, so it is left out of
         equality and hashing, and it dies with the graph.
@@ -171,6 +171,14 @@ class Multigraph:
 
     def __repr__(self):  # keep failure dumps readable
         return f"Multigraph(n={self.vertex_count}, m={self.edge_count}, edges={list(self.edges)})"
+
+
+def _memoized(g: Multigraph, key, build):
+    """``build()``, run once per graph object and kept in its memo under ``key``."""
+    memo = g._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def from_edge_list(vertex_count: int, pairs: Sequence[tuple[int, int]]) -> Multigraph:

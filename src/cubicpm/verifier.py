@@ -37,7 +37,7 @@ from .connectivity import (
     is_k_almost_cyclically_4ec,
     ordered_4cut_chain,
 )
-from .errors import ChainViolation, CubicpmError, NotMatchingCovered
+from .errors import BadSize, ChainViolation, CubicpmError, NotMatchingCovered
 from .formats import write_edge_list
 from .matchings import (
     COUNT_CAP,
@@ -52,6 +52,7 @@ from .matchings import (
 )
 from .multigraph import (
     Multigraph,
+    _memoized,
     find_isomorphism,
     induced_subgraph,
     split_off,
@@ -337,7 +338,7 @@ def _attach_edge_ids(subdivided: Multigraph) -> list[int]:
 
 
 def _c4ec(g: Multigraph) -> bool:
-    return cyclic_edge_connectivity(g).at_least(4)
+    return not cyclic_cuts_up_to(g, 3)
 
 
 def _is_solid_side(g: Multigraph, side: frozenset[int]) -> bool:
@@ -509,7 +510,7 @@ _split5_hypothesis = _first(
     _swept(
         "needs cyclically 5-edge-connected cubic, >= 12 vertices",
         lambda g: g.is_cubic and g.vertex_count >= 12,
-        lambda g: cyclic_edge_connectivity(g).at_least(5),
+        lambda g: not cyclic_cuts_up_to(g, 4),
     ),
     # splitting off drops two vertices before the k-almost search
     _cap(ALMOST_CAP + 2, f"split graph over the k-almost search cap of {ALMOST_CAP} vertices"),
@@ -674,7 +675,10 @@ def _split5(g: Multigraph, paths):
         splits = [split_off(g, path) for path in paths]
     except CubicpmError as exc:
         return _skip(f"degenerate path: {exc}")
-    return _judge(Bound.rational(1), int(any(is_k_almost_cyclically_4ec(h, 4)[0] for h in splits)))
+    return _judge(Bound.rational(1), int(any(  # a path and its reverse split off one graph
+        _memoized(g, ("split5", min(p, p[::-1])), lambda: is_k_almost_cyclically_4ec(h, 4)[0])
+        for p, h in zip(paths, splits)
+    )))
 
 
 def _check_lm_split5_same(inst, params):
@@ -685,7 +689,7 @@ def _check_lm_split5_same(inst, params):
         return _skip("tail neighbors not distinct")
     # The lemma's hypothesis is tested here, per slot, because the tail guard
     # above comes first in the reports (at a degree-2 vertex or a parallel
-    # edge it names the tails).  The connectivity it reads is cached.
+    # edge it names the tails).  The cuts it reads are kept in the graph's memo.
     why = _split5_hypothesis(inst)
     if why:
         return _skip(why)
@@ -936,6 +940,7 @@ _LEMMAS: dict[LemmaId, _Lemma] = {
     LemmaId.LM_BRIDGE: _Lemma(_check_lm_bridge, _first(
         _cap(ENUMERATE_CAP, "enumeration size cap"),
         _needs("perfect matching is not unique", lambda g: count_matchings(g) == 1),
+        _needs("no edges", lambda g: g.edge_count >= 1),
     )),
     LemmaId.LM_3CONN: _Lemma(
         _check_lm_3conn, _needs(_3EC_CUBIC, _is_3ec_cubic), _3ec_edge_params, _3EC_CUBIC,
@@ -1097,7 +1102,7 @@ def random_instances(count: int, n_lo: int, n_hi: int, seed: int) -> list[Instan
     """Seeded pairing-model corpus; sizes cycle through the even values."""
     sizes = [n for n in range(n_lo, n_hi + 1) if n % 2 == 0 and n >= 4]
     if not sizes:
-        raise ValueError(f"no even sizes in {n_lo}..{n_hi}")
+        raise BadSize(f"no even size of at least 4 in {n_lo}..{n_hi}")
     rng = random.Random(seed)
     out = []
     for i in range(count):
@@ -1113,6 +1118,8 @@ def twisted_instances(
 ) -> list[Instance]:
     """Random twisted-net corpus with a bipartite / non-bipartite mix."""
     sizes = [n for n in range(n_lo, n_hi + 1) if n % 2 == 0]
+    if not sizes:
+        raise BadSize(f"no even size in {n_lo}..{n_hi}")
     rng = random.Random(seed)
     out = []
     for i in range(count):

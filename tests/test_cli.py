@@ -161,3 +161,32 @@ def test_byte_identical_across_runs():
     b = subprocess.run(argv, capture_output=True)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# argv with FILE standing for a path in the test's directory, and the text
+# written there first (None: the file does not exist)
+MALFORMED = {
+    "random-corpus-without-even-size": (
+        ["verify", "--lemma", "TH_HALF", "--random", "3", "--n", "5..5", "--seed", "1"], None,
+    ),
+    "generated-corpus-without-even-size": (
+        ["generate", "--random", "3", "--n", "5..5", "--seed", "1"], None,
+    ),
+    "twisted-corpus-without-even-size": (
+        ["verify", "--lemma", "TH_HALF", "--twisted", "3", "--n", "5..5", "--seed", "1"], None,
+    ),
+    "non-numeric-header": (["count", "--graph", "FILE"], "n 1\n0 1\n"),
+    "non-numeric-edge": (["count", "--graph", "FILE"], "2 1\n0 x\n"),
+    "missing-graph-file": (["count", "--graph", "FILE"], None),
+    "report-row-without-verdict": (["report", "--graph", "FILE"], '[{"lemma": "TH_HALF"}]'),
+    "report-not-json": (["report", "--graph", "FILE"], "TH_HALF,Pass\n"),
+}
+
+
+@pytest.mark.parametrize("argv,text", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, argv, text):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, _, err = _capture(capsys, [str(path) if a == "FILE" else a for a in argv])
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err

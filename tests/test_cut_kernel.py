@@ -4,7 +4,10 @@ Cut sizes, tight cuts and the odd-set constraints of the matching polytope
 all read one weighted cut-sum array; each is compared with the per-edge,
 per-matching or per-set loop kept in ``oracles``.  Cut cyclicity, read from
 edge counts at the selected masks, is compared with a full ``build_cut`` per
-mask.  The verifier's bridge test for 3-edge-connectivity is compared with
+mask, and so are the minimum cyclic cuts that ``cyclic_edge_connectivity``
+leaves in the graph's memo.  "No cyclic cut below k", the form every
+cyclic-k-edge-connectivity test reads, is compared with the connectivity
+value.  The verifier's bridge test for 3-edge-connectivity is compared with
 the cut sweep it replaced.
 """
 
@@ -27,7 +30,13 @@ from cubicpm import (
     random_cubic_bridgeless,
     tight_cuts,
 )
-from cubicpm.connectivity import _crossing_counts, _cycle_certificates, cut_sums
+from cubicpm import connectivity
+from cubicpm.connectivity import (
+    _crossing_counts,
+    _cycle_certificates,
+    cut_sums,
+    cyclic_cuts_up_to,
+)
 from cubicpm.errors import NotMatchingCovered
 from cubicpm.matchings import matching_indicator, uniform_third
 from cubicpm.verifier import _is_3ec
@@ -114,6 +123,27 @@ def test_cyclicity_from_the_certificates_agrees_with_a_build_per_mask(g):
         assert enumerate_cuts(g, k, cyclic_only=False) == want
         assert enumerate_cuts(g, k, cyclic_only=True) == [cut for cut in want if cut.cyclic]
     assert cyclic_edge_connectivity(g).value == slow_cyclic_edge_connectivity(g)
+
+
+@pytest.mark.parametrize("g", [g for _, g in WITH_EMPTY], ids=[name for name, _ in WITH_EMPTY])
+def test_no_cyclic_cut_below_k_is_cyclic_k_edge_connectivity(g):
+    for k in range(1, 7):
+        assert (not cyclic_cuts_up_to(g, k - 1)) == cyclic_edge_connectivity(g).at_least(k)
+
+
+@pytest.mark.parametrize("g", [g for _, g in WITH_EMPTY], ids=[name for name, _ in WITH_EMPTY])
+def test_connectivity_leaves_its_minimum_cyclic_cuts_in_the_memo(g, monkeypatch):
+    g = Multigraph(g.vertex_count, g.edges)  # a new object, so its memo starts empty
+    value = cyclic_edge_connectivity(g).value
+    if value is None:
+        return
+    want = [cut for cut in slow_enumerate_cuts(g, value) if cut.cyclic]
+
+    def no_second_sweep(_):
+        raise AssertionError("swept again")
+
+    monkeypatch.setattr(connectivity, "_crossing_counts", no_second_sweep)
+    assert enumerate_cuts(g, value, cyclic_only=True) == want
 
 
 def test_the_cyclicity_corpus_reaches_every_route():

@@ -24,7 +24,12 @@ from cubicpm import (
     named,
     random_cubic_bridgeless,
 )
-from cubicpm.connectivity import CUT_CAP, cyclic_edge_connectivity
+from cubicpm.connectivity import (
+    CUT_CAP,
+    cyclic_cuts_up_to,
+    cyclic_edge_connectivity,
+    enumerate_cuts,
+)
 from cubicpm.matchings import (
     COUNT_CAP,
     ENUMERATE_CAP,
@@ -169,9 +174,23 @@ def test_counts_beyond_the_recursion_reach_do_not_depend_on_labels(n):
         assert sum(through[e] for e in g.incident(v)) == total
 
 
+CUT_QUERIES = {  # each lists the objects it hands out
+    "cyclic_edge_connectivity": lambda h: [cyclic_edge_connectivity(h)],
+    "cyclic_cuts_up_to": lambda h: list(cyclic_cuts_up_to(h, 4)),
+    "enumerate_cuts": lambda h: enumerate_cuts(h, 3, cyclic_only=False),
+}
+
+
 def test_the_memo_belongs_to_one_graph_object_and_not_to_its_equality():
     g, twin = random_cubic_bridgeless(3, 12), random_cubic_bridgeless(3, 12)
     pairs = pair_counts(g)
     assert g == twin and hash(g) == hash(twin)
     assert g._memo and not twin._memo
     assert pair_counts(g) is pairs and pair_counts(twin) == pairs
+    for name, query in CUT_QUERIES.items():
+        twin, kept = random_cubic_bridgeless(3, 12), len(g._memo)
+        got = query(g)
+        assert got and len(g._memo) > kept and not twin._memo, name
+        assert all(a is b for a, b in zip(query(g), got)), name
+        fresh = query(twin)
+        assert fresh == got and not any(a is b for a, b in zip(fresh, got)), name

@@ -12,7 +12,8 @@ from cubicpm import verifier
 from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut
 from cubicpm.families import BASE_4CYCLE
 from cubicpm.matchings import COUNT_CAP
-from cubicpm.multigraph import from_edge_list
+from cubicpm.errors import CubicpmError
+from cubicpm.multigraph import from_edge_list, split_off
 from cubicpm.verifier import (
     Bound,
     Instance,
@@ -299,6 +300,37 @@ def test_split5_lemmas_skip_above_the_k_almost_cap():
     }
 
 
+def test_a_split5_path_and_its_reverse_split_off_equal_graphs(monkeypatch):
+    """The premise that lets the two LM_SPLIT5 lemmas share one verdict per path.
+
+    Every path their checks hand to the splitting step on the catalog's cubic
+    graphs, with the hypothesis waived so that every slot reaches it.
+    """
+    corpus = named_instances() + random_instances(40, 4, 14, seed=7)
+    corpus += twisted_instances(60, seed=8, n_lo=4, n_hi=26)
+    paths = []
+    monkeypatch.setattr(verifier, "_split5", lambda g, ps: paths.extend((g, p) for p in ps))
+    monkeypatch.setattr(verifier, "_split5_hypothesis", lambda inst: None)
+    for lemma in (LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF):
+        entry = verifier._LEMMAS[lemma]
+        for inst in (inst for inst in corpus if inst.graph.is_cubic):
+            for params in entry.params(inst.graph):
+                entry.check(inst, params)
+
+    def split(g, path):
+        try:
+            return split_off(g, path)
+        except CubicpmError as exc:
+            return type(exc)
+
+    degenerate = Counter()
+    for g, path in paths:
+        got = split(g, path)
+        assert got == split(g, path[::-1]), path
+        degenerate[isinstance(got, type)] += 1
+    assert degenerate[True] and degenerate[False]
+
+
 def test_counting_lemmas_skip_above_the_counting_cap():
     g = random_cubic_bridgeless(0, COUNT_CAP + 2)
     inst = Instance("n66", g, hints=(("known_twisted", True),))  # the hint skips the recognizer
@@ -324,6 +356,7 @@ def test_no_exception_escapes_on_disconnected_or_empty_graphs():
     }
     assert reasons[LemmaId.LM_BB_BIP, "two_c4"] == "not connected"
     assert reasons[LemmaId.LM_SEMIBLOCK, "empty"] == "no edges"
+    assert reasons[LemmaId.LM_BRIDGE, "empty"] == "no edges"
 
 
 def test_the_hypothesis_runs_once_per_lemma_and_instance(monkeypatch):
