@@ -2,7 +2,8 @@
 
 Output is deterministic for a fixed (argv, input, seed): no ambient entropy,
 no wall-clock content, canonical JSON key order.  Exit codes: 0 for success
-or an all-pass sweep, 1 for any lemma Fail, 2 for usage errors.
+or an all-pass sweep, 1 for any lemma Fail, 2 for usage errors and
+malformed input.
 """
 
 from __future__ import annotations
