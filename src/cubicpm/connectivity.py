@@ -1,20 +1,22 @@
 """Edge cuts, cyclic edge-connectivity, and the 4-cut surgeries.
 
-Every exhaustive cut question is brute force over the 2^(n-1) bipartitions
-that keep vertex 0 on side A, read from one array of weighted crossing sums
-(``cut_sums``); only this module decodes an array index into a side.
+Every exhaustive cut question is brute force over the bipartitions that keep
+vertex 0 on side A, swept by ``cut_sums_at_most``: vertices are placed one
+at a time and a prefix is dropped once the weight it cuts exceeds the
+caller's bound, so a sweep costs what its bound selects and no 2^(n-1)
+array is built.  Only this module decodes a mask into a side.
 Whether a cut is cyclic is read from the edge counts of its two sides at the
-selected indices; an exact union-find runs only where those counts leave it
+selected masks; an exact union-find runs only where those counts leave it
 open, and an ``EdgeCut`` is built only for a cut that is returned.
 Each graph object keeps its cut lists and its cyclic edge-connectivity in
-its own memo (``multigraph._memoized``); the crossing-size array is rebuilt
-for each sweep and never kept.  Correctness beats asymptotics here: these
-sweeps are the oracles everything else is checked against.
+its own memo (``multigraph._memoized``).  Correctness beats asymptotics
+here: these sweeps are the oracles everything else is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -128,51 +130,79 @@ def side_has_cycle(g: Multigraph, side) -> bool:
     return False
 
 
-def cut_sums(g: Multigraph, weights: list[int]) -> np.ndarray:
-    """Weighted crossing sum of every bipartition with vertex 0 on side A.
+def _sum_dtype(limit: int):
+    """The smallest unsigned dtype that holds ``limit``, else exact Python ints."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if limit <= np.iinfo(dtype).max:
+            return dtype
+    return object
 
-    ``weights`` holds one non-negative int per edge id.  The array is built
-    one vertex at a time, each step doubling it, so a graph of maximum
-    degree d costs O(d * 2^n) array work.  Its dtype fits the total weight:
-    uint8, then int64, then exact Python ints.
+
+def cut_sums_at_most(g: Multigraph, weights: list[int], bound: int):
+    """Every bipartition with vertex 0 on side A whose crossing weight is <= bound.
+
+    ``weights`` holds one non-negative int per edge id.  Vertices are placed
+    one at a time along ``g.frontier_order``, each on side A or side B
+    (vertex 0 on side A only), and a prefix is dropped as soon as the weight
+    it already cuts exceeds ``bound``: no weight is negative, so that weight
+    only grows as more vertices are placed.  The cost follows the prefixes
+    that survive, not 2^(n-1).  Returns ``(masks, sums)`` in ascending mask
+    order: bit v-1 of a uint32 mask puts vertex v on side A, and the mask
+    with every bit set (side B empty) is included when it qualifies.  An
+    edge heavier than ``bound`` never crosses a survivor, so weights are
+    clipped to bound + 1, and the sums take the smallest dtype that holds
+    every partial sum before pruning.
     """
-    total = sum(weights)
-    dtype = np.uint8 if total < 1 << 8 else np.int64 if total < 1 << 63 else object
-    back: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
-    for (u, v), x in zip(g.edges, weights):  # u < v: edges are canonical
-        back[v][u] = back[v].get(u, 0) + x
-    sums = np.zeros((1 << g.vertex_count) >> 1, dtype)
-    for v in range(1, g.vertex_count):
-        half = 1 << (v - 1)
-        # weight from v to the earlier vertices on side A, for every mask of them
-        to_a = np.full(half, back[v].get(0, 0), dtype)
+    n = g.vertex_count
+    if n > 33:
+        raise TooLarge("bipartition masks hold at most 32 vertices besides vertex 0")
+    if not n or bound < 0:
+        return np.zeros(0, np.uint32), np.zeros(0, np.uint8)
+    place = {v: i for i, v in enumerate(g.frontier_order)}
+    back: list[dict[int, int]] = [{} for _ in range(n)]  # weight to earlier-placed neighbours
+    for (u, v), x in zip(g.edges, weights):
+        u, v = (u, v) if place[u] < place[v] else (v, u)
+        back[v][u] = back[v].get(u, 0) + min(x, bound + 1)
+    dtype = _sum_dtype(bound + max(sum(b.values()) for b in back))
+    masks, sums = np.zeros(1, np.uint32), np.zeros(1, dtype)
+    for v in g.frontier_order:
+        to_a = back[v].get(0, 0)  # weight from v to placed vertices on side A
         for u, x in back[v].items():
             if u:
-                to_a.reshape(-1, 2, 1 << (u - 1))[:, 1] += x
-        low = sums[:half]
-        sums[half : 2 * half] = low + (sum(back[v].values()) - to_a)  # v on side A
-        low += to_a  # v on side B
-    return sums
+                bit = ((masks >> (u - 1)) & 1).astype(dtype)
+                to_a = to_a + (bit if x == 1 else bit * x)
+        on_a = sums + (sum(back[v].values()) - to_a)  # v on side A: its edges to B cross
+        if v:  # both sides, then one filter: few numpy calls per vertex
+            sums = np.concatenate((on_a, sums + to_a))
+            masks = np.concatenate((masks | (1 << (v - 1)), masks))
+        else:
+            sums = on_a
+        keep = sums <= bound
+        masks, sums = masks[keep], sums[keep]
+    ascending = np.argsort(masks)
+    return masks[ascending], sums[ascending]
 
 
-def side_sizes(n: int) -> np.ndarray:
-    """Size of side A for every bipartition, in the index layout of ``cut_sums``."""
-    sizes = np.ones((1 << n) >> 1, np.uint8)
-    for v in range(1, n):
-        half = 1 << (v - 1)
-        sizes[half : 2 * half] += sizes[:half]
+def mask_sizes(masks: np.ndarray, n: int) -> np.ndarray:
+    """Size of side A for each mask of ``cut_sums_at_most`` on n vertices."""
+    sizes = np.ones(len(masks), np.int64)
+    for bit in range(n - 1):
+        sizes += (masks >> bit) & 1
     return sizes
 
 
-def sides(selected: np.ndarray, n: int):
-    """Side A of every selected bipartition, lazily, in ascending index order."""
-    for mask in np.flatnonzero(selected):
+def mask_sides(masks: np.ndarray, n: int):
+    """Side A of each mask, lazily, in the order given."""
+    for mask in masks:
         yield _mask_to_side(int(mask), n)
 
 
-def _crossing_counts(g: Multigraph) -> np.ndarray:
-    """Crossing sizes for every bipartition with vertex 0 on side A."""
-    return cut_sums(g, [1] * g.edge_count)
+def _crossing_counts(g: Multigraph, max_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks and crossing sizes of the cuts of at most max_size edges, side B nonempty."""
+    masks, counts = cut_sums_at_most(g, [1] * g.edge_count, max_size)
+    if len(masks) and masks[-1] == (1 << (g.vertex_count - 1)) - 1:  # side B empty
+        return masks[:-1], counts[:-1]
+    return masks, counts
 
 
 def _mask_to_side(mask: int, n: int) -> frozenset[int]:
@@ -207,8 +237,7 @@ def _cycle_certificates(
     has none (a loopless cycle needs two edges).  A cut is certainly cyclic
     when both sides have a cycle, and undecided when neither side is known
     to be acyclic and one is not yet known to have a cycle.  Degree sums and
-    side sizes are read from the bits of the selected ``masks`` only, never
-    as a full 2^(n-1) array.
+    side sizes are read from the bits of the selected ``masks``.
     """
     if not len(masks):
         return np.zeros(0, bool), np.zeros(0, bool)
@@ -237,12 +266,6 @@ def _cuts(g: Multigraph, masks: np.ndarray, crossing: np.ndarray, cyclic_only: b
     )
 
 
-def _proper_masks(selected: np.ndarray) -> np.ndarray:
-    """The selected indices, less the last one (side B empty)."""
-    selected[-1:] = False
-    return np.flatnonzero(selected)
-
-
 def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[EdgeCut]:
     """All bipartitions with crossing size <= max_size, side A holding vertex 0.
 
@@ -256,9 +279,7 @@ def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[Edge
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
 
     def sweep():
-        counts = _crossing_counts(g)
-        masks = _proper_masks(counts <= max_size)
-        return _cuts(g, masks, counts[masks], cyclic_only)
+        return _cuts(g, *_crossing_counts(g, max_size), cyclic_only)
 
     return list(_memoized(g, ("cuts", max_size, cyclic_only), sweep))
 
@@ -266,8 +287,9 @@ def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[Edge
 def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
     """Minimum size of a cyclic edge-cut, found by exhaustive sweep.
 
-    Crossing sizes are tried in ascending order until one has a cyclic
-    bipartition.  The value is kept in the graph's memo, and so are the
+    Crossing sizes are tried in ascending order, each by a sweep pruned at
+    that size, until one has a cyclic bipartition or every bipartition has
+    been seen.  The value is kept in the graph's memo, and so are the
     cyclic cuts of that size, where ``enumerate_cuts(g, value,
     cyclic_only=True)`` finds them without another sweep.
     """
@@ -275,14 +297,16 @@ def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
 
     def sweep():
-        counts = _crossing_counts(g)
-        for c in range(int(counts.max(initial=0)) + 1):
-            masks = _proper_masks(counts == c)
-            cuts = _cuts(g, masks, counts[masks], cyclic_only=True)
+        proper = max((1 << g.vertex_count >> 1) - 1, 0)  # bipartitions with side B nonempty
+        for c in count():
+            masks, counts = _crossing_counts(g, c)
+            at_c = counts == c  # the smaller sizes were swept at smaller bounds
+            cuts = _cuts(g, masks[at_c], counts[at_c], cyclic_only=True)
             if cuts:  # no smaller size has a cyclic cut: these are all those of size <= c
                 _memoized(g, ("cuts", c, True), lambda: cuts)
                 return CyclicConnectivity(c)
-        return CyclicConnectivity(None)
+            if len(masks) == proper:  # every cut has at most c edges
+                return CyclicConnectivity(None)
 
     return _memoized(g, "cyclic connectivity", sweep)
 

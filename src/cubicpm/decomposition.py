@@ -3,25 +3,23 @@
 A tight cut is crossed exactly once by every perfect matching; splitting
 along nontrivial tight cuts until none remain yields bricks (non-bipartite)
 and braces (bipartite).  Tight cuts come from one weighted sweep of the
-bipartitions (``connectivity.cut_sums``), not from a list of matchings.  The
-leaf multiset is unique up to edge multiplicity (Lovasz), which is asserted
-by decomposing under two different cut-selection orders rather than assumed.
+bipartitions, pruned at the number of perfect matchings
+(``connectivity.cut_sums_at_most``), not from a list of matchings.  Only the
+root of a decomposition is swept: the tight cuts of a tight-cut contraction
+are those of its parent that do not cross the contracted cut (Lovasz), so
+each child inherits them.  The leaf multiset is unique up to edge
+multiplicity (Lovasz), which is asserted by decomposing under two different
+cut-selection orders rather than assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import EdgeCut, build_cut, cut_sums, side_sizes, sides
+from .connectivity import EdgeCut, build_cut, cut_sums_at_most, mask_sides, mask_sizes
 from .errors import NotMatchingCovered, TooLarge
-from .matchings import (
-    CountQuery,
-    containment_counts,
-    has_matching,
-    is_bipartite,
-    is_matching_covered,
-)
-from .multigraph import Multigraph, contract
+from .matchings import CountQuery, containment_counts, has_matching, is_bipartite
+from .multigraph import Multigraph, _memoized, contract
 
 TIGHT_CAP = 16
 
@@ -35,15 +33,15 @@ class TightCut:
 
 
 def tight_cuts(g: Multigraph) -> list[TightCut]:
-    """All nontrivial tight cuts, by one weighted sweep of the odd bipartitions.
+    """All nontrivial tight cuts, by one weighted sweep of the bipartitions.
 
     Weigh edge e by c(e), the number of perfect matchings through it; one
     pass of the matching DP gives every c(e).  The trivial cut around vertex
     0 weighs N, the number of perfect matchings, because each of them covers
     vertex 0 once.  Each perfect matching crosses an odd cut an odd number
-    of times, so an odd cut weighs at least N (asserted), and it is tight
-    exactly when it weighs N.  Sorted by the sorted vertex sequence of side
-    A, which holds vertex 0.
+    of times, so an odd cut weighs at least N (asserted: the sweep, pruned
+    at N, keeps any lighter one), and it is tight exactly when it weighs N.
+    Sorted by the sorted vertex sequence of side A, which holds vertex 0.
     """
     if g.vertex_count > TIGHT_CAP:
         raise TooLarge(f"tight-cut sweep capped at {TIGHT_CAP} vertices")
@@ -53,14 +51,14 @@ def tight_cuts(g: Multigraph) -> list[TightCut]:
     n = g.vertex_count
     if not n:
         return []
-    sums = cut_sums(g, through)
-    size_a = side_sizes(n)
-    odd = size_a % 2 == 1
     pm_count = sum(through[e] for e in g.incident(0))
+    masks, sums = cut_sums_at_most(g, through, pm_count)
+    size_a = mask_sizes(masks, n)
+    odd = size_a % 2 == 1
     if sums[odd].min() != pm_count:
         raise AssertionError(f"an odd cut weighs {sums[odd].min()}, not {pm_count}")
     tight = odd & (size_a >= 3) & (n - size_a >= 3) & (sums == pm_count)
-    ordered = sorted(sides(tight, n), key=sorted)
+    ordered = sorted(mask_sides(masks[tight], n), key=sorted)
     return [TightCut(build_cut(g, side), nontrivial=True) for side in ordered]
 
 
@@ -113,11 +111,13 @@ def is_brick(g: Multigraph) -> bool:
 
 
 def is_brace(g: Multigraph) -> bool:
-    return (
-        is_bipartite(g)
-        and is_matching_covered(g)
-        and not tight_cuts(g)
-    )
+    """Bipartite, matching-covered (read from ``tight_cuts``) and free of tight cuts."""
+    if not is_bipartite(g):
+        return False
+    try:
+        return not tight_cuts(g)
+    except NotMatchingCovered:
+        return False
 
 
 @dataclass(frozen=True)
@@ -159,24 +159,38 @@ def decompose(g: Multigraph, order: str = "lex_min") -> DecompositionNode:
     ``order`` picks among the nontrivial tight cuts by the sorted vertex
     sequence of side A: "lex_min" (default) or "lex_max".  The leaf multiset
     does not depend on this, which the test suite asserts rather than trusts.
+    Only g itself is swept (``tight_cuts``); the tree is kept in g's memo.
     """
-    cuts = tight_cuts(g)
-    if not cuts:
-        kind = "brace" if is_bipartite(g) else "brick"
-        return DecompositionNode(g, kind=kind)
-    chosen = cuts[0].cut if order == "lex_min" else cuts[-1].cut  # cuts are sorted
-    side_b = frozenset(range(g.vertex_count)) - chosen.side_a
-    ga, _ = contract(g, chosen.side_a)
-    gb, _ = contract(g, side_b)
-    return DecompositionNode(
-        g,
-        cut=chosen,
-        child_a=decompose(ga, order),
-        child_b=decompose(gb, order),
+    return _memoized(
+        g, ("decomposition", order),
+        lambda: _split(g, [t.cut.side_a for t in tight_cuts(g)], order),
     )
 
 
+def _split(g: Multigraph, tight: list[frozenset[int]], order: str) -> DecompositionNode:
+    """The tree below g, given the sides A of its nontrivial tight cuts, sorted.
+
+    Contracting a shore X of the chosen cut keeps each tight side S with
+    X <= S or X & S empty, mapped through the contraction: these are the
+    tight cuts of the contraction, and it keeps those that stay nontrivial.
+    Side A keeps vertex 0, whose id survives either contraction as 0.
+    """
+    if not tight:
+        return DecompositionNode(g, kind="brace" if is_bipartite(g) else "brick")
+    side_a = tight[0] if order == "lex_min" else tight[-1]
+    children = []
+    for shore in (side_a, frozenset(range(g.vertex_count)) - side_a):
+        h, trace = contract(g, shore)
+        vmap = trace.records[0].vertex_map
+        mapped = (frozenset(vmap[v] for v in s) for s in tight if shore <= s or not shore & s)
+        inherited = [s for s in mapped if 3 <= len(s) <= h.vertex_count - 3]
+        children.append(_split(h, sorted(inherited, key=sorted), order))
+    child_a, child_b = children
+    return DecompositionNode(g, cut=build_cut(g, side_a), child_a=child_a, child_b=child_b)
+
+
 def brick_count(g: Multigraph) -> int:
+    """b(G), read from the leaves of the memoized lex_min tree."""
     return sum(1 for leaf in decompose(g).leaves() if leaf.kind == "brick")
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .connectivity import bridges, cut_sums, cyclic_cuts_up_to, side_sizes
+from .connectivity import bridges, cut_sums_at_most, cyclic_cuts_up_to, mask_sizes
 from .errors import (
     FlowInfeasible,
     InconsistentQuery,
@@ -405,13 +405,13 @@ def polytope_membership(
             return False
     if is_bipartite(g) and not force_odd_set_check:
         return True
-    # odd sets, in integers scaled by the common denominator: every bipartition
-    # with an odd side (the whole vertex set too, for odd n) must cross >= den
+    # odd sets, in integers scaled by the common denominator: no bipartition
+    # with an odd side (the whole vertex set too, for odd n) may cross < den
     den = lcm(*[x.denominator for x in weights.values()])
-    sums = cut_sums(g, [int(weights[e] * den) for e in range(g.edge_count)])
-    size_a = side_sizes(n)
-    odd = (size_a % 2 == 1) | ((n - size_a) % 2 == 1)
-    return int(sums[odd].min(initial=den)) >= den
+    scaled = [int(weights[e] * den) for e in range(g.edge_count)]
+    light, _ = cut_sums_at_most(g, scaled, den - 1)
+    size_a = mask_sizes(light, n)
+    return not ((size_a % 2 == 1) | ((n - size_a) % 2 == 1)).any()
 
 
 def matching_indicator(g: Multigraph, m: Matching) -> dict[int, Fraction]:

@@ -46,6 +46,7 @@ from .matchings import (
     containment_counts,
     count_matchings,
     is_bipartite,
+    is_matching_covered,
     kotzig_bridge,
     pair_counts,
     special_pair,
@@ -235,13 +236,16 @@ def _is_bridgeless_cubic(g: Multigraph) -> bool:
 
 
 def _is_3ec(g: Multigraph) -> bool:
-    """No cut of at most two edges: connected, with no bridge in G or in any G - e."""
-    return (
+    """No cut of at most two edges: connected, with no bridge in G or in any G - e.
+
+    Kept in g's memo.
+    """
+    return _memoized(g, "3ec", lambda: (
         g.vertex_count >= 2
         and g.is_connected()
         and not bridges(g)
         and not any(bridges(_delete_edges(g, {e})) for e in range(g.edge_count))
-    )
+    ))
 
 
 def _is_3ec_cubic(g: Multigraph) -> bool:
@@ -270,17 +274,24 @@ def _delete_edges(g: Multigraph, drop: set[int]) -> Multigraph:
 
 
 def _twisted_skip(inst: Instance) -> str | None:
-    """Why the instance is not taken as a twisted net; corpus hints bypass the recognizer."""
+    """Why the instance is not taken as a twisted net; corpus hints bypass the recognizer.
+
+    The recognizer's verdict is kept in the graph's memo.
+    """
     if inst.hint("known_twisted"):
         return None
     g = inst.graph
     if g.vertex_count > fam.TWISTED_CAP:
         return f"recognizer capped at {fam.TWISTED_CAP} vertices"
-    try:
-        ok = fam.recognize_twisted_net(g) is not None
-    except CubicpmError:
-        return "recognizer rejected the instance"
-    return None if ok else "not a twisted net"
+
+    def verdict():
+        try:
+            ok = fam.recognize_twisted_net(g) is not None
+        except CubicpmError:
+            return "recognizer rejected the instance"
+        return None if ok else "not a twisted net"
+
+    return _memoized(g, "twisted net", verdict)
 
 
 def _is_c4(g: Multigraph) -> bool:
@@ -634,7 +645,7 @@ def _check_lm_bb_3e(inst, params):
 def _check_lm_bb_3ef(inst, params):
     g = inst.graph
     e = params["edge"]
-    if dc.is_matching_covered(_delete_edges(g, {e})):
+    if is_matching_covered(_delete_edges(g, {e})):
         return _skip("graph minus edge is matching-covered")
     bound = Bound.rational(Fraction(g.vertex_count, 4) - 1)
     for f in range(g.edge_count):

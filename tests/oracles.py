@@ -5,9 +5,11 @@ enumeration, permanent by expansion over minors, and a direct exhaustive
 generator for small cubic multigraphs.  The label-order matching recursions
 are the routes that the frontier-ordered DP of ``matchings`` replaced, and
 the one-count-per-slot loops are those that ``matchings.pair_counts``
-replaced.  The bipartition sweeps below are the per-edge and per-matching
-loops that ``connectivity.cut_sums`` replaced, and the per-mask cut builds
-that the cycle certificates of ``connectivity`` replaced.  They exist so
+replaced.  The bipartition sweeps below are the full per-edge and
+per-matching loops that the pruned sweep ``connectivity.cut_sums_at_most``
+replaced, and the per-mask cut builds that the cycle certificates of
+``connectivity`` replaced; ``slow_decompose`` sweeps every node of a
+decomposition where ``decompose`` sweeps only the root.  They exist so
 every exact value the tests assert was computed by a second route.
 """
 
@@ -201,23 +203,25 @@ def all_cubic_multigraphs(n: int):
     yield from rec((0, 0))
 
 
-def slow_crossing_counts(g: Multigraph) -> np.ndarray:
-    """Crossing sizes for every bipartition with vertex 0 on side A.
+def slow_crossing_counts(g: Multigraph, weights=None) -> np.ndarray:
+    """Crossing sizes (or weights) for every bipartition with vertex 0 on side A.
 
     Index = bitmask over vertices 1..n-1 naming the rest of side A; one pair
-    of bit arrays per edge.
+    of bit arrays per edge.  ``weights`` (one int per edge id, unit if None)
+    are summed as exact Python ints.
     """
     n = g.vertex_count
-    masks = np.arange(1 << (n - 1), dtype=np.int64)
-    counts = np.zeros(len(masks), dtype=np.int64)
+    masks = np.arange((1 << n) >> 1, dtype=np.int64)
+    counts = np.zeros(len(masks), dtype=np.int64 if weights is None else object)
 
     def bit(x):
         if x == 0:
             return np.ones(len(masks), dtype=np.int64)  # vertex 0 is always on side A
         return (masks >> (x - 1)) & 1
 
-    for u, v in g.edges:
-        counts += bit(u) ^ bit(v)
+    for e, (u, v) in enumerate(g.edges):
+        crossed = bit(u) ^ bit(v)
+        counts += crossed if weights is None else crossed.astype(object) * weights[e]
     return counts
 
 
@@ -255,6 +259,26 @@ def slow_cyclic_edge_connectivity(g: Multigraph) -> int | None:
             if side_has_cycle(g, side) and side_has_cycle(g, allv - side):
                 return c
     return None
+
+
+def slow_decompose(g: Multigraph, order: str = "lex_min"):
+    """The tight-cut decomposition with a fresh ``tight_cuts`` sweep at every node.
+
+    The recursion that ``decomposition.decompose`` replaced by handing each
+    contraction the tight cuts of its parent.
+    """
+    from cubicpm.decomposition import DecompositionNode, tight_cuts
+    from cubicpm.matchings import is_bipartite
+
+    cuts = tight_cuts(g)
+    if not cuts:
+        return DecompositionNode(g, kind="brace" if is_bipartite(g) else "brick")
+    chosen = cuts[0].cut if order == "lex_min" else cuts[-1].cut
+    ga, _ = contract(g, chosen.side_a)
+    gb, _ = contract(g, frozenset(range(g.vertex_count)) - chosen.side_a)
+    return DecompositionNode(
+        g, cut=chosen, child_a=slow_decompose(ga, order), child_b=slow_decompose(gb, order),
+    )
 
 
 def slow_avoid_count(g: Multigraph, e: int) -> int:

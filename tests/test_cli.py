@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cubicpm import count_matchings, named, random_cubic_bridgeless, write_edge_list
+from cubicpm import Multigraph, count_matchings, named, random_cubic_bridgeless, write_edge_list
 from cubicpm.cli import run
 
 
@@ -63,6 +63,21 @@ def test_decompose_json(capsys):
     data = json.loads(out)
     assert data["bricks"] == 1 and data["elp_bound"] == 5
     assert data["tree"]["kind"] == "brick"
+
+
+def test_decompose_reads_one_tree(capsys, monkeypatch, tmp_path):
+    """The tree, b and the bound come from one decomposition with one root sweep."""
+    from cubicpm import decomposition
+
+    cube = named("cube")
+    path = tmp_path / "cube-e.el"
+    path.write_text(write_edge_list(Multigraph(8, cube.edges[1:])))
+    calls = []
+    sweep = decomposition.tight_cuts
+    monkeypatch.setattr(decomposition, "tight_cuts", lambda g: calls.append(g) or sweep(g))
+    code, out, _ = _capture(capsys, ["decompose", "--graph", str(path)])
+    assert code == 0 and len(calls) == 1
+    assert out.count("(n=") == 3 and "b=" in out and "elp_bound=" in out
 
 
 def test_generate_requires_seed(capsys):

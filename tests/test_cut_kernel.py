@@ -1,16 +1,23 @@
-"""The bipartition kernel ``connectivity.cut_sums`` against the loops it replaced.
+"""The pruned bipartition sweep ``connectivity.cut_sums_at_most`` against the loops it replaced.
 
-Cut sizes, tight cuts and the odd-set constraints of the matching polytope
-all read one weighted cut-sum array; each is compared with the per-edge,
-per-matching or per-set loop kept in ``oracles``.  Cut cyclicity, read from
-edge counts at the selected masks, is compared with a full ``build_cut`` per
-mask, and so are the minimum cyclic cuts that ``cyclic_edge_connectivity``
-leaves in the graph's memo; "no cyclic cut below k" is compared with the
-connectivity value.  The verifier's bridge test for 3-edge-connectivity is
-compared with the cut sweep it replaced.
+The sweep drops a prefix once the weight it cuts exceeds the caller's bound;
+at every bound it must select exactly the bipartitions that the full
+per-edge loop of ``oracles`` selects, with the same sums, for unit weights,
+c(e) weights and scaled polytope weights.  Cut sizes, tight cuts and the
+odd-set constraints of the matching polytope each read the sweep at their
+own bound and are compared with the per-edge, per-matching or per-set loop
+kept in ``oracles``, and ``decompose``, which sweeps only the root and hands
+each contraction its parent's tight cuts, with the recursion that sweeps
+every node.  Cut cyclicity, read from edge counts at the selected masks, is
+compared with a full ``build_cut`` per mask, and so are the minimum cyclic
+cuts that ``cyclic_edge_connectivity`` leaves in the graph's memo; "no
+cyclic cut below k" is compared with the connectivity value.  The
+verifier's bridge test for 3-edge-connectivity is compared with the cut
+sweep it replaced.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import numpy as np
@@ -19,7 +26,10 @@ import pytest
 from conftest import bridged_cubic, two_block_chain
 from cubicpm import (
     Multigraph,
+    brick_count,
     cyclic_edge_connectivity,
+    decompose,
+    elp_bound,
     enumerate_cuts,
     enumerate_matchings,
     from_edge_list,
@@ -29,19 +39,20 @@ from cubicpm import (
     random_cubic_bridgeless,
     tight_cuts,
 )
-from cubicpm import connectivity
+from cubicpm import connectivity, decomposition
 from cubicpm.connectivity import (
     _crossing_counts,
     _cycle_certificates,
-    cut_sums,
+    cut_sums_at_most,
     cyclic_cuts_up_to,
 )
-from cubicpm.errors import NotMatchingCovered
-from cubicpm.matchings import matching_indicator, uniform_third
+from cubicpm.errors import NotMatchingCovered, TooLarge
+from cubicpm.matchings import containment_counts, matching_indicator, uniform_third
 from cubicpm.verifier import _is_3ec
 from oracles import (
     slow_crossing_counts,
     slow_cyclic_edge_connectivity,
+    slow_decompose,
     slow_enumerate_cuts,
     slow_is_3ec,
     slow_odd_set_ok,
@@ -94,11 +105,88 @@ def _in_polytope(g: Multigraph, w) -> bool:
     )
 
 
+P = 2**64 + 13  # a prime above 2^64
+
+
+def _beyond_int64(g: Multigraph, cycle) -> dict[int, Fraction]:
+    """uniform_third moved by +-1/P around an even cycle keeps every vertex sum 1.
+
+    The common denominator 3P and the scaled cut sums exceed int64.
+    """
+    w = uniform_third(g)
+    for i, (u, v) in enumerate(zip(cycle, cycle[1:] + cycle[:1])):
+        w[g.edges.index((min(u, v), max(u, v)))] += Fraction((-1) ** i, P)
+    return w
+
+
+def _k3(k: int) -> Multigraph:
+    return from_edge_list(3 + k, [(i, 3 + j) for i in range(3) for j in range(k)])
+
+
+def _scaled(w) -> list[int]:
+    """Polytope weights in integers, scaled by their common denominator."""
+    den = lcm(*[x.denominator for x in w.values()])
+    return [int(w[e] * den) for e in range(len(w))]
+
+
+def _bounds(full: np.ndarray) -> list[int]:
+    """Every bound from 0 to the largest sum; past 300 of them, every sum d and d - 1.
+
+    The selection changes only where a bound reaches a sum, so the second
+    list decides the same selections as the first.
+    """
+    top = int(full.max(initial=0))
+    if top <= 300:
+        return list(range(top + 1))
+    return sorted({int(d) - k for d in set(full.tolist()) for k in (0, 1)} - {-1})
+
+
+SWEPT = GRAPHS + [
+    ("empty", Multigraph(0, ())), ("single", Multigraph(1, ())), ("k34", _k3(4)), ("k35", _k3(5)),
+]
+
+
+def _weightings(g: Multigraph, kind: str) -> list[list[int]]:
+    if kind == "unit":
+        return [[1] * g.edge_count]
+    if kind == "through":
+        return [containment_counts(g)] if g.vertex_count <= 16 else []
+    scaled = [_scaled(w) for w in _weight_vectors(g)] if g.vertex_count else []
+    return [w for w in scaled if w != [1] * g.edge_count]  # uniform_third is the unit case
+
+
+def _assert_pruned_is_filtered(g: Multigraph, weights: list[int]):
+    full = slow_crossing_counts(g, weights)
+    for bound in _bounds(full):
+        masks, sums = cut_sums_at_most(g, weights, bound)
+        keep = np.flatnonzero(full <= bound)
+        assert masks.tolist() == keep.tolist()
+        assert sums.tolist() == full[keep].tolist()
+
+
+@pytest.mark.parametrize("kind", ["unit", "through", "polytope"])
+@pytest.mark.parametrize("g", [g for _, g in SWEPT], ids=[name for name, _ in SWEPT])
+def test_the_pruned_sweep_is_the_full_sweep_filtered_at_every_bound(kind, g):
+    for weights in _weightings(g, kind):
+        _assert_pruned_is_filtered(g, weights)
+
+
+@pytest.mark.parametrize("name,cycle", [("petersen", (0, 1, 6, 9, 7, 5)), ("prism", (0, 1, 4, 3))])
+def test_the_pruned_sweep_is_exact_beyond_int64(name, cycle):
+    g = named(name)
+    weights = _scaled(_beyond_int64(g, cycle))
+    assert max(weights) > 2**64
+    _assert_pruned_is_filtered(g, weights)
+
+
 @pytest.mark.parametrize("route", ["cuts", "tight", "polytope"])
 @pytest.mark.parametrize("g", [g for _, g in GRAPHS], ids=[name for name, _ in GRAPHS])
 def test_kernel_agrees_with_the_replaced_loops(route, g):
-    if route == "cuts":
-        assert _crossing_counts(g).tolist() == slow_crossing_counts(g).tolist()
+    if route == "cuts":  # at the largest crossing size every proper bipartition is selected
+        slow = slow_crossing_counts(g)
+        masks, counts = _crossing_counts(g, int(slow.max()))
+        assert masks.tolist() == list(range(len(slow) - 1))
+        assert counts.tolist() == slow[:-1].tolist()
     elif route == "tight" and g.vertex_count <= 16:
         if is_matching_covered(g):
             assert [t.cut.side_a for t in tight_cuts(g)] == slow_tight_cuts(g)
@@ -108,6 +196,60 @@ def test_kernel_agrees_with_the_replaced_loops(route, g):
     elif route == "polytope":
         for w in _weight_vectors(g):
             assert polytope_membership(g, w, force_odd_set_check=True) == _in_polytope(g, w)
+
+
+def _edge_deleted_with_tight_cuts() -> list[tuple[str, Multigraph]]:
+    """Graphs less one or two edges that are matching-covered and have a tight cut."""
+    out = []
+    for name, g in GRAPHS:
+        if name not in ("k4", "k33", "prism", "cube", "petersen", "moebius_kantor",
+                        "random8", "random10", "random12", "random14"):
+            continue
+        drops = [(e,) for e in range(g.edge_count)]
+        if g.vertex_count <= 10:
+            drops += list(combinations(range(g.edge_count), 2))
+        for drop in drops:
+            kept = tuple(pair for e, pair in enumerate(g.edges) if e not in drop)
+            h = Multigraph(g.vertex_count, kept)
+            if is_matching_covered(h) and tight_cuts(h):
+                out.append((f"{name}-{drop}", h))
+    return out
+
+
+DELETED = _edge_deleted_with_tight_cuts()
+
+
+@pytest.mark.parametrize("order", ["lex_min", "lex_max"])
+def test_decompose_equals_the_recursion_that_sweeps_every_node(order):
+    """Inherited tight cuts give the tree of a fresh sweep at every node."""
+    deeper = 0
+    for name, g in GRAPHS + DELETED:
+        fresh = Multigraph(g.vertex_count, g.edges)  # a new object: decompose starts unswept
+        try:
+            want = slow_decompose(g, order)
+        except (NotMatchingCovered, TooLarge) as exc:
+            with pytest.raises(type(exc)):
+                decompose(fresh, order)
+            continue
+        assert decompose(fresh, order) == want, name
+        deeper += len(want.leaves()) > 2
+    assert deeper  # some child inherited a tight cut and was split again
+
+
+def test_decompose_sweeps_only_the_root_and_keeps_the_tree(monkeypatch):
+    calls = []
+    sweep = decomposition.cut_sums_at_most
+    monkeypatch.setattr(
+        decomposition, "cut_sums_at_most", lambda g, *rest: calls.append(g) or sweep(g, *rest),
+    )
+    for name, g in DELETED:
+        g = Multigraph(g.vertex_count, g.edges)
+        calls.clear()
+        tree = decompose(g)
+        assert decompose(g) is tree
+        assert brick_count(g) == sum(leaf.kind == "brick" for leaf in tree.leaves())
+        assert elp_bound(g) == g.edge_count - g.vertex_count + 1 - brick_count(g)
+        assert len(calls) == 1, name
 
 
 WITH_EMPTY = GRAPHS + [("empty", Multigraph(0, ()))]
@@ -134,7 +276,7 @@ def test_connectivity_leaves_its_minimum_cyclic_cuts_in_the_memo(g, monkeypatch)
         return
     want = [cut for cut in slow_enumerate_cuts(g, value) if cut.cyclic]
 
-    def no_second_sweep(_):
+    def no_second_sweep(g, max_size):
         raise AssertionError("swept again")
 
     monkeypatch.setattr(connectivity, "_crossing_counts", no_second_sweep)
@@ -145,11 +287,8 @@ def test_the_cyclicity_corpus_reaches_every_route():
     """Some cuts are certainly cyclic, some certainly acyclic, some go to the union-find."""
     certain = acyclic = undecided = 0
     for _, g in GRAPHS:
-        counts = _crossing_counts(g)
-        selected = counts <= max(CUT_SIZES)
-        selected[-1] = False
-        masks = np.flatnonzero(selected)
-        sure, open_ = _cycle_certificates(g, masks, counts[masks])
+        masks, counts = _crossing_counts(g, max(CUT_SIZES))
+        sure, open_ = _cycle_certificates(g, masks, counts)
         certain += int(sure.sum())
         undecided += int(open_.sum())
         acyclic += int((~sure & ~open_).sum())
@@ -188,14 +327,12 @@ def test_crossing_counts_do_not_wrap_at_255():
 
 def test_the_empty_graph_has_no_bipartition():
     g = Multigraph(0, ())
-    assert cut_sums(g, []).size == 0
+    masks, sums = cut_sums_at_most(g, [], 3)
+    assert masks.size == sums.size == 0
     assert enumerate_cuts(g, 3, cyclic_only=False) == []
     assert cyclic_edge_connectivity(g).is_unbounded
     assert tight_cuts(g) == []
     assert polytope_membership(g, {}, force_odd_set_check=True)  # the empty matching
-
-
-P = 2**64 + 13  # a prime above 2^64
 
 
 @pytest.mark.parametrize(
@@ -207,14 +344,8 @@ P = 2**64 + 13  # a prime above 2^64
     ],
 )
 def test_polytope_is_exact_beyond_int64(name, cycle, inside):
-    """uniform_third moved by +-1/P around an even cycle keeps every vertex sum 1.
-
-    The common denominator 3P and the scaled cut sums exceed int64.
-    """
     g = named(name)
-    w = uniform_third(g)
-    for i, (u, v) in enumerate(zip(cycle, cycle[1:] + cycle[:1])):
-        w[g.edges.index((min(u, v), max(u, v)))] += Fraction((-1) ** i, P)
+    w = _beyond_int64(g, cycle)
     assert lcm(*[x.denominator for x in w.values()]) > 2**64
     assert slow_odd_set_ok(g, w) is inside
     assert polytope_membership(g, w, force_odd_set_check=True) is inside

@@ -377,6 +377,25 @@ def test_the_hypothesis_runs_once_per_lemma_and_instance(monkeypatch):
     assert calls == ["prism", "prism"]
 
 
+def test_3ec_and_the_twisted_net_verdict_are_kept_in_the_graph_memo(monkeypatch):
+    bridge_calls, recognizer_calls = [], []
+    bridges, recognize = verifier.bridges, verifier.fam.recognize_twisted_net
+    monkeypatch.setattr(verifier, "bridges", lambda g: bridge_calls.append(g) or bridges(g))
+    monkeypatch.setattr(
+        verifier.fam, "recognize_twisted_net",
+        lambda g: recognizer_calls.append(g) or recognize(g),
+    )
+    for name in ("prism", "cube", "petersen"):
+        inst = Instance(name, named(name))
+        verdicts = verifier._is_3ec(inst.graph), verifier._twisted_skip(inst)
+        calls = len(bridge_calls), len(recognizer_calls)
+        assert calls[0] == inst.graph.edge_count + 1 and calls[1] == 1
+        assert (verifier._is_3ec(inst.graph), verifier._twisted_skip(inst)) == verdicts
+        assert (len(bridge_calls), len(recognizer_calls)) == calls
+        bridge_calls.clear()
+        recognizer_calls.clear()
+
+
 # sha256 of the canonical JSON of every catalog report on a small corpus
 # (n <= 24) with Pass, Fail and Skipped verdicts.  It was recorded while
 # params_for still held one branch per lemma; a change that alters any
