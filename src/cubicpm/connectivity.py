@@ -287,9 +287,9 @@ def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[Edge
 def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
     """Minimum size of a cyclic edge-cut, found by exhaustive sweep.
 
-    Crossing sizes are tried in ascending order, each by a sweep pruned at
-    that size, until one has a cyclic bipartition or every bipartition has
-    been seen.  The value is kept in the graph's memo, and so are the
+    Crossing sizes are tried in ascending order, read from sweeps pruned at
+    growing bounds, until one has a cyclic bipartition or every bipartition
+    has been seen.  The value is kept in the graph's memo, and so are the
     cyclic cuts of that size, where ``enumerate_cuts(g, value,
     cyclic_only=True)`` finds them without another sweep.
     """
@@ -298,15 +298,21 @@ def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
 
     def sweep():
         proper = max((1 << g.vertex_count >> 1) - 1, 0)  # bipartitions with side B nonempty
-        for c in count():
-            masks, counts = _crossing_counts(g, c)
-            at_c = counts == c  # the smaller sizes were swept at smaller bounds
-            cuts = _cuts(g, masks[at_c], counts[at_c], cyclic_only=True)
-            if cuts:  # no smaller size has a cyclic cut: these are all those of size <= c
-                _memoized(g, ("cuts", c, True), lambda: cuts)
-                return CyclicConnectivity(c)
-            if len(masks) == proper:  # every cut has at most c edges
+        size = 0  # the smaller sizes have no cyclic cut
+        # The first sweep covers sizes 0 to 3 at once: a sweep that keeps few
+        # prefixes costs about the same at any bound that small, since its
+        # numpy calls per vertex dominate, and a cubic graph has few such cuts.
+        for bound in count(3):
+            masks, counts = _crossing_counts(g, bound)
+            for size in range(size, bound + 1):
+                at_size = counts == size
+                cuts = _cuts(g, masks[at_size], counts[at_size], cyclic_only=True)
+                if cuts:  # these are all the cyclic cuts of at most `size` edges
+                    _memoized(g, ("cuts", size, True), lambda: cuts)
+                    return CyclicConnectivity(size)
+            if len(masks) == proper:  # every cut has at most `bound` edges
                 return CyclicConnectivity(None)
+            size = bound + 1
 
     return _memoized(g, "cyclic connectivity", sweep)
 

@@ -252,11 +252,10 @@ def test_decompose_sweeps_only_the_root_and_keeps_the_tree(monkeypatch):
         assert len(calls) == 1, name
 
 
-WITH_EMPTY = GRAPHS + [("empty", Multigraph(0, ()))]
 CUT_SIZES = (2, 3, 4, 5)
 
 
-@pytest.mark.parametrize("g", [g for _, g in WITH_EMPTY], ids=[name for name, _ in WITH_EMPTY])
+@pytest.mark.parametrize("g", [g for _, g in SWEPT], ids=[name for name, _ in SWEPT])
 def test_cyclicity_from_the_certificates_agrees_with_a_build_per_mask(g):
     slow = slow_enumerate_cuts(g, max(CUT_SIZES))
     for k in CUT_SIZES:
@@ -268,7 +267,7 @@ def test_cyclicity_from_the_certificates_agrees_with_a_build_per_mask(g):
         assert (not cyclic_cuts_up_to(g, k - 1)) == cyclic_edge_connectivity(g).at_least(k)
 
 
-@pytest.mark.parametrize("g", [g for _, g in WITH_EMPTY], ids=[name for name, _ in WITH_EMPTY])
+@pytest.mark.parametrize("g", [g for _, g in SWEPT], ids=[name for name, _ in SWEPT])
 def test_connectivity_leaves_its_minimum_cyclic_cuts_in_the_memo(g, monkeypatch):
     g = Multigraph(g.vertex_count, g.edges)  # a new object, so its memo starts empty
     value = cyclic_edge_connectivity(g).value
@@ -306,8 +305,9 @@ def test_3_edge_connectivity_by_bridges_agrees_with_the_cut_sweep(g):
 
 
 def test_the_cross_check_meets_every_outcome():
-    """The corpus has tight cuts, uncovered graphs, odd-set violations and 2-edge cuts."""
-    by_name = dict(GRAPHS)
+    """Tight cuts, uncovered graphs, odd-set violations, 2-edge cuts and no cyclic cut occur."""
+    by_name = dict(SWEPT)
+    assert slow_cyclic_edge_connectivity(by_name["k35"]) is None
     assert slow_tight_cuts(by_name["cube-e"]) and slow_tight_cuts(by_name["random16-e"])
     assert not is_matching_covered(by_name["bridged"])
     g = by_name["bridged"]
