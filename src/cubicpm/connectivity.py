@@ -9,15 +9,14 @@ Whether a cut is cyclic is read from the edge counts of its two sides at the
 selected masks; an exact union-find runs only where those counts leave it
 open, and an ``EdgeCut`` is built only for a cut that is returned.
 Each graph object keeps its cut lists and its cyclic edge-connectivity in
-its own memo (``multigraph._memoized``).  Correctness beats asymptotics
+its own memo (``multigraph._memoized``); the connectivity is read from the
+cyclic cut lists at bounds 3, 4, ..., so those lists are kept too.  Correctness beats asymptotics
 here: these sweeps are the oracles everything else is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-
 import numpy as np
 
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     SharedEndpoint,
     TooLarge,
 )
-from .multigraph import Multigraph, _memoized, connected_subset, contract, induced_subgraph
+from .multigraph import Multigraph, _memoized, components, contract, induced_subgraph
 
 CUT_CAP = 24
 ALMOST_CAP = 20
@@ -287,32 +286,28 @@ def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[Edge
 def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
     """Minimum size of a cyclic edge-cut, found by exhaustive sweep.
 
-    Crossing sizes are tried in ascending order, read from sweeps pruned at
-    growing bounds, until one has a cyclic bipartition or every bipartition
-    has been seen.  The value is kept in the graph's memo, and so are the
-    cyclic cuts of that size, where ``enumerate_cuts(g, value,
-    cyclic_only=True)`` finds them without another sweep.
+    Reads ``cyclic_cuts_up_to(g, bound)`` at bounds 3, 4, ... up to the
+    number of edges and returns the smallest size in the first nonempty
+    list.  The value is kept in the graph's memo; so is each list read, and
+    when that size is below the bound, the cyclic cuts of that size are kept
+    under their own size too, where ``enumerate_cuts(g, value,
+    cyclic_only=True)`` finds them without another sweep.  A graph with no
+    cyclic cut is swept at every bound up to its edge count, not only up to
+    its largest crossing.
     """
     if g.vertex_count > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
 
     def sweep():
-        proper = max((1 << g.vertex_count >> 1) - 1, 0)  # bipartitions with side B nonempty
-        size = 0  # the smaller sizes have no cyclic cut
-        # The first sweep covers sizes 0 to 3 at once: a sweep that keeps few
-        # prefixes costs about the same at any bound that small, since its
-        # numpy calls per vertex dominate, and a cubic graph has few such cuts.
-        for bound in count(3):
-            masks, counts = _crossing_counts(g, bound)
-            for size in range(size, bound + 1):
-                at_size = counts == size
-                cuts = _cuts(g, masks[at_size], counts[at_size], cyclic_only=True)
-                if cuts:  # these are all the cyclic cuts of at most `size` edges
-                    _memoized(g, ("cuts", size, True), lambda: cuts)
-                    return CyclicConnectivity(size)
-            if len(masks) == proper:  # every cut has at most `bound` edges
-                return CyclicConnectivity(None)
-            size = bound + 1
+        for bound in range(3, g.edge_count + 1):
+            cuts = cyclic_cuts_up_to(g, bound)
+            if cuts:
+                size = min(cut.size for cut in cuts)
+                if size < bound:
+                    smallest = tuple(cut for cut in cuts if cut.size == size)
+                    _memoized(g, ("cuts", size, True), lambda: smallest)
+                return CyclicConnectivity(size)
+        return CyclicConnectivity(None)
 
     return _memoized(g, "cyclic connectivity", sweep)
 
@@ -448,7 +443,7 @@ def is_k_almost_cyclically_4ec(
             return None
         for s in minimal_cyclic3_sides(h):
             loss = len(s) - 1
-            if loss > budget or not connected_subset(h, s):
+            if loss > budget or len(components(h, s)) != 1:
                 continue
             h2, _ = contract(h, s)
             res = search(h2, budget - loss, acc + (tuple(sorted(s)),))

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connectivity import EdgeCut, build_cut, cut_sums_at_most, mask_sides, mask_sizes
-from .errors import NotMatchingCovered, TooLarge
+from .errors import NotMatchingCovered, TooLarge, UnknownName
 from .matchings import CountQuery, containment_counts, has_matching, is_bipartite
-from .multigraph import Multigraph, _memoized, contract
+from .multigraph import Multigraph, _memoized, components, contract
 
 TIGHT_CAP = 16
 
@@ -70,27 +70,13 @@ def is_three_vertex_connected(g: Multigraph) -> bool:
     """3-vertex-connectivity of the underlying simple graph, by brute force."""
     s = _simple(g)
     n = s.vertex_count
-    if n < 4 or not s.is_connected():
+    if n < 4:
         return False
-
-    def connected_without(drop: set[int]) -> bool:
-        keep = [v for v in range(n) if v not in drop]
-        seen = {keep[0]}
-        stack = [keep[0]]
-        while stack:
-            v = stack.pop()
-            for e in s.incident(v):
-                w = s.other_end(e, v)
-                if w not in drop and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(keep)
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not connected_without({u, v}):
-                return False
-    return True
+    return all(
+        len(components(s, set(range(n)) - {u, v})) == 1
+        for u in range(n)
+        for v in range(u + 1, n)
+    )
 
 
 def is_bicritical(g: Multigraph) -> bool:
@@ -160,7 +146,10 @@ def decompose(g: Multigraph, order: str = "lex_min") -> DecompositionNode:
     sequence of side A: "lex_min" (default) or "lex_max".  The leaf multiset
     does not depend on this, which the test suite asserts rather than trusts.
     Only g itself is swept (``tight_cuts``); the tree is kept in g's memo.
+    Any other order raises ``UnknownName``.
     """
+    if order not in ("lex_min", "lex_max"):
+        raise UnknownName(f"no cut-selection order called {order!r}")
     return _memoized(
         g, ("decomposition", order),
         lambda: _split(g, [t.cut.side_a for t in tight_cuts(g)], order),

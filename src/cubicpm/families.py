@@ -25,6 +25,7 @@ from .errors import (
 from .matchings import is_bipartite
 from .multigraph import (
     Multigraph,
+    components,
     from_edge_list,
     replace_vertex_with_triangle,
 )
@@ -455,10 +456,10 @@ def recognize_twisted_net(g: Multigraph) -> TwistedNetRecipe | None:
         eids = sorted({e for v in s for e, w in adj[v] if w in s})
         for i, e1 in enumerate(eids):
             for e2 in eids[i + 1 :]:
-                part = _split(s, e1, e2)
-                if part is None:
+                parts = components(g, s, frozenset((e1, e2)))
+                if len(parts) != 2:
                     continue
-                s1, s2 = part
+                s1, s2 = parts
                 if len(s1) < 4 or len(s2) < 4:
                     continue
                 a1, b1 = g.endpoints(e1)
@@ -467,6 +468,8 @@ def recognize_twisted_net(g: Multigraph) -> TwistedNetRecipe | None:
                     a1, b1 = b1, a1
                 if a2 not in s1:
                     a2, b2 = b2, a2
+                if b1 in s1 or b2 in s1:  # both removed edges must cross
+                    continue
                 if a1 == a2 or b1 == b2:
                     continue
                 if deg_in(a1, s) != 3 or deg_in(a2, s) != 3:
@@ -490,41 +493,6 @@ def recognize_twisted_net(g: Multigraph) -> TwistedNetRecipe | None:
                     vmap2[rv + off] = gv
                 return TwistedNetRecipe(r1.steps + (step,)), vmap2
         return None
-
-    def _split(s: frozenset[int], e1: int, e2: int):
-        """Components of g[s] minus two edges; None unless exactly two."""
-        start = min(s)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for e, w in adj[v]:
-                if e in (e1, e2) or w not in s or w in seen:
-                    continue
-                seen.add(w)
-                stack.append(w)
-        if len(seen) == len(s):
-            return None
-        rest = s - seen
-        # the removed edges must both cross between the two parts
-        for e in (e1, e2):
-            a, b = g.endpoints(e)
-            if (a in seen) == (b in seen):
-                return None
-        # rest must be connected as well
-        start2 = min(rest)
-        seen2 = {start2}
-        stack = [start2]
-        while stack:
-            v = stack.pop()
-            for e, w in adj[v]:
-                if e in (e1, e2) or w not in rest or w in seen2:
-                    continue
-                seen2.add(w)
-                stack.append(w)
-        if seen2 != rest:
-            return None
-        return frozenset(seen), frozenset(rest)
 
     res = solve(frozenset(range(g.vertex_count)))
     return None if res is None else res[0]

@@ -298,48 +298,23 @@ class SpecialPairResult:
 def _bipartition_with_pattern(
     g: Multigraph, e: int, f: int
 ) -> dict[int, int] | None:
-    """2-coloring of g minus {e, f} with ends(e) one color, ends(f) the other."""
-    coloring = two_coloring(g, frozenset({e, f}))
-    if coloring is None:
-        return None  # odd cycle
-    color, comp = coloring
-    ncomp = max(comp, default=-1) + 1
-    # per-component flips: parity union-find over components
-    parent = list(range(ncomp))
-    parity = [0] * ncomp  # parity to parent
+    """2-coloring of g minus {e, f} with ends(e) color 0, ends(f) color 1.
 
-    def find(x):
-        if parent[x] == x:
-            return x, 0
-        root, p = find(parent[x])
-        parent[x] = root
-        parity[x] ^= p
-        return root, parity[x]
-
-    def union(x, y, rel) -> bool:
-        rx, px = find(x)
-        ry, py = find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        parent[rx] = ry
-        parity[rx] = px ^ py ^ rel
-        return True
-
+    Two new vertices join the ends of e and the ends of f by paths of length
+    two, and one edge joins an end of e to an end of f: a proper 2-coloring
+    of that graph minus e and f, restricted to g, is such a coloring.
+    """
     a, b = g.endpoints(e)
     c, d = g.endpoints(f)
-    constraints = [
-        (a, b, 0, color[a] ^ color[b]),  # ends of e agree
-        (c, d, 0, color[c] ^ color[d]),  # ends of f agree
-        (a, c, 1, color[a] ^ color[c]),  # the two pairs disagree
-    ]
-    for x, y, want, cur in constraints:
-        # flip(comp x) ^ flip(comp y) must equal want ^ cur
-        if not union(comp[x], comp[y], want ^ cur):
-            return None
-    flips = [find(i)[1] for i in range(ncomp)]
-    # anchor so that ends of e get color 0 (a convention, either works)
-    anchor = color[a] ^ flips[comp[a]]
-    return {v: color[v] ^ flips[comp[v]] ^ anchor for v in range(g.vertex_count)}
+    if {a, b} & {c, d}:
+        return None  # a shared end would need both colors
+    n = g.vertex_count
+    aux = Multigraph(n + 2, g.edges + ((a, n), (n, b), (c, n + 1), (n + 1, d), (a, c)))
+    coloring = two_coloring(aux, frozenset({e, f}))
+    if coloring is None:
+        return None
+    color = coloring[0]
+    return {v: color[v] ^ color[a] for v in range(n)}
 
 
 def special_pair(g: Multigraph, e: int, f: int) -> SpecialPairResult:

@@ -6,6 +6,12 @@ their edges came from.  Loops are rejected at construction; contraction
 drops them silently.  All surgeries are pure functions returning new graphs,
 and each surgery has a record builder so a trace can be replayed bit for bit
 (edge order included) from the source graph.
+
+The package's graph searches live here: ``components`` finds the connected
+parts of an induced subgraph minus some edges, and ``two_coloring`` 2-colors
+a graph minus some edges or finds an odd cycle.  Other modules ask these
+two for connected parts and 2-colorings; ``connectivity`` keeps its low-link
+search for bridges and its union-find that stops at the first cycle.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -146,18 +152,7 @@ class Multigraph:
         return tuple(sorted(set(self.edges)))
 
     def is_connected(self) -> bool:
-        if self.vertex_count <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for e in self._incidence[v]:
-                w = self.other_end(e, v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        return len(components(self)) <= 1
 
     def relabel(self, perm: Sequence[int]) -> "Multigraph":
         """Apply a vertex permutation (perm[old] = new), preserving edge order."""
@@ -190,22 +185,34 @@ def handshake_ok(g: Multigraph) -> bool:
     return sum(g.degrees) == 2 * g.edge_count
 
 
-def connected_subset(g: Multigraph, part: frozenset[int] | set[int]) -> bool:
-    """Does ``part`` induce a connected subgraph (singletons count)?"""
-    part = set(part)
-    if not part:
-        return False
-    start = min(part)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for e in g.incident(v):
-            w = g.other_end(e, v)
-            if w in part and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == part
+def components(
+    g: Multigraph,
+    vertices: Iterable[int] | None = None,
+    skip: frozenset[int] = frozenset(),
+) -> list[frozenset[int]]:
+    """Connected parts of the subgraph induced by ``vertices`` (all by default)
+    without the edge ids in ``skip``, ordered by their lowest vertex."""
+    left = set(range(g.vertex_count) if vertices is None else vertices)
+    edges, incidence = g.edges, g._incidence
+    parts = []
+    for start in sorted(left):
+        if start not in left:
+            continue
+        left.discard(start)
+        part, stack = [start], [start]
+        while stack:
+            v = stack.pop()
+            for e in incidence[v]:
+                if e in skip:
+                    continue
+                a, b = edges[e]
+                w = b if a == v else a
+                if w in left:
+                    left.discard(w)
+                    part.append(w)
+                    stack.append(w)
+        parts.append(frozenset(part))
+    return parts
 
 
 def two_coloring(
@@ -301,8 +308,10 @@ def _invariants(g: Multigraph):
 def find_isomorphism(g: Multigraph, h: Multigraph) -> list[int] | None:
     """A vertex bijection g->h preserving edge multiplicities, or None.
 
-    Exhaustive backtracking with degree/neighborhood pruning; intended for
-    small graphs (the recognizers cap their inputs well below n=20).
+    Exhaustive backtracking with degree/neighborhood pruning.  Each next
+    vertex is the unplaced one with the most placed neighbours, then the
+    fewest candidates, then the lowest id, so the search grows a connected
+    region and each placement is pinned by the ones before it.
     """
     n = g.vertex_count
     if n != h.vertex_count or g.edge_count != h.edge_count:
@@ -311,8 +320,15 @@ def find_isomorphism(g: Multigraph, h: Multigraph) -> list[int] | None:
     if sorted(gsig) != sorted(hsig):
         return None
     cand = [[w for w in range(n) if hsig[w] == gsig[v]] for v in range(n)]
-    # most-constrained-first, then favor vertices adjacent to placed ones
-    order = sorted(range(n), key=lambda v: (len(cand[v]), v))
+    links = [0] * n  # placed neighbours of each vertex
+    order: list[int] = []
+    unplaced = set(range(n))
+    while unplaced:
+        v = min(unplaced, key=lambda v: (-links[v], len(cand[v]), v))
+        unplaced.remove(v)
+        order.append(v)
+        for w in g.neighbors(v):
+            links[w] += 1
     placed: list[int] = []
     gmult = Counter(g.edges)
     hmult = Counter(h.edges)
@@ -349,18 +365,8 @@ def find_isomorphism(g: Multigraph, h: Multigraph) -> list[int] | None:
     return None
 
 
-def is_isomorphic(g: Multigraph, h: Multigraph, exact_limit: int = 14) -> bool:
-    """Isomorphism by permutation search up to ``exact_limit`` vertices.
-
-    Larger graphs fall back to labeled equality (same vertex count and the
-    same sorted edge multiset), which is all the desk-scale checks need.
-    """
-    if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
-        return False
-    if sorted(g.edges) == sorted(h.edges):
-        return True
-    if g.vertex_count > exact_limit:
-        return False
+def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:
+    """Is there a vertex bijection g->h preserving edge multiplicities?"""
     return find_isomorphism(g, h) is not None
 
 
@@ -426,7 +432,7 @@ def contract_record(g: Multigraph, part) -> tuple[Multigraph, SurgeryRecord]:
     part = frozenset(part)
     if not part or not part <= set(range(g.vertex_count)):
         raise VertexIdOutOfRange("part must be a nonempty set of vertex ids")
-    if not connected_subset(g, part):
+    if len(components(g, part)) != 1:
         raise DisconnectedPart(f"part {sorted(part)} does not induce a connected subgraph")
     merged_slot = min(part)
     survivors = sorted(set(range(g.vertex_count)) - part | {merged_slot})

@@ -23,7 +23,7 @@ import numpy as np
 
 from cubicpm import Multigraph
 from cubicpm.matchings import EMPTY_QUERY, CountQuery
-from cubicpm.multigraph import contract
+from cubicpm.multigraph import components, contract
 
 
 def brute_pm_count(g: Multigraph) -> int:
@@ -362,7 +362,6 @@ def slow_k_almost_c4ec(g: Multigraph, k: int) -> bool:
     """Reference for the k-almost reduction: try all cyclic-3-cut sides,
     minimal or not, in every order."""
     from cubicpm.connectivity import cyclic_cuts_up_to, cyclic_edge_connectivity
-    from cubicpm.multigraph import connected_subset
 
     if cyclic_edge_connectivity(g).at_least(4):
         return True
@@ -375,12 +374,48 @@ def slow_k_almost_c4ec(g: Multigraph, k: int) -> bool:
             sides.add(cut.side_a)
             sides.add(allv - cut.side_a)
     for s in sorted(sides, key=lambda s: (len(s), tuple(sorted(s)))):
-        if len(s) - 1 > k or not connected_subset(g, s):
+        if len(s) - 1 > k or len(components(g, s)) != 1:
             continue
         h, _ = contract(g, s)
         if slow_k_almost_c4ec(h, k - (len(s) - 1)):
             return True
     return False
+
+
+def slow_components(g: Multigraph, vertices=None, skip=frozenset()) -> list[frozenset[int]]:
+    """Reference for ``multigraph.components``: a union-find over the kept edges."""
+    keep = sorted(range(g.vertex_count) if vertices is None else set(vertices))
+    parent = {v: v for v in keep}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e, (u, v) in enumerate(g.edges):
+        if e not in skip and u in parent and v in parent:
+            parent[find(u)] = find(v)
+    parts: dict[int, set[int]] = {}
+    for v in keep:
+        parts.setdefault(find(v), set()).add(v)
+    return sorted((frozenset(p) for p in parts.values()), key=min)
+
+
+def slow_patterned_pairs(g: Multigraph) -> set[tuple[int, int]]:
+    """Reference for ``matchings._bipartition_with_pattern``, over all 2^n colorings.
+
+    The ordered edge pairs (e, f) for which some 2-coloring leaves exactly e
+    and f monochromatic, e's ends in color 0 and f's in color 1.
+    """
+    out = set()
+    for mask in range(1 << g.vertex_count):
+        color = [(mask >> v) & 1 for v in range(g.vertex_count)]
+        mono = [e for e, (u, v) in enumerate(g.edges) if color[u] == color[v]]
+        if len(mono) == 2:
+            e, f = mono
+            if color[g.edges[e][0]] != color[g.edges[f][0]]:
+                out.add((e, f) if color[g.edges[e][0]] == 0 else (f, e))
+    return out
 
 
 def flow_contraction_instance(g: Multigraph, e: int):
@@ -407,37 +442,12 @@ def flow_contraction_instance(g: Multigraph, e: int):
     if f is None:
         return None
     u, u2 = g.endpoints(f)
-    base = Multigraph(
-        g.vertex_count, tuple(p for i, p in enumerate(g.edges) if i != e)
-    )
-
-    def components_without(s: set[int]) -> list[set[int]]:
-        left = [v for v in range(base.vertex_count) if v not in s]
-        seen: set[int] = set()
-        out = []
-        for v in left:
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                for eid in base.incident(x):
-                    y = base.other_end(eid, x)
-                    if y not in s and y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            out.append(comp)
-        return out
-
     rest = [v for v in range(g.vertex_count) if v not in (u, u2)]
     witness = None
     for size in range(len(rest) + 1):
         for s_prime in combinations(rest, size):
             s = set(s_prime) | {u, u2}
-            comps = components_without(s)
+            comps = components(g, set(range(g.vertex_count)) - s, frozenset({e}))
             odd = [c for c in comps if len(c) % 2]
             if len(odd) >= len(s_prime) + 2:
                 witness = (set(s_prime), comps)
@@ -447,7 +457,7 @@ def flow_contraction_instance(g: Multigraph, e: int):
     assert witness is not None, "Tutte witness must exist when no matching does"
     s_prime, comps = witness
     a, b = g.endpoints(e)
-    keep: list[set[int]] = []
+    keep: list[frozenset[int]] = []
     for comp in comps:
         if a in comp or b in comp:
             assert len(comp) == 1, "components at the removed edge must be single vertices"
@@ -457,7 +467,7 @@ def flow_contraction_instance(g: Multigraph, e: int):
     return h, new_id[u], new_id[u2], new_id[a], new_id[b]
 
 
-def _contract_components(g: Multigraph, e: int, f: int, comps: list[set[int]]):
+def _contract_components(g: Multigraph, e: int, f: int, comps: list[frozenset[int]]):
     """g minus edges e, f with the listed vertex sets contracted away."""
     owner = {}
     for i, comp in enumerate(comps):

@@ -18,7 +18,7 @@ from cubicpm import (
     tight_cuts,
 )
 from cubicpm.decomposition import leaf_simple_multiset
-from cubicpm.errors import NotMatchingCovered, TooLarge
+from cubicpm.errors import NotMatchingCovered, TooLarge, UnknownName
 from cubicpm.multigraph import contract
 
 
@@ -158,3 +158,13 @@ def test_tight_cut_projections_are_surjective(named_graphs):
                 assert proj in child_pms
                 projected.add(proj)
             assert projected == child_pms
+
+
+@pytest.mark.parametrize("order", ["lexmin", "LEX_MAX", ""])
+def test_decompose_refuses_an_unknown_order(named_graphs, order):
+    cube = named_graphs["cube"]
+    e = cube.edges.index((0, 1))
+    g = Multigraph(8, tuple(p for i, p in enumerate(cube.edges) if i != e))
+    with pytest.raises(UnknownName):
+        decompose(g, order)
+    assert not g._memo  # refused before anything was swept or kept

@@ -35,12 +35,13 @@ from cubicpm.errors import (
 )
 from cubicpm.matchings import (
     COUNT_CAP,
+    _bipartition_with_pattern,
     biadjacency,
     containment_counts,
     matching_indicator,
     uniform_third,
 )
-from oracles import brute_pm_count, flow_contraction_instance, permanent
+from oracles import brute_pm_count, flow_contraction_instance, permanent, slow_patterned_pairs
 
 SIXTHS = {Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)}
 
@@ -242,6 +243,41 @@ def test_special_pair_structure_branch_on_k4(named_graphs):
     assert not res.pm_exists
     col = res.coloring
     assert col[0] == col[1] and col[2] == col[3] and col[0] != col[2]
+
+
+PATTERN_GRAPHS = [(name, named(name)) for name in ("theta", "k4", "k33", "prism", "cube", "petersen")]
+PATTERN_GRAPHS += [("random8", random_cubic_bridgeless(3, 8)), ("random10", random_cubic_bridgeless(4, 10))]
+# In a cubic graph, parity alone keeps the ends of e and f apart; in a cycle
+# it does not: C6 minus two opposite edges forces all four ends into one class.
+PATTERN_GRAPHS += [("cycle6", from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)]))]
+
+
+@pytest.mark.parametrize("g", [g for _, g in PATTERN_GRAPHS], ids=[n for n, _ in PATTERN_GRAPHS])
+def test_bipartition_with_pattern_is_exactly_the_brute_force(g):
+    """A coloring comes back for exactly the pairs some 2-coloring fits, and it fits."""
+    want = slow_patterned_pairs(g)
+    got = set()
+    for e in range(g.edge_count):
+        for f in range(g.edge_count):
+            if e == f:
+                continue
+            color = _bipartition_with_pattern(g, e, f)
+            if color is None:
+                continue
+            got.add((e, f))
+            assert sorted(color) == list(range(g.vertex_count))
+            assert {color[v] for v in g.endpoints(e)} == {0}
+            assert {color[v] for v in g.endpoints(f)} == {1}
+            for i, (u, v) in enumerate(g.edges):
+                assert i in (e, f) or color[u] != color[v]
+    assert got == want
+
+
+def test_the_pattern_corpus_meets_both_outcomes():
+    counts = {name: len(slow_patterned_pairs(g)) for name, g in PATTERN_GRAPHS}
+    assert counts["k4"] == 6 and counts["random8"] and counts["random10"]
+    assert counts["theta"] == counts["cube"] == counts["petersen"] == 0
+    assert counts["cycle6"] == 12  # 30 ordered pairs, less 12 sharing an end and 6 opposite
 
 
 def test_special_pair_on_petersen_smoke(named_graphs):

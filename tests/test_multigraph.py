@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +29,12 @@ from cubicpm.errors import (
 )
 from cubicpm.multigraph import (
     Multigraph,
+    components,
     handshake_ok,
     split_off_record,
     triangle_record,
 )
+from oracles import slow_components
 
 
 def test_from_edge_list_theta():
@@ -312,6 +315,68 @@ def test_isomorphism_under_relabeling(named_graphs):
 def test_non_isomorphic(named_graphs):
     assert not is_isomorphic(named_graphs["prism"], named_graphs["k33"])
     assert find_isomorphism(named_graphs["prism"], named_graphs["k33"]) is None
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [named("dodecahedron"), named("moebius_kantor")]
+    + [random_cubic_bridgeless(seed, n, simple=True) for n in (20, 24, 30) for seed in (0, 1)],
+    ids=["dodecahedron", "moebius_kantor"] + [f"random{n}-{s}" for n in (20, 24, 30) for s in (0, 1)],
+)
+def test_isomorphism_above_14_vertices(g):
+    h = _relabeled(g, g.vertex_count)
+    assert is_isomorphic(g, h)
+    mapping = find_isomorphism(g, h)
+    assert sorted(mapping) == list(range(g.vertex_count))
+    for u, v in g.edges:
+        assert h.multiplicity(mapping[u], mapping[v]) == g.multiplicity(u, v)
+
+
+def test_non_isomorphic_cubic_graphs_on_20_vertices():
+    g = random_cubic_bridgeless(1, 20, simple=True)
+    h = random_cubic_bridgeless(2, 20, simple=True)
+    assert not is_isomorphic(g, _relabeled(h, 3))
+
+
+# --- connected parts -----------------------------------------------------------------
+
+
+TWO_K4 = Multigraph(8, named("k4").edges + tuple((u + 4, v + 4) for u, v in named("k4").edges))
+PARTS_GRAPHS = [(name, named(name)) for name in (
+    "theta", "k4", "k33", "prism", "cube", "petersen",
+    "moebius_kantor", "dodecahedron", "exceptional6",
+)] + [("two_k4", TWO_K4), ("empty", Multigraph(0, ())), ("one_vertex", Multigraph(1, ()))]
+
+
+@pytest.mark.parametrize("g", [g for _, g in PARTS_GRAPHS], ids=[n for n, _ in PARTS_GRAPHS])
+def test_components_is_the_union_find_partition(g):
+    rng = random.Random(g.vertex_count)
+    n, m = g.vertex_count, g.edge_count
+    vertex_sets = [None, set(), set(range(n))] + [
+        set(rng.sample(range(n), k)) for k in range(1, n) for _ in range(2)
+    ]
+    skips = [frozenset()] + [frozenset({e}) for e in range(m)]
+    pairs = list(itertools.combinations(range(m), 2))
+    skips += [frozenset(p) for p in rng.sample(pairs, min(len(pairs), 40))]
+    for vertices in vertex_sets:
+        for skip in skips:
+            got = components(g, vertices, skip)
+            assert got == slow_components(g, vertices, skip), (vertices, skip)
+
+
+def test_components_on_the_small_cases():
+    assert components(Multigraph(0, ())) == []
+    assert components(Multigraph(1, ())) == [frozenset({0})]
+    assert components(TWO_K4) == [frozenset(range(4)), frozenset(range(4, 8))]
+    theta = named("theta")
+    assert components(theta, skip=frozenset({0, 1})) == [frozenset({0, 1})]
+    assert components(theta, skip=frozenset({0, 1, 2})) == [frozenset({0}), frozenset({1})]
 
 
 @settings(max_examples=30, deadline=None)
