@@ -8,15 +8,16 @@ array is built.  Only this module decodes a mask into a side.
 Whether a cut is cyclic is read from the edge counts of its two sides at the
 selected masks; an exact union-find runs only where those counts leave it
 open, and an ``EdgeCut`` is built only for a cut that is returned.
-Each graph object keeps its cut lists and its cyclic edge-connectivity in
-its own memo (``multigraph._memoized``); the connectivity is read from the
-cyclic cut lists at bounds 3, 4, ..., so those lists are kept too.  Correctness beats asymptotics
-here: these sweeps are the oracles everything else is checked against.
+Each graph object keeps its cut lists, and its cyclic edge-connectivity
+read from them at bounds 3, 4 and up, in its own memo (``_memoized``).
+Correctness beats asymptotics here: these sweeps are the oracles everything
+else is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import (
@@ -286,14 +287,12 @@ def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[Edge
 def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
     """Minimum size of a cyclic edge-cut, found by exhaustive sweep.
 
-    Reads ``cyclic_cuts_up_to(g, bound)`` at bounds 3, 4, ... up to the
-    number of edges and returns the smallest size in the first nonempty
-    list.  The value is kept in the graph's memo; so is each list read, and
-    when that size is below the bound, the cyclic cuts of that size are kept
-    under their own size too, where ``enumerate_cuts(g, value,
-    cyclic_only=True)`` finds them without another sweep.  A graph with no
-    cyclic cut is swept at every bound up to its edge count, not only up to
-    its largest crossing.
+    The smallest size in the first nonempty ``cyclic_cuts_up_to(g, bound)``
+    for bound = 3, 4, ... up to the edge count, so a graph with no cyclic
+    cut is swept at every bound up to its edge count, past its largest
+    crossing (K4 at bounds 5 and 6, too).  The value is kept in the graph's
+    memo, and the cuts of that size under their own size, where
+    ``enumerate_cuts(g, value, cyclic_only=True)`` finds them unswept.
     """
     if g.vertex_count > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
