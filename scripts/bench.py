@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Measure one checkout end to end and write BENCH_<label>.json.
 
-Runs the tier-1 suite once and ``perfbench/run.py`` once per workload, all in
-the checkout given by ``--root`` (by default the one holding this script),
-and writes the results with the medians, the environment and the commit.
+Runs the tier-1 suite once, ``perfbench/run.py`` once per workload and
+``cubicpm count --name petersen`` STARTUPS times from a fresh interpreter,
+all in the checkout given by ``--root`` (by default the one holding this
+script), and writes the results with the medians, the environment and the
+commit.  The start-ups time the package import, which ``perfbench`` cannot
+show because its passes import numpy themselves.
 
     python scripts/bench.py --label change [--root DIR] [--seed 7] [--append]
 
@@ -32,6 +35,8 @@ from statistics import median
 HERE = Path(__file__).resolve().parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 WORKLOADS = ("catalog", "oracle_queries")
+STARTUP = ["-m", "cubicpm.cli", "count", "--name", "petersen"]
+STARTUPS = 3  # per run, so ten runs give each checkout thirty start-ups
 
 
 def git(root: Path, *args: str) -> str:
@@ -40,14 +45,18 @@ def git(root: Path, *args: str) -> str:
     ).stdout.strip()
 
 
-def tier1(root: Path) -> dict:
-    """Wall time and outcome tallies of one tier-1 run."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def source_env(root: Path) -> dict:
+    """The environment with ``root/src`` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
     )}
+
+
+def tier1(root: Path) -> dict:
+    """Wall time and outcome tallies of one tier-1 run."""
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True
+        [sys.executable, *TIER1], cwd=root, env=source_env(root), capture_output=True, text=True
     )
     wall = time.perf_counter() - start
     tail = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
@@ -69,17 +78,32 @@ def perfbench(root: Path, workload: str, seed: int) -> dict:
     return {**result, **metrics}
 
 
-def environment() -> dict:
-    import numpy
+def startup(root: Path) -> dict:
+    """Wall times of STARTUPS runs of ``cubicpm count --name petersen``, and their median."""
+    samples = []
+    for _ in range(STARTUPS):
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable, *STARTUP], cwd=root, env=source_env(root), capture_output=True,
+            check=True,
+        )
+        samples.append(time.perf_counter() - start)
+    return {"wall_s": median(samples), "samples_s": samples}
 
-    return {
+
+def environment() -> dict:
+    out = {
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
         "system": f"{platform.system()} {platform.release()}",
         "machine": platform.machine(),
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
     }
+    try:  # perfbench imports numpy itself; the package does not need it
+        import numpy
+    except ImportError:
+        return out
+    return {**out, "numpy": numpy.__version__}
 
 
 def medians(runs: list[dict]) -> dict:
@@ -104,7 +128,7 @@ def main() -> int:
     if old and (old["commit"], old["dirty"], old["seed"]) != (commit, dirty, args.seed):
         raise SystemExit(f"{path} holds another commit or seed; drop --append")
 
-    run = {"tier1": tier1(root)}
+    run = {"tier1": tier1(root), "startup": startup(root)}
     for workload in WORKLOADS:
         run[workload] = perfbench(root, workload, args.seed)
     runs = (old["runs"] if old else []) + [run]

@@ -1,15 +1,20 @@
 """Edge cuts, cyclic edge-connectivity, and the 4-cut surgeries.
 
 Every exhaustive cut question is brute force over the bipartitions that keep
-vertex 0 on side A, swept by ``cut_sums_at_most``: vertices are placed one
-at a time and a prefix is dropped once the weight it cuts exceeds the
-caller's bound, so a sweep costs what its bound selects and no 2^(n-1)
-array is built.  Only this module decodes a mask into a side.
-Whether a cut is cyclic is read from the edge counts of its two sides at the
-selected masks; an exact union-find runs only where those counts leave it
-open, and an ``EdgeCut`` is built only for a cut that is returned.
-Each graph object keeps its cut lists, and its cyclic edge-connectivity
-read from them at bounds 3, 4 and up, in its own memo (``_memoized``).
+vertex 0 on side A, swept by ``cut_sums_at_most`` on Python ints: vertices
+are placed one at a time and a prefix is dropped once the weight it cuts
+exceeds the caller's bound, so a sweep costs what its bound selects, and
+masks and sums are exact at any size.  Only this module decodes a mask into
+a side.
+Each graph object keeps one unit-weight sweep in its memo: the masks,
+crossing sizes and cyclic flags of the bipartitions crossed by at most the
+largest bound asked so far.  ``enumerate_cuts``, ``cyclic_cuts_up_to`` and
+``cyclic_edge_connectivity`` filter it for any smaller bound; a larger
+bound sweeps again and classifies only the masks it adds.  Whether a cut is
+cyclic is read from the edge counts of its two sides; an exact union-find
+runs only where those counts leave it open, and an ``EdgeCut`` is built
+only for a cut that is returned.  The k-almost search sweeps only its root:
+each contraction inherits its parent's cuts of at most 3 edges.
 Correctness beats asymptotics here: these sweeps are the oracles everything
 else is checked against.
 """
@@ -17,8 +22,6 @@ else is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     ChainViolation,
@@ -130,15 +133,9 @@ def side_has_cycle(g: Multigraph, side) -> bool:
     return False
 
 
-def _sum_dtype(limit: int):
-    """The smallest unsigned dtype that holds ``limit``, else exact Python ints."""
-    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
-        if limit <= np.iinfo(dtype).max:
-            return dtype
-    return object
-
-
-def cut_sums_at_most(g: Multigraph, weights: list[int], bound: int):
+def cut_sums_at_most(
+    g: Multigraph, weights: list[int], bound: int
+) -> tuple[list[int], list[int]]:
     """Every bipartition with vertex 0 on side A whose crossing weight is <= bound.
 
     ``weights`` holds one non-negative int per edge id.  Vertices are placed
@@ -146,61 +143,67 @@ def cut_sums_at_most(g: Multigraph, weights: list[int], bound: int):
     (vertex 0 on side A only), and a prefix is dropped as soon as the weight
     it already cuts exceeds ``bound``: no weight is negative, so that weight
     only grows as more vertices are placed.  The cost follows the prefixes
-    that survive, not 2^(n-1).  Returns ``(masks, sums)`` in ascending mask
-    order: bit v-1 of a uint32 mask puts vertex v on side A, and the mask
-    with every bit set (side B empty) is included when it qualifies.  An
-    edge heavier than ``bound`` never crosses a survivor, so weights are
-    clipped to bound + 1, and the sums take the smallest dtype that holds
-    every partial sum before pruning.
+    that survive, not 2^(n-1).  Returns ``(masks, sums)``, two parallel lists
+    of Python ints in ascending mask order: bit v-1 of a mask puts vertex v
+    on side A, and the mask with every bit set (side B empty) is included
+    when it qualifies.  The weight a placed vertex sends to side A takes one
+    ``int.bit_count`` per distinct weight among its edges to earlier
+    vertices; an edge heavier than ``bound`` never crosses a survivor, so
+    weights are clipped to bound + 1.
     """
     n = g.vertex_count
-    if n > 33:
-        raise TooLarge("bipartition masks hold at most 32 vertices besides vertex 0")
     if not n or bound < 0:
-        return np.zeros(0, np.uint32), np.zeros(0, np.uint8)
+        return [], []
     place = {v: i for i, v in enumerate(g.frontier_order)}
     back: list[dict[int, int]] = [{} for _ in range(n)]  # weight to earlier-placed neighbours
     for (u, v), x in zip(g.edges, weights):
         u, v = (u, v) if place[u] < place[v] else (v, u)
         back[v][u] = back[v].get(u, 0) + min(x, bound + 1)
-    dtype = _sum_dtype(bound + max(sum(b.values()) for b in back))
-    masks, sums = np.zeros(1, np.uint32), np.zeros(1, dtype)
+    masks, sums = [0], [0]
     for v in g.frontier_order:
-        to_a = back[v].get(0, 0)  # weight from v to placed vertices on side A
+        to_zero = back[v].get(0, 0)  # vertex 0 is on side A in every prefix
+        by_weight: dict[int, int] = {}  # weight -> mask of the earlier neighbours it joins
         for u, x in back[v].items():
             if u:
-                bit = ((masks >> (u - 1)) & 1).astype(dtype)
-                to_a = to_a + (bit if x == 1 else bit * x)
-        on_a = sums + (sum(back[v].values()) - to_a)  # v on side A: its edges to B cross
-        if v:  # both sides, then one filter: few numpy calls per vertex
-            sums = np.concatenate((on_a, sums + to_a))
-            masks = np.concatenate((masks | (1 << (v - 1)), masks))
-        else:
-            sums = on_a
-        keep = sums <= bound
-        masks, sums = masks[keep], sums[keep]
-    ascending = np.argsort(masks)
-    return masks[ascending], sums[ascending]
+                by_weight[x] = by_weight.get(x, 0) | 1 << (u - 1)
+        terms = tuple(by_weight.items())
+        total, bit = sum(back[v].values()), 1 << (v - 1) if v else 0
+        placed_masks, placed_sums = [], []
+        for mask, s in zip(masks, sums):
+            to_a = to_zero
+            for x, bits in terms:
+                to_a += x * (mask & bits).bit_count()
+            if s + total - to_a <= bound:  # v on side A: its edges to B cross
+                placed_masks.append(mask | bit)
+                placed_sums.append(s + total - to_a)
+            if v and s + to_a <= bound:
+                placed_masks.append(mask)
+                placed_sums.append(s + to_a)
+        masks, sums = placed_masks, placed_sums
+    ascending = sorted(zip(masks, sums))
+    return [mask for mask, _ in ascending], [s for _, s in ascending]
 
 
-def mask_sizes(masks: np.ndarray, n: int) -> np.ndarray:
-    """Size of side A for each mask of ``cut_sums_at_most`` on n vertices."""
-    sizes = np.ones(len(masks), np.int64)
-    for bit in range(n - 1):
-        sizes += (masks >> bit) & 1
-    return sizes
+def mask_sizes(masks: list[int]) -> list[int]:
+    """Size of side A for each mask of ``cut_sums_at_most``."""
+    return [1 + mask.bit_count() for mask in masks]
 
 
-def mask_sides(masks: np.ndarray, n: int):
+def mask_sides(masks: list[int], n: int):
     """Side A of each mask, lazily, in the order given."""
     for mask in masks:
-        yield _mask_to_side(int(mask), n)
+        yield _mask_to_side(mask, n)
 
 
-def _crossing_counts(g: Multigraph, max_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _proper_bipartitions(n: int) -> int:
+    """How many bipartitions with vertex 0 on side A leave side B nonempty."""
+    return (1 << (n - 1)) - 1 if n else 0
+
+
+def _crossing_counts(g: Multigraph, max_size: int) -> tuple[list[int], list[int]]:
     """Masks and crossing sizes of the cuts of at most max_size edges, side B nonempty."""
     masks, counts = cut_sums_at_most(g, [1] * g.edge_count, max_size)
-    if len(masks) and masks[-1] == (1 << (g.vertex_count - 1)) - 1:  # side B empty
+    if masks and masks[-1] == _proper_bipartitions(g.vertex_count):  # side B empty
         return masks[:-1], counts[:-1]
     return masks, counts
 
@@ -228,87 +231,136 @@ def build_cut(g: Multigraph, side) -> EdgeCut:
 
 
 def _cycle_certificates(
-    g: Multigraph, masks: np.ndarray, crossing: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    g: Multigraph, masks: list[int], crossing: list[int]
+) -> tuple[list[bool], list[bool]]:
     """Which bipartitions are certainly cyclic, and which need the exact test.
 
     A side S spans e(S) = (deg(S) - cut(S)) / 2 edges.  With e(S) >= |S| it
     has a cycle (a forest has fewer edges than vertices); with e(S) <= 1 it
     has none (a loopless cycle needs two edges).  A cut is certainly cyclic
     when both sides have a cycle, and undecided when neither side is known
-    to be acyclic and one is not yet known to have a cycle.  Degree sums and
-    side sizes are read from the bits of the selected ``masks``.
+    to be acyclic and one is not yet known to have a cycle.  Side sizes are
+    read from the bits of the selected ``masks``, and degree sums from one
+    ``int.bit_count`` per degree class.
     """
-    if not len(masks):
-        return np.zeros(0, bool), np.zeros(0, bool)
     n, deg = g.vertex_count, g.degrees
-    bits = (masks[:, None] >> np.arange(n - 1)) & 1  # row i: vertices 1..n-1 on side A
-    size_a = 1 + bits.sum(axis=1)
-    deg_a = deg[0] + bits @ np.array(deg[1:], np.int64)
-    crossing = crossing.astype(np.int64)
-    inner_a = (deg_a - crossing) // 2
-    inner_b = (2 * g.edge_count - deg_a - crossing) // 2
-    has_a, has_b = inner_a >= size_a, inner_b >= n - size_a
-    certain = has_a & has_b
-    undecided = (inner_a > 1) & (inner_b > 1) & ~certain
+    by_degree: dict[int, int] = {}  # degree -> mask of the vertices 1..n-1 that have it
+    for v in range(1, n):
+        by_degree[deg[v]] = by_degree.get(deg[v], 0) | 1 << (v - 1)
+    classes = tuple(by_degree.items())
+    certain, undecided = [], []
+    for mask, cut in zip(masks, crossing):
+        size_a = 1 + mask.bit_count()
+        deg_a = deg[0] + sum(d * (mask & bits).bit_count() for d, bits in classes)
+        inner_a = (deg_a - cut) // 2
+        inner_b = (2 * g.edge_count - deg_a - cut) // 2
+        sure = inner_a >= size_a and inner_b >= n - size_a
+        certain.append(sure)
+        undecided.append(not sure and inner_a > 1 and inner_b > 1)
     return certain, undecided
 
 
-def _cuts(g: Multigraph, masks: np.ndarray, crossing: np.ndarray, cyclic_only: bool):
-    """The cuts of the selected bipartitions: the union-find only where undecided."""
-    cyclic, undecided = _cycle_certificates(g, masks, crossing)
-    for i in np.flatnonzero(undecided):
-        cyclic[i] = _both_sides_cyclic(g, _mask_to_side(int(masks[i]), g.vertex_count))
-    return tuple(
-        _edge_cut(g, _mask_to_side(int(mask), g.vertex_count), bool(flag))
-        for mask, flag in zip(masks, cyclic)
-        if flag or not cyclic_only
-    )
+def _cyclic_flags(g: Multigraph, masks: list[int], crossing: list[int]) -> list[bool]:
+    """Cyclicity of the selected bipartitions: the union-find only where undecided."""
+    certain, undecided = _cycle_certificates(g, masks, crossing)
+    return [
+        sure or (open_ and _both_sides_cyclic(g, _mask_to_side(mask, g.vertex_count)))
+        for mask, sure, open_ in zip(masks, certain, undecided)
+    ]
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """A graph's unit-weight sweep: each bipartition, side B nonempty, crossed
+    by at most ``bound`` edges, as parallel lists in ascending mask order."""
+
+    bound: int
+    masks: list[int]
+    sizes: list[int]
+    cyclic: list[bool]
+
+    def cuts(self, g: Multigraph, max_size: int, cyclic_only: bool) -> tuple[EdgeCut, ...]:
+        return tuple(
+            _edge_cut(g, _mask_to_side(mask, g.vertex_count), flag)
+            for mask, size, flag in zip(self.masks, self.sizes, self.cyclic)
+            if size <= max_size and (flag or not cyclic_only)
+        )
+
+
+def _keep_sweep(g: Multigraph, bound: int, masks: list[int], sizes: list[int]) -> _Sweep:
+    """Classify the masks g's memoized sweep has not, and keep the new sweep.
+
+    A sweep that selects every proper bipartition answers any bound: no cut
+    crosses more than the edge count.
+    """
+    old = g._memo.get("sweep")
+    seen = {} if old is None else dict(zip(old.masks, old.cyclic))
+    fresh = [(mask, size) for mask, size in zip(masks, sizes) if mask not in seen]
+    flags = iter(_cyclic_flags(g, [mask for mask, _ in fresh], [size for _, size in fresh]))
+    cyclic = [seen[mask] if mask in seen else next(flags) for mask in masks]
+    if len(masks) == _proper_bipartitions(g.vertex_count):
+        bound = max(bound, g.edge_count)
+    sweep = g._memo["sweep"] = _Sweep(bound, masks, sizes, cyclic)
+    return sweep
+
+
+def _unit_sweep(g: Multigraph, bound: int) -> _Sweep:
+    """g's memoized sweep, swept again only past the largest bound asked so far.
+
+    A sweep at a larger bound selects every mask of a smaller one, with the
+    same size, so only the masks it adds are classified.
+    """
+    bound = min(bound, g.edge_count)
+    old = g._memo.get("sweep")
+    if old is not None and old.bound >= bound:
+        return old
+    return _keep_sweep(g, bound, *_crossing_counts(g, bound))
 
 
 def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[EdgeCut]:
     """All bipartitions with crossing size <= max_size, side A holding vertex 0.
 
     Ordered by ascending side-A bitmask (deterministic); flagged cyclic when
-    both sides contain a cycle, and filtered to those when requested.  The
-    flags are read from the crossing sizes at the selected masks, so an
-    ``EdgeCut`` is built only for a cut that is returned.  The list is kept
-    in the graph's memo under (max_size, cyclic_only).
+    both sides contain a cycle, and filtered to those when requested.  Read
+    from the graph's one memoized sweep, which is swept again only when
+    max_size passes the largest bound asked so far; the list is kept in the
+    graph's memo under (max_size, cyclic_only).
     """
     if g.vertex_count > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
 
-    def sweep():
-        return _cuts(g, *_crossing_counts(g, max_size), cyclic_only)
-
-    return list(_memoized(g, ("cuts", max_size, cyclic_only), sweep))
+    return list(_memoized(
+        g, ("cuts", max_size, cyclic_only),
+        lambda: _unit_sweep(g, max_size).cuts(g, max_size, cyclic_only),
+    ))
 
 
 def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
     """Minimum size of a cyclic edge-cut, found by exhaustive sweep.
 
-    The smallest size in the first nonempty ``cyclic_cuts_up_to(g, bound)``
-    for bound = 3, 4, ... up to the edge count, so a graph with no cyclic
-    cut is swept at every bound up to its edge count, past its largest
-    crossing (K4 at bounds 5 and 6, too).  The value is kept in the graph's
-    memo, and the cuts of that size under their own size, where
+    The graph's sweep is read at bound 3, 4, 5, 6 and then at doubled
+    bounds; the value is the smallest size flagged cyclic at the first bound
+    that flags any.  A graph with no cyclic cut stops at the first bound
+    whose sweep selects every proper bipartition (at most the edge count),
+    and no mask is classified at two bounds.  The value is kept in the
+    graph's memo, and its cuts stay in the graph's sweep, where
     ``enumerate_cuts(g, value, cyclic_only=True)`` finds them unswept.
     """
     if g.vertex_count > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
 
-    def sweep():
-        for bound in range(3, g.edge_count + 1):
-            cuts = cyclic_cuts_up_to(g, bound)
-            if cuts:
-                size = min(cut.size for cut in cuts)
-                if size < bound:
-                    smallest = tuple(cut for cut in cuts if cut.size == size)
-                    _memoized(g, ("cuts", size, True), lambda: smallest)
-                return CyclicConnectivity(size)
-        return CyclicConnectivity(None)
+    def search():
+        bound = 3
+        while True:
+            sweep = _unit_sweep(g, bound)
+            sizes = [size for size, flag in zip(sweep.sizes, sweep.cyclic) if flag]
+            if sizes:
+                return CyclicConnectivity(min(sizes))
+            if sweep.bound >= g.edge_count:  # every proper bipartition was selected
+                return CyclicConnectivity(None)
+            bound = bound + 1 if bound < 6 else 2 * bound
 
-    return _memoized(g, "cyclic connectivity", sweep)
+    return _memoized(g, "cyclic connectivity", search)
 
 
 def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> tuple[EdgeCut, ...]:
@@ -421,6 +473,25 @@ def minimal_cyclic3_sides(g: Multigraph) -> list[frozenset[int]]:
     return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
 
 
+def _inherit_cuts(h: Multigraph, part: frozenset[int], child: Multigraph, vmap) -> None:
+    """Seed the sweep of ``child``, h with ``part`` contracted, from h's sweep.
+
+    A bipartition of the child is one of h that does not split ``part``, and
+    the edges inside ``part`` cross neither, so the child's cuts of at most 3
+    edges are h's that keep ``part`` on one side, with the same sizes.
+    ``vmap`` maps h's vertices to the child's; vertex 0 keeps id 0, so side A
+    maps to side A.  Cyclicity is read again from the certificates, because
+    the contraction may break the cycles of the side that held ``part``.
+    """
+    sweep, inherited = _unit_sweep(h, 3), []
+    for mask, size in zip(sweep.masks, sweep.sizes):
+        side = _mask_to_side(mask, h.vertex_count)
+        if size <= 3 and (part <= side or not part & side):
+            inherited.append((sum(1 << (w - 1) for w in {vmap[v] for v in side} if w), size))
+    inherited.sort()
+    _keep_sweep(child, 3, [mask for mask, _ in inherited], [size for _, size in inherited])
+
+
 def is_k_almost_cyclically_4ec(
     g: Multigraph, k: int
 ) -> tuple[bool, tuple[tuple[int, ...], ...]]:
@@ -429,6 +500,8 @@ def is_k_almost_cyclically_4ec(
     The search backtracks over inclusion-minimal cyclic-3-cut sides of the
     current graph; each witness entry is a side in the coordinates of the
     graph it was contracted in (the first entry uses g's own vertex ids).
+    Only g is swept: each contraction inherits its parent's cuts of at most
+    3 edges (``_inherit_cuts``).
     """
     if g.vertex_count > ALMOST_CAP:
         raise TooLarge(f"search capped at {ALMOST_CAP} vertices")
@@ -444,7 +517,8 @@ def is_k_almost_cyclically_4ec(
             loss = len(s) - 1
             if loss > budget or len(components(h, s)) != 1:
                 continue
-            h2, _ = contract(h, s)
+            h2, trace = contract(h, s)
+            _inherit_cuts(h, s, h2, trace.records[0].vertex_map)
             res = search(h2, budget - loss, acc + (tuple(sorted(s)),))
             if res is not None:
                 return res

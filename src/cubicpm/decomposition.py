@@ -53,12 +53,15 @@ def tight_cuts(g: Multigraph) -> list[TightCut]:
         return []
     pm_count = sum(through[e] for e in g.incident(0))
     masks, sums = cut_sums_at_most(g, through, pm_count)
-    size_a = mask_sizes(masks, n)
-    odd = size_a % 2 == 1
-    if sums[odd].min() != pm_count:
-        raise AssertionError(f"an odd cut weighs {sums[odd].min()}, not {pm_count}")
-    tight = odd & (size_a >= 3) & (n - size_a >= 3) & (sums == pm_count)
-    ordered = sorted(mask_sides(masks[tight], n), key=sorted)
+    sizes = mask_sizes(masks)
+    lightest = min(s for s, size in zip(sums, sizes) if size % 2)
+    if lightest != pm_count:
+        raise AssertionError(f"an odd cut weighs {lightest}, not {pm_count}")
+    tight = [
+        mask for mask, s, size in zip(masks, sums, sizes)
+        if size % 2 and 3 <= size <= n - 3 and s == pm_count
+    ]
+    ordered = sorted(mask_sides(tight, n), key=sorted)
     return [TightCut(build_cut(g, side), nontrivial=True) for side in ordered]
 
 

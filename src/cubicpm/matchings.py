@@ -310,10 +310,9 @@ def _bipartition_with_pattern(
         return None  # a shared end would need both colors
     n = g.vertex_count
     aux = Multigraph(n + 2, g.edges + ((a, n), (n, b), (c, n + 1), (n + 1, d), (a, c)))
-    coloring = two_coloring(aux, frozenset({e, f}))
-    if coloring is None:
+    color = two_coloring(aux, frozenset({e, f}))
+    if color is None:
         return None
-    color = coloring[0]
     return {v: color[v] ^ color[a] for v in range(n)}
 
 
@@ -385,8 +384,7 @@ def polytope_membership(
     den = lcm(*[x.denominator for x in weights.values()])
     scaled = [int(weights[e] * den) for e in range(g.edge_count)]
     light, _ = cut_sums_at_most(g, scaled, den - 1)
-    size_a = mask_sizes(light, n)
-    return not ((size_a % 2 == 1) | ((n - size_a) % 2 == 1)).any()
+    return not any(size % 2 or (n - size) % 2 for size in mask_sizes(light))
 
 
 def matching_indicator(g: Multigraph, m: Matching) -> dict[int, Fraction]:
@@ -411,10 +409,9 @@ def fractional_pm_via_flow(
     paths and the edge weights are 1/3 + forward/6 - reverse/6, which lands
     every entry in {1/6, 1/3, 1/2, 2/3} and every vertex sum at 1.
     """
-    coloring = two_coloring(h)
-    if coloring is None or any(coloring[1]):  # an odd cycle, or a second component
+    color = two_coloring(h)
+    if color is None or not h.is_connected():
         raise FlowInfeasible("graph is not a connected bipartite contraction")
-    color = coloring[0]
     if color[u] != color[u2]:
         raise FlowInfeasible("u and u2 must share a color class")
     if color[v] != color[v2] or color[v] == color[u]:
@@ -493,10 +490,9 @@ def biadjacency(g: Multigraph) -> tuple[list[list[int]], list[int], list[int]] |
     Returns (matrix, left vertex ids, right vertex ids); entry [i][j] is the
     number of parallel edges between left i and right j.
     """
-    coloring = two_coloring(g)
-    if coloring is None:
+    color = two_coloring(g)
+    if color is None:
         return None
-    color = coloring[0]
     left = [x for x in range(g.vertex_count) if color[x] == 0]
     right = [x for x in range(g.vertex_count) if color[x] == 1]
     li = {x: i for i, x in enumerate(left)}

@@ -215,22 +215,17 @@ def components(
     return parts
 
 
-def two_coloring(
-    g: Multigraph, skip: frozenset[int] = frozenset()
-) -> tuple[list[int], list[int]] | None:
+def two_coloring(g: Multigraph, skip: frozenset[int] = frozenset()) -> list[int] | None:
     """Proper 2-coloring of g minus the edge ids in ``skip``, or None on an odd cycle.
 
-    Returns (color, component id) per vertex; components are numbered in
-    order of their lowest vertex, which gets color 0.
+    Returns the color per vertex; the lowest vertex of each connected part
+    gets color 0.
     """
     n = g.vertex_count
     color = [-1] * n
-    comp = [-1] * n
-    ncomp = 0
     for s in range(n):
-        if comp[s] != -1:
+        if color[s] != -1:
             continue
-        comp[s] = ncomp
         color[s] = 0
         stack = [s]
         while stack:
@@ -239,14 +234,12 @@ def two_coloring(
                 if e in skip:
                     continue
                 w = g.other_end(e, v)
-                if comp[w] == -1:
-                    comp[w] = ncomp
+                if color[w] == -1:
                     color[w] = color[v] ^ 1
                     stack.append(w)
                 elif color[w] == color[v]:
                     return None
-        ncomp += 1
-    return color, comp
+    return color
 
 
 def induced_subgraph(

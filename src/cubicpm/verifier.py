@@ -832,7 +832,7 @@ def _check_lm_twisted_num(inst, params):
 
 def _check_lm_twisted_bip(inst, params):
     g = inst.graph
-    color = two_coloring(g)[0]
+    color = two_coloring(g)
     cs = fam.corners(g)
     us = [c for c in cs if color[c] == 0]
     vs = [c for c in cs if color[c] == 1]

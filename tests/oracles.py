@@ -9,7 +9,9 @@ replaced.  The bipartition sweeps below are the full per-edge and
 per-matching loops that the pruned sweep ``connectivity.cut_sums_at_most``
 replaced, and the per-mask cut builds that the cycle certificates of
 ``connectivity`` replaced; ``slow_decompose`` sweeps every node of a
-decomposition where ``decompose`` sweeps only the root.  They exist so
+decomposition where ``decompose`` sweeps only the root, and
+``slow_k_almost_search`` every graph of the k-almost search where
+``is_k_almost_cyclically_4ec`` sweeps only the root.  They exist so
 every exact value the tests assert was computed by a second route.
 """
 
@@ -18,8 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-
-import numpy as np
+from operator import add
 
 from cubicpm import Multigraph
 from cubicpm.matchings import EMPTY_QUERY, CountQuery
@@ -203,34 +204,43 @@ def all_cubic_multigraphs(n: int):
     yield from rec((0, 0))
 
 
-def slow_crossing_counts(g: Multigraph, weights=None) -> np.ndarray:
+def slow_crossing_counts(g: Multigraph, weights=None) -> list[int]:
     """Crossing sizes (or weights) for every bipartition with vertex 0 on side A.
 
-    Index = bitmask over vertices 1..n-1 naming the rest of side A; one pair
-    of bit arrays per edge.  ``weights`` (one int per edge id, unit if None)
-    are summed as exact Python ints.
+    Index = bitmask over vertices 1..n-1 naming the rest of side A.  Vertices
+    join in label order and the list doubles with each: the copy with v on
+    side B adds v's edges to earlier vertices on side A, the copy with v on
+    side A its edges to earlier vertices on side B.  The side of each earlier
+    vertex over all masks is one periodic list per edge.  No mask is dropped,
+    and ``weights`` (one int per edge id, unit if None) are summed as exact
+    Python ints.
     """
     n = g.vertex_count
-    masks = np.arange((1 << n) >> 1, dtype=np.int64)
-    counts = np.zeros(len(masks), dtype=np.int64 if weights is None else object)
-
-    def bit(x):
-        if x == 0:
-            return np.ones(len(masks), dtype=np.int64)  # vertex 0 is always on side A
-        return (masks >> (x - 1)) & 1
-
-    for e, (u, v) in enumerate(g.edges):
-        crossed = bit(u) ^ bit(v)
-        counts += crossed if weights is None else crossed.astype(object) * weights[e]
+    if not n:
+        return []
+    weights = [1] * g.edge_count if weights is None else weights
+    back: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (earlier end, weight)
+    for (u, v), w in zip(g.edges, weights):
+        back[v].append((u, w))  # edges are stored with u < v
+    counts = [0]
+    for v in range(1, n):
+        half = len(counts)
+        to_a = [sum(w for u, w in back[v] if u == 0)] * half  # vertex 0 is always on side A
+        for u, w in back[v]:
+            if u:
+                period = [0] * (1 << (u - 1)) + [w] * (1 << (u - 1))
+                to_a = list(map(add, to_a, period * (half >> u)))
+        total = sum(w for _, w in back[v])
+        counts = list(map(add, counts, to_a)) + [c + total - t for c, t in zip(counts, to_a)]
     return counts
 
 
-def _slow_selected_sides(g: Multigraph, selected) -> list[frozenset[int]]:
-    """Side A of every selected mask of ``slow_crossing_counts``, side B never empty."""
+def _slow_selected_sides(g: Multigraph, masks) -> list[frozenset[int]]:
+    """Side A of every given mask of ``slow_crossing_counts``, side B never empty."""
     n = g.vertex_count
     out = []
-    for mask in np.flatnonzero(selected):
-        side = frozenset([0] + [v for v in range(1, n) if (int(mask) >> (v - 1)) & 1])
+    for mask in masks:
+        side = frozenset([0] + [v for v in range(1, n) if (mask >> (v - 1)) & 1])
         if len(side) < n:
             out.append(side)
     return out
@@ -240,9 +250,8 @@ def slow_enumerate_cuts(g: Multigraph, max_size: int) -> list:
     """Cuts of at most max_size edges, with a full ``build_cut`` (cyclicity too) per mask."""
     from cubicpm.connectivity import build_cut
 
-    if not g.vertex_count:
-        return []
-    selected = slow_crossing_counts(g) <= max_size
+    counts = slow_crossing_counts(g)
+    selected = [mask for mask, c in enumerate(counts) if c <= max_size]
     return [build_cut(g, side) for side in _slow_selected_sides(g, selected)]
 
 
@@ -250,12 +259,12 @@ def slow_cyclic_edge_connectivity(g: Multigraph) -> int | None:
     """The least crossing size whose masks hold a side pair with cycles on both sides."""
     from cubicpm.connectivity import side_has_cycle
 
-    if not g.vertex_count:
-        return None
-    counts = slow_crossing_counts(g)
+    by_count: dict[int, list[int]] = {}
+    for mask, c in enumerate(slow_crossing_counts(g)):
+        by_count.setdefault(c, []).append(mask)
     allv = frozenset(range(g.vertex_count))
-    for c in range(int(counts.max()) + 1):
-        for side in _slow_selected_sides(g, counts == c):
+    for c in sorted(by_count):
+        for side in _slow_selected_sides(g, by_count[c]):
             if side_has_cycle(g, side) and side_has_cycle(g, allv - side):
                 return c
     return None
@@ -380,6 +389,33 @@ def slow_k_almost_c4ec(g: Multigraph, k: int) -> bool:
         if slow_k_almost_c4ec(h, k - (len(s) - 1)):
             return True
     return False
+
+
+def slow_k_almost_search(g: Multigraph, k: int) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+    """The k-almost search with a fresh sweep of every graph it reaches.
+
+    The route that ``connectivity.is_k_almost_cyclically_4ec`` replaced by
+    handing each contraction its parent's cuts: the same backtracking over
+    inclusion-minimal cyclic-3-cut sides, the same witness.
+    """
+    from cubicpm.connectivity import cyclic_cuts_up_to, minimal_cyclic3_sides
+
+    def search(h: Multigraph, budget: int, acc):
+        if not cyclic_cuts_up_to(h, 3):
+            return acc
+        if budget < 2:
+            return None
+        for s in minimal_cyclic3_sides(h):
+            loss = len(s) - 1
+            if loss > budget or len(components(h, s)) != 1:
+                continue
+            res = search(contract(h, s)[0], budget - loss, acc + (tuple(sorted(s)),))
+            if res is not None:
+                return res
+        return None
+
+    witness = search(Multigraph(g.vertex_count, g.edges), k, ())  # a new object: swept afresh
+    return (witness is not None), (witness if witness is not None else ())
 
 
 def slow_components(g: Multigraph, vertices=None, skip=frozenset()) -> list[frozenset[int]]:

@@ -7,6 +7,8 @@ from cubicpm import (
     cut_surgery_pair,
     cyclic_edge_connectivity,
     enumerate_cuts,
+    Multigraph,
+    contract,
     from_edge_list,
     is_k_almost_cyclically_4ec,
     named,
@@ -15,14 +17,16 @@ from cubicpm import (
     random_cubic_bridgeless,
     replace_vertex_with_triangle,
 )
-from cubicpm.connectivity import side_has_cycle
+from cubicpm import connectivity
+from cubicpm.connectivity import _inherit_cuts, minimal_cyclic3_sides, side_has_cycle
 from cubicpm.errors import (
     MinDegreeViolated,
     NotCyclically4EC,
     SharedEndpoint,
     TooLarge,
 )
-from oracles import slow_k_almost_c4ec
+from cubicpm.multigraph import components
+from oracles import slow_k_almost_c4ec, slow_k_almost_search
 
 
 def test_bridges_empty_for_named(named_graphs):
@@ -249,11 +253,67 @@ def test_prism_not_zero_but_two_almost(named_graphs):
     assert ok2 and len(witness) == 1
 
 
-def test_k_almost_matches_slow_reference():
+def _k_almost_corpus() -> list[Multigraph]:
     corpus = [named(k) for k in ("prism", "cube", "petersen")]
     corpus += [random_cubic_bridgeless(s, 12) for s in range(6)]
     corpus += [replace_vertex_with_triangle(named("petersen"), v) for v in (0, 5)]
+    return corpus
+
+
+def _nested_cyclic_3_cuts() -> list[Multigraph]:
+    """Triangles blown up inside triangles (cyclic 3-cuts that nest), and the prism."""
+    out = [named("prism")]
+    for name, v in (("petersen", 0), ("cube", 0), ("prism", 3)):
+        once = replace_vertex_with_triangle(named(name), v)
+        n = once.vertex_count
+        out.append(replace_vertex_with_triangle(once, n - 1))  # inside the new triangle
+        out.append(replace_vertex_with_triangle(replace_vertex_with_triangle(once, n - 2), n - 1))
+        out.append(replace_vertex_with_triangle(once, (v + 1) % n))  # beside it
+    return out
+
+
+def test_k_almost_matches_slow_reference():
+    corpus = _k_almost_corpus()
     for g in corpus:
         for k in (0, 2, 4):
             fast, _ = is_k_almost_cyclically_4ec(g, k)
             assert fast == slow_k_almost_c4ec(g, k)
+
+
+def test_k_almost_gives_the_witness_of_the_search_that_sweeps_every_graph():
+    deepest = 0
+    for g in _k_almost_corpus() + _nested_cyclic_3_cuts():
+        for k in range(7):
+            fresh = Multigraph(g.vertex_count, g.edges)  # a new object: its memo starts empty
+            got = is_k_almost_cyclically_4ec(fresh, k)
+            assert got == slow_k_almost_search(g, k), (g, k)
+            deepest = max(deepest, len(got[1]))
+    assert deepest >= 3  # some contraction inherited a cyclic 3-cut and was contracted again
+
+
+def test_a_contraction_inherits_the_cuts_of_a_fresh_sweep():
+    for g in _k_almost_corpus() + _nested_cyclic_3_cuts():
+        for side in minimal_cyclic3_sides(g):
+            if len(components(g, side)) != 1:
+                continue
+            child, trace = contract(g, side)
+            _inherit_cuts(g, side, child, trace.records[0].vertex_map)
+            fresh = Multigraph(child.vertex_count, child.edges)
+            for k in range(4):
+                for cyclic_only in (False, True):
+                    want = enumerate_cuts(fresh, k, cyclic_only)
+                    assert enumerate_cuts(child, k, cyclic_only) == want, (g, side, k)
+
+
+def test_k_almost_sweeps_only_the_root(monkeypatch):
+    calls = []
+    sweep = connectivity._crossing_counts
+    monkeypatch.setattr(
+        connectivity, "_crossing_counts", lambda g, *rest: calls.append(g) or sweep(g, *rest),
+    )
+    for g in _k_almost_corpus() + _nested_cyclic_3_cuts():
+        for k in range(7):
+            calls.clear()
+            fresh = Multigraph(g.vertex_count, g.edges)
+            assert is_k_almost_cyclically_4ec(fresh, k) == is_k_almost_cyclically_4ec(fresh, k)
+            assert calls == [fresh], (g, k)

@@ -20,7 +20,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-import numpy as np
 import pytest
 
 from conftest import bridged_cubic, two_block_chain
@@ -129,16 +128,16 @@ def _scaled(w) -> list[int]:
     return [int(w[e] * den) for e in range(len(w))]
 
 
-def _bounds(full: np.ndarray) -> list[int]:
+def _bounds(full: list[int]) -> list[int]:
     """Every bound from 0 to the largest sum; past 300 of them, every sum d and d - 1.
 
     The selection changes only where a bound reaches a sum, so the second
     list decides the same selections as the first.
     """
-    top = int(full.max(initial=0))
+    top = max(full, default=0)
     if top <= 300:
         return list(range(top + 1))
-    return sorted({int(d) - k for d in set(full.tolist()) for k in (0, 1)} - {-1})
+    return sorted({d - k for d in set(full) for k in (0, 1)} - {-1})
 
 
 SWEPT = GRAPHS + [
@@ -159,9 +158,9 @@ def _assert_pruned_is_filtered(g: Multigraph, weights: list[int]):
     full = slow_crossing_counts(g, weights)
     for bound in _bounds(full):
         masks, sums = cut_sums_at_most(g, weights, bound)
-        keep = np.flatnonzero(full <= bound)
-        assert masks.tolist() == keep.tolist()
-        assert sums.tolist() == full[keep].tolist()
+        keep = [mask for mask, s in enumerate(full) if s <= bound]
+        assert masks == keep
+        assert sums == [full[mask] for mask in keep]
 
 
 @pytest.mark.parametrize("kind", ["unit", "through", "polytope"])
@@ -184,9 +183,9 @@ def test_the_pruned_sweep_is_exact_beyond_int64(name, cycle):
 def test_kernel_agrees_with_the_replaced_loops(route, g):
     if route == "cuts":  # at the largest crossing size every proper bipartition is selected
         slow = slow_crossing_counts(g)
-        masks, counts = _crossing_counts(g, int(slow.max()))
-        assert masks.tolist() == list(range(len(slow) - 1))
-        assert counts.tolist() == slow[:-1].tolist()
+        masks, counts = _crossing_counts(g, max(slow))
+        assert masks == list(range(len(slow) - 1))
+        assert counts == slow[:-1]
     elif route == "tight" and g.vertex_count <= 16:
         if is_matching_covered(g):
             assert [t.cut.side_a for t in tight_cuts(g)] == slow_tight_cuts(g)
@@ -282,15 +281,46 @@ def test_connectivity_leaves_its_minimum_cyclic_cuts_in_the_memo(g, monkeypatch)
     assert enumerate_cuts(g, value, cyclic_only=True) == want
 
 
+@pytest.mark.parametrize("b", [5, 9])
+def test_connectivity_with_no_cyclic_cut_stops_once_every_bipartition_is_selected(b, monkeypatch):
+    """K_{3,b} has no cyclic cut; bounds 3 to 6, then doubled, reach its 3b edges in a few sweeps."""
+    calls = []
+    sweep = connectivity._crossing_counts
+    monkeypatch.setattr(
+        connectivity, "_crossing_counts", lambda g, *rest: calls.append(rest) or sweep(g, *rest),
+    )
+    assert cyclic_edge_connectivity(_k3(b)).is_unbounded
+    assert len(calls) <= 8
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in SWEPT if g.vertex_count <= 12] + [_k3(9)],
+    ids=[name for name, g in SWEPT if g.vertex_count <= 12] + ["k39"],
+)
+def test_no_mask_is_classified_twice(g, monkeypatch):
+    classified = []
+    certificates = connectivity._cycle_certificates
+    monkeypatch.setattr(
+        connectivity, "_cycle_certificates",
+        lambda g, masks, crossing: classified.extend(masks) or certificates(g, masks, crossing),
+    )
+    g = Multigraph(g.vertex_count, g.edges)  # a new object, so its memo starts empty
+    cyclic_edge_connectivity(g)
+    for k in range(g.edge_count + 2):
+        enumerate_cuts(g, k, cyclic_only=k % 2 == 1)
+    proper = (1 << g.vertex_count >> 1) - 1 if g.vertex_count else 0
+    assert sorted(classified) == list(range(proper))  # each proper bipartition once
+
+
 def test_the_cyclicity_corpus_reaches_every_route():
     """Some cuts are certainly cyclic, some certainly acyclic, some go to the union-find."""
     certain = acyclic = undecided = 0
     for _, g in GRAPHS:
         masks, counts = _crossing_counts(g, max(CUT_SIZES))
         sure, open_ = _cycle_certificates(g, masks, counts)
-        certain += int(sure.sum())
-        undecided += int(open_.sum())
-        acyclic += int((~sure & ~open_).sum())
+        certain += sum(sure)
+        undecided += sum(open_)
+        acyclic += sum(not a and not b for a, b in zip(sure, open_))
     assert certain and acyclic and undecided
 
 
@@ -328,7 +358,7 @@ def test_crossing_counts_do_not_wrap_at_255():
 def test_the_empty_graph_has_no_bipartition():
     g = Multigraph(0, ())
     masks, sums = cut_sums_at_most(g, [], 3)
-    assert masks.size == sums.size == 0
+    assert masks == sums == []
     assert enumerate_cuts(g, 3, cyclic_only=False) == []
     assert cyclic_edge_connectivity(g).is_unbounded
     assert tight_cuts(g) == []
