@@ -11,7 +11,9 @@ each contraction its parent's tight cuts, with the recursion that sweeps
 every node.  Cut cyclicity, read from edge counts at the selected masks, is
 compared with a full ``build_cut`` per mask, and so are the minimum cyclic
 cuts that ``cyclic_edge_connectivity`` leaves in the graph's memo; "no
-cyclic cut below k" is compared with the connectivity value.  The
+cyclic cut below k" is compared with the connectivity value.  Sweeps and
+classified masks are counted: a graph with no cyclic cut stops once every
+bipartition is selected, and no mask is classified twice.  The
 verifier's bridge test for 3-edge-connectivity is compared with the cut
 sweep it replaced.
 """
