@@ -203,7 +203,7 @@ def _proper_bipartitions(n: int) -> int:
 def _crossing_counts(g: Multigraph, max_size: int) -> tuple[list[int], list[int]]:
     """Masks and crossing sizes of the cuts of at most max_size edges, side B nonempty."""
     masks, counts = cut_sums_at_most(g, [1] * g.edge_count, max_size)
-    if masks and masks[-1] == _proper_bipartitions(g.vertex_count):  # side B empty
+    if masks and masks[-1] == (1 << (g.vertex_count - 1)) - 1:  # side B empty
         return masks[:-1], counts[:-1]
     return masks, counts
 
