@@ -11,10 +11,11 @@ crossing sizes and cyclic flags of the bipartitions crossed by at most the
 largest bound asked so far.  ``enumerate_cuts``, ``cyclic_cuts_up_to`` and
 ``cyclic_edge_connectivity`` filter it for any smaller bound; a larger
 bound sweeps again and classifies only the masks it adds.  Whether a cut is
-cyclic is read from the edge counts of its two sides; an exact union-find
-runs only where those counts leave it open, and an ``EdgeCut`` is built
-only for a cut that is returned.  The k-almost search sweeps only its root:
-each contraction inherits its parent's cuts of at most 3 edges.
+cyclic is read from the edge counts of its two sides; an exact flood over
+neighbour bitmasks counts their parts only where those counts leave it
+open, and an ``EdgeCut`` is built only for a cut that is returned.  The
+k-almost search sweeps only its root: each contraction inherits its
+parent's cuts of at most 3 edges.
 Correctness beats asymptotics here: these sweeps are the oracles everything
 else is checked against.
 """
@@ -260,13 +261,50 @@ def _cycle_certificates(
     return certain, undecided
 
 
+def _neighbour_masks(g: Multigraph) -> list[int]:
+    """Entry v has bit w set for each neighbour w of v."""
+    nbrs = [0] * g.vertex_count
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return nbrs
+
+
+def _has_cycle(g: Multigraph, nbrs: list[int], side: int, cut: int) -> bool:
+    """Does the side S, crossed by ``cut`` edges, hold a cycle?  Bit v of ``side`` is vertex v.
+
+    It spans e(S) = (deg(S) - cut) / 2 edges, a parallel pair counting
+    twice, and a forest on |S| vertices in p parts has |S| - p edges, so S
+    has a cycle iff e(S) > |S| - p.  One flood over ``nbrs`` visits each
+    vertex of S once, counting the parts and summing the degrees.
+    """
+    deg, twice_inner, parts, rest = g.degrees, -cut, 0, side
+    while rest:
+        part = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            v = low.bit_length() - 1
+            twice_inner += deg[v]
+            new = nbrs[v] & rest & ~part
+            part |= new
+            frontier |= new
+        rest &= ~part
+        parts += 1
+    return twice_inner // 2 > side.bit_count() - parts
+
+
 def _cyclic_flags(g: Multigraph, masks: list[int], crossing: list[int]) -> list[bool]:
-    """Cyclicity of the selected bipartitions: the union-find only where undecided."""
+    """Cyclicity of the selected bipartitions: the exact flood only where undecided."""
     certain, undecided = _cycle_certificates(g, masks, crossing)
-    return [
-        sure or (open_ and _both_sides_cyclic(g, _mask_to_side(mask, g.vertex_count)))
-        for mask, sure, open_ in zip(masks, certain, undecided)
-    ]
+    nbrs, whole = _neighbour_masks(g), (1 << g.vertex_count) - 1
+    flags = []
+    for mask, cut, sure, open_ in zip(masks, crossing, certain, undecided):
+        side = mask << 1 | 1  # side A over all vertices: vertex 0 and bit v for vertex v
+        flags.append(sure or (
+            open_ and _has_cycle(g, nbrs, side, cut) and _has_cycle(g, nbrs, whole ^ side, cut)
+        ))
+    return flags
 
 
 @dataclass(frozen=True)

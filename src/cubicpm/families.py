@@ -307,50 +307,87 @@ class TwistedNetRecipe:
         return TwistedNetRecipe(tuple(steps))
 
 
-BASE_4CYCLE = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+@dataclass(frozen=True)
+class _Net:
+    """A twisted net without its graph: size, endpoint pairs, corners in id order."""
+
+    size: int
+    edges: tuple[tuple[int, int], ...]
+    corners: tuple[int, ...]
+
+
+_BASE = _Net(4, ((0, 1), (1, 2), (2, 3), (0, 3)), (0, 1, 2, 3))
+
+
+def _apply(net: _Net, step: Step, other: _Net | None = None) -> _Net:
+    """The net after one step; ``other`` is the net of a Multiply's ``step.other``.
+
+    Every vertex of a net has degree 2 or 3, so "degree 2" is "a corner",
+    and the step's new corners follow from its rule: an increment turns u
+    and v into inner vertices and adds the corners n and n + 1, a multiply
+    turns u, u2 and the offset v, v2 into inner vertices and keeps the other
+    net's remaining corners, offset.
+    """
+    if isinstance(step, Increment):
+        u, v, n = step.u, step.v, net.size
+        if u == v or u not in net.corners or v not in net.corners:
+            raise BadDegrees(f"increment needs two distinct corners, got {step}")
+        return _Net(
+            n + 2,
+            net.edges + ((u, n), (n, n + 1), (n + 1, v)),
+            tuple(c for c in net.corners if c not in (u, v)) + (n, n + 1),
+        )
+    assert other is not None
+    if step.u == step.u2 or step.u not in net.corners or step.u2 not in net.corners:
+        raise BadDegrees(f"multiply needs two distinct corners of g, got {step}")
+    if step.v == step.v2 or step.v not in other.corners or step.v2 not in other.corners:
+        raise BadDegrees(f"multiply needs two distinct corners of h, got {step}")
+    off = net.size
+    edges = net.edges + tuple((a + off, b + off) for a, b in other.edges)
+    edges += ((step.u, step.v + off), (step.u2, step.v2 + off))
+    return _Net(
+        off + other.size,
+        edges,
+        tuple(c for c in net.corners if c not in (step.u, step.u2))
+        + tuple(c + off for c in other.corners if c not in (step.v, step.v2)),
+    )
+
+
+def _replay(recipe: TwistedNetRecipe) -> _Net:
+    net = _BASE
+    for step in recipe.steps:
+        net = _apply(net, step, _replay(step.other) if isinstance(step, Multiply) else None)
+    return net
+
+
+def _graph(net: _Net) -> Multigraph:
+    g = Multigraph(net.size, net.edges)
+    assert corners(g) == net.corners and len(net.corners) == 4, (
+        "a twisted net must have exactly four corners"
+    )
+    return g
 
 
 def twisted_net(recipe: TwistedNetRecipe) -> Multigraph:
     """Replay a recipe; the result always has exactly four corners."""
-    g = BASE_4CYCLE
-    for step in recipe.steps:
-        if isinstance(step, Increment):
-            n = g.vertex_count
-            if g.degree(step.u) != 2 or g.degree(step.v) != 2 or step.u == step.v:
-                raise BadDegrees(f"increment needs two distinct corners, got {step}")
-            g = Multigraph(
-                n + 2, g.edges + ((step.u, n), (n, n + 1), (n + 1, step.v))
-            )
-        else:
-            h = twisted_net(step.other)
-            if step.u == step.u2 or g.degree(step.u) != 2 or g.degree(step.u2) != 2:
-                raise BadDegrees(f"multiply needs two distinct corners of g, got {step}")
-            if step.v == step.v2 or h.degree(step.v) != 2 or h.degree(step.v2) != 2:
-                raise BadDegrees(f"multiply needs two distinct corners of h, got {step}")
-            off = g.vertex_count
-            edges = g.edges + tuple((a + off, b + off) for a, b in h.edges)
-            edges += ((step.u, step.v + off), (step.u2, step.v2 + off))
-            g = Multigraph(off + h.vertex_count, edges)
-    assert len(corners(g)) == 4, "a twisted net must have exactly four corners"
-    return g
+    return _graph(_replay(recipe))
 
 
-def _random_recipe(rng: random.Random, target_n: int) -> TwistedNetRecipe:
+def _random_net(rng: random.Random, target_n: int) -> tuple[TwistedNetRecipe, _Net]:
+    """A random recipe of the given size and its net, each step applied once."""
     if target_n == 4:
-        return TwistedNetRecipe()
+        return TwistedNetRecipe(), _BASE
     if target_n >= 8 and rng.random() < 0.35:
         n1 = rng.choice(range(4, target_n - 3, 2))
-        left = _random_recipe(rng, n1)
-        right = _random_recipe(rng, target_n - n1)
-        gl = twisted_net(left)
-        gr = twisted_net(right)
-        u, u2 = rng.sample(corners(gl), 2)
-        v, v2 = rng.sample(corners(gr), 2)
-        return TwistedNetRecipe(left.steps + (Multiply(right, u, u2, v, v2),))
-    base = _random_recipe(rng, target_n - 2)
-    gb = twisted_net(base)
-    u, v = rng.sample(corners(gb), 2)
-    return TwistedNetRecipe(base.steps + (Increment(u, v),))
+        left, gl = _random_net(rng, n1)
+        right, gr = _random_net(rng, target_n - n1)
+        u, u2 = rng.sample(gl.corners, 2)
+        v, v2 = rng.sample(gr.corners, 2)
+        step: Step = Multiply(right, u, u2, v, v2)
+        return TwistedNetRecipe(left.steps + (step,)), _apply(gl, step, gr)
+    base, gb = _random_net(rng, target_n - 2)
+    step = Increment(*rng.sample(gb.corners, 2))
+    return TwistedNetRecipe(base.steps + (step,)), _apply(gb, step)
 
 
 def random_twisted_net(
@@ -367,8 +404,8 @@ def random_twisted_net(
         raise UnreachableParity("the only 4-vertex twisted net is the 4-cycle")
     rng = random.Random(seed)
     for _ in range(400):
-        recipe = _random_recipe(rng, target_n)
-        g = twisted_net(recipe)
+        recipe, net = _random_net(rng, target_n)
+        g = _graph(net)
         if want_bipartite is None or is_bipartite(g) == want_bipartite:
             return g, recipe
     raise GenerationFailed(

@@ -668,13 +668,18 @@ def _check_lm_splitoff(inst, params):
     except CubicpmError as exc:
         return _skip(f"degenerate path: {exc}")
     new_edges = {h.edge_count - 2, h.edge_count - 1}
-    ok = True
-    worst = None
-    for cut in cyclic_cuts_up_to(h, ell - 1):
-        if cut.size < ell - 2 or (cut.crossing_edges & new_edges):
-            ok = False
-            worst = sorted(cut.side_a)
-            break
+
+    def violating_side():
+        for cut in cyclic_cuts_up_to(h, ell - 1):
+            if cut.size < ell - 2 or (cut.crossing_edges & new_edges):
+                return sorted(cut.side_a)
+        return None
+
+    # the paths (a, v2, v3, c) and (b, v2, v3, d) split off one graph; only
+    # the order of its two new edges differs
+    _, v2, v3, _ = params["path"]
+    worst = _memoized(g, ("splitoff", v2, v3, frozenset(h.edges[-2:])), violating_side)
+    ok = worst is None
     return {
         **_judge(Bound.rational(1), int(ok), note=None if ok else f"violating side {worst}"),
         "params": {**params, "ell": ell},
@@ -682,13 +687,21 @@ def _check_lm_splitoff(inst, params):
 
 
 def _split5(g: Multigraph, paths):
+    """Is either path's split graph 4-almost cyclically 4-edge-connected?
+
+    A path and its reverse split off one graph, so they share one verdict in
+    g's memo.  A kept verdict means the path split cleanly before, so only
+    the other paths are split, each before any verdict is read: a degenerate
+    path skips the slot whatever the other path gives.
+    """
+    keys = [("split5", min(p, p[::-1])) for p in paths]
     try:
-        splits = [split_off(g, path) for path in paths]
+        splits = {key: split_off(g, p) for key, p in zip(keys, paths) if key not in g._memo}
     except CubicpmError as exc:
         return _skip(f"degenerate path: {exc}")
-    return _judge(Bound.rational(1), int(any(  # a path and its reverse split off one graph
-        _memoized(g, ("split5", min(p, p[::-1])), lambda: is_k_almost_cyclically_4ec(h, 4)[0])
-        for p, h in zip(paths, splits)
+    return _judge(Bound.rational(1), int(any(
+        _memoized(g, key, lambda: is_k_almost_cyclically_4ec(splits[key], 4)[0])
+        for key in keys
     )))
 
 
@@ -698,10 +711,10 @@ def _check_lm_split5_same(inst, params):
     tails = [w for w in g.neighbors(v3) if w != v2]
     if len(tails) != 2:
         return _skip("tail neighbors not distinct")
-    # The lemma's hypothesis is tested here, per slot, because the tail guard
-    # above comes first in the reports (at a degree-2 vertex or a parallel
-    # edge it names the tails).  The cuts it reads are kept in the graph's memo.
-    why = _split5_hypothesis(inst)
+    # The lemma's hypothesis is tested here, after the per-slot tail guard,
+    # because that guard comes first in the reports (at a degree-2 vertex or
+    # a parallel edge it names the tails); its reason is kept in g's memo.
+    why = _memoized(g, "split5 hypothesis", lambda: _split5_hypothesis(inst))
     if why:
         return _skip(why)
     return _split5(g, [(v1, v2, v3, tails[0]), (v1, v2, v3, tails[1])])

@@ -11,8 +11,10 @@ replaced, and the per-mask cut builds that the cycle certificates of
 ``connectivity`` replaced; ``slow_decompose`` sweeps every node of a
 decomposition where ``decompose`` sweeps only the root, and
 ``slow_k_almost_search`` every graph of the k-almost search where
-``is_k_almost_cyclically_4ec`` sweeps only the root.  They exist so
-every exact value the tests assert was computed by a second route.
+``is_k_almost_cyclically_4ec`` sweeps only the root.  The twisted-net
+generator replays its recipe into a new graph at every step, where
+``families`` applies each step once to a net without its graph.  They exist
+so every exact value the tests assert was computed by a second route.
 """
 
 from __future__ import annotations
@@ -523,3 +525,72 @@ def _contract_components(g: Multigraph, e: int, f: int, comps: list[frozenset[in
             edges.append((nx, ny))
     h = Multigraph(len(plain) + len(comps), tuple(edges))
     return h, new_id
+
+
+_C4 = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+
+
+def slow_twisted_net(recipe) -> Multigraph:
+    """Reference for ``families.twisted_net``: a graph per step, corners read from degrees."""
+    from cubicpm.errors import BadDegrees
+    from cubicpm.families import Increment, corners
+
+    g = _C4
+    for step in recipe.steps:
+        if isinstance(step, Increment):
+            n = g.vertex_count
+            if g.degree(step.u) != 2 or g.degree(step.v) != 2 or step.u == step.v:
+                raise BadDegrees(f"increment needs two distinct corners, got {step}")
+            g = Multigraph(n + 2, g.edges + ((step.u, n), (n, n + 1), (n + 1, step.v)))
+        else:
+            h = slow_twisted_net(step.other)
+            if step.u == step.u2 or g.degree(step.u) != 2 or g.degree(step.u2) != 2:
+                raise BadDegrees(f"multiply needs two distinct corners of g, got {step}")
+            if step.v == step.v2 or h.degree(step.v) != 2 or h.degree(step.v2) != 2:
+                raise BadDegrees(f"multiply needs two distinct corners of h, got {step}")
+            off = g.vertex_count
+            edges = g.edges + tuple((a + off, b + off) for a, b in h.edges)
+            edges += ((step.u, step.v + off), (step.u2, step.v2 + off))
+            g = Multigraph(off + h.vertex_count, edges)
+    assert len(corners(g)) == 4, "a twisted net must have exactly four corners"
+    return g
+
+
+def _slow_random_recipe(rng, target_n: int):
+    """The recipe generator that replays the recipe built so far at every step."""
+    from cubicpm.families import Increment, Multiply, TwistedNetRecipe, corners
+
+    if target_n == 4:
+        return TwistedNetRecipe()
+    if target_n >= 8 and rng.random() < 0.35:
+        n1 = rng.choice(range(4, target_n - 3, 2))
+        left = _slow_random_recipe(rng, n1)
+        right = _slow_random_recipe(rng, target_n - n1)
+        u, u2 = rng.sample(corners(slow_twisted_net(left)), 2)
+        v, v2 = rng.sample(corners(slow_twisted_net(right)), 2)
+        return TwistedNetRecipe(left.steps + (Multiply(right, u, u2, v, v2),))
+    base = _slow_random_recipe(rng, target_n - 2)
+    u, v = rng.sample(corners(slow_twisted_net(base)), 2)
+    return TwistedNetRecipe(base.steps + (Increment(u, v),))
+
+
+def slow_random_twisted_net(seed: int, target_n: int, want_bipartite: bool | None = None):
+    """Reference for ``families.random_twisted_net``, through the replaying generator."""
+    import random
+
+    from cubicpm.errors import BadSize, GenerationFailed, UnreachableParity
+    from cubicpm.matchings import is_bipartite
+
+    if target_n < 4 or target_n % 2:
+        raise BadSize("twisted nets have even size >= 4")
+    if target_n == 4 and want_bipartite is False:
+        raise UnreachableParity("the only 4-vertex twisted net is the 4-cycle")
+    rng = random.Random(seed)
+    for _ in range(400):
+        recipe = _slow_random_recipe(rng, target_n)
+        g = slow_twisted_net(recipe)
+        if want_bipartite is None or is_bipartite(g) == want_bipartite:
+            return g, recipe
+    raise GenerationFailed(
+        f"no twisted net with bipartite={want_bipartite} at n={target_n} in budget"
+    )

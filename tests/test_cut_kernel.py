@@ -18,6 +18,7 @@ verifier's bridge test for 3-edge-connectivity is compared with the cut
 sweep it replaced.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -46,6 +47,7 @@ from cubicpm.connectivity import (
     _cycle_certificates,
     cut_sums_at_most,
     cyclic_cuts_up_to,
+    side_has_cycle,
 )
 from cubicpm.errors import NotMatchingCovered, TooLarge
 from cubicpm.matchings import containment_counts, matching_indicator, uniform_third
@@ -324,6 +326,52 @@ def test_the_cyclicity_corpus_reaches_every_route():
         undecided += sum(open_)
         acyclic += sum(not a and not b for a, b in zip(sure, open_))
     assert certain and acyclic and undecided
+
+
+def _random_multigraph(seed: int, n: int) -> Multigraph:
+    """About 1.3 n random edges, loopless, with one pair doubled."""
+    rng = random.Random(seed)
+    pairs = [tuple(rng.sample(range(n), 2)) for _ in range(13 * n // 10)]
+    return from_edge_list(n, pairs + pairs[:1])
+
+
+def _side_cases(g: Multigraph, masks):
+    """(side bits, crossing size, inner edges, side set) for each side mask over all n vertices."""
+    for side in masks:
+        inside = frozenset(v for v in range(g.vertex_count) if side >> v & 1)
+        cut = sum((u in inside) != (v in inside) for u, v in g.edges)
+        yield side, cut, sum(u in inside and v in inside for u, v in g.edges), inside
+
+
+FLOODED = [(name, named(name)) for name in ("theta", "k4", "prism", "petersen")] + [
+    (f"multi{n}", _random_multigraph(n, n)) for n in range(5, 11)
+] + [("necklace", dict(GRAPHS)["necklace"])]
+SAMPLED = [(f"random{n}", random_cubic_bridgeless(n, n)) for n in (16, 18, 20)] + [
+    (f"multi{n}", _random_multigraph(n, n)) for n in (16, 18, 20)
+]
+
+
+@pytest.mark.parametrize(
+    "g,every", [(g, True) for _, g in FLOODED] + [(g, False) for _, g in SAMPLED],
+    ids=[name for name, _ in FLOODED] + [f"{name}-sampled" for name, _ in SAMPLED],
+)
+def test_the_bitmask_cycle_test_is_the_union_find(g, every):
+    """Every side of the small graphs and 500 random sides of the larger ones."""
+    nbrs, n = connectivity._neighbour_masks(g), g.vertex_count
+    rng = random.Random(n)
+    masks = range(1 << n) if every else [rng.getrandbits(n) for _ in range(500)]
+    for side, cut, _, inside in _side_cases(g, masks):
+        assert connectivity._has_cycle(g, nbrs, side, cut) == side_has_cycle(g, inside), side
+
+
+def test_the_flood_decides_sides_the_edge_counts_leave_open():
+    """Sides with 2 <= e(S) < |S| edges occur both with and without a cycle."""
+    seen = set()
+    for _, g in FLOODED:
+        for _, _, inner, inside in _side_cases(g, range(1 << g.vertex_count)):
+            if 2 <= inner < len(inside):
+                seen.add(side_has_cycle(g, inside))
+    assert seen == {True, False}
 
 
 TWO_K4 = Multigraph(8, named("k4").edges + tuple((u + 4, v + 4) for u, v in named("k4").edges))

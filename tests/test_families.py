@@ -24,20 +24,27 @@ from cubicpm import (
     semiblocks,
     twisted_net,
 )
+from cubicpm import Multigraph, families
 from cubicpm.errors import (
     BadDegrees,
     BadSize,
     Bridged,
+    CubicpmError,
     UnknownName,
     UnreachableParity,
 )
 from cubicpm.families import (
-    BASE_4CYCLE,
+    Increment,
     KleeRecipe,
+    Multiply,
     TwistedNetRecipe,
     ladder_pm_count,
 )
 from cubicpm.matchings import is_bipartite
+from cubicpm.verifier import twisted_instances
+from oracles import slow_random_twisted_net, slow_twisted_net
+
+C4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def _girth(g):
@@ -86,7 +93,7 @@ def test_exceptional6_structure(named_graphs):
 
 
 def test_corners(named_graphs):
-    assert corners(BASE_4CYCLE) == (0, 1, 2, 3)
+    assert corners(C4) == (0, 1, 2, 3)
     assert corners(named_graphs["petersen"]) == ()
     with pytest.raises(BadDegrees):
         corners(from_edge_list(4, [(0, 1), (1, 2), (2, 3)]))
@@ -96,7 +103,7 @@ def test_corners(named_graphs):
 
 
 def test_ladder_small():
-    assert is_isomorphic(ladder(2), BASE_4CYCLE)
+    assert is_isomorphic(ladder(2), C4)
     assert count_matchings(ladder(2)) == 2
     assert count_matchings(ladder(3)) == 3
     assert count_matchings(ladder(10)) == 89
@@ -165,7 +172,7 @@ def test_klee_needs_backtracking():
 
 
 def test_twisted_net_base_and_increment():
-    assert twisted_net(TwistedNetRecipe()) == BASE_4CYCLE
+    assert twisted_net(TwistedNetRecipe()) == C4
     g, recipe = random_twisted_net(0, 6)
     assert g.vertex_count == 6 and len(corners(g)) == 4
 
@@ -209,6 +216,78 @@ def test_twisted_bipartite_steering():
         random_twisted_net(3, 4, want_bipartite=False)
     with pytest.raises(BadSize):
         random_twisted_net(3, 7)
+
+
+def _generated(generate, seed, n, want):
+    try:
+        g, recipe = generate(seed, n, want)
+    except CubicpmError as exc:
+        return type(exc), str(exc)
+    return g.edges, recipe.to_json()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_twisted_generation_equals_the_replaying_generator(seed):
+    """Each step applied once gives the recipes and graphs of a replay per step."""
+    for n in range(4, 31, 2):
+        for want in (None, True, False):
+            assert _generated(random_twisted_net, seed, n, want) == _generated(
+                slow_random_twisted_net, seed, n, want
+            ), (seed, n, want)
+
+
+C4_RECIPE = TwistedNetRecipe()
+INCREMENTED = TwistedNetRecipe((Increment(0, 1),))  # 0 and 1 are no longer corners
+BAD_INCREMENT = TwistedNetRecipe((Increment(1, 1),))
+
+
+@pytest.mark.parametrize("recipe", [
+    BAD_INCREMENT,
+    TwistedNetRecipe((Increment(0, 1), Increment(0, 2))),
+    TwistedNetRecipe((Increment(0, 1), Increment(4, 4))),
+    TwistedNetRecipe((Multiply(C4_RECIPE, 0, 0, 0, 1),)),
+    TwistedNetRecipe((Multiply(C4_RECIPE, 0, 1, 2, 2),)),
+    TwistedNetRecipe((Increment(0, 1), Multiply(C4_RECIPE, 0, 2, 0, 1))),
+    TwistedNetRecipe((Multiply(INCREMENTED, 2, 3, 0, 2),)),
+    TwistedNetRecipe((Multiply(BAD_INCREMENT, 0, 1, 0, 1),)),
+])
+def test_an_invalid_step_raises_bad_degrees(recipe):
+    with pytest.raises(BadDegrees) as fast:
+        twisted_net(recipe)
+    with pytest.raises(BadDegrees) as slow:
+        slow_twisted_net(recipe)
+    assert str(fast.value) == str(slow.value)
+
+
+@pytest.mark.parametrize("step", [Increment(0, 4), Increment(0, -1)])
+def test_a_step_outside_the_net_raises_bad_degrees(step):
+    with pytest.raises(BadDegrees):
+        twisted_net(TwistedNetRecipe((step,)))
+
+
+def test_generating_the_corpus_builds_one_graph_per_try(monkeypatch):
+    """The README corpus's 60 nets take 334 tries; the replaying generator built 6,906 graphs."""
+    built, tries, depth = [], [], []
+    post_init = Multigraph.__post_init__
+    monkeypatch.setattr(Multigraph, "__post_init__", lambda g: built.append(g) or post_init(g))
+    random_net = families._random_net
+
+    def counted(rng, target_n):
+        tries.extend([target_n] * (not depth))
+        depth.append(target_n)
+        try:
+            return random_net(rng, target_n)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(families, "_random_net", counted)
+    twisted_instances(60, seed=8, n_lo=4, n_hi=26)
+    assert len(built) == len(tries) == 334
+
+    built.clear()
+    monkeypatch.setattr(families, "random_twisted_net", slow_random_twisted_net)
+    twisted_instances(60, seed=8, n_lo=4, n_hi=26)
+    assert len(built) == 6906
 
 
 # --- semiblocks ------------------------------------------------------------------------

@@ -8,9 +8,8 @@ import pytest
 
 from conftest import ladder_host, pendant_triangle_chain
 from cubicpm import check, check_lm_ladder, named, random_cubic_bridgeless
-from cubicpm import verifier
+from cubicpm import Multigraph, connectivity, verifier
 from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut
-from cubicpm.families import BASE_4CYCLE
 from cubicpm.matchings import COUNT_CAP
 from cubicpm.errors import CubicpmError
 from cubicpm.multigraph import from_edge_list, split_off
@@ -86,7 +85,8 @@ def test_thm_bip_k33_edge0(named_graphs):
 
 
 def test_lm_twisted_num_c4():
-    r = check(LemmaId.LM_TWISTED_NUM, BASE_4CYCLE, instance="C4")
+    c4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    r = check(LemmaId.LM_TWISTED_NUM, c4, instance="C4")
     assert r.verdict == "Pass" and r.measured == 2
     assert (r.bound.num, r.bound.den) == (8, 9)  # 2^(16/18) reduced
     # the exact comparison: 2^9 = 512 >= 2^8 = 256
@@ -298,6 +298,45 @@ def test_split5_lemmas_skip_above_the_k_almost_cap():
     assert {r.reason for r in reports} == {
         f"split graph over the k-almost search cap of {ALMOST_CAP} vertices"
     }
+
+
+def test_mirrored_splitoff_paths_share_one_sweep(monkeypatch):
+    """(a, v2, v3, c) and (b, v2, v3, d) split off one graph, so 96 paths sweep 48 split graphs."""
+    g = named("moebius_kantor")
+    swept = []
+    crossing_counts = connectivity._crossing_counts
+    monkeypatch.setattr(
+        connectivity, "_crossing_counts",
+        lambda h, bound: swept.append(h) or crossing_counts(h, bound),
+    )
+    reports = sweep([LemmaId.LM_SPLITOFF], [Instance("moebius_kantor", g)], fail_fast=True)
+    assert len(reports) == 96 and sum(h is not g for h in swept) == 48
+    monkeypatch.setattr(connectivity, "_crossing_counts", crossing_counts)
+    for r in reports:  # each verdict is the one a graph with an empty memo gives
+        path = {"path": r.params["path"]}
+        alone = check(LemmaId.LM_SPLITOFF, Multigraph(g.vertex_count, g.edges), params=path)
+        assert (alone.verdict, alone.params) == (r.verdict, r.params)
+
+
+def test_split5_lemmas_split_no_kept_path_and_test_the_hypothesis_once(monkeypatch):
+    """On the dodecahedron: 279 splits for 360 slots (720 before), one hypothesis test (120)."""
+    g = named("dodecahedron")
+    kept, hypotheses = [], []
+    split, hypothesis = verifier.split_off, verifier._split5_hypothesis
+    monkeypatch.setattr(
+        verifier, "split_off",
+        lambda h, p: kept.append(("split5", min(p, p[::-1])) in h._memo) or split(h, p),
+    )
+    monkeypatch.setattr(
+        verifier, "_split5_hypothesis", lambda inst: hypotheses.append(inst) or hypothesis(inst),
+    )
+    reports = sweep(
+        [LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF], [Instance("dodecahedron", g)],
+        fail_fast=True,
+    )
+    assert len(reports) == 120 + 240 and {r.verdict for r in reports} == {"Pass"}
+    assert len(kept) == 279 and not any(kept)
+    assert len(hypotheses) == 1  # LM_SPLIT5_SAME's check; the sweep tests LM_SPLIT5_DIFF's
 
 
 def test_a_split5_path_and_its_reverse_split_off_equal_graphs(monkeypatch):
