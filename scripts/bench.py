@@ -92,8 +92,10 @@ def startup(root: Path) -> dict:
 
 
 def environment() -> dict:
+    """The host, and whether bytecode caching is off: then every pass compiles the package."""
     out = {
         "python": platform.python_version(),
+        "dont_write_bytecode": sys.dont_write_bytecode,
         "system": f"{platform.system()} {platform.release()}",
         "machine": platform.machine(),
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

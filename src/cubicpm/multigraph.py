@@ -78,6 +78,15 @@ class Multigraph:
         return tuple(tuple(x) for x in inc)
 
     @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's distinct neighbours, sorted, from one pass over the edges."""
+        nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        return tuple(tuple(sorted(x)) for x in nbrs)
+
+    @cached_property
     def frontier_order(self) -> tuple[int, ...]:
         """A vertex order with a small frontier, for the matching DP.
 
@@ -87,13 +96,11 @@ class Multigraph:
         are kept incrementally: a vertex leaves the pool of unplaced
         vertices off the boundary once, and then each of its d neighbours'
         costs drops by one.  Each step scans the n keys once for the
-        minimum.
+        minimum.  Neighbours come from the graph's neighbour table; every
+        update is a decrement, so the order does not depend on how they are
+        listed.
         """
-        n = self.vertex_count
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+        n, nbrs = self.vertex_count, self._neighbors
         # key = 2 * (neighbours in the pool) + (1 while in the pool)
         key = [2 * len(x) + 1 for x in nbrs]
         placed = 2 * n  # above every key, and even: not in the pool
@@ -141,7 +148,11 @@ class Multigraph:
         raise ValueError(f"vertex {v} is not an endpoint of edge {eid}")
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted({self.other_end(e, v) for e in self._incidence[v]}))
+        """Distinct neighbours of v, in increasing order; parallel edges give one.
+
+        Read from the graph's neighbour table, built on the first call.
+        """
+        return self._neighbors[v]
 
     def multiplicity(self, u: int, v: int) -> int:
         pair = (u, v) if u <= v else (v, u)

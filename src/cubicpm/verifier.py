@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, NamedTuple
 
 from . import decomposition as dc
 from . import families as fam
@@ -146,8 +146,13 @@ class Bound:
         return f"2^({self.num}/{self.den})"
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
+    """One verdict of one lemma on one instance and parameter choice.
+
+    An immutable tuple, so a sweep's tens of thousands of reports, most of
+    them Skipped copies of one reason, cost one tuple each.
+    """
+
     lemma: LemmaId
     instance: str
     params: dict | None
@@ -1025,13 +1030,22 @@ def params_for(lemma: LemmaId, inst: Instance) -> list[dict | None]:
     return (entry.params(inst.graph) if entry.params else []) or [None]
 
 
-def _reports(lemma: LemmaId, inst: Instance, slots: list[dict | None]) -> Iterator[LemmaReport]:
-    """One report per slot, with the hypothesis tested once, before the first."""
+def _reports(lemma: LemmaId, inst: Instance, slots: list[dict | None]) -> Iterable[LemmaReport]:
+    """One report per slot, with the hypothesis tested once, before the first.
+
+    A failed hypothesis gives the whole run of Skipped reports at once.
+    Otherwise the slots are checked lazily, one per report taken, so a
+    caller that stops at a Fail runs no later check.
+    """
     entry = _LEMMAS[lemma]
+    name = inst.name
     why = entry.no_slot if entry.params and slots == [None] else entry.hypothesis(inst)
-    for p in slots:
-        found = _skip(why) if why else entry.check(inst, p)
-        yield LemmaReport(lemma=lemma, instance=inst.name, **{"params": p, **found})
+    if why:
+        return [LemmaReport(lemma, name, p, False, None, None, ">=", "Skipped", why) for p in slots]
+    return (
+        LemmaReport(lemma=lemma, instance=name, **{"params": p, **entry.check(inst, p)})
+        for p in slots
+    )
 
 
 def check(
@@ -1084,7 +1098,8 @@ def sweep(
 
     Deterministic order: lemmas as given, instances as given, parameters in
     enumeration order.  Each lemma's hypothesis is tested once per instance.
-    With ``fail_fast`` a Fail raises LemmaFailure with a full instance dump.
+    With ``fail_fast`` the first Fail raises LemmaFailure with a full
+    instance dump, and no check runs after the one that failed.
     """
     instances = list(instances)
     out: list[LemmaReport] = []

@@ -13,8 +13,10 @@ decomposition where ``decompose`` sweeps only the root, and
 ``slow_k_almost_search`` every graph of the k-almost search where
 ``is_k_almost_cyclically_4ec`` sweeps only the root.  The twisted-net
 generator replays its recipe into a new graph at every step, where
-``families`` applies each step once to a net without its graph.  They exist
-so every exact value the tests assert was computed by a second route.
+``families`` applies each step once to a net without its graph.
+``slow_neighbors`` collects and sorts a vertex's neighbours on every call,
+where ``Multigraph.neighbors`` reads one table per graph.  They exist so
+every exact value the tests assert was computed by a second route.
 """
 
 from __future__ import annotations
@@ -418,6 +420,11 @@ def slow_k_almost_search(g: Multigraph, k: int) -> tuple[bool, tuple[tuple[int, 
 
     witness = search(Multigraph(g.vertex_count, g.edges), k, ())  # a new object: swept afresh
     return (witness is not None), (witness if witness is not None else ())
+
+
+def slow_neighbors(g: Multigraph, v: int) -> tuple[int, ...]:
+    """Reference for ``Multigraph.neighbors``: the far ends of v's edges, deduplicated and sorted."""
+    return tuple(sorted({g.other_end(e, v) for e in g.incident(v)}))
 
 
 def slow_components(g: Multigraph, vertices=None, skip=frozenset()) -> list[frozenset[int]]:

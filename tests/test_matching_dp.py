@@ -5,7 +5,8 @@ per-pair containment, coverage, enumeration) reads one state DAG; each is
 compared with the memoized recursion kept in ``oracles`` on every query
 kind, including parallel edges, odd and disconnected graphs and the empty
 graph.  So are the lemma checks that read avoided and contained edges from
-per-edge and per-pair counts instead of one count per slot.
+per-edge and per-pair counts instead of one count per slot, and the
+neighbour table that the DP's frontier order reads.
 """
 
 from itertools import combinations, permutations
@@ -43,6 +44,7 @@ from oracles import (
     slow_contain_avoid,
     slow_count_matchings,
     slow_enumerate_matchings,
+    slow_neighbors,
     slow_worst_avoided_pair,
 )
 
@@ -149,6 +151,12 @@ def _widest_frontier(g: Multigraph) -> int:
         boundary = {w for u in placed for w in g.neighbors(u)} - placed
         widest = max(widest, len(boundary))
     return widest
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_the_neighbour_table_equals_the_per_call_route(name, g):
+    vertices = range(g.vertex_count)
+    assert [g.neighbors(v) for v in vertices] == [slow_neighbors(g, v) for v in vertices]
 
 
 def test_frontier_order_is_a_permutation_with_a_small_frontier():

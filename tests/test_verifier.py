@@ -18,6 +18,7 @@ from cubicpm.verifier import (
     Instance,
     LemmaFailure,
     LemmaId,
+    LemmaReport,
     named_instances,
     params_for,
     random_instances,
@@ -414,6 +415,63 @@ def test_the_hypothesis_runs_once_per_lemma_and_instance(monkeypatch):
     assert calls == ["prism"]
     assert check(LemmaId.LM_SPECIAL, named("prism"), instance="prism").verdict == "Skipped"
     assert calls == ["prism", "prism"]
+
+
+def test_a_fail_fast_sweep_runs_no_check_after_the_first_fail(monkeypatch):
+    entry = verifier._LEMMAS[LemmaId.THM_BIP]
+    calls = []
+
+    def failing(inst, p):
+        calls.append(p)
+        return verifier._fail(Bound.rational(1), 0)
+
+    monkeypatch.setitem(
+        verifier._LEMMAS, LemmaId.THM_BIP, dataclasses.replace(entry, check=failing),
+    )
+    cube = named_instances(["cube"])
+    slots = params_for(LemmaId.THM_BIP, cube[0])
+    assert len(slots) == 12
+    with pytest.raises(LemmaFailure) as caught:
+        sweep([LemmaId.THM_BIP], cube, fail_fast=True)
+    assert calls == slots[:1] and caught.value.report.params == slots[0]
+    calls.clear()
+    reports = sweep([LemmaId.THM_BIP], cube, fail_fast=False)
+    assert calls == slots and [r.verdict for r in reports] == ["Fail"] * 12
+
+
+def test_a_report_is_an_immutable_tuple_whose_defaults_match_the_full_form():
+    half = Bound.rational(Fraction(1, 2))
+    cases = [
+        (
+            LemmaReport(lemma=LemmaId.TH_HALF, instance="cube", params=None,
+                        hypothesis_met=True, bound=half, measured=9),
+            LemmaReport(LemmaId.TH_HALF, "cube", None, True, half, 9, ">=", "Pass", None, None),
+            {"measured": 9, "verdict": "Pass", "reason": None},
+        ),
+        (
+            LemmaReport(lemma=LemmaId.LM_BB_3E, instance="theta", params={"edge": 0},
+                        hypothesis_met=True, bound=half, measured=Fraction(1, 3),
+                        verdict="Fail", note="refuted"),
+            LemmaReport(LemmaId.LM_BB_3E, "theta", {"edge": 0}, True, half, Fraction(1, 3),
+                        ">=", "Fail", None, "refuted"),
+            {"measured": [1, 3], "verdict": "Fail", "note": "refuted"},
+        ),
+        (
+            LemmaReport(lemma=LemmaId.LM_SPECIAL, instance="prism", params={"e": 0, "f": 1},
+                        hypothesis_met=False, bound=None, measured=None,
+                        verdict="Skipped", reason="not cyclically 4-edge-connected cubic"),
+            LemmaReport(LemmaId.LM_SPECIAL, "prism", {"e": 0, "f": 1}, False, None, None,
+                        ">=", "Skipped", "not cyclically 4-edge-connected cubic", None),
+            {"bound": None, "verdict": "Skipped", "direction": ">="},
+        ),
+    ]
+    for by_keyword, positional, expected in cases:
+        assert by_keyword == positional
+        assert by_keyword.to_json() == positional.to_json()
+        assert expected.items() <= by_keyword.to_json().items()
+        with pytest.raises(AttributeError):
+            by_keyword.verdict = "Pass"
+    assert cases[0][0].to_json()["bound"] == {"num": 1, "den": 2, "log2_num": None, "log2_den": None}
 
 
 def test_3ec_and_the_twisted_net_verdict_are_kept_in_the_graph_memo(monkeypatch):
