@@ -10,7 +10,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,7 +33,7 @@ def test_the_readme_headline_sweep_exits_1_with_its_known_reports(tmp_path):
     assert done.returncode == 1, done.stderr
     reports = json.loads((tmp_path / "reports.json").read_text())
     assert len(reports) == 57109
-    assert Counter(r["verdict"] for r in reports)["Fail"] == 19
+    assert sum(r["verdict"] == "Fail" for r in reports) == 19
     assert _sha256(tmp_path / "reports.json") == REPORTS_SHA256
     assert _sha256(tmp_path / "summary.csv") == SUMMARY_SHA256
     assert len(list((tmp_path / "graphs").iterdir())) == 109
