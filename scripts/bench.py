@@ -8,7 +8,7 @@ script), and writes the results with the medians, the environment and the
 commit.  The start-ups time the package import, which ``perfbench`` cannot
 show because its passes import numpy themselves.
 
-    python scripts/bench.py --label change [--root DIR] [--seed 7] [--append]
+    python scripts/bench.py --label change [--root DIR] [--seed 7] [--append] [--trace]
 
 The file is written beside this script's checkout, whichever ``--root`` is
 measured, so one checkout can collect the files of others.
@@ -17,6 +17,11 @@ With ``--append`` the new run joins the runs already in the file, which must
 name the same commit, and the medians are taken over all of them.  Running
 ``--append`` for two checkouts in turn gives alternating before/after pairs,
 one file per checkout.
+
+With ``--trace`` each run also makes one traced pass per workload
+(``perfbench/run.py --trace 1``) and keeps its sweep and k-almost call
+counts and the self time of each layer, so the trace evidence lands with
+the pair.
 """
 
 from __future__ import annotations
@@ -37,6 +42,12 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 WORKLOADS = ("catalog", "oracle_queries")
 STARTUP = ["-m", "cubicpm.cli", "count", "--name", "petersen"]
 STARTUPS = 3  # per run, so ten runs give each checkout thirty start-ups
+LAYERS = ("connectivity", "matchings", "decomposition", "families", "multigraph", "verifier")
+TRACED = (
+    "connectivity.sweep_calls",
+    "connectivity.is_k_almost_cyclically_4ec.calls",
+    *(f"{layer}.self_s" for layer in LAYERS),
+)
 
 
 def git(root: Path, *args: str) -> str:
@@ -64,10 +75,10 @@ def tier1(root: Path) -> dict:
     return {"wall_s": wall, "exit_code": done.returncode, **found}
 
 
-def perfbench(root: Path, workload: str, seed: int) -> dict:
+def perfbench(root: Path, workload: str, seed: int, *extra: str) -> dict:
     """The result object that ``perfbench/run.py`` prints last, metrics flattened."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *extra],
         cwd=root, capture_output=True, text=True,
     )
     lines = done.stdout.strip().splitlines()
@@ -76,6 +87,12 @@ def perfbench(root: Path, workload: str, seed: int) -> dict:
     result = json.loads(lines[-1])
     metrics = {name: m["value"] for name, m in result.pop("metrics").items()}
     return {**result, **metrics}
+
+
+def traced(root: Path, workload: str, seed: int) -> dict:
+    """One traced pass of ``perfbench/run.py --trace 1``: its verdict and the TRACED metrics."""
+    result = perfbench(root, workload, seed, "--trace", "1", "--seconds", "0")
+    return {key: result[key] for key in ("correct", "failed", *TRACED)}
 
 
 def startup(root: Path) -> dict:
@@ -120,6 +137,7 @@ def main() -> int:
     ap.add_argument("--root", type=Path, default=HERE.parent, help="checkout to measure")
     ap.add_argument("--seed", type=int, default=7, help="perfbench seed")
     ap.add_argument("--append", action="store_true", help="add to the runs in the file")
+    ap.add_argument("--trace", action="store_true", help="add one traced pass per workload")
     args = ap.parse_args()
 
     root = args.root.resolve()
@@ -133,6 +151,9 @@ def main() -> int:
     run = {"tier1": tier1(root), "startup": startup(root)}
     for workload in WORKLOADS:
         run[workload] = perfbench(root, workload, args.seed)
+    if args.trace:
+        for workload in WORKLOADS:
+            run[f"{workload}_trace"] = traced(root, workload, args.seed)
     runs = (old["runs"] if old else []) + [run]
     out = {
         "label": args.label,
@@ -140,7 +161,7 @@ def main() -> int:
         "dirty": dirty,
         "seed": args.seed,
         "environment": environment(),
-        "median": {part: medians([r[part] for r in runs]) for part in run},
+        "median": {part: medians([r[part] for r in runs if part in r]) for part in run},
         "runs": runs,
     }
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")

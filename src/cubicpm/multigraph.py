@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -295,7 +295,15 @@ def degree_excess(g: Multigraph) -> DegreeExcess:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (brute force with pruning; desk scale only)
+# isomorphisms and automorphisms (backtracking with pruning; desk scale only)
+
+
+def _adjacency(g: Multigraph) -> list[dict[int, int]]:
+    """Each vertex's neighbours, mapped to the multiplicity of the edge between them."""
+    adj: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    for u, v in g.edges:
+        adj[u][v] = adj[v][u] = adj[u].get(v, 0) + 1
+    return adj
 
 
 def _invariants(g: Multigraph):
@@ -309,21 +317,26 @@ def _invariants(g: Multigraph):
     return tuple(sig)
 
 
-def find_isomorphism(g: Multigraph, h: Multigraph) -> list[int] | None:
-    """A vertex bijection g->h preserving edge multiplicities, or None.
+def isomorphisms(g: Multigraph, h: Multigraph) -> Iterator[list[int]]:
+    """Every vertex bijection g->h preserving edge multiplicities, one at a time.
 
     Exhaustive backtracking with degree/neighborhood pruning.  Each next
     vertex is the unplaced one with the most placed neighbours, then the
     fewest candidates, then the lowest id, so the search grows a connected
-    region and each placement is pinned by the ones before it.
+    region.  A vertex with a placed neighbour takes its candidates from the
+    neighbours of that neighbour's image; a candidate fits when it meets
+    the image of every placed neighbour with the same multiplicity and has
+    no other placed neighbour.  Each bijection is yielded as a list, the
+    image of vertex v at position v.
     """
     n = g.vertex_count
     if n != h.vertex_count or g.edge_count != h.edge_count:
-        return None
+        return
     gsig, hsig = _invariants(g), _invariants(h)
     if sorted(gsig) != sorted(hsig):
-        return None
+        return
     cand = [[w for w in range(n) if hsig[w] == gsig[v]] for v in range(n)]
+    gadj, hadj = _adjacency(g), _adjacency(h)
     links = [0] * n  # placed neighbours of each vertex
     order: list[int] = []
     unplaced = set(range(n))
@@ -331,42 +344,67 @@ def find_isomorphism(g: Multigraph, h: Multigraph) -> list[int] | None:
         v = min(unplaced, key=lambda v: (-links[v], len(cand[v]), v))
         unplaced.remove(v)
         order.append(v)
-        for w in g.neighbors(v):
+        for w in gadj[v]:
             links[w] += 1
-    placed: list[int] = []
-    gmult = Counter(g.edges)
-    hmult = Counter(h.edges)
-    mapping: dict[int, int] = {}
+    # the placed neighbours of each vertex at its turn, with multiplicities
+    position = {v: i for i, v in enumerate(order)}
+    back = [
+        [(u, m) for u, m in gadj[v].items() if position[u] < position[v]] for v in order
+    ]
+    image = [-1] * n
     used = [False] * n
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in cand[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in placed:
-                a, b = (u, v) if u <= v else (v, u)
-                c, d = sorted((mapping[u], w))
-                if gmult.get((a, b), 0) != hmult.get((c, d), 0):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                placed.append(v)
-                if extend(i + 1):
-                    return True
-                placed.pop()
-                used[w] = False
-                del mapping[v]
-        return False
+    def candidates(i: int):
+        """The images of order[i] that fit the placements of the levels before it."""
+        near, sig = back[i], gsig[order[i]]
+        pool = hadj[image[near[0][0]]] if near else cand[order[i]]
+        for w in pool:
+            adj = hadj[w]
+            if (
+                not used[w] and hsig[w] == sig
+                and all(adj.get(image[u]) == m for u, m in near)
+                and sum(used[x] for x in adj) == len(near)
+            ):
+                yield w
 
-    if extend(0):
-        return [mapping[v] for v in range(n)]
-    return None
+    if n == 0:
+        yield []
+        return
+    tries = [candidates(0)]
+    while tries:
+        i = len(tries) - 1
+        v = order[i]
+        if image[v] >= 0:  # undo the placement this level tried last
+            used[image[v]] = False
+            image[v] = -1
+        w = next(tries[i], None)
+        if w is None:
+            tries.pop()
+            continue
+        image[v] = w
+        used[w] = True
+        if i + 1 == n:
+            yield list(image)
+        else:
+            tries.append(candidates(i + 1))
+
+
+def find_isomorphism(g: Multigraph, h: Multigraph) -> list[int] | None:
+    """A vertex bijection g->h preserving edge multiplicities, or None.
+
+    The first one ``isomorphisms`` finds.
+    """
+    return next(isomorphisms(g, h), None)
+
+
+def automorphisms(g: Multigraph) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism of g as a vertex permutation (perm[v] = image of v).
+
+    The whole group is listed, so this is meant for graphs whose group is
+    small, such as the cubic graphs within the cut-sweep cap.  Kept in g's
+    memo, and found only when first asked for.
+    """
+    return _memoized(g, "automorphisms", lambda: tuple(map(tuple, isomorphisms(g, g))))
 
 
 def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:

@@ -10,6 +10,16 @@ per (lemma, instance), ahead of the parameter slots, and a reason becomes
 the same Skipped report in every slot, so sweeps can never pass silently by
 checking nothing.  A graph above a size cap is Skipped with a reason naming
 the cap.  The checks do only per-slot work.
+
+The lemmas are statements about a graph up to isomorphism, so three results
+that hold no vertex or edge id are kept once per orbit of Aut(g), under the
+orbit's least slot: the k-almost verdict of LM_SPLIT5_SAME and
+LM_SPLIT5_DIFF (per path up to reversal), LM_SPLITOFF's "no violating side"
+bit (per split graph) and LM_SPECIAL's verdict pair (per ordered edge pair).
+What names ids is never shared: a violating side, a broken ``special_pair``
+assertion and a degenerate path's Skipped message are found for the slot
+itself.  A graph with parallel edges gets the trivial group, and the group
+is searched only when one of these checks first needs it.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
@@ -54,6 +65,7 @@ from .matchings import (
 from .multigraph import (
     Multigraph,
     _memoized,
+    automorphisms,
     find_isomorphism,
     induced_subgraph,
     split_off,
@@ -542,6 +554,46 @@ def _bricks(g: Multigraph) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# slots up to symmetry: a result that holds no vertex or edge id is kept once
+# per orbit of Aut(g), under the orbit's least slot
+
+
+def _symmetries(g: Multigraph) -> tuple[tuple[int, ...], ...]:
+    """Aut(g) as vertex permutations; only the identity on a graph with
+    parallel edges, whose edges a vertex permutation does not name."""
+    if len(set(g.edges)) < g.edge_count:
+        return (tuple(range(g.vertex_count)),)
+    return automorphisms(g)
+
+
+def _orbit_rep(g: Multigraph, kind: str, slot, image):
+    """The least image of ``slot`` under Aut(g), where ``image(perm, slot)`` maps it.
+
+    The first slot asked for in an orbit maps the whole orbit, and g's memo
+    keeps the least image for each of its slots.  With the trivial group
+    the slot is its own representative, and ``image`` is not called.
+    """
+    group = _memoized(g, "symmetries", lambda: _symmetries(g))
+    if len(group) == 1:
+        return slot
+    reps = _memoized(g, ("orbits", kind), dict)
+    if slot not in reps:
+        images = {image(perm, slot) for perm in group}
+        reps.update(dict.fromkeys(images, min(images)))
+    return reps[slot]
+
+
+def _pair(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a <= b else (b, a)
+
+
+def _edge_pair_image(g: Multigraph, perm, pair) -> tuple[int, int]:
+    """The image of an ordered pair of edge ids of g, which is simple when it has symmetries."""
+    ids = _memoized(g, "edge ids", lambda: {ends: e for e, ends in enumerate(g.edges)})
+    return tuple(ids[_pair(perm[u], perm[v])] for u, v in (g.edges[e] for e in pair))
+
+
+# ---------------------------------------------------------------------------
 # the checks: per-slot work on an instance whose hypothesis holds
 
 
@@ -585,12 +637,14 @@ def _check_lm_triple(inst, params):
 def _check_lm_special(inst, params):
     g = inst.graph
     e, f = params["e"], params["f"]
-    try:
-        r1 = special_pair(g, e, f)
-        r2 = special_pair(g, f, e)
+    key = ("special", _orbit_rep(g, "edge pair", (e, f), partial(_edge_pair_image, g)))
+    try:  # an AssertionError keeps nothing, so each slot names its own edges
+        note = _memoized(g, key, lambda: (
+            f"{special_pair(g, e, f).verdict}/{special_pair(g, f, e).verdict}"
+        ))
     except AssertionError as exc:
         return _fail(Bound.rational(1), 0, note=str(exc))
-    return _judge(Bound.rational(1), 1, note=f"{r1.verdict}/{r2.verdict}")
+    return _judge(Bound.rational(1), 1, note=note)
 
 
 def _check_lm_bridge(inst, params):
@@ -665,25 +719,60 @@ def _check_lm_bb_3ef(inst, params):
     )
 
 
+def _split_signature(g: Multigraph, path) -> tuple | None:
+    """What ``split_off(g, path)`` builds, up to the order of its two new edges.
+
+    The deleted edge v2v3, then the new edges v1v4 and w1w4 in order, where
+    w1 and w4 are the third neighbours of v2 and v3.  None exactly where
+    ``split_off`` rejects the path, so a degenerate path never shares a result.
+    """
+    v1, v2, v3, v4 = path
+
+    def third(a, b, c):  # b's neighbour off the path, with a and c taken once each
+        rest = [g.other_end(e, b) for e in g.incident(b)]
+        for x in (a, c):
+            if x not in rest:
+                return None
+            rest.remove(x)
+        return rest[0] if len(rest) == 1 else None
+
+    w1, w4 = third(v1, v2, v3), third(v2, v3, v4)
+    if len({v1, v2, v3, v4, w1, w4} - {None}) != 6:
+        return None
+    return (_pair(v2, v3), *sorted((_pair(v1, v4), _pair(w1, w4))))
+
+
+def _split_image(perm, signature):
+    mid, *new = (_pair(perm[a], perm[b]) for a, b in signature)
+    return (mid, *sorted(new))
+
+
+def _violating_side(h: Multigraph, ell: int) -> list[int] | None:
+    """A side of a cyclic cut of h below ell - 2 edges or through a new edge, or None."""
+    new_edges = {h.edge_count - 2, h.edge_count - 1}
+    for cut in cyclic_cuts_up_to(h, ell - 1):
+        if cut.size < ell - 2 or (cut.crossing_edges & new_edges):
+            return sorted(cut.side_a)
+    return None
+
+
 def _check_lm_splitoff(inst, params):
     g = inst.graph
     ell = _effective_connectivity(g)
-    try:
-        h = split_off(g, tuple(params["path"]))
-    except CubicpmError as exc:
-        return _skip(f"degenerate path: {exc}")
-    new_edges = {h.edge_count - 2, h.edge_count - 1}
-
-    def violating_side():
-        for cut in cyclic_cuts_up_to(h, ell - 1):
-            if cut.size < ell - 2 or (cut.crossing_edges & new_edges):
-                return sorted(cut.side_a)
-        return None
-
-    # the paths (a, v2, v3, c) and (b, v2, v3, d) split off one graph; only
-    # the order of its two new edges differs
-    _, v2, v3, _ = params["path"]
-    worst = _memoized(g, ("splitoff", v2, v3, frozenset(h.edges[-2:])), violating_side)
+    path = tuple(params["path"])
+    # the paths (a, v2, v3, c) and (b, v2, v3, d) split off one graph, and
+    # paths in one orbit of Aut(g) split off isomorphic graphs
+    signature = _split_signature(g, path)
+    key = signature and ("splitoff", _orbit_rep(g, "split", signature, _split_image))
+    if key and g._memo.get(key):  # a graph split off in this orbit has no violating side
+        worst = None
+    else:
+        try:
+            h = split_off(g, path)
+        except CubicpmError as exc:
+            return _skip(f"degenerate path: {exc}")
+        worst = _violating_side(h, ell)  # it names vertex ids, so it is never shared
+        g._memo[key] = worst is None
     ok = worst is None
     return {
         **_judge(Bound.rational(1), int(ok), note=None if ok else f"violating side {worst}"),
@@ -691,15 +780,30 @@ def _check_lm_splitoff(inst, params):
     }
 
 
+def _split5_key(g: Multigraph, path) -> tuple:
+    """The memo key of the k-almost verdict on ``split_off(g, path)``.
+
+    A path and its reverse split off one graph, and paths in one orbit of
+    Aut(g) split off isomorphic graphs, so the key is the orbit's least path
+    up to reversal.
+    """
+    return ("split5", _orbit_rep(g, "path", min(path, path[::-1]), _path_image))
+
+
+def _path_image(perm, path):
+    image = tuple(perm[v] for v in path)
+    return min(image, image[::-1])
+
+
 def _split5(g: Multigraph, paths):
     """Is either path's split graph 4-almost cyclically 4-edge-connected?
 
-    A path and its reverse split off one graph, so they share one verdict in
-    g's memo.  A kept verdict means the path split cleanly before, so only
-    the other paths are split, each before any verdict is read: a degenerate
-    path skips the slot whatever the other path gives.
+    Paths share verdicts by ``_split5_key`` in g's memo.  A kept verdict
+    means a path of the same orbit split cleanly before, so this one splits
+    cleanly too; only the other paths are split, each before any verdict is
+    read: a degenerate path skips the slot whatever the other path gives.
     """
-    keys = [("split5", min(p, p[::-1])) for p in paths]
+    keys = [_split5_key(g, p) for p in paths]
     try:
         splits = {key: split_off(g, p) for key, p in zip(keys, paths) if key not in g._memo}
     except CubicpmError as exc:

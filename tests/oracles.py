@@ -15,14 +15,19 @@ decomposition where ``decompose`` sweeps only the root, and
 generator replays its recipe into a new graph at every step, where
 ``families`` applies each step once to a net without its graph.
 ``slow_neighbors`` collects and sorts a vertex's neighbours on every call,
-where ``Multigraph.neighbors`` reads one table per graph.  They exist so
+where ``Multigraph.neighbors`` reads one table per graph.
+``brute_automorphisms`` tests every vertex permutation, where
+``multigraph.automorphisms`` backtracks through neighbours; given
+``identity_group``, the verifier judges every lemma slot on its own, where
+it shares results across an orbit of Aut(g).  They exist so
 every exact value the tests assert was computed by a second route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 from math import lcm
 from operator import add
 
@@ -425,6 +430,25 @@ def slow_k_almost_search(g: Multigraph, k: int) -> tuple[bool, tuple[tuple[int, 
 def slow_neighbors(g: Multigraph, v: int) -> tuple[int, ...]:
     """Reference for ``Multigraph.neighbors``: the far ends of v's edges, deduplicated and sorted."""
     return tuple(sorted({g.other_end(e, v) for e in g.incident(v)}))
+
+
+def brute_automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, sorted, by a test of all n! vertex permutations.
+
+    A permutation is kept when it sends each endpoint pair to a pair of the
+    same multiplicity; with equal edge counts that preserves the multiset.
+    """
+    mult = Counter(g.edges)
+    return [
+        perm for perm in permutations(range(g.vertex_count))
+        if all(mult[(min(perm[u], perm[v]), max(perm[u], perm[v]))] == m
+               for (u, v), m in mult.items())
+    ]
+
+
+def identity_group(g: Multigraph) -> tuple[tuple[int, ...], ...]:
+    """The trivial group: given to the verifier in place of Aut(g), every slot is judged alone."""
+    return (tuple(range(g.vertex_count)),)
 
 
 def slow_components(g: Multigraph, vertices=None, skip=frozenset()) -> list[frozenset[int]]:

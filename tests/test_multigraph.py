@@ -29,12 +29,21 @@ from cubicpm.errors import (
 )
 from cubicpm.multigraph import (
     Multigraph,
+    automorphisms,
     components,
     handshake_ok,
+    isomorphisms,
     split_off_record,
     triangle_record,
 )
-from oracles import slow_components
+from conftest import (
+    circular_ladder,
+    ladder_host,
+    moebius_ladder,
+    pendant_triangle_chain,
+    two_block_chain,
+)
+from oracles import all_cubic_multigraphs, brute_automorphisms, slow_components
 
 
 def test_from_edge_list_theta():
@@ -342,6 +351,58 @@ def test_non_isomorphic_cubic_graphs_on_20_vertices():
     g = random_cubic_bridgeless(1, 20, simple=True)
     h = random_cubic_bridgeless(2, 20, simple=True)
     assert not is_isomorphic(g, _relabeled(h, 3))
+
+
+# --- automorphisms -------------------------------------------------------------------
+
+
+NECKLACE = from_edge_list(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3)])
+SMALL_GRAPHS = [
+    ("two_block_chain", two_block_chain()),
+    ("pendant_triangle_chain", pendant_triangle_chain()),
+    ("circular_ladder4", circular_ladder(4)),
+    ("moebius_ladder4", moebius_ladder(4)),
+    ("ladder_host2", ladder_host(2)),
+    ("necklace", NECKLACE),
+    ("k4_and_theta", Multigraph(6, named("k4").edges + ((4, 5),) * 3)),
+    ("two_k4", Multigraph(8, named("k4").edges + tuple((u + 4, v + 4) for u, v in named("k4").edges))),
+    ("path_and_digon", from_edge_list(5, [(0, 1), (1, 2), (3, 4), (3, 4)])),
+    ("empty", Multigraph(0, ())),
+]
+
+
+def test_automorphisms_are_the_permutations_that_keep_the_edges(named_graphs):
+    """Every fixture graph of at most 8 vertices, and every cubic multigraph on 2 and 4."""
+    graphs = [g for g in named_graphs.values() if g.vertex_count <= 8]
+    graphs += [g for _, g in SMALL_GRAPHS]
+    graphs += [from_edge_list(n, edges) for n in (2, 4) for edges in all_cubic_multigraphs(n)]
+    assert any(len(set(g.edges)) < g.edge_count for g in graphs)
+    assert any(len(components(g)) > 1 for g in graphs)
+    for g in graphs:
+        assert sorted(automorphisms(g)) == brute_automorphisms(g), g
+
+
+@pytest.mark.parametrize("name, order", [
+    ("k4", 24), ("k33", 72), ("prism", 12), ("cube", 48), ("petersen", 120),
+    ("moebius_kantor", 96), ("dodecahedron", 120),
+])
+def test_automorphism_group_orders(name, order):
+    g = named(name)
+    group = automorphisms(g)
+    assert len(group) == len(set(group)) == order
+    assert automorphisms(g) is group  # kept in the graph's memo
+
+
+@pytest.mark.parametrize(
+    "g", [named("petersen"), named("cube"), NECKLACE], ids=["petersen", "cube", "necklace"],
+)
+def test_isomorphisms_are_the_automorphisms_moved_by_a_relabelling(g):
+    perm = list(range(g.vertex_count))
+    random.Random(5).shuffle(perm)
+    h = g.relabel(perm)
+    want = sorted(tuple(perm[a[v]] for v in range(g.vertex_count)) for a in automorphisms(g))
+    assert sorted(map(tuple, isomorphisms(g, h))) == want
+    assert tuple(find_isomorphism(g, h)) in want
 
 
 # --- connected parts -----------------------------------------------------------------

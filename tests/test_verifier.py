@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -7,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import ladder_host, pendant_triangle_chain
+from oracles import identity_group
 from cubicpm import check, check_lm_ladder, named, random_cubic_bridgeless
 from cubicpm import Multigraph, connectivity, verifier
-from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut
+from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut, is_k_almost_cyclically_4ec
 from cubicpm.matchings import COUNT_CAP
 from cubicpm.errors import CubicpmError
 from cubicpm.multigraph import from_edge_list, split_off
@@ -302,7 +304,11 @@ def test_split5_lemmas_skip_above_the_k_almost_cap():
 
 
 def test_mirrored_splitoff_paths_share_one_sweep(monkeypatch):
-    """(a, v2, v3, c) and (b, v2, v3, d) split off one graph, so 96 paths sweep 48 split graphs."""
+    """Mirrored paths split off one graph, and one orbit of Aut(g) shares one verdict.
+
+    Möbius-Kantor's 96 paths fall into 2 orbits, so 2 split graphs are swept
+    (48 when only mirrored paths shared).
+    """
     g = named("moebius_kantor")
     swept = []
     crossing_counts = connectivity._crossing_counts
@@ -311,7 +317,7 @@ def test_mirrored_splitoff_paths_share_one_sweep(monkeypatch):
         lambda h, bound: swept.append(h) or crossing_counts(h, bound),
     )
     reports = sweep([LemmaId.LM_SPLITOFF], [Instance("moebius_kantor", g)], fail_fast=True)
-    assert len(reports) == 96 and sum(h is not g for h in swept) == 48
+    assert len(reports) == 96 and sum(h is not g for h in swept) == 2
     monkeypatch.setattr(connectivity, "_crossing_counts", crossing_counts)
     for r in reports:  # each verdict is the one a graph with an empty memo gives
         path = {"path": r.params["path"]}
@@ -320,13 +326,18 @@ def test_mirrored_splitoff_paths_share_one_sweep(monkeypatch):
 
 
 def test_split5_lemmas_split_no_kept_path_and_test_the_hypothesis_once(monkeypatch):
-    """On the dodecahedron: 279 splits for 360 slots (720 before), one hypothesis test (120)."""
+    """On the dodecahedron: 4 splits for 360 slots, one hypothesis test (120 before).
+
+    Its paths fall into 2 orbits of Aut(g) up to reversal, each split and
+    judged once per slot that first meets it (279 splits when only a path
+    and its reverse shared, 720 before that).
+    """
     g = named("dodecahedron")
     kept, hypotheses = [], []
     split, hypothesis = verifier.split_off, verifier._split5_hypothesis
     monkeypatch.setattr(
         verifier, "split_off",
-        lambda h, p: kept.append(("split5", min(p, p[::-1])) in h._memo) or split(h, p),
+        lambda h, p: kept.append(verifier._split5_key(h, p) in h._memo) or split(h, p),
     )
     monkeypatch.setattr(
         verifier, "_split5_hypothesis", lambda inst: hypotheses.append(inst) or hypothesis(inst),
@@ -336,8 +347,24 @@ def test_split5_lemmas_split_no_kept_path_and_test_the_hypothesis_once(monkeypat
         fail_fast=True,
     )
     assert len(reports) == 120 + 240 and {r.verdict for r in reports} == {"Pass"}
-    assert len(kept) == 279 and not any(kept)
+    assert len(kept) == 4 and not any(kept)
     assert len(hypotheses) == 1  # LM_SPLIT5_SAME's check; the sweep tests LM_SPLIT5_DIFF's
+    monkeypatch.undo()
+
+    @functools.cache
+    def almost(path):  # the verdict on a split of a graph with an empty memo
+        fresh = Multigraph(g.vertex_count, g.edges)
+        return is_k_almost_cyclically_4ec(split_off(fresh, path), 4)[0]
+
+    for r in reports:  # each shared verdict is the one its own paths give
+        if r.lemma is LemmaId.LM_SPLIT5_SAME:
+            v1, v2, v3 = r.params["triple"]
+            paths = [(v1, v2, v3, t) for t in g.neighbors(v3) if t != v2]
+        else:
+            v1, v2 = r.params["v1"], r.params["v2"]
+            v3, v3p = (x for x in g.neighbors(v2) if x != v1)
+            paths = [(v1, v2, v3, r.params["v4"]), (v1, v2, v3p, r.params["v4p"])]
+        assert r.verdict == ("Pass" if any(almost(min(p, p[::-1])) for p in paths) else "Fail")
 
 
 def test_a_split5_path_and_its_reverse_split_off_equal_graphs(monkeypatch):
@@ -368,6 +395,54 @@ def test_a_split5_path_and_its_reverse_split_off_equal_graphs(monkeypatch):
         got = split(g, path)
         assert got == split(g, path[::-1]), path
         degenerate[isinstance(got, type)] += 1
+    assert degenerate[True] and degenerate[False]
+
+
+def _catalog_corpus():
+    corpus = named_instances() + random_instances(40, 4, 14, seed=7)
+    return corpus + twisted_instances(60, seed=8, n_lo=4, n_hi=26)
+
+
+def test_orbit_shared_results_equal_the_per_slot_reports(monkeypatch):
+    """The lemmas that share results across an orbit of Aut(g) report what
+    judging every slot alone (the identity group) reports, byte for byte."""
+    lemmas = [LemmaId.LM_SPLITOFF, LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF, LemmaId.LM_SPECIAL]
+    corpus = _catalog_corpus()
+    shared = [r.to_json() for r in sweep(lemmas, corpus, fail_fast=False)]
+    assert sum(len(verifier._symmetries(inst.graph)) > 1 for inst in corpus) > 50
+    monkeypatch.setattr(verifier, "_symmetries", identity_group)
+    alone = [r.to_json() for r in sweep(lemmas, _catalog_corpus(), fail_fast=False)]
+    assert shared == alone
+    assert Counter(r["verdict"] for r in alone) == {"Pass": 2478, "Skipped": 40778}
+
+
+def test_a_split_signature_is_missing_exactly_where_splitting_off_fails():
+    """Every 3-edge path of the catalog's cubic graphs, degenerate ones included."""
+    degenerate = Counter()
+    for inst in _catalog_corpus():
+        g = inst.graph
+        if not g.is_cubic:
+            continue
+        paths = {
+            (v1, v2, v3, v4)
+            for v2, v3 in g.edges + tuple((b, a) for a, b in g.edges)
+            for v1 in g.neighbors(v2) for v4 in g.neighbors(v3)
+        }
+        for path in paths:
+            try:
+                h = split_off(g, path)
+            except CubicpmError:
+                h = None
+            signature = verifier._split_signature(g, path)
+            assert (signature is None) == (h is None), (inst.name, path)
+            degenerate[h is None] += 1
+            if h is not None:  # the deleted edge, then the new edges in either order
+                (v2, v3), *new = signature
+                assert (v2, v3) == tuple(sorted(path[1:3]))
+                keep = [v for v in range(g.vertex_count) if v not in (v2, v3)]
+                assert sorted(h.edges[-2:]) == sorted(
+                    tuple(sorted((keep.index(a), keep.index(b)))) for a, b in new
+                )
     assert degenerate[True] and degenerate[False]
 
 
