@@ -328,9 +328,9 @@ def test_mirrored_splitoff_paths_share_one_sweep(monkeypatch):
 def test_split5_lemmas_split_no_kept_path_and_test_the_hypothesis_once(monkeypatch):
     """On the dodecahedron: 4 splits for 360 slots, one hypothesis test (120 before).
 
-    Its paths fall into 2 orbits of Aut(g) up to reversal, each split and
-    judged once per slot that first meets it (279 splits when only a path
-    and its reverse shared, 720 before that).
+    Its paths fall into 2 orbits of Aut(g) up to reversal, and a path is
+    split only while its orbit keeps no verdict (279 splits when only a
+    path and its reverse shared, 720 before that).
     """
     g = named("dodecahedron")
     kept, hypotheses = [], []
