@@ -8,7 +8,7 @@ script), and writes the results with the medians, the environment and the
 commit.  The start-ups time the package import, which ``perfbench`` cannot
 show because its passes import numpy themselves.
 
-    python scripts/bench.py --label change [--root DIR] [--seed 7] [--append] [--trace]
+    python scripts/bench.py --label change [--root DIR] [--seed 7] [--append]
 
 The file is written beside this script's checkout, whichever ``--root`` is
 measured, so one checkout can collect the files of others.
@@ -18,10 +18,9 @@ name the same commit, and the medians are taken over all of them.  Running
 ``--append`` for two checkouts in turn gives alternating before/after pairs,
 one file per checkout.
 
-With ``--trace`` each run also makes one traced pass per workload
-(``perfbench/run.py --trace 1``) and keeps its sweep and k-almost call
-counts and the self time of each layer, so the trace evidence lands with
-the pair.
+Each run also makes one traced pass per workload (``perfbench/run.py
+--trace 1``) and keeps its sweep and k-almost call counts and the self time
+of each layer, so the trace evidence lands with the pair.
 """
 
 from __future__ import annotations
@@ -137,7 +136,6 @@ def main() -> int:
     ap.add_argument("--root", type=Path, default=HERE.parent, help="checkout to measure")
     ap.add_argument("--seed", type=int, default=7, help="perfbench seed")
     ap.add_argument("--append", action="store_true", help="add to the runs in the file")
-    ap.add_argument("--trace", action="store_true", help="add one traced pass per workload")
     args = ap.parse_args()
 
     root = args.root.resolve()
@@ -151,9 +149,8 @@ def main() -> int:
     run = {"tier1": tier1(root), "startup": startup(root)}
     for workload in WORKLOADS:
         run[workload] = perfbench(root, workload, args.seed)
-    if args.trace:
-        for workload in WORKLOADS:
-            run[f"{workload}_trace"] = traced(root, workload, args.seed)
+    for workload in WORKLOADS:
+        run[f"{workload}_trace"] = traced(root, workload, args.seed)
     runs = (old["runs"] if old else []) + [run]
     out = {
         "label": args.label,
@@ -161,7 +158,7 @@ def main() -> int:
         "dirty": dirty,
         "seed": args.seed,
         "environment": environment(),
-        "median": {part: medians([r[part] for r in runs if part in r]) for part in run},
+        "median": {part: medians([r[part] for r in runs]) for part in run},
         "runs": runs,
     }
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")

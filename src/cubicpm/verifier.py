@@ -16,10 +16,11 @@ that hold no vertex or edge id are kept once per orbit of Aut(g), under the
 orbit's least slot: the k-almost verdict of LM_SPLIT5_SAME and
 LM_SPLIT5_DIFF (per path up to reversal), LM_SPLITOFF's "no violating side"
 bit (per split graph) and LM_SPECIAL's verdict pair (per ordered edge pair).
-What names ids is never shared: a violating side, a broken ``special_pair``
+What names ids is never shared across an orbit: a violating side (kept only
+for the two paths that split off the same graph), a broken ``special_pair``
 assertion and a degenerate path's Skipped message are found for the slot
-itself.  A graph with parallel edges gets the trivial group, and the group
-is searched only when one of these checks first needs it.
+itself.  Parallel edges keep their order under each automorphism, and the
+group is searched only when one of these checks first needs it.
 """
 
 from __future__ import annotations
@@ -558,14 +559,6 @@ def _bricks(g: Multigraph) -> int | None:
 # per orbit of Aut(g), under the orbit's least slot
 
 
-def _symmetries(g: Multigraph) -> tuple[tuple[int, ...], ...]:
-    """Aut(g) as vertex permutations; only the identity on a graph with
-    parallel edges, whose edges a vertex permutation does not name."""
-    if len(set(g.edges)) < g.edge_count:
-        return (tuple(range(g.vertex_count)),)
-    return automorphisms(g)
-
-
 def _orbit_rep(g: Multigraph, kind: str, slot, image):
     """The least image of ``slot`` under Aut(g), where ``image(perm, slot)`` maps it.
 
@@ -573,7 +566,7 @@ def _orbit_rep(g: Multigraph, kind: str, slot, image):
     keeps the least image for each of its slots.  With the trivial group
     the slot is its own representative, and ``image`` is not called.
     """
-    group = _memoized(g, "symmetries", lambda: _symmetries(g))
+    group = automorphisms(g)
     if len(group) == 1:
         return slot
     reps = _memoized(g, ("orbits", kind), dict)
@@ -587,10 +580,21 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def _edge_ranks(g: Multigraph):
+    """Each edge's ends and its rank among the edges that join them, and the inverse map."""
+    seen = Counter()
+    ranks = []
+    for ends in g.edges:
+        ranks.append((ends, seen[ends]))
+        seen[ends] += 1
+    return ranks, {key: e for e, key in enumerate(ranks)}
+
+
 def _edge_pair_image(g: Multigraph, perm, pair) -> tuple[int, int]:
-    """The image of an ordered pair of edge ids of g, which is simple when it has symmetries."""
-    ids = _memoized(g, "edge ids", lambda: {ends: e for e, ends in enumerate(g.edges)})
-    return tuple(ids[_pair(perm[u], perm[v])] for u, v in (g.edges[e] for e in pair))
+    """The image of an ordered pair of edge ids under the automorphism that
+    moves the vertices by ``perm`` and keeps the order of parallel edges."""
+    ranks, ids = _memoized(g, "edge ranks", lambda: _edge_ranks(g))
+    return tuple(ids[_pair(perm[u], perm[v]), rank] for (u, v), rank in (ranks[e] for e in pair))
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +775,8 @@ def _check_lm_splitoff(inst, params):
             h = split_off(g, path)
         except CubicpmError as exc:
             return _skip(f"degenerate path: {exc}")
-        worst = _violating_side(h, ell)  # it names vertex ids, so it is never shared
+        # it names vertex ids, so only the paths that split off h itself share it
+        worst = _memoized(g, ("splitoff side", signature), lambda: _violating_side(h, ell))
         g._memo[key] = worst is None
     ok = worst is None
     return {

@@ -409,11 +409,49 @@ def test_orbit_shared_results_equal_the_per_slot_reports(monkeypatch):
     lemmas = [LemmaId.LM_SPLITOFF, LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF, LemmaId.LM_SPECIAL]
     corpus = _catalog_corpus()
     shared = [r.to_json() for r in sweep(lemmas, corpus, fail_fast=False)]
-    assert sum(len(verifier._symmetries(inst.graph)) > 1 for inst in corpus) > 50
-    monkeypatch.setattr(verifier, "_symmetries", identity_group)
+    assert sum(len(verifier.automorphisms(inst.graph)) > 1 for inst in corpus) > 50
+    monkeypatch.setattr(verifier, "automorphisms", identity_group)
     alone = [r.to_json() for r in sweep(lemmas, _catalog_corpus(), fail_fast=False)]
     assert shared == alone
     assert Counter(r["verdict"] for r in alone) == {"Pass": 2478, "Skipped": 40778}
+
+
+def test_failures_that_name_ids_are_found_for_each_slot(monkeypatch):
+    """A violating side and a broken ``special_pair`` assertion name ids, so
+    each slot finds its own: the reports equal the identity group's."""
+    violating_side, special_pair = verifier._violating_side, verifier.special_pair
+
+    def broken(g, e, f):  # fails on every pair of edges that meet, naming them
+        if set(g.edges[e]) & set(g.edges[f]):
+            raise AssertionError(f"edges {e} and {f} meet")
+        return special_pair(g, e, f)
+
+    # a cut of exactly ell - 2 edges, through no new edge, now violates too
+    monkeypatch.setattr(verifier, "_violating_side", lambda h, ell: violating_side(h, ell + 1))
+    monkeypatch.setattr(verifier, "special_pair", broken)
+    lemmas = [LemmaId.LM_SPLITOFF, LemmaId.LM_SPECIAL]
+    shared = [r.to_json() for r in sweep(lemmas, named_instances(), fail_fast=False)]
+    monkeypatch.setattr(verifier, "automorphisms", identity_group)
+    alone = [r.to_json() for r in sweep(lemmas, named_instances(), fail_fast=False)]
+    assert shared == alone
+    tally = Counter((r["lemma"], r["verdict"]) for r in alone)
+    assert all(tally[lemma.value, verdict] for lemma in lemmas for verdict in ("Pass", "Fail"))
+
+
+def test_an_edge_pair_moves_with_the_order_of_parallel_edges():
+    """Each automorphism sends edge e to the edge of e's rank among those joining its image."""
+    necklace = from_edge_list(8, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 4), (4, 5),
+                                  (4, 5), (5, 6), (6, 7), (6, 7), (7, 0)])
+    for g in (necklace, named("theta"), named("petersen")):
+        group = verifier.automorphisms(g)
+        assert len(group) > 1
+        for perm in group:
+            image = [verifier._edge_pair_image(g, perm, (e, e))[0] for e in range(g.edge_count)]
+            assert sorted(image) == list(range(g.edge_count))
+            for e, (u, v) in enumerate(g.edges):
+                assert g.edges[image[e]] == tuple(sorted((perm[u], perm[v])))
+                twins = [d for d in range(g.edge_count) if g.edges[d] == (u, v)]
+                assert [image[d] for d in twins] == sorted(image[d] for d in twins)
 
 
 def test_a_split_signature_is_missing_exactly_where_splitting_off_fails():
