@@ -572,9 +572,10 @@ def semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
 # random cubic bridgeless multigraphs
 
 
-def random_cubic_bridgeless(
-    seed: int, n: int, simple: bool = False, max_tries: int = 100_000
-) -> Multigraph:
+PAIRING_TRIES = 100_000  # pairings drawn before random_cubic_bridgeless gives up
+
+
+def random_cubic_bridgeless(seed: int, n: int, simple: bool = False) -> Multigraph:
     """Pairing-model sample conditioned on loopless, connected, bridgeless.
 
     Parallel edges are kept (the model allows them) unless ``simple`` asks
@@ -584,7 +585,7 @@ def random_cubic_bridgeless(
         raise BadSize("need an even number of vertices, at least 4")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(3)]
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         rng.shuffle(stubs)
         pairs = list(zip(stubs[::2], stubs[1::2]))
         if any(u == v for u, v in pairs):
@@ -597,4 +598,4 @@ def random_cubic_bridgeless(
         if bridges(g):
             continue
         return g
-    raise GenerationFailed(f"no admissible pairing after {max_tries} tries")
+    raise GenerationFailed(f"no admissible pairing after {PAIRING_TRIES} tries")

@@ -595,7 +595,11 @@ def replace_vertex_with_triangle(g: Multigraph, v: int) -> Multigraph:
     return triangle_record(g, v)[0]
 
 
-def split_off_record(g: Multigraph, path) -> tuple[Multigraph, SurgeryRecord]:
+def split_off_ends(g: Multigraph, path) -> tuple[int, int]:
+    """The third neighbours w1 of v2 and w4 of v3, which splitting off the path joins.
+
+    Raises exactly where ``split_off`` rejects the path.
+    """
     v1, v2, v3, v4 = path
     if len({v1, v2, v3, v4}) != 4:
         raise NotAPath(f"path vertices must be distinct, got {path}")
@@ -621,7 +625,12 @@ def split_off_record(g: Multigraph, path) -> tuple[Multigraph, SurgeryRecord]:
         )
     if w1 == w4:
         raise NeighborClash(f"third neighbors coincide at {w1}; new edge would be a loop")
+    return w1, w4
 
+
+def split_off_record(g: Multigraph, path) -> tuple[Multigraph, SurgeryRecord]:
+    v1, v2, v3, v4 = path
+    w1, w4 = split_off_ends(g, path)
     removed = {v2, v3}
     survivors = [x for x in range(g.vertex_count) if x not in removed]
     new_id = {x: i for i, x in enumerate(survivors)}

@@ -13,14 +13,15 @@ the cap.  The checks do only per-slot work.
 
 The lemmas are statements about a graph up to isomorphism, so three results
 that hold no vertex or edge id are kept once per orbit of Aut(g), under the
-orbit's least slot: the k-almost verdict of LM_SPLIT5_SAME and
-LM_SPLIT5_DIFF (per path up to reversal), LM_SPLITOFF's "no violating side"
-bit (per split graph) and LM_SPECIAL's verdict pair (per ordered edge pair).
-What names ids is never shared across an orbit: a violating side (kept only
-for the two paths that split off the same graph), a broken ``special_pair``
-assertion and a degenerate path's Skipped message are found for the slot
-itself.  Parallel edges keep their order under each automorphism, and the
-group is searched only when one of these checks first needs it.
+orbit's least key.  The splitting lemmas key by the split signature, the
+graph that splitting off a path builds: LM_SPLIT5_SAME and LM_SPLIT5_DIFF
+keep its k-almost verdict and LM_SPLITOFF its "no violating side" bit.
+LM_SPECIAL keeps its verdict pair per ordered pair of edge ends, since an
+automorphism may shuffle parallel edges.  What names ids is never shared
+across an orbit: a violating side (kept per split signature), a broken
+``special_pair`` assertion and a degenerate path's Skipped message are found
+for the slot itself.  The group is searched only when one of these checks
+first needs it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
@@ -70,6 +70,7 @@ from .multigraph import (
     find_isomorphism,
     induced_subgraph,
     split_off,
+    split_off_ends,
     two_coloring,
 )
 
@@ -211,14 +212,11 @@ class LemmaFailure(CubicpmError):
 
 @dataclass(frozen=True)
 class Instance:
-    """A corpus entry: a name, a graph, and hypothesis hints for the checks."""
+    """A corpus entry: a name, a graph, and whether it is known to be a twisted net."""
 
     name: str
     graph: Multigraph
-    hints: tuple[tuple[str, bool], ...] = ()
-
-    def hint(self, key: str) -> bool:
-        return dict(self.hints).get(key, False)
+    known_twisted: bool = False
 
 
 # A check returns the verdict fields of its report; the dispatcher adds the
@@ -292,11 +290,11 @@ def _delete_edges(g: Multigraph, drop: set[int]) -> Multigraph:
 
 
 def _twisted_skip(inst: Instance) -> str | None:
-    """Why the instance is not taken as a twisted net; corpus hints bypass the recognizer.
+    """Why the instance is not taken as a twisted net; a known twisted net bypasses the recognizer.
 
     The recognizer's verdict is kept in the graph's memo.
     """
-    if inst.hint("known_twisted"):
+    if inst.known_twisted:
         return None
     g = inst.graph
     if g.vertex_count > fam.TWISTED_CAP:
@@ -333,13 +331,26 @@ def _corner_pair_counts(g: Multigraph) -> dict[tuple[int, int], int]:
     return out
 
 
-def _anchors_on_side(g: Multigraph, cut: EdgeCut) -> list[int] | None:
-    """Endpoints of the four cut edges on side A, in cut-edge id order."""
-    anchors = []
-    for e in sorted(cut.crossing_edges):
-        u, v = g.endpoints(e)
-        anchors.append(u if u in cut.side_a else v)
-    return anchors if len(set(anchors)) == 4 else None
+def _on_cut_side(check):
+    """A check of one side of a cyclic 4-cut, handed the graph, the cut and its anchors.
+
+    The anchors are the side's ends of the four cut edges, in cut-edge id
+    order.  A side that defines no cyclic 4-cut, or whose cut edges share a
+    side vertex, is Skipped.
+    """
+
+    def run(inst, params):
+        g = inst.graph
+        cut = build_cut(g, params["side"])
+        if not (cut.size == 4 and cut.cyclic):
+            return _skip("side does not define a cyclic 4-cut")
+        ends = (g.endpoints(e) for e in sorted(cut.crossing_edges))
+        anchors = [u if u in cut.side_a else v for u, v in ends]
+        if len(set(anchors)) != 4:
+            return _skip("two cut edges share a side vertex")
+        return check(g, cut, anchors)
+
+    return run
 
 
 def _surgery_graphs(g: Multigraph, cut: EdgeCut):
@@ -556,45 +567,33 @@ def _bricks(g: Multigraph) -> int | None:
 
 # ---------------------------------------------------------------------------
 # slots up to symmetry: a result that holds no vertex or edge id is kept once
-# per orbit of Aut(g), under the orbit's least slot
+# per orbit of Aut(g), under the orbit's least key
 
 
-def _orbit_rep(g: Multigraph, kind: str, slot, image):
-    """The least image of ``slot`` under Aut(g), where ``image(perm, slot)`` maps it.
+def _orbit_rep(g: Multigraph, kind: str, key, image):
+    """The least image of ``key`` under Aut(g), where ``image(perm, key)`` maps it.
 
-    The first slot asked for in an orbit maps the whole orbit, and g's memo
-    keeps the least image for each of its slots.  With the trivial group
-    the slot is its own representative, and ``image`` is not called.
+    The first key asked for in an orbit maps the whole orbit, and g's memo
+    keeps the least image for each of its keys.  With the trivial group
+    the key is its own representative, and ``image`` is not called.
     """
     group = automorphisms(g)
     if len(group) == 1:
-        return slot
+        return key
     reps = _memoized(g, ("orbits", kind), dict)
-    if slot not in reps:
-        images = {image(perm, slot) for perm in group}
+    if key not in reps:
+        images = {image(perm, key) for perm in group}
         reps.update(dict.fromkeys(images, min(images)))
-    return reps[slot]
+    return reps[key]
 
 
 def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _edge_ranks(g: Multigraph):
-    """Each edge's ends and its rank among the edges that join them, and the inverse map."""
-    seen = Counter()
-    ranks = []
-    for ends in g.edges:
-        ranks.append((ends, seen[ends]))
-        seen[ends] += 1
-    return ranks, {key: e for e, key in enumerate(ranks)}
-
-
-def _edge_pair_image(g: Multigraph, perm, pair) -> tuple[int, int]:
-    """The image of an ordered pair of edge ids under the automorphism that
-    moves the vertices by ``perm`` and keeps the order of parallel edges."""
-    ranks, ids = _memoized(g, "edge ranks", lambda: _edge_ranks(g))
-    return tuple(ids[_pair(perm[u], perm[v]), rank] for (u, v), rank in (ranks[e] for e in pair))
+def _image(perm, pairs) -> tuple:
+    """The vertex pairs ``pairs`` moved by ``perm``, each with its lesser end first."""
+    return tuple(_pair(perm[a], perm[b]) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +640,9 @@ def _check_lm_triple(inst, params):
 def _check_lm_special(inst, params):
     g = inst.graph
     e, f = params["e"], params["f"]
-    key = ("special", _orbit_rep(g, "edge pair", (e, f), partial(_edge_pair_image, g)))
+    # an automorphism may shuffle each set of parallel edges, so two ordered
+    # edge pairs share an orbit exactly when their pairs of ends do
+    key = ("special", _orbit_rep(g, "edge pair", (g.edges[e], g.edges[f]), _image))
     try:  # an AssertionError keeps nothing, so each slot names its own edges
         note = _memoized(g, key, lambda: (
             f"{special_pair(g, e, f).verdict}/{special_pair(g, f, e).verdict}"
@@ -723,31 +724,29 @@ def _check_lm_bb_3ef(inst, params):
     )
 
 
-def _split_signature(g: Multigraph, path) -> tuple | None:
+def _split_signature(g: Multigraph, path) -> tuple:
     """What ``split_off(g, path)`` builds, up to the order of its two new edges.
 
     The deleted edge v2v3, then the new edges v1v4 and w1w4 in order, where
-    w1 and w4 are the third neighbours of v2 and v3.  None exactly where
-    ``split_off`` rejects the path, so a degenerate path never shares a result.
+    w1 and w4 are the third neighbours of v2 and v3.  Raises exactly where
+    ``split_off`` does, so a degenerate path never shares a result.
     """
     v1, v2, v3, v4 = path
-
-    def third(a, b, c):  # b's neighbour off the path, with a and c taken once each
-        rest = [g.other_end(e, b) for e in g.incident(b)]
-        for x in (a, c):
-            if x not in rest:
-                return None
-            rest.remove(x)
-        return rest[0] if len(rest) == 1 else None
-
-    w1, w4 = third(v1, v2, v3), third(v2, v3, v4)
-    if len({v1, v2, v3, v4, w1, w4} - {None}) != 6:
-        return None
+    w1, w4 = split_off_ends(g, path)
     return (_pair(v2, v3), *sorted((_pair(v1, v4), _pair(w1, w4))))
 
 
+def _split_key(g: Multigraph, kind: str, signature) -> tuple:
+    """The memo key of a ``kind`` result on the graph split off with ``signature``.
+
+    Paths in one orbit of Aut(g) split off isomorphic graphs, so the key
+    is the orbit's least signature.
+    """
+    return (kind, _orbit_rep(g, "split", signature, _split_image))
+
+
 def _split_image(perm, signature):
-    mid, *new = (_pair(perm[a], perm[b]) for a, b in signature)
+    mid, *new = _image(perm, signature)
     return (mid, *sorted(new))
 
 
@@ -764,19 +763,18 @@ def _check_lm_splitoff(inst, params):
     g = inst.graph
     ell = _effective_connectivity(g)
     path = tuple(params["path"])
-    # the paths (a, v2, v3, c) and (b, v2, v3, d) split off one graph, and
-    # paths in one orbit of Aut(g) split off isomorphic graphs
-    signature = _split_signature(g, path)
-    key = signature and ("splitoff", _orbit_rep(g, "split", signature, _split_image))
-    if key and g._memo.get(key):  # a graph split off in this orbit has no violating side
+    try:  # the paths (a, v2, v3, c) and (b, v2, v3, d) split off one graph
+        signature = _split_signature(g, path)
+    except CubicpmError as exc:
+        return _skip(f"degenerate path: {exc}")
+    key = _split_key(g, "splitoff", signature)
+    if g._memo.get(key):  # a graph split off in this orbit has no violating side
         worst = None
     else:
-        try:
-            h = split_off(g, path)
-        except CubicpmError as exc:
-            return _skip(f"degenerate path: {exc}")
-        # it names vertex ids, so only the paths that split off h itself share it
-        worst = _memoized(g, ("splitoff side", signature), lambda: _violating_side(h, ell))
+        # it names vertex ids, so only the paths that split off this graph share it
+        worst = _memoized(
+            g, ("splitoff side", signature), lambda: _violating_side(split_off(g, path), ell),
+        )
         g._memo[key] = worst is None
     ok = worst is None
     return {
@@ -785,37 +783,21 @@ def _check_lm_splitoff(inst, params):
     }
 
 
-def _split5_key(g: Multigraph, path) -> tuple:
-    """The memo key of the k-almost verdict on ``split_off(g, path)``.
-
-    A path and its reverse split off one graph, and paths in one orbit of
-    Aut(g) split off isomorphic graphs, so the key is the orbit's least path
-    up to reversal.
-    """
-    return ("split5", _orbit_rep(g, "path", min(path, path[::-1]), _path_image))
-
-
-def _path_image(perm, path):
-    image = tuple(perm[v] for v in path)
-    return min(image, image[::-1])
-
-
 def _split5(g: Multigraph, paths):
     """Is either path's split graph 4-almost cyclically 4-edge-connected?
 
-    Paths share verdicts by ``_split5_key`` in g's memo.  A kept verdict
-    means a path of the same orbit split cleanly before, so this one splits
-    cleanly too; only the other paths are split, each before any verdict is
-    read: a degenerate path skips the slot whatever the other path gives.
+    Paths share verdicts by the orbit of their split signature in g's memo,
+    and a path is split only while its orbit keeps no verdict.  Both
+    signatures are read before any verdict: a degenerate path skips the slot
+    whatever the other path gives.
     """
-    keys = [_split5_key(g, p) for p in paths]
     try:
-        splits = {key: split_off(g, p) for key, p in zip(keys, paths) if key not in g._memo}
+        keys = [_split_key(g, "split5", _split_signature(g, p)) for p in paths]
     except CubicpmError as exc:
         return _skip(f"degenerate path: {exc}")
     return _judge(Bound.rational(1), int(any(
-        _memoized(g, key, lambda: is_k_almost_cyclically_4ec(splits[key], 4)[0])
-        for key in keys
+        _memoized(g, key, lambda: is_k_almost_cyclically_4ec(split_off(g, p), 4)[0])
+        for key, p in zip(keys, paths)
     )))
 
 
@@ -844,13 +826,8 @@ def _check_lm_split5_diff(inst, params):
     return _split5(g, [(v1, v2, v3, params["v4"]), (v1, v2, v3p, params["v4p"])])
 
 
-def _check_lm_split4a(inst, params):
-    g = inst.graph
-    cut = build_cut(g, params["side"])
-    if not (cut.size == 4 and cut.cyclic):
-        return _skip("side does not define a cyclic 4-cut")
-    if _anchors_on_side(g, cut) is None:
-        return _skip("two cut edges share a side vertex")
+@_on_cut_side
+def _check_lm_split4a(g, cut, anchors):
     sub, _ = _surgery_graphs(g, cut)
     c4_side = _is_c4(induced_subgraph(g, cut.side_a)[0])
     ok = all(
@@ -863,13 +840,8 @@ def _check_lm_split4a(inst, params):
     )
 
 
-def _check_lm_split4b(inst, params):
-    g = inst.graph
-    cut = build_cut(g, params["side"])
-    if not (cut.size == 4 and cut.cyclic):
-        return _skip("side does not define a cyclic 4-cut")
-    if _anchors_on_side(g, cut) is None:
-        return _skip("two cut edges share a side vertex")
+@_on_cut_side
+def _check_lm_split4b(g, cut, anchors):
     side_graph, _, _ = induced_subgraph(g, cut.side_a)
     if _is_c4(side_graph):
         return _skip("side is a 4-cycle")
@@ -897,14 +869,8 @@ def _check_lm_ordered(inst, params):
     return _judge(Bound.rational(1), 1, note=f"chain length {len(chain)}")
 
 
-def _check_lm_ladder(inst, params):
-    g = inst.graph
-    cut = build_cut(g, params["side"])
-    if not (cut.size == 4 and cut.cyclic):
-        return _skip("side does not define a cyclic 4-cut")
-    anchors = _anchors_on_side(g, cut)
-    if anchors is None:
-        return _skip("two cut edges share a side vertex")
+@_on_cut_side
+def _check_lm_ladder(g, cut, anchors):
     sub, vmap, _ = induced_subgraph(g, cut.side_a)
     va = {i + 1: vmap[anchors[i]] for i in range(4)}  # cut-edge label -> side vertex
 
@@ -1047,7 +1013,7 @@ _4CUT = "needs cyclically 4-edge-connected cubic with a cyclic 4-cut"
 _4CUT_EDGE = "needs cyclically 4-edge-connected cubic with the edge in a cyclic 4-cut"
 _STRUC = "needs cyclically 4-edge-connected cubic with an admissible edge"
 _needs_3ec_edge = _needs(_3EC_EDGE, _is_3ec_cubic)
-_twisted_net = _first(_twisted_skip, _COUNTING)  # hinted nets skip the recognizer and its cap
+_twisted_net = _first(_twisted_skip, _COUNTING)  # known nets skip the recognizer and its cap
 _needs_4cut = _swept(_4CUT, _is_cubic, _c4ec)
 
 _LEMMAS: dict[LemmaId, _Lemma] = {
@@ -1162,14 +1128,14 @@ def check(
     g: Multigraph,
     params: dict | None = None,
     instance: str = "adhoc",
-    hints: tuple[tuple[str, bool], ...] = (),
+    known_twisted: bool = False,
 ) -> LemmaReport:
     """Run one lemma check; with no params, aggregate over all admissible ones.
 
     Aggregation returns the worst report: any Fail wins, otherwise the
     tightest margin; if nothing is admissible the result is Skipped.
     """
-    inst = Instance(instance, g, hints)
+    inst = Instance(instance, g, known_twisted)
     slots = params_for(lemma, inst) if params is None else [params]
     return _aggregate(list(_reports(lemma, inst, slots)))
 
@@ -1278,10 +1244,5 @@ def twisted_instances(
             want = True if roll == 1 else False if roll == 2 else None
         sub = rng.getrandbits(32)
         g, _recipe = fam.random_twisted_net(sub, n, want)
-        out.append(
-            Instance(
-                f"twisted(seed={seed},i={i},n={n},sub={sub})", g,
-                hints=(("known_twisted", True),),
-            )
-        )
+        out.append(Instance(f"twisted(seed={seed},i={i},n={n},sub={sub})", g, known_twisted=True))
     return out

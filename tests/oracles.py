@@ -18,8 +18,9 @@ generator replays its recipe into a new graph at every step, where
 where ``Multigraph.neighbors`` reads one table per graph.
 ``brute_automorphisms`` tests every vertex permutation, where
 ``multigraph.automorphisms`` backtracks through neighbours; given
-``identity_group``, the verifier judges every lemma slot on its own, where
-it shares results across an orbit of Aut(g).  They exist so
+``identity_group``, the verifier shares a result only between slots with
+one key (edge pairs with the same ends, paths with one split signature),
+where it shares results across an orbit of Aut(g).  They exist so
 every exact value the tests assert was computed by a second route.
 """
 
@@ -447,7 +448,7 @@ def brute_automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
 
 
 def identity_group(g: Multigraph) -> tuple[tuple[int, ...], ...]:
-    """The trivial group: given to the verifier in place of Aut(g), every slot is judged alone."""
+    """The trivial group: given to the verifier in place of Aut(g), no two keys share a result."""
     return (tuple(range(g.vertex_count)),)
 
 

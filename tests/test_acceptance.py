@@ -598,8 +598,8 @@ def test_every_lemma_exercised():
     """Coverage assertion: every LemmaId earns at least one Pass somewhere."""
     passes = set()
 
-    def run(lemma, g, instance, params=None, hints=()):
-        rep = check(lemma, g, params=params, instance=instance, hints=hints)
+    def run(lemma, g, instance, params=None, known_twisted=False):
+        rep = check(lemma, g, params=params, instance=instance, known_twisted=known_twisted)
         if rep.verdict == "Pass":
             passes.add(lemma)
         return rep
@@ -641,11 +641,10 @@ def test_every_lemma_exercised():
 
     bip, _ = random_twisted_net(5, 12, want_bipartite=True)
     non, _ = random_twisted_net(5, 12, want_bipartite=False)
-    hints = (("known_twisted", True),)
-    run(LemmaId.LM_TWISTED_NUM, bip, "twisted_bip", hints=hints)
-    run(LemmaId.LM_TWISTED_BIP, bip, "twisted_bip", hints=hints)
-    run(LemmaId.LM_TWISTED_NONBIP, non, "twisted_nonbip", hints=hints)
-    run(LemmaId.LM_TWISTED_BIS, non, "twisted_nonbip", hints=hints)
+    run(LemmaId.LM_TWISTED_NUM, bip, "twisted_bip", known_twisted=True)
+    run(LemmaId.LM_TWISTED_BIP, bip, "twisted_bip", known_twisted=True)
+    run(LemmaId.LM_TWISTED_NONBIP, non, "twisted_nonbip", known_twisted=True)
+    run(LemmaId.LM_TWISTED_BIS, non, "twisted_nonbip", known_twisted=True)
     run(LemmaId.LM_TWISTED_STRUC, host, "ladder_host3")
     missing = [l.value for l in LemmaId if l not in passes]
     assert not missing, f"lemmas without a passing instance: {missing}"

@@ -14,7 +14,7 @@ from cubicpm import Multigraph, connectivity, verifier
 from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut, is_k_almost_cyclically_4ec
 from cubicpm.matchings import COUNT_CAP
 from cubicpm.errors import CubicpmError
-from cubicpm.multigraph import from_edge_list, split_off
+from cubicpm.multigraph import from_edge_list, split_off, split_off_ends
 from cubicpm.verifier import (
     Bound,
     Instance,
@@ -201,10 +201,10 @@ def test_sweep_lm_special_on_cube_covers_all_pairs(named_graphs):
 
 
 def test_fail_fast_raises_with_instance_dump():
-    # a ten-cycle is not a twisted net; the hint forces the hypothesis so the
+    # a ten-cycle is not a twisted net; known_twisted forces the hypothesis so the
     # bound genuinely fails (2 matchings against 2^(22/18))
     c10 = from_edge_list(10, [(i, (i + 1) % 10) for i in range(10)])
-    inst = Instance("c10", c10, hints=(("known_twisted", True),))
+    inst = Instance("c10", c10, known_twisted=True)
     with pytest.raises(LemmaFailure) as exc:
         sweep([LemmaId.LM_TWISTED_NUM], [inst], fail_fast=True)
     msg = str(exc.value)
@@ -233,7 +233,7 @@ def test_every_lemma_id_has_a_check(named_graphs):
 
 def test_twisted_instances_are_hinted():
     insts = twisted_instances(6, seed=3, n_lo=4, n_hi=12)
-    assert all(i.hint("known_twisted") for i in insts)
+    assert all(i.known_twisted for i in insts)
     reports = sweep([LemmaId.LM_TWISTED_NUM, LemmaId.LM_TWISTED_BIS], insts, fail_fast=True)
     assert all(r.verdict == "Pass" for r in reports)
 
@@ -319,26 +319,28 @@ def test_mirrored_splitoff_paths_share_one_sweep(monkeypatch):
     reports = sweep([LemmaId.LM_SPLITOFF], [Instance("moebius_kantor", g)], fail_fast=True)
     assert len(reports) == 96 and sum(h is not g for h in swept) == 2
     monkeypatch.setattr(connectivity, "_crossing_counts", crossing_counts)
-    for r in reports:  # each verdict is the one a graph with an empty memo gives
+    monkeypatch.setattr(verifier, "automorphisms", identity_group)
+    for r in reports:  # each verdict is the one a fresh graph, judged alone, gives
         path = {"path": r.params["path"]}
         alone = check(LemmaId.LM_SPLITOFF, Multigraph(g.vertex_count, g.edges), params=path)
         assert (alone.verdict, alone.params) == (r.verdict, r.params)
 
 
 def test_split5_lemmas_split_no_kept_path_and_test_the_hypothesis_once(monkeypatch):
-    """On the dodecahedron: 4 splits for 360 slots, one hypothesis test (120 before).
+    """On the dodecahedron: 2 splits for 360 slots, and one hypothesis test.
 
-    Its paths fall into 2 orbits of Aut(g) up to reversal, and a path is
-    split only while its orbit keeps no verdict (279 splits when only a
-    path and its reverse shared, 720 before that).
+    Its split signatures fall into 2 orbits of Aut(g), and a path is split
+    only while its orbit keeps no verdict.
     """
     g = named("dodecahedron")
     kept, hypotheses = [], []
     split, hypothesis = verifier.split_off, verifier._split5_hypothesis
-    monkeypatch.setattr(
-        verifier, "split_off",
-        lambda h, p: kept.append(verifier._split5_key(h, p) in h._memo) or split(h, p),
-    )
+
+    def counted(h, p):
+        kept.append(verifier._split_key(h, "split5", verifier._split_signature(h, p)) in h._memo)
+        return split(h, p)
+
+    monkeypatch.setattr(verifier, "split_off", counted)
     monkeypatch.setattr(
         verifier, "_split5_hypothesis", lambda inst: hypotheses.append(inst) or hypothesis(inst),
     )
@@ -347,7 +349,7 @@ def test_split5_lemmas_split_no_kept_path_and_test_the_hypothesis_once(monkeypat
         fail_fast=True,
     )
     assert len(reports) == 120 + 240 and {r.verdict for r in reports} == {"Pass"}
-    assert len(kept) == 4 and not any(kept)
+    assert len(kept) == 2 and not any(kept)
     assert len(hypotheses) == 1  # LM_SPLIT5_SAME's check; the sweep tests LM_SPLIT5_DIFF's
     monkeypatch.undo()
 
@@ -365,37 +367,6 @@ def test_split5_lemmas_split_no_kept_path_and_test_the_hypothesis_once(monkeypat
             v3, v3p = (x for x in g.neighbors(v2) if x != v1)
             paths = [(v1, v2, v3, r.params["v4"]), (v1, v2, v3p, r.params["v4p"])]
         assert r.verdict == ("Pass" if any(almost(min(p, p[::-1])) for p in paths) else "Fail")
-
-
-def test_a_split5_path_and_its_reverse_split_off_equal_graphs(monkeypatch):
-    """The premise that lets the two LM_SPLIT5 lemmas share one verdict per path.
-
-    Every path their checks hand to the splitting step on the catalog's cubic
-    graphs, with the hypothesis waived so that every slot reaches it.
-    """
-    corpus = named_instances() + random_instances(40, 4, 14, seed=7)
-    corpus += twisted_instances(60, seed=8, n_lo=4, n_hi=26)
-    paths = []
-    monkeypatch.setattr(verifier, "_split5", lambda g, ps: paths.extend((g, p) for p in ps))
-    monkeypatch.setattr(verifier, "_split5_hypothesis", lambda inst: None)
-    for lemma in (LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF):
-        entry = verifier._LEMMAS[lemma]
-        for inst in (inst for inst in corpus if inst.graph.is_cubic):
-            for params in entry.params(inst.graph):
-                entry.check(inst, params)
-
-    def split(g, path):
-        try:
-            return split_off(g, path)
-        except CubicpmError as exc:
-            return type(exc)
-
-    degenerate = Counter()
-    for g, path in paths:
-        got = split(g, path)
-        assert got == split(g, path[::-1]), path
-        degenerate[isinstance(got, type)] += 1
-    assert degenerate[True] and degenerate[False]
 
 
 def _catalog_corpus():
@@ -438,55 +409,109 @@ def test_failures_that_name_ids_are_found_for_each_slot(monkeypatch):
     assert all(tally[lemma.value, verdict] for lemma in lemmas for verdict in ("Pass", "Fail"))
 
 
-def test_an_edge_pair_moves_with_the_order_of_parallel_edges():
-    """Each automorphism sends edge e to the edge of e's rank among those joining its image."""
-    necklace = from_edge_list(8, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (3, 4), (4, 5),
-                                  (4, 5), (5, 6), (6, 7), (6, 7), (7, 0)])
-    for g in (necklace, named("theta"), named("petersen")):
-        group = verifier.automorphisms(g)
-        assert len(group) > 1
-        for perm in group:
-            image = [verifier._edge_pair_image(g, perm, (e, e))[0] for e in range(g.edge_count)]
-            assert sorted(image) == list(range(g.edge_count))
-            for e, (u, v) in enumerate(g.edges):
-                assert g.edges[image[e]] == tuple(sorted((perm[u], perm[v])))
-                twins = [d for d in range(g.edge_count) if g.edges[d] == (u, v)]
-                assert [image[d] for d in twins] == sorted(image[d] for d in twins)
+def test_theta_shares_one_special_pair_verdict_across_its_parallel_edges(monkeypatch):
+    """An automorphism may shuffle parallel edges, so theta's 3 LM_SPECIAL
+    slots form one orbit and make 2 ``special_pair`` calls.  The reports are those of the identity group, and
+    each slot's note holds its own edges' verdicts."""
+    calls = []
+    special_pair = verifier.special_pair
+    monkeypatch.setattr(
+        verifier, "special_pair", lambda g, e, f: calls.append((e, f)) or special_pair(g, e, f),
+    )
+
+    def reports():
+        return [r.to_json() for r in sweep([LemmaId.LM_SPECIAL], named_instances(["theta"]))]
+
+    shared = reports()
+    assert len(shared) == 3 and len(calls) == 2
+    monkeypatch.setattr(verifier, "automorphisms", identity_group)
+    assert reports() == shared and {r["verdict"] for r in shared} == {"Pass"}
+    g = named("theta")
+    for r in shared:
+        e, f = r["params"]["e"], r["params"]["f"]
+        assert r["note"] == f"{special_pair(g, e, f).verdict}/{special_pair(g, f, e).verdict}"
 
 
-def test_a_split_signature_is_missing_exactly_where_splitting_off_fails():
-    """Every 3-edge path of the catalog's cubic graphs, degenerate ones included."""
+def _three_edge_paths(g):
+    """Every walk v1 v2 v3 v4 along three edges, degenerate ones included."""
+    return sorted({
+        (v1, v2, v3, v4)
+        for v2, v3 in g.edges + tuple((b, a) for a, b in g.edges)
+        for v1 in g.neighbors(v2) for v4 in g.neighbors(v3)
+    })
+
+
+def _outcome(split, g, path):
+    """What ``split(g, path)`` returns, or the type and message of its error."""
+    try:
+        return split(g, path)
+    except CubicpmError as exc:
+        return type(exc), str(exc)
+
+
+def test_split_off_ends_raise_exactly_where_splitting_off_fails():
+    """Every 3-edge walk of the catalog's cubic graphs: the same error type and
+    message, and otherwise the ends of the last new edge of the split graph."""
     degenerate = Counter()
     for inst in _catalog_corpus():
         g = inst.graph
         if not g.is_cubic:
             continue
-        paths = {
-            (v1, v2, v3, v4)
-            for v2, v3 in g.edges + tuple((b, a) for a, b in g.edges)
-            for v1 in g.neighbors(v2) for v4 in g.neighbors(v3)
-        }
-        for path in paths:
-            try:
-                h = split_off(g, path)
-            except CubicpmError:
-                h = None
-            signature = verifier._split_signature(g, path)
-            assert (signature is None) == (h is None), (inst.name, path)
-            degenerate[h is None] += 1
-            if h is not None:  # the deleted edge, then the new edges in either order
-                (v2, v3), *new = signature
-                assert (v2, v3) == tuple(sorted(path[1:3]))
-                keep = [v for v in range(g.vertex_count) if v not in (v2, v3)]
-                assert sorted(h.edges[-2:]) == sorted(
-                    tuple(sorted((keep.index(a), keep.index(b)))) for a, b in new
-                )
+        for path in _three_edge_paths(g):
+            h, ends = _outcome(split_off, g, path), _outcome(split_off_ends, g, path)
+            degenerate[isinstance(h, tuple)] += 1
+            if isinstance(h, tuple):
+                assert ends == h, (inst.name, path)
+            else:
+                keep = [v for v in range(g.vertex_count) if v not in path[1:3]]
+                assert h.edges[-1] == tuple(sorted(keep.index(w) for w in ends))
     assert degenerate[True] and degenerate[False]
+
+
+def test_equal_split_signatures_split_off_equal_graphs(monkeypatch):
+    """The premise that lets LM_SPLITOFF and the two LM_SPLIT5 lemmas share
+    results per split signature.
+
+    Every path their checks hand to the splitting step on the catalog's cubic
+    graphs, with the LM_SPLIT5 hypothesis waived so that every slot reaches
+    it: a path and its reverse have one signature, and the signature gives
+    the split graph up to the order of its two new edges.
+    """
+    paths = []
+    monkeypatch.setattr(verifier, "_split5", lambda g, ps: paths.extend((g, p) for p in ps))
+    monkeypatch.setattr(verifier, "_split5_hypothesis", lambda inst: None)
+    for inst in (inst for inst in _catalog_corpus() if inst.graph.is_cubic):
+        g = inst.graph
+        paths += [(g, tuple(p["path"])) for p in verifier._path_params(g)]
+        for lemma in (LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF):
+            entry = verifier._LEMMAS[lemma]
+            for params in entry.params(g):
+                entry.check(inst, params)
+
+    graphs, shared, degenerate = {}, Counter(), 0
+    for g, path in paths:
+        try:
+            signature = verifier._split_signature(g, path)
+        except CubicpmError:
+            degenerate += 1
+            continue
+        assert verifier._split_signature(g, path[::-1]) == signature
+        (v2, v3), *new = signature
+        keep = [v for v in range(g.vertex_count) if v not in (v2, v3)]
+
+        def moved(a, b):
+            return tuple(sorted((keep.index(a), keep.index(b))))
+
+        h = split_off(g, path)
+        assert h.edges[:-2] == tuple(moved(a, b) for a, b in g.edges if {a, b}.isdisjoint((v2, v3)))
+        assert sorted(h.edges[-2:]) == sorted(moved(a, b) for a, b in new)
+        graphs.setdefault((id(g), signature), set()).add(min(path, path[::-1]))
+    assert degenerate and any(len(ps) > 1 for ps in graphs.values())
 
 
 def test_counting_lemmas_skip_above_the_counting_cap():
     g = random_cubic_bridgeless(0, COUNT_CAP + 2)
-    inst = Instance("n66", g, hints=(("known_twisted", True),))  # the hint skips the recognizer
+    inst = Instance("n66", g, known_twisted=True)  # a known twisted net skips the recognizer
     lemmas = [LemmaId.TH_HALF, LemmaId.THM_EF, LemmaId.LM_TWISTED_NUM, LemmaId.LM_TWISTED_BIS]
     reports = sweep(lemmas, [inst], fail_fast=True)
     assert len(reports) == 4
