@@ -411,8 +411,9 @@ def test_failures_that_name_ids_are_found_for_each_slot(monkeypatch):
 
 def test_theta_shares_one_special_pair_verdict_across_its_parallel_edges(monkeypatch):
     """An automorphism may shuffle parallel edges, so theta's 3 LM_SPECIAL
-    slots form one orbit and make 2 ``special_pair`` calls.  The reports are those of the identity group, and
-    each slot's note holds its own edges' verdicts."""
+    slots form one orbit and make 2 ``special_pair`` calls.  The reports are
+    those of the identity group, and each slot's note holds its own edges'
+    verdicts."""
     calls = []
     special_pair = verifier.special_pair
     monkeypatch.setattr(
@@ -488,7 +489,7 @@ def test_equal_split_signatures_split_off_equal_graphs(monkeypatch):
             for params in entry.params(g):
                 entry.check(inst, params)
 
-    graphs, shared, degenerate = {}, Counter(), 0
+    by_signature, degenerate = {}, 0
     for g, path in paths:
         try:
             signature = verifier._split_signature(g, path)
@@ -505,8 +506,8 @@ def test_equal_split_signatures_split_off_equal_graphs(monkeypatch):
         h = split_off(g, path)
         assert h.edges[:-2] == tuple(moved(a, b) for a, b in g.edges if {a, b}.isdisjoint((v2, v3)))
         assert sorted(h.edges[-2:]) == sorted(moved(a, b) for a, b in new)
-        graphs.setdefault((id(g), signature), set()).add(min(path, path[::-1]))
-    assert degenerate and any(len(ps) > 1 for ps in graphs.values())
+        by_signature.setdefault((id(g), signature), set()).add(min(path, path[::-1]))
+    assert degenerate and any(len(ps) > 1 for ps in by_signature.values())
 
 
 def test_counting_lemmas_skip_above_the_counting_cap():
