@@ -11,7 +11,7 @@ bytes.  Exit code 1 if any lemma failed (the run still writes all reports).
 
 Usage:
     python scripts/run_sweeps.py --out runs/demo --seed 7 [--random 40]
-        [--twisted 60] [--quick]
+        [--twisted 60]
 """
 
 from __future__ import annotations
@@ -32,14 +32,6 @@ from cubicpm.verifier import (
     twisted_instances,
 )
 
-QUICK_LEMMAS = [
-    LemmaId.TH_HALF,
-    LemmaId.THM_EF,
-    LemmaId.LM_SEMIBLOCK,
-    LemmaId.THM_BB,
-    LemmaId.LM_BB_CUBIC,
-]
-
 
 def build_corpus(args) -> list[Instance]:
     corpus = named_instances()
@@ -54,7 +46,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--random", type=int, default=40, help="random corpus size")
     ap.add_argument("--twisted", type=int, default=60, help="twisted corpus size")
-    ap.add_argument("--quick", action="store_true", help="fast lemma subset")
     args = ap.parse_args()
 
     out = Path(args.out)
@@ -65,8 +56,7 @@ def main() -> int:
         safe = inst.name.replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
         (out / "graphs" / f"{safe}.el").write_text(write_edge_list(inst.graph))
 
-    lemmas = QUICK_LEMMAS if args.quick else list(LemmaId)
-    reports = sweep(lemmas, corpus, fail_fast=False)
+    reports = sweep(list(LemmaId), corpus, fail_fast=False)
 
     (out / "reports.json").write_text(
         json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True) + "\n"

@@ -10,12 +10,14 @@ Each graph object keeps one unit-weight sweep in its memo: the masks,
 crossing sizes and cyclic flags of the bipartitions crossed by at most the
 largest bound asked so far.  ``enumerate_cuts``, ``cyclic_cuts_up_to`` and
 ``cyclic_edge_connectivity`` filter it for any smaller bound; a larger
-bound sweeps again and classifies only the masks it adds.  Whether a cut is
-cyclic is read from the edge counts of its two sides; an exact flood over
-neighbour bitmasks counts their parts only where those counts leave it
-open, and an ``EdgeCut`` is built only for a cut that is returned.  The
-k-almost search sweeps only its root: each contraction inherits its
-parent's cuts of at most 3 edges.
+bound sweeps again and classifies only the masks it adds.  One classifier
+(``_cyclic_flags``) decides whether a cut is cyclic, for the sweep and for
+``build_cut`` alike: it reads the edge counts of the two sides, and an exact
+flood over neighbour bitmasks counts their parts only where those counts
+leave it open.  An ``EdgeCut`` is built only for a cut that is returned.
+The union-find it replaced is kept in the test oracles.  The k-almost
+search sweeps only its root: each contraction inherits its parent's cuts of
+at most 3 edges.
 Correctness beats asymptotics here: these sweeps are the oracles everything
 else is checked against.
 """
@@ -111,29 +113,6 @@ def bridges(g: Multigraph) -> frozenset[int]:
     return frozenset(out)
 
 
-def side_has_cycle(g: Multigraph, side) -> bool:
-    """Does the subgraph induced by ``side`` contain a cycle?
-
-    A pair of parallel edges is a 2-cycle, so union-find does it exactly.
-    """
-    side = set(side)
-    parent = {v: v for v in side}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        if u in side and v in side:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return True
-            parent[ru] = rv
-    return False
-
-
 def cut_sums_at_most(
     g: Multigraph, weights: list[int], bound: int
 ) -> tuple[list[int], list[int]]:
@@ -221,14 +200,21 @@ def _edge_cut(g: Multigraph, side: frozenset[int], cyclic: bool) -> EdgeCut:
     return EdgeCut(side, crossing, len(crossing), cyclic)
 
 
-def _both_sides_cyclic(g: Multigraph, side: frozenset[int]) -> bool:
-    return side_has_cycle(g, side) and side_has_cycle(g, frozenset(range(g.vertex_count)) - side)
-
-
 def build_cut(g: Multigraph, side) -> EdgeCut:
-    """The cut determined by one side of a bipartition, cyclicity included."""
+    """The cut determined by one side of a bipartition, cyclicity included.
+
+    Cyclicity is classified as the sweep classifies it, on the mask of the
+    side that holds vertex 0; a bipartition with an empty side is acyclic.
+    """
     side = frozenset(side)
-    return _edge_cut(g, side, _both_sides_cyclic(g, side))
+    cut = _edge_cut(g, side, False)
+    n = g.vertex_count
+    side_a = side if 0 in side else frozenset(range(n)) - side
+    if not 0 < len(side_a) < n:
+        return cut
+    mask = sum(1 << (v - 1) for v in side_a if v)
+    (cyclic,) = _cyclic_flags(g, [mask], [cut.size])
+    return EdgeCut(side, cut.crossing_edges, cut.size, cyclic)
 
 
 def _cycle_certificates(
@@ -410,17 +396,16 @@ def observation_cyc_check(g: Multigraph, cut: EdgeCut) -> bool:
     """Hypothesis test for the size-(k-1) observation on min-degree-3 graphs.
 
     Returns True iff both sides have at least size-1 vertices; in that case
-    the cut must be cyclic, which is asserted against an independent cycle
-    check on both sides.
+    the cut must be cyclic, which is asserted on the cut ``build_cut``
+    rebuilds from side A, whatever flag ``cut`` carries.
     """
     if any(d < 3 for d in g.degrees):
         raise MinDegreeViolated("observation needs minimum degree 3")
     k = cut.size
     other = frozenset(range(g.vertex_count)) - cut.side_a
     hyp = len(cut.side_a) >= k - 1 and len(other) >= k - 1
-    if hyp:
-        if not (side_has_cycle(g, cut.side_a) and side_has_cycle(g, other)):
-            raise AssertionError(f"cut {sorted(cut.side_a)} should be cyclic but is not")
+    if hyp and not build_cut(g, cut.side_a).cyclic:
+        raise AssertionError(f"cut {sorted(cut.side_a)} should be cyclic but is not")
     return hyp
 
 
@@ -453,30 +438,29 @@ def cut_surgery_pair(
     g: Multigraph,
     cut: EdgeCut,
     pairing: tuple[tuple[int, int], tuple[int, int]],
-    side: str = "A",
 ) -> tuple[Multigraph, Multigraph]:
-    """The two 4-cut closures of one side: add two edges, or a subdivided link.
+    """The two 4-cut closures of side A: add two edges, or a subdivided link.
 
-    ``pairing`` partitions the four cut edges into two pairs (by edge id).
-    With m' edges induced on the chosen side, the paired graph appends its
-    two new edges at positions m' and m'+1 (pair order as given); the
-    subdivided graph appends, in order, the four attachment edges for
-    pairing[0][0], pairing[0][1], pairing[1][0], pairing[1][1] and then the
-    middle edge joining the two new vertices (ids s = side size and s+1).
+    ``pairing`` partitions the four cut edges into two pairs (by edge id);
+    for the other side, pass ``cut.flipped(g)``.  With m' edges induced on
+    side A, the paired graph appends its two new edges at positions m' and
+    m'+1 (pair order as given); the subdivided graph appends, in order, the
+    four attachment edges for pairing[0][0], pairing[0][1], pairing[1][0],
+    pairing[1][1] and then the middle edge joining the two new vertices (ids
+    s = side size and s+1).
     """
     if cut.size != 4:
         raise SharedEndpoint("surgery needs a cut with exactly 4 crossing edges")
-    chosen = cut.side_a if side == "A" else frozenset(range(g.vertex_count)) - cut.side_a
     flat = [e for pair in pairing for e in pair]
     if sorted(flat) != sorted(cut.crossing_edges):
         raise SharedEndpoint("pairing must partition the four cut edges")
     anchors = {}
     for e in flat:
         u, v = g.endpoints(e)
-        anchors[e] = u if u in chosen else v
+        anchors[e] = u if u in cut.side_a else v
     if len(set(anchors.values())) != 4:
-        raise SharedEndpoint("two cut edges meet the chosen side at one vertex")
-    sub, vmap, _ = induced_subgraph(g, chosen)
+        raise SharedEndpoint("two cut edges meet side A at one vertex")
+    sub, vmap, _ = induced_subgraph(g, cut.side_a)
     (a, b), (c, d) = pairing
     paired = Multigraph(
         sub.vertex_count,

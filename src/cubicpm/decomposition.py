@@ -7,9 +7,10 @@ bipartitions, pruned at the number of perfect matchings
 (``connectivity.cut_sums_at_most``), not from a list of matchings.  Only the
 root of a decomposition is swept: the tight cuts of a tight-cut contraction
 are those of its parent that do not cross the contracted cut (Lovasz), so
-each child inherits them.  The leaf multiset is unique up to edge
-multiplicity (Lovasz), which is asserted by decomposing under two different
-cut-selection orders rather than assumed.
+each child inherits them.  The cut at each node is the least by the sorted
+vertex sequence of side A.  The leaf multiset is unique up to edge
+multiplicity (Lovasz); the test suite asserts that another cut order gives
+the same leaves rather than assuming it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connectivity import EdgeCut, build_cut, cut_sums_at_most, mask_sides, mask_sizes
-from .errors import NotMatchingCovered, TooLarge, UnknownName
+from .errors import NotMatchingCovered, TooLarge
 from .matchings import CountQuery, containment_counts, has_matching, is_bipartite
 from .multigraph import Multigraph, _memoized, components, contract
 
@@ -142,24 +143,21 @@ class DecompositionNode:
         return base
 
 
-def decompose(g: Multigraph, order: str = "lex_min") -> DecompositionNode:
-    """Tight-cut decomposition with a deterministic cut-selection order.
+def decompose(g: Multigraph) -> DecompositionNode:
+    """Tight-cut decomposition, splitting each node along its least tight cut.
 
-    ``order`` picks among the nontrivial tight cuts by the sorted vertex
-    sequence of side A: "lex_min" (default) or "lex_max".  The leaf multiset
-    does not depend on this, which the test suite asserts rather than trusts.
-    Only g itself is swept (``tight_cuts``); the tree is kept in g's memo.
-    Any other order raises ``UnknownName``.
+    Among the nontrivial tight cuts, the one whose side A has the least
+    sorted vertex sequence is taken.  The leaf multiset does not depend on
+    this order, which the test suite checks against a recursion that takes
+    the greatest cut instead.  Only g itself is swept (``tight_cuts``); the
+    tree is kept in g's memo.
     """
-    if order not in ("lex_min", "lex_max"):
-        raise UnknownName(f"no cut-selection order called {order!r}")
     return _memoized(
-        g, ("decomposition", order),
-        lambda: _split(g, [t.cut.side_a for t in tight_cuts(g)], order),
+        g, "decomposition", lambda: _split(g, [t.cut.side_a for t in tight_cuts(g)]),
     )
 
 
-def _split(g: Multigraph, tight: list[frozenset[int]], order: str) -> DecompositionNode:
+def _split(g: Multigraph, tight: list[frozenset[int]]) -> DecompositionNode:
     """The tree below g, given the sides A of its nontrivial tight cuts, sorted.
 
     Contracting a shore X of the chosen cut keeps each tight side S with
@@ -169,20 +167,20 @@ def _split(g: Multigraph, tight: list[frozenset[int]], order: str) -> Decomposit
     """
     if not tight:
         return DecompositionNode(g, kind="brace" if is_bipartite(g) else "brick")
-    side_a = tight[0] if order == "lex_min" else tight[-1]
+    side_a = tight[0]
     children = []
     for shore in (side_a, frozenset(range(g.vertex_count)) - side_a):
         h, trace = contract(g, shore)
         vmap = trace.records[0].vertex_map
         mapped = (frozenset(vmap[v] for v in s) for s in tight if shore <= s or not shore & s)
         inherited = [s for s in mapped if 3 <= len(s) <= h.vertex_count - 3]
-        children.append(_split(h, sorted(inherited, key=sorted), order))
+        children.append(_split(h, sorted(inherited, key=sorted)))
     child_a, child_b = children
     return DecompositionNode(g, cut=build_cut(g, side_a), child_a=child_a, child_b=child_b)
 
 
 def brick_count(g: Multigraph) -> int:
-    """b(G), read from the leaves of the memoized lex_min tree."""
+    """b(G), read from the leaves of the memoized tree."""
     return sum(1 for leaf in decompose(g).leaves() if leaf.kind == "brick")
 
 

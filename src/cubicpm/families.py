@@ -43,7 +43,7 @@ NAMED = (
 )
 
 
-def _lcf(n: int, shifts: list[int], repeats: int) -> Multigraph:
+def _lcf(n: int, shifts: list[int]) -> Multigraph:
     pairs = [(i, (i + 1) % n) for i in range(n)]
     seen = {tuple(sorted(p)) for p in pairs}
     for i in range(n):
@@ -77,14 +77,13 @@ def named(name: str) -> Multigraph:
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         return from_edge_list(10, outer + spokes + inner)
     if name == "moebius_kantor":
-        return _lcf(16, [5, -5], 8)
+        return _lcf(16, [5, -5])
     if name == "dodecahedron":
-        return _lcf(20, [10, 7, 4, -4, -7, 10, -4, 7, -7, 4], 2)
+        return _lcf(20, [10, 7, 4, -4, -7, 10, -4, 7, -7, 4])
     if name == "exceptional6":
         # four corners v1..v4 = 0..3, two inner vertices a=4, b=5
         edges = [(0, 1), (1, 4), (2, 4), (3, 4), (0, 5), (2, 5), (3, 5)]
-        labels = {0: "v1", 1: "v2", 2: "v3", 3: "v4", 4: "a", 5: "b"}
-        return Multigraph(6, tuple(edges), labels)
+        return Multigraph(6, tuple(edges))
     raise UnknownName(f"no catalog graph called {name!r}")
 
 

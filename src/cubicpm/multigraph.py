@@ -11,13 +11,13 @@ The package's graph searches live here: ``components`` finds the connected
 parts of an induced subgraph minus some edges, and ``two_coloring`` 2-colors
 a graph minus some edges or finds an odd cycle.  Other modules ask these
 two for connected parts and 2-colorings; ``connectivity`` keeps its low-link
-search for bridges and its union-find that stops at the first cycle.
+search for bridges and its bitmask flood that tests a cut's sides for cycles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -43,7 +43,6 @@ class Multigraph:
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
-    labels: Mapping[int, str] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.vertex_count
@@ -169,11 +168,7 @@ class Multigraph:
         """Apply a vertex permutation (perm[old] = new), preserving edge order."""
         if sorted(perm) != list(range(self.vertex_count)):
             raise VertexIdOutOfRange("perm is not a permutation of the vertex ids")
-        edges = tuple((perm[u], perm[v]) for u, v in self.edges)
-        labels = None
-        if self.labels is not None:
-            labels = {perm[v]: s for v, s in self.labels.items()}
-        return Multigraph(self.vertex_count, edges, labels)
+        return Multigraph(self.vertex_count, tuple((perm[u], perm[v]) for u, v in self.edges))
 
     def __repr__(self):  # keep failure dumps readable
         return f"Multigraph(n={self.vertex_count}, m={self.edge_count}, edges={list(self.edges)})"
@@ -585,7 +580,7 @@ def triangle_record(g: Multigraph, v: int) -> tuple[Multigraph, SurgeryRecord]:
     for pair in ((slots[0], slots[1]), (slots[1], slots[2]), (slots[0], slots[2])):
         edges.append(pair)
         emap.append(None)
-    out = Multigraph(n + 2, tuple(edges), g.labels)
+    out = Multigraph(n + 2, tuple(edges))
     rec = SurgeryRecord("triangle", (v,), tuple(range(n)), tuple(emap))
     return out, rec
 

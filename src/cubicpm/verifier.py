@@ -58,7 +58,6 @@ from .matchings import (
     containment_counts,
     count_matchings,
     is_bipartite,
-    is_matching_covered,
     kotzig_bridge,
     pair_counts,
     special_pair,
@@ -320,15 +319,12 @@ def _is_c4(g: Multigraph) -> bool:
     )
 
 
-def _corner_pair_counts(g: Multigraph) -> dict[tuple[int, int], int]:
-    cs = fam.corners(g)
-    out = {}
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            out[(cs[i], cs[j])] = count_matchings(
-                g, CountQuery(missed_vertices=frozenset({cs[i], cs[j]}))
-            )
-    return out
+def _corner_pair_counts(g: Multigraph) -> tuple[int, ...]:
+    """The perfect matchings of g minus each pair of its corners, kept in g's memo."""
+    return _memoized(g, "corner pairs", lambda: tuple(
+        count_matchings(g, CountQuery(missed_vertices=frozenset(pair)))
+        for pair in combinations(fam.corners(g), 2)
+    ))
 
 
 def _on_cut_side(check):
@@ -365,7 +361,7 @@ def _surgery_graphs(g: Multigraph, cut: EdgeCut):
     for i in (2, 3, 4):
         j, k = others[i]
         pairing = ((es[0], es[i - 1]), (es[j], es[k]))
-        p, s = cut_surgery_pair(g, cut, pairing, side="A")
+        p, s = cut_surgery_pair(g, cut, pairing)
         paired[i] = p
         sub[i] = s
     return sub, paired
@@ -708,13 +704,14 @@ def _check_lm_bb_3e(inst, params):
 
 def _check_lm_bb_3ef(inst, params):
     g = inst.graph
-    e = params["edge"]
-    if is_matching_covered(_delete_edges(g, {e})):
+    e, p = params["edge"], pair_counts(g)
+    # f lies in no perfect matching of G - e when each one through f meets e
+    stuck = [f for f in range(g.edge_count) if f != e and p[f][f] == p[f][e]]
+    if not stuck:
         return _skip("graph minus edge is matching-covered")
     bound = Bound.rational(Fraction(g.vertex_count, 4) - 1)
-    for f in range(g.edge_count):
-        if f == e:
-            continue
+    # deleting any other edge leaves a stuck one, so only these can be companions
+    for f in stuck:
         b = _bricks(_delete_edges(g, {e, f}))
         if b is not None:
             return {**_judge(bound, b, direction="<="), "params": {**params, "companion": f}}
@@ -947,14 +944,14 @@ def _check_lm_twisted_bip(inst, params):
 def _check_lm_twisted_nonbip(inst, params):
     g = inst.graph
     prod = 1
-    for c in _corner_pair_counts(g).values():
+    for c in _corner_pair_counts(g):
         prod *= c
     return _judge(Bound.pow2(Fraction(g.vertex_count + 8, 18)), prod)
 
 
 def _check_lm_twisted_bis(inst, params):
     g = inst.graph
-    best = max(_corner_pair_counts(g).values())
+    best = max(_corner_pair_counts(g))
     return _judge(Bound.pow2(Fraction(g.vertex_count - 4, 108)), best)
 
 
@@ -1140,11 +1137,12 @@ def check(
     return _aggregate(list(_reports(lemma, inst, slots)))
 
 
-def check_lm_ladder(g: Multigraph, cut: EdgeCut, side: str = "A",
-                    instance: str = "adhoc") -> LemmaReport:
-    """The zero/one/ladder trichotomy for near-perfect counts on a 4-cut side."""
-    chosen = cut.side_a if side == "A" else cut.flipped(g).side_a
-    return check(LemmaId.LM_LADDER, g, {"side": sorted(chosen)}, instance)
+def check_lm_ladder(g: Multigraph, cut: EdgeCut, instance: str = "adhoc") -> LemmaReport:
+    """The zero/one/ladder trichotomy for near-perfect counts on side A of a 4-cut.
+
+    For the other side, pass ``cut.flipped(g)``.
+    """
+    return check(LemmaId.LM_LADDER, g, {"side": sorted(cut.side_a)}, instance)
 
 
 def _aggregate(reports: list[LemmaReport]) -> LemmaReport:

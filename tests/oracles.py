@@ -7,11 +7,13 @@ are the routes that the frontier-ordered DP of ``matchings`` replaced, and
 the one-count-per-slot loops are those that ``matchings.pair_counts``
 replaced.  The bipartition sweeps below are the full per-edge and
 per-matching loops that the pruned sweep ``connectivity.cut_sums_at_most``
-replaced, and the per-mask cut builds that the cycle certificates of
-``connectivity`` replaced; ``slow_decompose`` sweeps every node of a
-decomposition where ``decompose`` sweeps only the root, and
-``slow_k_almost_search`` every graph of the k-almost search where
-``is_k_almost_cyclically_4ec`` sweeps only the root.  The twisted-net
+replaced, and the union-find cycle test per mask (``side_has_cycle``) that
+the one cyclicity classifier of ``connectivity`` replaced; ``slow_decompose``
+sweeps every node of a decomposition where ``decompose`` sweeps only the
+root (given "lex_max", it splits along the greatest tight cut where
+``decompose`` takes the least), and ``slow_k_almost_search`` every graph
+of the k-almost search where ``is_k_almost_cyclically_4ec`` sweeps only the
+root.  The twisted-net
 generator replays its recipe into a new graph at every step, where
 ``families`` applies each step once to a net without its graph.
 ``slow_neighbors`` collects and sorts a vertex's neighbours on every call,
@@ -20,7 +22,9 @@ where ``Multigraph.neighbors`` reads one table per graph.
 ``multigraph.automorphisms`` backtracks through neighbours; given
 ``identity_group``, the verifier shares a result only between slots with
 one key (edge pairs with the same ends, paths with one split signature),
-where it shares results across an orbit of Aut(g).  They exist so
+where it shares results across an orbit of Aut(g).  ``slow_check_lm_bb_3ef``
+tests G - e for coverage and tries every companion edge, where the verifier
+reads the stuck edges of G - e from ``matchings.pair_counts``.  They exist so
 every exact value the tests assert was computed by a second route.
 """
 
@@ -256,27 +260,54 @@ def _slow_selected_sides(g: Multigraph, masks) -> list[frozenset[int]]:
     return out
 
 
+def side_has_cycle(g: Multigraph, side) -> bool:
+    """Does the subgraph induced by ``side`` contain a cycle?
+
+    A pair of parallel edges is a 2-cycle, so union-find does it exactly.
+    """
+    side = set(side)
+    parent = {v: v for v in side}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        if u in side and v in side:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                return True
+            parent[ru] = rv
+    return False
+
+
+def _both_sides_cyclic(g: Multigraph, side: frozenset[int]) -> bool:
+    return side_has_cycle(g, side) and side_has_cycle(g, frozenset(range(g.vertex_count)) - side)
+
+
 def slow_enumerate_cuts(g: Multigraph, max_size: int) -> list:
-    """Cuts of at most max_size edges, with a full ``build_cut`` (cyclicity too) per mask."""
-    from cubicpm.connectivity import build_cut
+    """Cuts of at most max_size edges, one per mask, each side tested by the union-find."""
+    from cubicpm.connectivity import EdgeCut
 
     counts = slow_crossing_counts(g)
     selected = [mask for mask, c in enumerate(counts) if c <= max_size]
-    return [build_cut(g, side) for side in _slow_selected_sides(g, selected)]
+    out = []
+    for side in _slow_selected_sides(g, selected):
+        crossing = frozenset(e for e, (u, v) in enumerate(g.edges) if (u in side) != (v in side))
+        out.append(EdgeCut(side, crossing, len(crossing), _both_sides_cyclic(g, side)))
+    return out
 
 
 def slow_cyclic_edge_connectivity(g: Multigraph) -> int | None:
     """The least crossing size whose masks hold a side pair with cycles on both sides."""
-    from cubicpm.connectivity import side_has_cycle
-
     by_count: dict[int, list[int]] = {}
     for mask, c in enumerate(slow_crossing_counts(g)):
         by_count.setdefault(c, []).append(mask)
-    allv = frozenset(range(g.vertex_count))
     for c in sorted(by_count):
-        for side in _slow_selected_sides(g, by_count[c]):
-            if side_has_cycle(g, side) and side_has_cycle(g, allv - side):
-                return c
+        if any(_both_sides_cyclic(g, side) for side in _slow_selected_sides(g, by_count[c])):
+            return c
     return None
 
 
@@ -284,7 +315,9 @@ def slow_decompose(g: Multigraph, order: str = "lex_min"):
     """The tight-cut decomposition with a fresh ``tight_cuts`` sweep at every node.
 
     The recursion that ``decomposition.decompose`` replaced by handing each
-    contraction the tight cuts of its parent.
+    contraction the tight cuts of its parent.  Each node splits along its
+    least tight cut ("lex_min", as ``decompose`` does) or its greatest
+    ("lex_max"), by the sorted vertex sequence of side A.
     """
     from cubicpm.decomposition import DecompositionNode, tight_cuts
     from cubicpm.matchings import is_bipartite
@@ -297,6 +330,33 @@ def slow_decompose(g: Multigraph, order: str = "lex_min"):
     gb, _ = contract(g, frozenset(range(g.vertex_count)) - chosen.side_a)
     return DecompositionNode(
         g, cut=chosen, child_a=slow_decompose(ga, order), child_b=slow_decompose(gb, order),
+    )
+
+
+def slow_check_lm_bb_3ef(inst, params) -> dict:
+    """LM_BB_3EF's check with its own coverage test of G - e and every edge tried.
+
+    The route that reading stuck edges from ``matchings.pair_counts`` replaced:
+    one matching pass tests whether G - e is matching-covered, then each
+    other edge f, in id order, is a candidate companion until G - e - f
+    decomposes.
+    """
+    from cubicpm import verifier as vf
+    from cubicpm.matchings import is_matching_covered
+
+    g, e = inst.graph, params["edge"]
+    if is_matching_covered(vf._delete_edges(g, {e})):
+        return vf._skip("graph minus edge is matching-covered")
+    bound = vf.Bound.rational(Fraction(g.vertex_count, 4) - 1)
+    for f in range(g.edge_count):
+        if f == e:
+            continue
+        b = vf._bricks(vf._delete_edges(g, {e, f}))
+        if b is not None:
+            return {**vf._judge(bound, b, direction="<="), "params": {**params, "companion": f}}
+    return vf._fail(
+        bound, g.edge_count, direction="<=",
+        note="no companion edge makes the graph matching-covered",
     )
 
 

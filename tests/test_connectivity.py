@@ -18,7 +18,7 @@ from cubicpm import (
     replace_vertex_with_triangle,
 )
 from cubicpm import connectivity
-from cubicpm.connectivity import _inherit_cuts, minimal_cyclic3_sides, side_has_cycle
+from cubicpm.connectivity import _inherit_cuts, minimal_cyclic3_sides
 from cubicpm.errors import (
     MinDegreeViolated,
     NotCyclically4EC,
@@ -26,7 +26,7 @@ from cubicpm.errors import (
     TooLarge,
 )
 from cubicpm.multigraph import components
-from oracles import slow_k_almost_c4ec, slow_k_almost_search
+from oracles import side_has_cycle, slow_k_almost_c4ec, slow_k_almost_search
 
 
 def test_bridges_empty_for_named(named_graphs):
@@ -71,6 +71,9 @@ def test_cut_fields_are_consistent(named_graphs):
             assert recomputed == cut
             other = frozenset(range(g.vertex_count)) - cut.side_a
             assert cut.cyclic == (side_has_cycle(g, cut.side_a) and side_has_cycle(g, other))
+            assert build_cut(g, other) == cut.flipped(g)  # built from the side without vertex 0
+        assert not build_cut(g, range(g.vertex_count)).cyclic  # side B empty
+        assert not build_cut(g, ()).cyclic
 
 
 def test_cut_enumeration_cap():
@@ -210,7 +213,7 @@ def test_cut_surgery_chords_make_k4_or_parallel_c4():
     for other in itertools.combinations(es[1:], 2):
         rest = [e for e in es[1:] if e not in other]
         pairing = ((es[0], rest[0]), other)
-        paired, subdivided = cut_surgery_pair(g, cut, pairing, side="A")
+        paired, subdivided = cut_surgery_pair(g, cut, pairing)
         assert paired.is_cubic and subdivided.is_cubic
         assert subdivided.vertex_count == len(cut.side_a) + 2
         simple = len(set(paired.edges)) == paired.edge_count
@@ -225,9 +228,9 @@ def test_cut_surgery_shared_endpoint():
     assert cut.size == 4
     pairing = tuple(sorted(cut.crossing_edges))
     with pytest.raises(SharedEndpoint):
-        cut_surgery_pair(g, cut, (pairing[:2], pairing[2:]), side="A")
+        cut_surgery_pair(g, cut, (pairing[:2], pairing[2:]))
     # the opposite side has four distinct anchors
-    paired, subdivided = cut_surgery_pair(g, cut, (pairing[:2], pairing[2:]), side="B")
+    paired, subdivided = cut_surgery_pair(g, cut.flipped(g), (pairing[:2], pairing[2:]))
     assert paired.is_cubic and subdivided.is_cubic
 
 

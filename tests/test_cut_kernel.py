@@ -9,7 +9,7 @@ own bound and are compared with the per-edge, per-matching or per-set loop
 kept in ``oracles``, and ``decompose``, which sweeps only the root and hands
 each contraction its parent's tight cuts, with the recursion that sweeps
 every node.  Cut cyclicity, read from edge counts at the selected masks, is
-compared with a full ``build_cut`` per mask, and so are the minimum cyclic
+compared with a union-find cycle test per mask, and so are the minimum cyclic
 cuts that ``cyclic_edge_connectivity`` leaves in the graph's memo; "no
 cyclic cut below k" is compared with the connectivity value.  Sweeps and
 classified masks are counted: a graph with no cyclic cut stops once every
@@ -47,7 +47,6 @@ from cubicpm.connectivity import (
     _cycle_certificates,
     cut_sums_at_most,
     cyclic_cuts_up_to,
-    side_has_cycle,
 )
 from cubicpm.errors import NotMatchingCovered, TooLarge
 from cubicpm.matchings import containment_counts, matching_indicator, uniform_third
@@ -60,6 +59,7 @@ from oracles import (
     slow_is_3ec,
     slow_odd_set_ok,
     slow_tight_cuts,
+    side_has_cycle,
 )
 
 MIX = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
@@ -222,19 +222,18 @@ def _edge_deleted_with_tight_cuts() -> list[tuple[str, Multigraph]]:
 DELETED = _edge_deleted_with_tight_cuts()
 
 
-@pytest.mark.parametrize("order", ["lex_min", "lex_max"])
-def test_decompose_equals_the_recursion_that_sweeps_every_node(order):
+def test_decompose_equals_the_recursion_that_sweeps_every_node():
     """Inherited tight cuts give the tree of a fresh sweep at every node."""
     deeper = 0
     for name, g in GRAPHS + DELETED:
         fresh = Multigraph(g.vertex_count, g.edges)  # a new object: decompose starts unswept
         try:
-            want = slow_decompose(g, order)
+            want = slow_decompose(g)
         except (NotMatchingCovered, TooLarge) as exc:
             with pytest.raises(type(exc)):
-                decompose(fresh, order)
+                decompose(fresh)
             continue
-        assert decompose(fresh, order) == want, name
+        assert decompose(fresh) == want, name
         deeper += len(want.leaves()) > 2
     assert deeper  # some child inherited a tight cut and was split again
 
@@ -317,7 +316,7 @@ def test_no_mask_is_classified_twice(g, monkeypatch):
 
 
 def test_the_cyclicity_corpus_reaches_every_route():
-    """Some cuts are certainly cyclic, some certainly acyclic, some go to the union-find."""
+    """Some cuts are certainly cyclic, some certainly acyclic, some go to the flood."""
     certain = acyclic = undecided = 0
     for _, g in GRAPHS:
         masks, counts = _crossing_counts(g, max(CUT_SIZES))

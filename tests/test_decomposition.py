@@ -18,8 +18,9 @@ from cubicpm import (
     tight_cuts,
 )
 from cubicpm.decomposition import leaf_simple_multiset
-from cubicpm.errors import NotMatchingCovered, TooLarge, UnknownName
+from cubicpm.errors import NotMatchingCovered, TooLarge
 from cubicpm.multigraph import contract
+from oracles import slow_decompose
 
 
 def test_k4_has_no_nontrivial_tight_cut(named_graphs):
@@ -112,8 +113,8 @@ def test_both_selection_orders_agree(named_graphs):
     corpus = [named_graphs[k] for k in ("k4", "k33", "prism", "cube", "petersen")]
     corpus += [random_cubic_bridgeless(s, 12) for s in range(3)]
     for g in corpus:
-        a = leaf_simple_multiset(decompose(g, "lex_min"))
-        b = leaf_simple_multiset(decompose(g, "lex_max"))
+        a = leaf_simple_multiset(decompose(g))
+        b = leaf_simple_multiset(slow_decompose(g, "lex_max"))
         assert _multiset_isomorphic(a, b)
 
 
@@ -158,13 +159,3 @@ def test_tight_cut_projections_are_surjective(named_graphs):
                 assert proj in child_pms
                 projected.add(proj)
             assert projected == child_pms
-
-
-@pytest.mark.parametrize("order", ["lexmin", "LEX_MAX", ""])
-def test_decompose_refuses_an_unknown_order(named_graphs, order):
-    cube = named_graphs["cube"]
-    e = cube.edges.index((0, 1))
-    g = Multigraph(8, tuple(p for i, p in enumerate(cube.edges) if i != e))
-    with pytest.raises(UnknownName):
-        decompose(g, order)
-    assert not g._memo  # refused before anything was swept or kept

@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import ladder_host, pendant_triangle_chain
-from oracles import identity_group
+from oracles import identity_group, slow_check_lm_bb_3ef
 from cubicpm import check, check_lm_ladder, named, random_cubic_bridgeless
 from cubicpm import Multigraph, connectivity, verifier
 from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut, is_k_almost_cyclically_4ec
-from cubicpm.matchings import COUNT_CAP
+from cubicpm.matchings import COUNT_CAP, EMPTY_QUERY
 from cubicpm.errors import CubicpmError
 from cubicpm.multigraph import from_edge_list, split_off, split_off_ends
 from cubicpm.verifier import (
@@ -149,7 +149,7 @@ def test_lm_ladder_branch_fires_on_ladder_host():
     g = ladder_host(3)
     n = g.vertex_count
     cut = build_cut(g, frozenset(range(6)))  # the grid side
-    r = check_lm_ladder(g, cut, side="A", instance="ladder_host3")
+    r = check_lm_ladder(g, cut, instance="ladder_host3")
     assert r.verdict == "Pass"
     assert "zero case verified" in r.note
 
@@ -157,7 +157,7 @@ def test_lm_ladder_branch_fires_on_ladder_host():
 def test_lm_ladder_all_positive_branch(named_graphs):
     g = ladder_host(4)
     cut = build_cut(g, frozenset(range(8, 12)))  # the closing 4-cycle side
-    r = check_lm_ladder(g, cut, side="A", instance="ladder_host4")
+    r = check_lm_ladder(g, cut, instance="ladder_host4")
     assert r.verdict in ("Pass", "Skipped")
 
 
@@ -385,6 +385,45 @@ def test_orbit_shared_results_equal_the_per_slot_reports(monkeypatch):
     alone = [r.to_json() for r in sweep(lemmas, _catalog_corpus(), fail_fast=False)]
     assert shared == alone
     assert Counter(r["verdict"] for r in alone) == {"Pass": 2478, "Skipped": 40778}
+
+
+def test_lm_bb_3ef_tries_only_stuck_companions_and_reports_what_every_edge_gave(monkeypatch):
+    """An edge of G - e in no perfect matching stays uncovered in G - e - f
+    unless it is f, so only those edges are tried as companions: one
+    decomposition per judged slot, and the reports of trying every edge."""
+    decomposed = []
+    bricks = verifier._bricks
+    monkeypatch.setattr(verifier, "_bricks", lambda h: decomposed.append(h) or bricks(h))
+    stuck = [r.to_json() for r in sweep([LemmaId.LM_BB_3EF], _catalog_corpus(), fail_fast=False)]
+    judged = [r for r in stuck if r["verdict"] != "Skipped"]
+    assert judged and len(decomposed) == len(judged)
+    entry = verifier._LEMMAS[LemmaId.LM_BB_3EF]
+    monkeypatch.setitem(
+        verifier._LEMMAS, LemmaId.LM_BB_3EF, dataclasses.replace(entry, check=slow_check_lm_bb_3ef),
+    )
+    every = [r.to_json() for r in sweep([LemmaId.LM_BB_3EF], _catalog_corpus(), fail_fast=False)]
+    assert every == stuck
+    assert len(decomposed) > 2 * len(judged)  # the every-edge route decomposes more
+
+
+def test_twisted_corner_pairs_are_counted_once_per_graph(monkeypatch):
+    """LM_TWISTED_NONBIP and LM_TWISTED_BIS read one memo of corner-pair counts."""
+    pairs = Counter()
+    count = verifier.count_matchings
+
+    def counted(g, q=EMPTY_QUERY):
+        if len(q.missed_vertices) == 2:
+            pairs[id(g), q.missed_vertices] += 1
+        return count(g, q)
+
+    monkeypatch.setattr(verifier, "count_matchings", counted)
+    corpus = twisted_instances(60, seed=8, n_lo=4, n_hi=26)
+    lemmas = [LemmaId.LM_TWISTED_NONBIP, LemmaId.LM_TWISTED_BIS]
+    reports = sweep(lemmas, corpus, fail_fast=False)
+    judged = {r.instance for r in reports if r.verdict != "Skipped"}
+    per_graph = Counter(graph for graph, _ in pairs)
+    assert judged and set(pairs.values()) == {1}  # each pair of 4 corners counted once
+    assert len(per_graph) == len(judged) and set(per_graph.values()) == {6}
 
 
 def test_failures_that_name_ids_are_found_for_each_slot(monkeypatch):
