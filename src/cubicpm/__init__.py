@@ -47,7 +47,6 @@ from .matchings import (
 )
 from .decomposition import (
     DecompositionNode,
-    TightCut,
     brick_count,
     decompose,
     elp_bound,

@@ -193,10 +193,13 @@ def _mask_to_side(mask: int, n: int) -> frozenset[int]:
     return frozenset([0] + [v for v in range(1, n) if (mask >> (v - 1)) & 1])
 
 
+def _crossing_edges(g: Multigraph, side: frozenset[int]) -> frozenset[int]:
+    """The ids of the edges with exactly one end in ``side``."""
+    return frozenset(e for e, (u, v) in enumerate(g.edges) if (u in side) != (v in side))
+
+
 def _edge_cut(g: Multigraph, side: frozenset[int], cyclic: bool) -> EdgeCut:
-    crossing = frozenset(
-        e for e, (u, v) in enumerate(g.edges) if (u in side) != (v in side)
-    )
+    crossing = _crossing_edges(g, side)
     return EdgeCut(side, crossing, len(crossing), cyclic)
 
 
@@ -482,16 +485,19 @@ def cut_surgery_pair(
     return paired, subdivided
 
 
+def _minimal_sides(g: Multigraph, cuts, k: int) -> list[frozenset[int]]:
+    """The inclusion-minimal sides, either side, of those ``cuts`` crossed by exactly k edges.
+
+    In no particular order: each caller sorts them its own way.
+    """
+    allv = frozenset(range(g.vertex_count))
+    sides = {s for cut in cuts if cut.size == k for s in (cut.side_a, allv - cut.side_a)}
+    return [s for s in sides if not any(t < s for t in sides)]
+
+
 def minimal_cyclic3_sides(g: Multigraph) -> list[frozenset[int]]:
     """Inclusion-minimal sides over all cyclic 3-edge-cuts, deterministic order."""
-    sides: set[frozenset[int]] = set()
-    allv = frozenset(range(g.vertex_count))
-    for cut in cyclic_cuts_up_to(g, 3):
-        if cut.size != 3:
-            continue
-        sides.add(cut.side_a)
-        sides.add(allv - cut.side_a)
-    minimal = [s for s in sides if not any(t < s for t in sides)]
+    minimal = _minimal_sides(g, cyclic_cuts_up_to(g, 3), 3)
     return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
 
 

@@ -7,17 +7,20 @@ bipartitions, pruned at the number of perfect matchings
 (``connectivity.cut_sums_at_most``), not from a list of matchings.  Only the
 root of a decomposition is swept: the tight cuts of a tight-cut contraction
 are those of its parent that do not cross the contracted cut (Lovasz), so
-each child inherits them.  The cut at each node is the least by the sorted
-vertex sequence of side A.  The leaf multiset is unique up to edge
-multiplicity (Lovasz); the test suite asserts that another cut order gives
-the same leaves rather than assuming it.
+each child inherits them.  From the sweep to the tree a tight cut is the
+vertex set of its side A, the side holding vertex 0: its crossing edges are
+listed only by ``DecompositionNode.to_dict``, and its cyclicity is never
+classified.  The cut at each node is the least by the sorted vertex
+sequence of side A.  The leaf multiset is unique up to edge multiplicity
+(Lovasz); the test suite asserts that another cut order gives the same
+leaves rather than assuming it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import EdgeCut, build_cut, cut_sums_at_most, mask_sides, mask_sizes
+from .connectivity import _crossing_edges, cut_sums_at_most, mask_sides, mask_sizes
 from .errors import NotMatchingCovered, TooLarge
 from .matchings import CountQuery, containment_counts, has_matching, is_bipartite
 from .multigraph import Multigraph, _memoized, components, contract
@@ -25,16 +28,11 @@ from .multigraph import Multigraph, _memoized, components, contract
 TIGHT_CAP = 16
 
 
-@dataclass(frozen=True)
-class TightCut:
-    """An edge cut met exactly once by every perfect matching."""
+def tight_cuts(g: Multigraph) -> list[frozenset[int]]:
+    """Side A of each nontrivial tight cut, by one weighted sweep of the bipartitions.
 
-    cut: EdgeCut
-    nontrivial: bool  # both sides have at least 3 vertices
-
-
-def tight_cuts(g: Multigraph) -> list[TightCut]:
-    """All nontrivial tight cuts, by one weighted sweep of the bipartitions.
+    A tight cut is an edge cut met exactly once by every perfect matching,
+    and it is nontrivial when both sides have at least 3 vertices.
 
     Weigh edge e by c(e), the number of perfect matchings through it; one
     pass of the matching DP gives every c(e).  The trivial cut around vertex
@@ -42,7 +40,8 @@ def tight_cuts(g: Multigraph) -> list[TightCut]:
     vertex 0 once.  Each perfect matching crosses an odd cut an odd number
     of times, so an odd cut weighs at least N (asserted: the sweep, pruned
     at N, keeps any lighter one), and it is tight exactly when it weighs N.
-    Sorted by the sorted vertex sequence of side A, which holds vertex 0.
+    Each side A holds vertex 0; they are sorted by their sorted vertex
+    sequence.
     """
     if g.vertex_count > TIGHT_CAP:
         raise TooLarge(f"tight-cut sweep capped at {TIGHT_CAP} vertices")
@@ -62,8 +61,7 @@ def tight_cuts(g: Multigraph) -> list[TightCut]:
         mask for mask, s, size in zip(masks, sums, sizes)
         if size % 2 and 3 <= size <= n - 3 and s == pm_count
     ]
-    ordered = sorted(mask_sides(tight, n), key=sorted)
-    return [TightCut(build_cut(g, side), nontrivial=True) for side in ordered]
+    return sorted(mask_sides(tight, n), key=sorted)
 
 
 def _simple(g: Multigraph) -> Multigraph:
@@ -112,14 +110,15 @@ def is_brace(g: Multigraph) -> bool:
 
 @dataclass(frozen=True)
 class DecompositionNode:
-    """Either a leaf (kind set) or an internal node with a tight cut.
+    """Either a leaf (kind set) or an internal node split along a tight cut.
 
-    child_a contracts side A of the cut, child_b contracts side B.
+    side_a is the side of that cut holding vertex 0; child_a contracts it,
+    child_b contracts the other side.
     """
 
     graph: Multigraph
     kind: str | None = None  # "brick" | "brace" on leaves
-    cut: EdgeCut | None = None
+    side_a: frozenset[int] | None = None
     child_a: "DecompositionNode | None" = None
     child_b: "DecompositionNode | None" = None
 
@@ -134,10 +133,10 @@ class DecompositionNode:
         if self.kind is not None:
             base["kind"] = self.kind
             return base
-        assert self.cut is not None
+        assert self.side_a is not None
         base["cut"] = {
-            "side_a": sorted(self.cut.side_a),
-            "crossing": sorted(self.cut.crossing_edges),
+            "side_a": sorted(self.side_a),
+            "crossing": sorted(_crossing_edges(self.graph, self.side_a)),
         }
         base["children"] = [self.child_a.to_dict(), self.child_b.to_dict()]
         return base
@@ -152,9 +151,7 @@ def decompose(g: Multigraph) -> DecompositionNode:
     the greatest cut instead.  Only g itself is swept (``tight_cuts``); the
     tree is kept in g's memo.
     """
-    return _memoized(
-        g, "decomposition", lambda: _split(g, [t.cut.side_a for t in tight_cuts(g)]),
-    )
+    return _memoized(g, "decomposition", lambda: _split(g, tight_cuts(g)))
 
 
 def _split(g: Multigraph, tight: list[frozenset[int]]) -> DecompositionNode:
@@ -176,7 +173,7 @@ def _split(g: Multigraph, tight: list[frozenset[int]]) -> DecompositionNode:
         inherited = [s for s in mapped if 3 <= len(s) <= h.vertex_count - 3]
         children.append(_split(h, sorted(inherited, key=sorted)))
     child_a, child_b = children
-    return DecompositionNode(g, cut=build_cut(g, side_a), child_a=child_a, child_b=child_b)
+    return DecompositionNode(g, side_a=side_a, child_a=child_a, child_b=child_b)
 
 
 def brick_count(g: Multigraph) -> int:

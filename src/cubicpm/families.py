@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-from .connectivity import bridges, enumerate_cuts
+from .connectivity import _minimal_sides, bridges, enumerate_cuts
 from .errors import (
     BadDegrees,
     BadSize,
@@ -548,19 +548,9 @@ def semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
         raise BadDegrees("semiblocks are defined for cubic graphs")
     if bridges(g):
         raise Bridged("graph has a bridge")
-    allv = frozenset(range(g.vertex_count))
-    sides: set[frozenset[int]] = set()
-    for cut in enumerate_cuts(g, 2, cyclic_only=False):
-        if cut.size != 2:
-            continue
-        sides.add(cut.side_a)
-        sides.add(allv - cut.side_a)
-    if not sides:
-        return (allv,), 1
-    minimal = sorted(
-        (s for s in sides if not any(t < s for t in sides)),
-        key=lambda s: min(s),
-    )
+    minimal = sorted(_minimal_sides(g, enumerate_cuts(g, 2, cyclic_only=False), 2), key=min)
+    if not minimal:
+        return (frozenset(range(g.vertex_count)),), 1
     for i, a in enumerate(minimal):
         for b in minimal[i + 1 :]:
             assert not (a & b), "semiblocks must be vertex disjoint"

@@ -931,11 +931,8 @@ def _check_lm_twisted_bip(inst, params):
         return _fail(bound, 0, note="corners not split two per color class")
     if count_matchings(g, CountQuery(missed_vertices=frozenset(cs))) < 1:
         return _fail(bound, 0, note="no matching avoiding all four corners")
-    cross = {
-        (u, v): count_matchings(g, CountQuery(missed_vertices=frozenset({u, v})))
-        for u in us
-        for v in vs
-    }
+    by_pair = dict(zip(map(frozenset, combinations(cs, 2)), _corner_pair_counts(g)))
+    cross = {(u, v): by_pair[frozenset({u, v})] for u in us for v in vs}
     if any(c < 1 for c in cross.values()):
         return _fail(bound, 0, note=f"a cross-class corner pair has no matching: {cross}")
     return _judge(bound, max(cross.values()))

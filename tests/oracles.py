@@ -317,7 +317,8 @@ def slow_decompose(g: Multigraph, order: str = "lex_min"):
     The recursion that ``decomposition.decompose`` replaced by handing each
     contraction the tight cuts of its parent.  Each node splits along its
     least tight cut ("lex_min", as ``decompose`` does) or its greatest
-    ("lex_max"), by the sorted vertex sequence of side A.
+    ("lex_max"), by the sorted vertex sequence of side A, and keeps that
+    side A (the one holding vertex 0) as its ``side_a``.
     """
     from cubicpm.decomposition import DecompositionNode, tight_cuts
     from cubicpm.matchings import is_bipartite
@@ -325,11 +326,11 @@ def slow_decompose(g: Multigraph, order: str = "lex_min"):
     cuts = tight_cuts(g)
     if not cuts:
         return DecompositionNode(g, kind="brace" if is_bipartite(g) else "brick")
-    chosen = cuts[0].cut if order == "lex_min" else cuts[-1].cut
-    ga, _ = contract(g, chosen.side_a)
-    gb, _ = contract(g, frozenset(range(g.vertex_count)) - chosen.side_a)
+    side_a = cuts[0] if order == "lex_min" else cuts[-1]
+    ga, _ = contract(g, side_a)
+    gb, _ = contract(g, frozenset(range(g.vertex_count)) - side_a)
     return DecompositionNode(
-        g, cut=chosen, child_a=slow_decompose(ga, order), child_b=slow_decompose(gb, order),
+        g, side_a=side_a, child_a=slow_decompose(ga, order), child_b=slow_decompose(gb, order),
     )
 
 

@@ -48,6 +48,7 @@ from cubicpm.connectivity import (
     cut_sums_at_most,
     cyclic_cuts_up_to,
 )
+from cubicpm.decomposition import TIGHT_CAP
 from cubicpm.errors import NotMatchingCovered, TooLarge
 from cubicpm.matchings import containment_counts, matching_indicator, uniform_third
 from cubicpm.verifier import _is_3ec
@@ -192,7 +193,7 @@ def test_kernel_agrees_with_the_replaced_loops(route, g):
         assert counts == slow[:-1]
     elif route == "tight" and g.vertex_count <= 16:
         if is_matching_covered(g):
-            assert [t.cut.side_a for t in tight_cuts(g)] == slow_tight_cuts(g)
+            assert tight_cuts(g) == slow_tight_cuts(g)
         else:
             with pytest.raises(NotMatchingCovered):
                 tight_cuts(g)
@@ -236,6 +237,26 @@ def test_decompose_equals_the_recursion_that_sweeps_every_node():
         assert decompose(fresh) == want, name
         deeper += len(want.leaves()) > 2
     assert deeper  # some child inherited a tight cut and was split again
+
+
+def test_decomposition_classifies_no_cut_cyclicity(monkeypatch, named_graphs):
+    """Tight cuts and tree nodes are vertex sets: no cut's cyclicity is asked."""
+
+    def refuse(*args):
+        raise AssertionError("a cut's cyclicity was classified")
+
+    monkeypatch.setattr(connectivity, "_cyclic_flags", refuse)
+    small = [(name, g) for name, g in named_graphs.items() if g.vertex_count <= TIGHT_CAP]
+    for name, g in small + DELETED:
+        fresh = Multigraph(g.vertex_count, g.edges)  # a new object: nothing in its memo
+        try:
+            want = slow_decompose(g)
+        except NotMatchingCovered:
+            with pytest.raises(NotMatchingCovered):
+                decompose(fresh)
+            continue
+        tree = decompose(fresh)
+        assert tree == want and tree.to_dict() == want.to_dict(), name
 
 
 def test_decompose_sweeps_only_the_root_and_keeps_the_tree(monkeypatch):

@@ -418,7 +418,7 @@ def test_twisted_corner_pairs_are_counted_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(verifier, "count_matchings", counted)
     corpus = twisted_instances(60, seed=8, n_lo=4, n_hi=26)
-    lemmas = [LemmaId.LM_TWISTED_NONBIP, LemmaId.LM_TWISTED_BIS]
+    lemmas = [LemmaId.LM_TWISTED_NONBIP, LemmaId.LM_TWISTED_BIS, LemmaId.LM_TWISTED_BIP]
     reports = sweep(lemmas, corpus, fail_fast=False)
     judged = {r.instance for r in reports if r.verdict != "Skipped"}
     per_graph = Counter(graph for graph, _ in pairs)
