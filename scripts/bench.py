@@ -19,8 +19,9 @@ name the same commit, and the medians are taken over all of them.  Running
 one file per checkout.
 
 Each run also makes one traced pass per workload (``perfbench/run.py
---trace 1``) and keeps its sweep, k-almost and ``build_cut`` call counts and
-the self time of each layer, so the trace evidence lands with the pair.
+--trace 1``) and keeps its sweep, k-almost and ``build_cut`` call counts, the
+k-almost search's self time, the calls into ``multigraph`` and the self time
+of each layer, so the trace evidence lands with the pair.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ LAYERS = ("connectivity", "matchings", "decomposition", "families", "multigraph"
 TRACED = (
     "connectivity.sweep_calls",
     "connectivity.is_k_almost_cyclically_4ec.calls",
+    "connectivity.is_k_almost_cyclically_4ec.self_s",
     "connectivity.build_cut.calls",
+    "multigraph.calls",
     *(f"{layer}.self_s" for layer in LAYERS),
 )
 

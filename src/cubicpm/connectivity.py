@@ -16,8 +16,10 @@ bound sweeps again and classifies only the masks it adds.  One classifier
 flood over neighbour bitmasks counts their parts only where those counts
 leave it open.  An ``EdgeCut`` is built only for a cut that is returned.
 The union-find it replaced is kept in the test oracles.  The k-almost
-search sweeps only its root: each contraction inherits its parent's cuts of
-at most 3 edges.
+search builds no graph and reads only its root's sweep: contracting
+connected vertex sets keeps exactly the bipartitions that split none of
+them, crossed by the same edges, and in the cubic loopless graphs it
+reaches a cut of at most 3 edges is cyclic iff both sides keep 2 vertices.
 Correctness beats asymptotics here: these sweeps are the oracles everything
 else is checked against.
 """
@@ -34,7 +36,7 @@ from .errors import (
     SharedEndpoint,
     TooLarge,
 )
-from .multigraph import Multigraph, _memoized, components, contract, induced_subgraph
+from .multigraph import Multigraph, _memoized, components, induced_subgraph
 
 CUT_CAP = 24
 ALMOST_CAP = 20
@@ -314,34 +316,27 @@ class _Sweep:
         )
 
 
-def _keep_sweep(g: Multigraph, bound: int, masks: list[int], sizes: list[int]) -> _Sweep:
-    """Classify the masks g's memoized sweep has not, and keep the new sweep.
-
-    A sweep that selects every proper bipartition answers any bound: no cut
-    crosses more than the edge count.
-    """
-    old = g._memo.get("sweep")
-    seen = {} if old is None else dict(zip(old.masks, old.cyclic))
-    fresh = [(mask, size) for mask, size in zip(masks, sizes) if mask not in seen]
-    flags = iter(_cyclic_flags(g, [mask for mask, _ in fresh], [size for _, size in fresh]))
-    cyclic = [seen[mask] if mask in seen else next(flags) for mask in masks]
-    if len(masks) == _proper_bipartitions(g.vertex_count):
-        bound = max(bound, g.edge_count)
-    sweep = g._memo["sweep"] = _Sweep(bound, masks, sizes, cyclic)
-    return sweep
-
-
 def _unit_sweep(g: Multigraph, bound: int) -> _Sweep:
     """g's memoized sweep, swept again only past the largest bound asked so far.
 
     A sweep at a larger bound selects every mask of a smaller one, with the
-    same size, so only the masks it adds are classified.
+    same size, so only the masks it adds are classified.  A sweep that
+    selects every proper bipartition answers any bound: no cut crosses more
+    than the edge count.
     """
     bound = min(bound, g.edge_count)
     old = g._memo.get("sweep")
     if old is not None and old.bound >= bound:
         return old
-    return _keep_sweep(g, bound, *_crossing_counts(g, bound))
+    masks, sizes = _crossing_counts(g, bound)
+    seen = {} if old is None else dict(zip(old.masks, old.cyclic))
+    fresh = [(mask, size) for mask, size in zip(masks, sizes) if mask not in seen]
+    flags = iter(_cyclic_flags(g, [mask for mask, _ in fresh], [size for _, size in fresh]))
+    cyclic = [seen[mask] if mask in seen else next(flags) for mask in masks]
+    if len(masks) == _proper_bipartitions(g.vertex_count):
+        bound = g.edge_count
+    sweep = g._memo["sweep"] = _Sweep(bound, masks, sizes, cyclic)
+    return sweep
 
 
 def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[EdgeCut]:
@@ -485,39 +480,15 @@ def cut_surgery_pair(
     return paired, subdivided
 
 
-def _minimal_sides(g: Multigraph, cuts, k: int) -> list[frozenset[int]]:
-    """The inclusion-minimal sides, either side, of those ``cuts`` crossed by exactly k edges.
+def _minimal_sides(n: int, sides) -> list[frozenset[int]]:
+    """The inclusion-minimal sides, either side, of the bipartitions of
+    range(n) whose sides A are given.
 
     In no particular order: each caller sorts them its own way.
     """
-    allv = frozenset(range(g.vertex_count))
-    sides = {s for cut in cuts if cut.size == k for s in (cut.side_a, allv - cut.side_a)}
-    return [s for s in sides if not any(t < s for t in sides)]
-
-
-def minimal_cyclic3_sides(g: Multigraph) -> list[frozenset[int]]:
-    """Inclusion-minimal sides over all cyclic 3-edge-cuts, deterministic order."""
-    minimal = _minimal_sides(g, cyclic_cuts_up_to(g, 3), 3)
-    return sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))
-
-
-def _inherit_cuts(h: Multigraph, part: frozenset[int], child: Multigraph, vmap) -> None:
-    """Seed the sweep of ``child``, h with ``part`` contracted, from h's sweep.
-
-    A bipartition of the child is one of h that does not split ``part``, and
-    the edges inside ``part`` cross neither, so the child's cuts of at most 3
-    edges are h's that keep ``part`` on one side, with the same sizes.
-    ``vmap`` maps h's vertices to the child's; vertex 0 keeps id 0, so side A
-    maps to side A.  Cyclicity is read again from the certificates, because
-    the contraction may break the cycles of the side that held ``part``.
-    """
-    sweep, inherited = _unit_sweep(h, 3), []
-    for mask, size in zip(sweep.masks, sweep.sizes):
-        side = _mask_to_side(mask, h.vertex_count)
-        if size <= 3 and (part <= side or not part & side):
-            inherited.append((sum(1 << (w - 1) for w in {vmap[v] for v in side} if w), size))
-    inherited.sort()
-    _keep_sweep(child, 3, [mask for mask, _ in inherited], [size for _, size in inherited])
+    allv = frozenset(range(n))
+    both = {s for side in sides for s in (side, allv - side)}
+    return [s for s in both if not any(t < s for t in both)]
 
 
 def is_k_almost_cyclically_4ec(
@@ -528,29 +499,42 @@ def is_k_almost_cyclically_4ec(
     The search backtracks over inclusion-minimal cyclic-3-cut sides of the
     current graph; each witness entry is a side in the coordinates of the
     graph it was contracted in (the first entry uses g's own vertex ids).
-    Only g is swept: each contraction inherits its parent's cuts of at most
-    3 edges (``_inherit_cuts``).
+    No graph is built and only g is swept.  The current graph is g with
+    disjoint connected vertex sets contracted, which keeps exactly the
+    bipartitions of g that split none of them, crossed by the same edges.
+    It is cubic and loopless, so a cut of at most 3 edges is cyclic iff both
+    sides keep 2 vertices (2e(S) = 3|S| - c), and a contraction never makes
+    a cut cyclic.  The state: the cyclic cuts as sides A over g, the current
+    id of each vertex of g, and the vertices merged away (all of a
+    contracted set but its least).  Sides are tested for connectivity in g.
     """
     if g.vertex_count > ALMOST_CAP:
         raise TooLarge(f"search capped at {ALMOST_CAP} vertices")
     if not g.is_cubic:
         raise DegreeMismatch("the reduction is defined on cubic graphs")
+    n, sweep = g.vertex_count, _unit_sweep(g, 3)
+    root = [(_mask_to_side(m, n), c) for m, c in zip(sweep.masks, sweep.sizes) if c <= 3]
 
-    def search(h: Multigraph, budget: int, acc):
-        if not cyclic_cuts_up_to(h, 3):
+    def search(cuts, ids: tuple[int, ...], merged: frozenset[int], budget: int, acc):
+        alive = n - len(merged)
+        cuts = [(side, c) for side, c in cuts if 2 <= len(side - merged) <= alive - 2]
+        if not cuts:
             return acc
         if budget < 2:
             return None
-        for s in minimal_cyclic3_sides(h):
-            loss = len(s) - 1
-            if loss > budget or len(components(h, s)) != 1:
+        sides = _minimal_sides(n, [side for side, c in cuts if c == 3])
+        parts = {tuple(sorted({ids[v] for v in s})): s for s in sides}  # current ids -> g's
+        for part in sorted(parts, key=lambda p: (len(p), p)):
+            s, loss = parts[part], len(part) - 1
+            if loss > budget or len(components(g, s)) != 1:
                 continue
-            h2, trace = contract(h, s)
-            _inherit_cuts(h, s, h2, trace.records[0].vertex_map)
-            res = search(h2, budget - loss, acc + (tuple(sorted(s)),))
+            rank = {x: i for i, x in enumerate(sorted(set(ids).difference(part[1:])))}
+            kept = [(side, c) for side, c in cuts if s <= side or s.isdisjoint(side)]
+            ids2 = tuple(rank[part[0] if x in part else x] for x in ids)
+            res = search(kept, ids2, merged | (s - {min(s)}), budget - loss, acc + (part,))
             if res is not None:
                 return res
         return None
 
-    witness = search(g, k, ())
+    witness = search(root, tuple(range(n)), frozenset(), k, ())
     return (witness is not None), (witness if witness is not None else ())

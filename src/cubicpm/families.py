@@ -548,7 +548,8 @@ def semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
         raise BadDegrees("semiblocks are defined for cubic graphs")
     if bridges(g):
         raise Bridged("graph has a bridge")
-    minimal = sorted(_minimal_sides(g, enumerate_cuts(g, 2, cyclic_only=False), 2), key=min)
+    sides = [c.side_a for c in enumerate_cuts(g, 2, cyclic_only=False) if c.size == 2]
+    minimal = sorted(_minimal_sides(g.vertex_count, sides), key=min)
     if not minimal:
         return (frozenset(range(g.vertex_count)),), 1
     for i, a in enumerate(minimal):

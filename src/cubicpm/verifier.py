@@ -40,6 +40,7 @@ from .connectivity import (
     ALMOST_CAP,
     CUT_CAP,
     EdgeCut,
+    _unit_sweep,
     bridges,
     build_cut,
     cut_surgery_pair,
@@ -251,15 +252,14 @@ def _is_bridgeless_cubic(g: Multigraph) -> bool:
 
 
 def _is_3ec(g: Multigraph) -> bool:
-    """No cut of at most two edges: connected, with no bridge in G or in any G - e.
+    """No cut of at most two edges: n >= 2, and no proper bipartition in g's
+    unit sweep is crossed by 2 edges or fewer.
 
-    Kept in g's memo.
+    The sweep is read at bound 3, so the cyclic 3-cuts asked of the same
+    graph are read from it unswept.  Kept in g's memo.
     """
     return _memoized(g, "3ec", lambda: (
-        g.vertex_count >= 2
-        and g.is_connected()
-        and not bridges(g)
-        and not any(bridges(_delete_edges(g, {e})) for e in range(g.edge_count))
+        g.vertex_count >= 2 and all(size > 2 for size in _unit_sweep(g, 3).sizes)
     ))
 
 

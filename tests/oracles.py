@@ -11,10 +11,12 @@ replaced, and the union-find cycle test per mask (``side_has_cycle``) that
 the one cyclicity classifier of ``connectivity`` replaced; ``slow_decompose``
 sweeps every node of a decomposition where ``decompose`` sweeps only the
 root (given "lex_max", it splits along the greatest tight cut where
-``decompose`` takes the least), and ``slow_k_almost_search`` every graph
-of the k-almost search where ``is_k_almost_cyclically_4ec`` sweeps only the
-root.  The twisted-net
-generator replays its recipe into a new graph at every step, where
+``decompose`` takes the least), and ``slow_k_almost_search`` contracts and
+sweeps every graph of the k-almost search where ``is_k_almost_cyclically_4ec``
+builds no graph and reads only the root's sweep; ``minimal_cyclic3_sides``
+serves it.  ``slow_is_3ec`` runs a bridge search on G and on every G - e,
+where the verifier reads 3-edge-connectivity from the graph's sweep.  The
+twisted-net generator replays its recipe into a new graph at every step, where
 ``families`` applies each step once to a net without its graph.
 ``slow_neighbors`` collects and sorts a vertex's neighbours on every call,
 where ``Multigraph.neighbors`` reads one table per graph.
@@ -432,10 +434,22 @@ def slow_odd_set_ok(g: Multigraph, w) -> bool:
 
 
 def slow_is_3ec(g: Multigraph) -> bool:
-    """3-edge-connectivity by the cut sweep: no bipartition crossed by two edges or fewer."""
-    from cubicpm.connectivity import enumerate_cuts
+    """3-edge-connectivity by bridges: connected, with no bridge in G or in any G - e.
 
-    return g.vertex_count >= 2 and not enumerate_cuts(g, 2, cyclic_only=False)
+    The route that the verifier's read of the graph's unit sweep replaced:
+    one bridge search on G and one on each G - e.
+    """
+    from cubicpm.connectivity import bridges
+
+    return (
+        g.vertex_count >= 2
+        and g.is_connected()
+        and not bridges(g)
+        and not any(
+            bridges(Multigraph(g.vertex_count, g.edges[:e] + g.edges[e + 1 :]))
+            for e in range(g.edge_count)
+        )
+    )
 
 
 def slow_k_almost_c4ec(g: Multigraph, k: int) -> bool:
@@ -462,14 +476,25 @@ def slow_k_almost_c4ec(g: Multigraph, k: int) -> bool:
     return False
 
 
+def minimal_cyclic3_sides(g: Multigraph) -> list[frozenset[int]]:
+    """Inclusion-minimal sides over all cyclic 3-edge-cuts of a fresh sweep, in
+    the order (size, sorted vertices)."""
+    from cubicpm.connectivity import _minimal_sides, cyclic_cuts_up_to
+
+    sides = [cut.side_a for cut in cyclic_cuts_up_to(g, 3) if cut.size == 3]
+    return sorted(_minimal_sides(g.vertex_count, sides), key=lambda s: (len(s), tuple(sorted(s))))
+
+
 def slow_k_almost_search(g: Multigraph, k: int) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """The k-almost search with a fresh sweep of every graph it reaches.
+    """The k-almost search that contracts and sweeps every graph it reaches.
 
     The route that ``connectivity.is_k_almost_cyclically_4ec`` replaced by
-    handing each contraction its parent's cuts: the same backtracking over
-    inclusion-minimal cyclic-3-cut sides, the same witness.
+    one search over the cuts of the root: it builds each contracted graph,
+    sweeps it afresh and classifies its cuts with the general cycle test,
+    backtracking over the same inclusion-minimal cyclic-3-cut sides in the
+    same order, so it gives the same witness.
     """
-    from cubicpm.connectivity import cyclic_cuts_up_to, minimal_cyclic3_sides
+    from cubicpm.connectivity import cyclic_cuts_up_to
 
     def search(h: Multigraph, budget: int, acc):
         if not cyclic_cuts_up_to(h, 3):

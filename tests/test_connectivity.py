@@ -8,7 +8,6 @@ from cubicpm import (
     cyclic_edge_connectivity,
     enumerate_cuts,
     Multigraph,
-    contract,
     from_edge_list,
     is_k_almost_cyclically_4ec,
     named,
@@ -18,15 +17,19 @@ from cubicpm import (
     replace_vertex_with_triangle,
 )
 from cubicpm import connectivity
-from cubicpm.connectivity import _inherit_cuts, minimal_cyclic3_sides
+from cubicpm.connectivity import _crossing_counts, _cyclic_flags
 from cubicpm.errors import (
     MinDegreeViolated,
     NotCyclically4EC,
     SharedEndpoint,
     TooLarge,
 )
-from cubicpm.multigraph import components
-from oracles import side_has_cycle, slow_k_almost_c4ec, slow_k_almost_search
+from oracles import (
+    all_cubic_multigraphs,
+    side_has_cycle,
+    slow_k_almost_c4ec,
+    slow_k_almost_search,
+)
 
 
 def test_bridges_empty_for_named(named_graphs):
@@ -283,29 +286,28 @@ def test_k_almost_matches_slow_reference():
             assert fast == slow_k_almost_c4ec(g, k)
 
 
+def _at_the_cap() -> list[Multigraph]:
+    """Seeded samples on 18 and 20 vertices, and triangle blow-ups that reach 20."""
+    out = [random_cubic_bridgeless(s, n) for n in (18, 20) for s in range(3)]
+    two_apart = replace_vertex_with_triangle(named("moebius_kantor"), 0)
+    out.append(replace_vertex_with_triangle(two_apart, 8))
+    spread, nested = named("petersen"), named("cube")
+    for v in range(5):  # one triangle at each outer vertex
+        spread = replace_vertex_with_triangle(spread, v)
+    while nested.vertex_count < 20:  # each triangle inside the last
+        nested = replace_vertex_with_triangle(nested, nested.vertex_count - 1)
+    return out + [spread, nested]
+
+
 def test_k_almost_gives_the_witness_of_the_search_that_sweeps_every_graph():
     deepest = 0
-    for g in _k_almost_corpus() + _nested_cyclic_3_cuts():
-        for k in range(7):
-            fresh = Multigraph(g.vertex_count, g.edges)  # a new object: its memo starts empty
-            got = is_k_almost_cyclically_4ec(fresh, k)
-            assert got == slow_k_almost_search(g, k), (g, k)
-            deepest = max(deepest, len(got[1]))
-    assert deepest >= 3  # some contraction inherited a cyclic 3-cut and was contracted again
-
-
-def test_a_contraction_inherits_the_cuts_of_a_fresh_sweep():
-    for g in _k_almost_corpus() + _nested_cyclic_3_cuts():
-        for side in minimal_cyclic3_sides(g):
-            if len(components(g, side)) != 1:
-                continue
-            child, trace = contract(g, side)
-            _inherit_cuts(g, side, child, trace.records[0].vertex_map)
-            fresh = Multigraph(child.vertex_count, child.edges)
-            for k in range(4):
-                for cyclic_only in (False, True):
-                    want = enumerate_cuts(fresh, k, cyclic_only)
-                    assert enumerate_cuts(child, k, cyclic_only) == want, (g, side, k)
+    cases = [(g, k) for g in _k_almost_corpus() + _nested_cyclic_3_cuts() for k in range(7)]
+    for g, k in cases + [(g, 4) for g in _at_the_cap()]:
+        fresh = Multigraph(g.vertex_count, g.edges)  # a new object: its memo starts empty
+        got = is_k_almost_cyclically_4ec(fresh, k)
+        assert got == slow_k_almost_search(g, k), (g, k)
+        deepest = max(deepest, len(got[1]))
+    assert deepest >= 3  # some contracted graph kept a cyclic 3-cut and was contracted again
 
 
 def test_k_almost_sweeps_only_the_root(monkeypatch):
@@ -320,3 +322,44 @@ def test_k_almost_sweeps_only_the_root(monkeypatch):
             fresh = Multigraph(g.vertex_count, g.edges)
             assert is_k_almost_cyclically_4ec(fresh, k) == is_k_almost_cyclically_4ec(fresh, k)
             assert calls == [fresh], (g, k)
+
+
+def test_the_k_almost_search_builds_no_graph(monkeypatch):
+    built = []
+    init = Multigraph.__post_init__
+    monkeypatch.setattr(Multigraph, "__post_init__", lambda g: built.append(g) or init(g))
+    for g in _k_almost_corpus() + _nested_cyclic_3_cuts():
+        for k in range(7):
+            fresh = Multigraph(g.vertex_count, g.edges)
+            built.clear()
+            is_k_almost_cyclically_4ec(fresh, k)
+            assert built == [], (g, k)
+
+
+def _bfs_labelled(n: int, edges) -> bool:
+    """Do the least lower neighbours, over the vertices that have one, never decrease?
+
+    ``edges`` lists each pair low end first.  A labelling in breadth-first
+    order, one component after another, passes, so of the labelled copies
+    of each cubic multigraph on n vertices, connected or not, one does.
+    """
+    least = list(range(n))
+    for u, v in edges:
+        least[v] = min(least[v], u)
+    parents = [least[v] for v in range(1, n) if least[v] < v]
+    return parents == sorted(parents)
+
+
+def test_a_cut_of_a_cubic_graph_within_3_edges_is_cyclic_iff_both_sides_have_2_vertices():
+    """2 e(S) = 3|S| - c: with c <= 3, a side of two or more vertices holds a cycle."""
+    graphs = [g for g in _k_almost_corpus() + _nested_cyclic_3_cuts() if g.is_cubic]
+    graphs += [
+        Multigraph(n, edges)
+        for n in (2, 4, 6, 8)
+        for edges in all_cubic_multigraphs(n)
+        if _bfs_labelled(n, edges)
+    ]
+    for g in graphs:
+        masks, sizes = _crossing_counts(g, 3)
+        both = [2 <= 1 + mask.bit_count() <= g.vertex_count - 2 for mask in masks]
+        assert _cyclic_flags(g, masks, sizes) == both, g

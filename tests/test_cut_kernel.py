@@ -14,8 +14,8 @@ cuts that ``cyclic_edge_connectivity`` leaves in the graph's memo; "no
 cyclic cut below k" is compared with the connectivity value.  Sweeps and
 classified masks are counted: a graph with no cyclic cut stops once every
 bipartition is selected, and no mask is classified twice.  The
-verifier's bridge test for 3-edge-connectivity is compared with the cut
-sweep it replaced.
+verifier's read of 3-edge-connectivity from the graph's sweep is compared
+with the bridge search on G and on every G - e that it replaced.
 """
 
 import random
@@ -53,6 +53,7 @@ from cubicpm.errors import NotMatchingCovered, TooLarge
 from cubicpm.matchings import containment_counts, matching_indicator, uniform_third
 from cubicpm.verifier import _is_3ec
 from oracles import (
+    all_cubic_multigraphs,
     slow_crossing_counts,
     slow_cyclic_edge_connectivity,
     slow_decompose,
@@ -397,11 +398,20 @@ def test_the_flood_decides_sides_the_edge_counts_leave_open():
 TWO_K4 = Multigraph(8, named("k4").edges + tuple((u + 4, v + 4) for u, v in named("k4").edges))
 
 
+EVERY_CUBIC = [
+    (f"every_cubic{n}", [from_edge_list(n, edges) for edges in all_cubic_multigraphs(n)])
+    for n in (4, 6)
+]
+
+
 @pytest.mark.parametrize(
-    "g", [g for _, g in GRAPHS] + [TWO_K4], ids=[name for name, _ in GRAPHS] + ["two_k4"],
+    "graphs",
+    [[g] for _, g in GRAPHS] + [[TWO_K4]] + [graphs for _, graphs in EVERY_CUBIC],
+    ids=[name for name, _ in GRAPHS] + ["two_k4"] + [name for name, _ in EVERY_CUBIC],
 )
-def test_3_edge_connectivity_by_bridges_agrees_with_the_cut_sweep(g):
-    assert _is_3ec(g) == slow_is_3ec(g)
+def test_3_edge_connectivity_by_bridges_agrees_with_the_cut_sweep(graphs):
+    for g in graphs:
+        assert _is_3ec(g) == slow_is_3ec(g), g
 
 
 def test_the_cross_check_meets_every_outcome():

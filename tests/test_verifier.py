@@ -653,9 +653,11 @@ def test_a_report_is_an_immutable_tuple_whose_defaults_match_the_full_form():
 
 
 def test_3ec_and_the_twisted_net_verdict_are_kept_in_the_graph_memo(monkeypatch):
-    bridge_calls, recognizer_calls = [], []
-    bridges, recognize = verifier.bridges, verifier.fam.recognize_twisted_net
-    monkeypatch.setattr(verifier, "bridges", lambda g: bridge_calls.append(g) or bridges(g))
+    sweeps, recognizer_calls = [], []
+    sweep, recognize = connectivity._crossing_counts, verifier.fam.recognize_twisted_net
+    monkeypatch.setattr(
+        connectivity, "_crossing_counts", lambda g, *rest: sweeps.append(g) or sweep(g, *rest),
+    )
     monkeypatch.setattr(
         verifier.fam, "recognize_twisted_net",
         lambda g: recognizer_calls.append(g) or recognize(g),
@@ -663,11 +665,11 @@ def test_3ec_and_the_twisted_net_verdict_are_kept_in_the_graph_memo(monkeypatch)
     for name in ("prism", "cube", "petersen"):
         inst = Instance(name, named(name))
         verdicts = verifier._is_3ec(inst.graph), verifier._twisted_skip(inst)
-        calls = len(bridge_calls), len(recognizer_calls)
-        assert calls[0] == inst.graph.edge_count + 1 and calls[1] == 1
+        calls = len(sweeps), len(recognizer_calls)
+        assert sweeps == [inst.graph] and calls[1] == 1
         assert (verifier._is_3ec(inst.graph), verifier._twisted_skip(inst)) == verdicts
-        assert (len(bridge_calls), len(recognizer_calls)) == calls
-        bridge_calls.clear()
+        assert (len(sweeps), len(recognizer_calls)) == calls
+        sweeps.clear()
         recognizer_calls.clear()
 
 
