@@ -42,7 +42,7 @@ CUT_CAP = 24
 ALMOST_CAP = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeCut:
     """One side of a vertex bipartition plus its crossing edges."""
 
@@ -56,7 +56,7 @@ class EdgeCut:
         return EdgeCut(other, self.crossing_edges, self.size, self.cyclic)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicConnectivity:
     """Minimum cyclic edge-cut size; value None means no cyclic cut exists."""
 
@@ -298,7 +298,7 @@ def _cyclic_flags(g: Multigraph, masks: list[int], crossing: list[int]) -> list[
     return flags
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Sweep:
     """A graph's unit-weight sweep: each bipartition, side B nonempty, crossed
     by at most ``bound`` edges, as parallel lists in ascending mask order."""

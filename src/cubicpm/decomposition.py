@@ -108,7 +108,7 @@ def is_brace(g: Multigraph) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecompositionNode:
     """Either a leaf (kind set) or an internal node split along a tight cut.
 

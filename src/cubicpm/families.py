@@ -157,7 +157,7 @@ def ladder_pm_count(k: int) -> int:
 # Klee graphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KleeRecipe:
     """Vertices to replace by triangles, in order, starting from K4."""
 
@@ -241,7 +241,7 @@ def is_klee(g: Multigraph) -> bool:
 # twisted nets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Increment:
     """Attach a 3-edge path between corners u and v of the current net."""
 
@@ -249,7 +249,7 @@ class Increment:
     v: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multiply:
     """Join the current net and another by two corner-to-corner edges."""
 
@@ -263,7 +263,7 @@ class Multiply:
 Step = Union[Increment, Multiply]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwistedNetRecipe:
     """Build trace: a 4-cycle followed by incrementations/multiplications."""
 
@@ -306,7 +306,7 @@ class TwistedNetRecipe:
         return TwistedNetRecipe(tuple(steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Net:
     """A twisted net without its graph: size, endpoint pairs, corners in id order."""
 
@@ -565,11 +565,11 @@ def semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
 PAIRING_TRIES = 100_000  # pairings drawn before random_cubic_bridgeless gives up
 
 
-def random_cubic_bridgeless(seed: int, n: int, simple: bool = False) -> Multigraph:
+def random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
     """Pairing-model sample conditioned on loopless, connected, bridgeless.
 
-    Parallel edges are kept (the model allows them) unless ``simple`` asks
-    for rejection.  Deterministic for a fixed seed.
+    Parallel edges are kept (the model allows them).  Deterministic for a
+    fixed seed.
     """
     if n < 4 or n % 2:
         raise BadSize("need an even number of vertices, at least 4")
@@ -579,8 +579,6 @@ def random_cubic_bridgeless(seed: int, n: int, simple: bool = False) -> Multigra
         rng.shuffle(stubs)
         pairs = list(zip(stubs[::2], stubs[1::2]))
         if any(u == v for u, v in pairs):
-            continue
-        if simple and len({tuple(sorted(p)) for p in pairs}) != len(pairs):
             continue
         g = from_edge_list(n, pairs)
         if not g.is_connected():

@@ -14,8 +14,9 @@ through each pair of edges, and inclusion-exclusion over these per-edge and
 per-pair counts answers every query that avoids or requires one or two
 edges.  The unconstrained count, the per-edge and the per-pair counts are
 kept in the memo of the graph object asked (``_memoized``) and die with it;
-constrained counts are not kept.  Everything is exact: counts are ints,
-polytope arithmetic uses Fractions.
+constrained counts are not kept.  The vertex caps do not bound the states
+of a dense graph, so the DP also stops at ``STATE_CAP`` states per level.
+Everything is exact: counts are ints, polytope arithmetic uses Fractions.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from .errors import (
 from .multigraph import Multigraph, _memoized, two_coloring
 
 COUNT_CAP = 64
+STATE_CAP = 1 << 20  # DP states one level may expand to, at most: bounds the DP's memory
 ENUMERATE_CAP = 20
 POLYTOPE_CAP = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
     """A set of pairwise non-adjacent edges, by id."""
 
@@ -54,7 +56,7 @@ class Matching:
 WeightVector = dict[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountQuery:
     """Constraints for matching counts.
 
@@ -95,6 +97,11 @@ class _StateDag:
     that is not forbidden, so every matching of the query is one path from
     the start to the full mask.  ``levels[k]`` maps each state reached by k
     transitions to alpha, the number of paths into it.
+
+    The vertex cap does not bound the states of a dense graph under it, so
+    a level is expanded only while its size times the longest move list,
+    the most states the next level can get, stays within ``STATE_CAP``;
+    past it the DP raises ``TooLarge`` before it allocates that level.
     """
 
     def __init__(self, g: Multigraph, q: CountQuery, cap: int, what: str):
@@ -127,7 +134,10 @@ class _StateDag:
             self.start |= ends
         level = {self.start: 1}
         self.levels.append(level)
+        widest = max(map(len, moves), default=0)
         while level and full not in level:
+            if len(level) * widest > STATE_CAP:
+                raise TooLarge(f"{what} capped at {STATE_CAP} DP states")
             nxt: dict[int, int] = {}
             for s, paths in level.items():
                 low = ~s & (s + 1)
@@ -278,7 +288,7 @@ def kotzig_bridge(g: Multigraph) -> int:
 # forbidden/required pair structure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecialPairResult:
     """Outcome of the avoid-e/contain-f test on a cyclically 4ec cubic graph.
 

@@ -270,7 +270,7 @@ def induced_subgraph(
 # degree excess
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeExcess:
     """Multiset of vertex degrees different from three."""
 
@@ -411,7 +411,7 @@ def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:
 # surgeries and traces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurgeryRecord:
     """One replayable operation.
 
@@ -425,7 +425,7 @@ class SurgeryRecord:
     edge_map: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurgeryTrace:
     """A sequence of surgery records, optionally with expansion clusters.
 

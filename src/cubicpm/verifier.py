@@ -108,7 +108,7 @@ class LemmaId(Enum):
 KLEE_DENOMINATOR = 655978752  # exponent denominator from the planar cubic bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bound:
     """A rational value p/q, or the power 2^(p/q)."""
 
@@ -210,7 +210,7 @@ class LemmaFailure(CubicpmError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """A corpus entry: a name, a graph, and whether it is known to be a twisted net."""
 
@@ -452,12 +452,22 @@ def _branch_params(g: Multigraph) -> list[dict]:
 
 
 def _cut_sweeping(params: Callable[[Multigraph], list[dict]]):
-    """A generator that sweeps cuts yields no params above the sweep cap."""
+    """A generator that sweeps cuts: no params above the sweep cap, and its
+    slots kept in g's memo, keyed by the generator.
 
-    def capped(g: Multigraph) -> list[dict]:
-        return params(g) if g.vertex_count <= CUT_CAP else []
+    Each call returns a fresh list of the kept dicts, so the lemmas that
+    share a generator (LM_SPLIT4A, LM_SPLIT4B and LM_LADDER; LM_3CONN,
+    LM_BB_3E and LM_BB_3EF) share one set of params per graph and sweep its
+    cuts for them once.  The other generators keep nothing: each serves one
+    lemma, and keeping its slots would only hold them longer.
+    """
 
-    return capped
+    def kept(g: Multigraph) -> list[dict]:
+        if g.vertex_count > CUT_CAP:
+            return []
+        return list(_memoized(g, ("slots", params), lambda: tuple(params(g))))
+
+    return kept
 
 
 @_cut_sweeping
@@ -567,18 +577,24 @@ def _bricks(g: Multigraph) -> int | None:
 
 
 def _orbit_rep(g: Multigraph, kind: str, key, image):
-    """The least image of ``key`` under Aut(g), where ``image(perm, key)`` maps it.
+    """The least image of ``key`` under Aut(g), where ``image(perm, key)`` maps
+    it to a tuple of vertex pairs.
 
     The first key asked for in an orbit maps the whole orbit, and g's memo
-    keeps the least image for each of its keys.  With the trivial group
-    the key is its own representative, and ``image`` is not called.
+    keeps the least image for each of its keys.  Each kept image takes its
+    pairs that are edges from one per-graph table of the ``g.edges``
+    tuples, so the images of an orbit share them; a pair that is not an
+    edge, such as a split signature's new edges, is kept as it is.  With
+    the trivial group the key is its own representative, and ``image`` is
+    not called.
     """
     group = automorphisms(g)
     if len(group) == 1:
         return key
     reps = _memoized(g, ("orbits", kind), dict)
     if key not in reps:
-        images = {image(perm, key) for perm in group}
+        edge = _memoized(g, "edge table", lambda: {pair: pair for pair in g.edges}).get
+        images = {tuple(edge(pair, pair) for pair in image(perm, key)) for perm in group}
         reps.update(dict.fromkeys(images, min(images)))
     return reps[key]
 
@@ -798,19 +814,20 @@ def _split5(g: Multigraph, paths):
     )))
 
 
+def _tail_guard(g: Multigraph, params) -> str | None:
+    """Why the triple (v1, v2, v3) has no two paths to split off: v3 has not
+    two neighbours (tails) besides v2."""
+    _, v2, v3 = params["triple"]
+    return None if sum(w != v2 for w in g.neighbors(v3)) == 2 else "tail neighbors not distinct"
+
+
 def _check_lm_split5_same(inst, params):
     g = inst.graph
-    v1, v2, v3 = params["triple"]
-    tails = [w for w in g.neighbors(v3) if w != v2]
-    if len(tails) != 2:
-        return _skip("tail neighbors not distinct")
-    # The lemma's hypothesis is tested here, after the per-slot tail guard,
-    # because that guard comes first in the reports (at a degree-2 vertex or
-    # a parallel edge it names the tails); its reason is kept in g's memo.
-    why = _memoized(g, "split5 hypothesis", lambda: _split5_hypothesis(inst))
+    why = _tail_guard(g, params)
     if why:
         return _skip(why)
-    return _split5(g, [(v1, v2, v3, tails[0]), (v1, v2, v3, tails[1])])
+    v1, v2, v3 = params["triple"]
+    return _split5(g, [(v1, v2, v3, tail) for tail in g.neighbors(v3) if tail != v2])
 
 
 def _check_lm_split5_diff(inst, params):
@@ -982,19 +999,23 @@ def _check_lm_twisted_struc(inst, params):
 # the registry: one entry per lemma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Lemma:
     """A lemma's check, its hypothesis and the generator of its parameter slots.
 
     The hypothesis runs once per (lemma, instance), and its reason fills every
     slot with the same Skipped report.  A generator that yields nothing gives
     one parameterless slot, Skipped with ``no_slot`` before the hypothesis runs.
+    A ``guard(g, params)`` gives a per-slot reason that the reports name ahead
+    of the hypothesis's; the check applies it too, so it is the same whether
+    the hypothesis holds or not.
     """
 
     check: Callable[[Instance, dict | None], dict]
     hypothesis: _Hypothesis
     params: Callable[[Multigraph], list[dict]] | None = None
     no_slot: str | None = None
+    guard: Callable[[Multigraph, dict], str | None] | None = None
 
 
 # reasons shared by a hypothesis and the empty parameter set of its lemma
@@ -1064,8 +1085,9 @@ _LEMMAS: dict[LemmaId, _Lemma] = {
         _check_lm_splitoff, _first(_needs(_PATH, _is_cubic), _CUT_SWEEP, _splitoff_connectivity),
         _path_params, _PATH,
     ),
-    LemmaId.LM_SPLIT5_SAME: _Lemma(  # its check tests the hypothesis, after a per-slot guard
-        _check_lm_split5_same, lambda inst: None, _triple_params, "no admissible path",
+    LemmaId.LM_SPLIT5_SAME: _Lemma(
+        _check_lm_split5_same, _split5_hypothesis, _triple_params, "no admissible path",
+        _tail_guard,
     ),
     LemmaId.LM_SPLIT5_DIFF: _Lemma(
         _check_lm_split5_diff, _split5_hypothesis, _branch_params, "no admissible path",
@@ -1102,15 +1124,23 @@ def params_for(lemma: LemmaId, inst: Instance) -> list[dict | None]:
 def _reports(lemma: LemmaId, inst: Instance, slots: list[dict | None]) -> Iterable[LemmaReport]:
     """One report per slot, with the hypothesis tested once, before the first.
 
-    A failed hypothesis gives the whole run of Skipped reports at once.
+    A failed hypothesis gives the whole run of Skipped reports at once, each
+    slot naming its guard's reason, if any, ahead of the hypothesis's.
     Otherwise the slots are checked lazily, one per report taken, so a
     caller that stops at a Fail runs no later check.
     """
     entry = _LEMMAS[lemma]
-    name = inst.name
-    why = entry.no_slot if entry.params and slots == [None] else entry.hypothesis(inst)
+    name, g = inst.name, inst.graph
+    no_slot = entry.params and slots == [None]  # this slot never reaches the guard
+    why = entry.no_slot if no_slot else entry.hypothesis(inst)
     if why:
-        return [LemmaReport(lemma, name, p, False, None, None, ">=", "Skipped", why) for p in slots]
+        guard = None if no_slot else entry.guard
+        return [
+            LemmaReport(lemma, name, p, False, None, None, ">=", "Skipped", (
+                guard and guard(g, p) or why
+            ))
+            for p in slots
+        ]
     return (
         LemmaReport(lemma=lemma, instance=name, **{"params": p, **entry.check(inst, p)})
         for p in slots

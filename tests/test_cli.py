@@ -2,11 +2,13 @@ import json
 import re
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 from cubicpm import Multigraph, count_matchings, named, random_cubic_bridgeless, write_edge_list
 from cubicpm.cli import run
+from cubicpm.matchings import STATE_CAP
 
 
 def _capture(capsys, argv):
@@ -33,6 +35,15 @@ def test_count_beyond_thirty_vertices(tmp_path, capsys):
     path.write_text(write_edge_list(g))
     code, out, _ = _capture(capsys, ["count", "--graph", str(path)])
     assert code == 0 and out == f"{count_matchings(g)}\n"
+
+
+def test_count_on_a_dense_graph_stops_at_the_dp_state_cap(tmp_path, capsys):
+    """K_40 is within the vertex cap, but its DP states are not."""
+    path = tmp_path / "k40.el"
+    path.write_text(write_edge_list(Multigraph(40, tuple(combinations(range(40), 2)))))
+    code, out, err = _capture(capsys, ["count", "--graph", str(path)])
+    assert code == 2 and not out
+    assert err == f"error: counting capped at {STATE_CAP} DP states\n"
 
 
 def test_count_graph6(tmp_path, capsys):

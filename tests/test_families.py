@@ -359,12 +359,6 @@ def test_sampler_distribution_sanity(named_graphs):
     assert all(v > 0 for v in hits.values())
 
 
-def test_sampler_simple_flag():
-    for seed in range(30):
-        g = random_cubic_bridgeless(seed, 8, simple=True)
-        assert len(set(g.edges)) == g.edge_count
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6))
 def test_sampler_bad_size(seed):

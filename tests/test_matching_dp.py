@@ -31,6 +31,8 @@ from cubicpm.connectivity import (
     cyclic_edge_connectivity,
     enumerate_cuts,
 )
+from cubicpm import matchings
+from cubicpm.errors import TooLarge
 from cubicpm.matchings import (
     COUNT_CAP,
     ENUMERATE_CAP,
@@ -140,6 +142,19 @@ def test_colliding_required_edges_and_the_empty_graph():
     assert count_matchings(empty) == 1
     assert [m.edge_ids for m in enumerate_matchings(empty)] == [frozenset()]
     assert containment_counts(empty) == [] and is_matching_covered(empty)
+
+
+def test_the_dp_stops_before_a_level_past_the_state_cap(monkeypatch):
+    """A level is expanded only while its size times the longest move list,
+    3 on the cube, stays within ``STATE_CAP``."""
+    levels = matchings._StateDag(named("cube"), CountQuery(), COUNT_CAP, "counting").levels
+    need = 3 * max(map(len, levels[:-1]))
+    monkeypatch.setattr(matchings, "STATE_CAP", need)
+    assert count_matchings(named("cube")) == 9
+    monkeypatch.setattr(matchings, "STATE_CAP", need - 1)
+    for query in (count_matchings, containment_counts, enumerate_matchings):
+        with pytest.raises(TooLarge, match=f"capped at {need - 1} DP states"):
+            query(named("cube"))
 
 
 def _widest_frontier(g: Multigraph) -> int:

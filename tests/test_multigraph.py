@@ -18,6 +18,7 @@ from cubicpm import (
     replace_vertex_with_triangle,
     split_off,
 )
+from cubicpm import connectivity, decomposition, families, matchings, verifier
 from cubicpm.errors import (
     DegreeMismatch,
     DisconnectedPart,
@@ -28,7 +29,10 @@ from cubicpm.errors import (
     VertexIdOutOfRange,
 )
 from cubicpm.multigraph import (
+    DegreeExcess,
     Multigraph,
+    SurgeryRecord,
+    SurgeryTrace,
     automorphisms,
     components,
     handshake_ok,
@@ -326,6 +330,15 @@ def test_non_isomorphic(named_graphs):
     assert find_isomorphism(named_graphs["prism"], named_graphs["k33"]) is None
 
 
+def _simple_cubic(seed, n):
+    """The first simple graph among seeded draws of ``random_cubic_bridgeless``."""
+    rng = random.Random(seed)
+    while True:
+        g = random_cubic_bridgeless(rng.getrandbits(32), n)
+        if len(set(g.edges)) == g.edge_count:
+            return g
+
+
 def _relabeled(g, seed):
     perm = list(range(g.vertex_count))
     random.Random(seed).shuffle(perm)
@@ -335,7 +348,7 @@ def _relabeled(g, seed):
 @pytest.mark.parametrize(
     "g",
     [named("dodecahedron"), named("moebius_kantor")]
-    + [random_cubic_bridgeless(seed, n, simple=True) for n in (20, 24, 30) for seed in (0, 1)],
+    + [_simple_cubic(seed, n) for n in (20, 24, 30) for seed in (0, 1)],
     ids=["dodecahedron", "moebius_kantor"] + [f"random{n}-{s}" for n in (20, 24, 30) for s in (0, 1)],
 )
 def test_isomorphism_above_14_vertices(g):
@@ -348,8 +361,8 @@ def test_isomorphism_above_14_vertices(g):
 
 
 def test_non_isomorphic_cubic_graphs_on_20_vertices():
-    g = random_cubic_bridgeless(1, 20, simple=True)
-    h = random_cubic_bridgeless(2, 20, simple=True)
+    g = _simple_cubic(1, 20)
+    h = _simple_cubic(2, 20)
     assert not is_isomorphic(g, _relabeled(h, 3))
 
 
@@ -449,3 +462,44 @@ def test_handshake_after_surgeries(seed):
     assert handshake_ok(exp) and exp.is_cubic
     back, _ = contract(exp, {seed % 10, 10, 11})
     assert handshake_ok(back) and back == g
+
+
+def _value_objects():
+    """One instance of each frozen value class of the package but ``Multigraph``."""
+    g = named("k4")
+    net = families.TwistedNetRecipe()
+    return [
+        connectivity.EdgeCut(frozenset({0}), frozenset({0, 1, 2}), 3, False),
+        connectivity.CyclicConnectivity(3),
+        connectivity._Sweep(3, [], [], []),
+        decomposition.DecompositionNode(g, "brick"),
+        matchings.Matching(frozenset({0})),
+        matchings.CountQuery(),
+        matchings.SpecialPairResult(True),
+        DegreeExcess(()),
+        SurgeryRecord("contract", (), (), ()),
+        SurgeryTrace(()),
+        families.KleeRecipe(),
+        families.Increment(0, 1),
+        families.Multiply(net, 0, 1, 2, 3),
+        net,
+        families._Net(4, (), ()),
+        verifier.Bound.rational(1),
+        verifier.Instance("k4", g),
+        verifier._LEMMAS[verifier.LemmaId.TH_HALF],
+    ]
+
+
+@pytest.mark.parametrize("value", _value_objects(), ids=lambda v: type(v).__name__)
+def test_value_classes_are_slotted(value):
+    """No per-instance dict: a new attribute is refused even past the frozen guard."""
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        object.__setattr__(value, "extra", 1)
+
+
+def test_multigraph_keeps_its_dict_for_the_cached_properties():
+    g = named("petersen")
+    order, memo = g.frontier_order, g._memo
+    assert g.frontier_order is order and g._memo is memo
+    assert {"frontier_order", "_memo"} <= set(vars(g))

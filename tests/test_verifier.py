@@ -327,30 +327,32 @@ def test_mirrored_splitoff_paths_share_one_sweep(monkeypatch):
 
 
 def test_split5_lemmas_split_no_kept_path_and_test_the_hypothesis_once(monkeypatch):
-    """On the dodecahedron: 2 splits for 360 slots, and one hypothesis test.
+    """On the dodecahedron: 2 splits for 360 slots, and one hypothesis test per lemma.
 
     Its split signatures fall into 2 orbits of Aut(g), and a path is split
     only while its orbit keeps no verdict.
     """
     g = named("dodecahedron")
     kept, hypotheses = [], []
-    split, hypothesis = verifier.split_off, verifier._split5_hypothesis
+    split = verifier.split_off
 
     def counted(h, p):
         kept.append(verifier._split_key(h, "split5", verifier._split_signature(h, p)) in h._memo)
         return split(h, p)
 
     monkeypatch.setattr(verifier, "split_off", counted)
-    monkeypatch.setattr(
-        verifier, "_split5_hypothesis", lambda inst: hypotheses.append(inst) or hypothesis(inst),
-    )
-    reports = sweep(
-        [LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF], [Instance("dodecahedron", g)],
-        fail_fast=True,
-    )
+    lemmas = [LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF]
+    for lemma in lemmas:  # count the hypothesis calls through each table entry
+        entry = verifier._LEMMAS[lemma]
+        monkeypatch.setitem(verifier._LEMMAS, lemma, dataclasses.replace(
+            entry, hypothesis=lambda inst, h=entry.hypothesis, lemma=lemma: (
+                hypotheses.append((lemma, inst.name)) or h(inst)
+            ),
+        ))
+    reports = sweep(lemmas, [Instance("dodecahedron", g)], fail_fast=True)
     assert len(reports) == 120 + 240 and {r.verdict for r in reports} == {"Pass"}
     assert len(kept) == 2 and not any(kept)
-    assert len(hypotheses) == 1  # LM_SPLIT5_SAME's check; the sweep tests LM_SPLIT5_DIFF's
+    assert hypotheses == [(lemma, "dodecahedron") for lemma in lemmas]  # one per lemma
     monkeypatch.undo()
 
     @functools.cache
@@ -385,6 +387,65 @@ def test_orbit_shared_results_equal_the_per_slot_reports(monkeypatch):
     alone = [r.to_json() for r in sweep(lemmas, _catalog_corpus(), fail_fast=False)]
     assert shared == alone
     assert Counter(r["verdict"] for r in alone) == {"Pass": 2478, "Skipped": 40778}
+
+
+@pytest.mark.parametrize("lemmas,size", [
+    ([LemmaId.LM_SPLIT4A, LemmaId.LM_SPLIT4B, LemmaId.LM_LADDER], 4),
+    ([LemmaId.LM_3CONN, LemmaId.LM_BB_3E, LemmaId.LM_BB_3EF], 3),
+], ids=["cut-side", "3ec-edge"])
+def test_lemmas_that_share_a_cut_sweeping_generator_share_its_slots(monkeypatch, lemmas, size):
+    """The generator reads g's cyclic cuts once, and the lemmas' reports hold
+    one set of params dicts."""
+    g = named("cube")
+    reads = []
+    cuts_of_size = verifier._cyclic_cuts_of_size
+    monkeypatch.setattr(verifier, "_cyclic_cuts_of_size", lambda h, k: (
+        reads.append(k) if h is g else None
+    ) or cuts_of_size(h, k))
+    reports = sweep(lemmas, [Instance("cube", g)], fail_fast=False)
+    assert reads.count(size) == 1
+    by_lemma = [[r.params for r in reports if r.lemma is lemma] for lemma in lemmas]
+    first = by_lemma[0]
+    assert first and None not in first and "Pass" in {r.verdict for r in reports}
+    for params in by_lemma[1:]:
+        assert len(params) == len(first) and all(p is q for p, q in zip(params, first))
+    assert params_for(lemmas[0], Instance("cube", g)) is not params_for(lemmas[1], Instance("cube", g))
+
+
+def test_orbit_images_take_their_edge_pairs_from_the_graph():
+    """Every kept image pair that is an edge is the ``g.edges`` tuple itself;
+    a split signature's new edges are kept as they are."""
+    g = named("moebius_kantor")
+    sweep([LemmaId.LM_SPECIAL, LemmaId.LM_SPLITOFF], [Instance("moebius_kantor", g)])
+    edges, ids = set(g.edges), {id(pair) for pair in g.edges}
+
+    def kept_pairs(kind):
+        reps = g._memo[("orbits", kind)]
+        return [pair for image in (*reps, *reps.values()) for pair in image]
+
+    special, split = kept_pairs("edge pair"), kept_pairs("split")
+    assert set(special) == edges and any(p not in edges for p in split)
+    assert all(id(p) in ids for p in special + split if p in edges)
+
+
+def test_split5_same_names_its_tail_guard_ahead_of_the_hypothesis(monkeypatch):
+    """A triple whose v3 has no two tails is Skipped for that, whether the
+    hypothesis holds or not, and only the other slots name the hypothesis."""
+    g = next(
+        h for h in (random_cubic_bridgeless(seed, 8) for seed in range(100))
+        if len(set(h.edges)) < h.edge_count
+    )
+    inst, entry = Instance("parallel", g), verifier._LEMMAS[LemmaId.LM_SPLIT5_SAME]
+    tails = "tail neighbors not distinct"
+    reasons = [r.reason for r in sweep([LemmaId.LM_SPLIT5_SAME], [inst], fail_fast=False)]
+    why = entry.hypothesis(inst)
+    assert why and set(reasons) == {tails, why}
+    monkeypatch.setitem(
+        verifier._LEMMAS, LemmaId.LM_SPLIT5_SAME,
+        dataclasses.replace(entry, hypothesis=lambda inst: None),
+    )
+    held = sweep([LemmaId.LM_SPLIT5_SAME], [inst], fail_fast=False)
+    assert [r.reason == tails for r in held] == [reason == tails for reason in reasons]
 
 
 def test_lm_bb_3ef_tries_only_stuck_companions_and_reports_what_every_edge_gave(monkeypatch):
