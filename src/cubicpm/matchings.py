@@ -10,11 +10,12 @@ into each state, which gives the count.  A backward pass counts each
 state's completions; summing the product of the two over the transitions
 that use an edge gives the number of matchings through it, for every edge
 at once.  The same two passes with one edge required give the matchings
-through each pair of edges, and inclusion-exclusion over these per-edge and
-per-pair counts answers every query that avoids or requires one or two
-edges.  The unconstrained count, the per-edge and the per-pair counts are
-kept in the memo of the graph object asked (``_memoized``) and die with it;
-constrained counts are not kept.  The vertex caps do not bound the states
+through each pair of edges (``pair_counts``), from which inclusion-exclusion
+gives the matchings that avoid or contain one or two edges.  A constrained
+``count_matchings`` query does not read them: it runs a fresh DP.  The
+unconstrained count, the per-edge and the per-pair counts are kept in the
+memo of the graph object asked (``_memoized``) and die with it; constrained
+counts are not kept.  The vertex caps do not bound the states
 of a dense graph, so the DP also stops at ``STATE_CAP`` states per level.
 Everything is exact: counts are ints, polytope arithmetic uses Fractions.
 """

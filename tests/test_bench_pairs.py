@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("catalog", "oracle_queries")
 METRICS = ("setup_s", "wall_s", "peak_rss_mb", "ops_ok_frac")
 
 
@@ -13,7 +14,7 @@ def _bench(path, runs):
     """A BENCH file whose run i holds ``runs[i]`` over the defaults below."""
     default = {"setup_s": 0.3, "wall_s": 1.0, "peak_rss_mb": 50.0, "ops_ok_frac": 1.0}
     path.write_text(json.dumps({"runs": [
-        {workload: {**default, **run.get(workload, {})} for workload in ("catalog", "oracle_queries")}
+        {workload: {**default, **run.get(workload, {})} for workload in WORKLOADS}
         for run in runs
     ]}))
     return str(path)
@@ -33,7 +34,7 @@ def test_each_row_gives_medians_wins_and_a_verdict(tmp_path):
         capture_output=True, text=True,
     )
     lines = done.stdout.splitlines()
-    assert done.returncode == 1 and len(lines) == 2 * len(METRICS)
+    assert done.returncode == 1 and len(lines) == len(WORKLOADS) * len(METRICS)
     rows = {tuple(line.split()[:2]): line for line in lines}
     rss = rows["catalog", "peak_rss_mb"]
     assert "parent 59 [58.99, 59.01]" in rss and "wins 10/10" in rss

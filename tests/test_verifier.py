@@ -397,19 +397,19 @@ def test_lemmas_that_share_a_cut_sweeping_generator_share_its_slots(monkeypatch,
     """The generator reads g's cyclic cuts once, and the lemmas' reports hold
     one set of params dicts."""
     g = named("cube")
-    reads = []
+    inst, reads = Instance("cube", g), []
     cuts_of_size = verifier._cyclic_cuts_of_size
     monkeypatch.setattr(verifier, "_cyclic_cuts_of_size", lambda h, k: (
         reads.append(k) if h is g else None
     ) or cuts_of_size(h, k))
-    reports = sweep(lemmas, [Instance("cube", g)], fail_fast=False)
+    reports = sweep(lemmas, [inst], fail_fast=False)
     assert reads.count(size) == 1
     by_lemma = [[r.params for r in reports if r.lemma is lemma] for lemma in lemmas]
     first = by_lemma[0]
     assert first and None not in first and "Pass" in {r.verdict for r in reports}
     for params in by_lemma[1:]:
         assert len(params) == len(first) and all(p is q for p, q in zip(params, first))
-    assert params_for(lemmas[0], Instance("cube", g)) is not params_for(lemmas[1], Instance("cube", g))
+    assert params_for(lemmas[0], inst) is not params_for(lemmas[1], inst)  # fresh lists
 
 
 def test_orbit_images_take_their_edge_pairs_from_the_graph():
