@@ -22,6 +22,12 @@ Each run also makes one traced pass per workload (``perfbench/run.py
 --trace 1``) and keeps its sweep, k-almost and ``build_cut`` call counts, the
 k-almost search's self time, the calls into ``multigraph`` and the self time
 of each layer, so the trace evidence lands with the pair.
+
+Each run also sweeps the catalog workload once in-process, in a fresh
+interpreter under ``tracemalloc``, and keeps the MB still allocated after the
+sweep (``held_mb``, reports included) and once its reports are dropped
+(``graphs_mb``: the corpus graphs and their memos), so a memory claim lands
+with the layer it comes from.
 """
 
 from __future__ import annotations
@@ -51,6 +57,24 @@ TRACED = (
     "multigraph.calls",
     *(f"{layer}.self_s" for layer in LAYERS),
 )
+
+
+# One in-process catalog sweep: the ops of ``perfbench`` built from the
+# package in argv[1]/src, allocations traced from just before the corpus.
+MEMORY_PASS = """
+import gc, json, sys, tracemalloc
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+import cubicpm.verifier
+from bench_workloads import build
+tracemalloc.start()
+ops = build("catalog", int(sys.argv[2]))
+reports = [op.call() for op in ops]
+held = tracemalloc.get_traced_memory()[0]
+del reports
+gc.collect()
+graphs = tracemalloc.get_traced_memory()[0]
+print(json.dumps({"held_mb": held / 2**20, "graphs_mb": graphs / 2**20}))
+"""
 
 
 def git(root: Path, *args: str) -> str:
@@ -96,6 +120,17 @@ def traced(root: Path, workload: str, seed: int) -> dict:
     """One traced pass of ``perfbench/run.py --trace 1``: its verdict and the TRACED metrics."""
     result = perfbench(root, workload, seed, "--trace", "1", "--seconds", "0")
     return {key: result[key] for key in ("correct", "failed", *TRACED)}
+
+
+def catalog_memory(root: Path, seed: int) -> dict:
+    """The tracemalloc MB of one in-process catalog sweep (``MEMORY_PASS``)."""
+    done = subprocess.run(
+        [sys.executable, "-c", MEMORY_PASS, str(root), str(seed)],
+        cwd=root, capture_output=True, text=True,
+    )
+    if done.returncode:
+        raise SystemExit(f"catalog memory pass failed:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def startup(root: Path) -> dict:
@@ -155,6 +190,7 @@ def main() -> int:
         run[workload] = perfbench(root, workload, args.seed)
     for workload in WORKLOADS:
         run[f"{workload}_trace"] = traced(root, workload, args.seed)
+    run["catalog_memory"] = catalog_memory(root, args.seed)
     runs = (old["runs"] if old else []) + [run]
     out = {
         "label": args.label,

@@ -6,15 +6,19 @@ are placed one at a time and a prefix is dropped once the weight it cuts
 exceeds the caller's bound, so a sweep costs what its bound selects, and
 masks and sums are exact at any size.  Only this module decodes a mask into
 a side.
-Each graph object keeps one unit-weight sweep in its memo: the masks,
-crossing sizes and cyclic flags of the bipartitions crossed by at most the
-largest bound asked so far.  ``enumerate_cuts``, ``cyclic_cuts_up_to`` and
-``cyclic_edge_connectivity`` filter it for any smaller bound; a larger
-bound sweeps again and classifies only the masks it adds.  One classifier
-(``_cyclic_flags``) decides whether a cut is cyclic, for the sweep and for
-``build_cut`` alike: it reads the edge counts of the two sides, and an exact
-flood over neighbour bitmasks counts their parts only where those counts
-leave it open.  An ``EdgeCut`` is built only for a cut that is returned.
+Each graph object keeps one unit-weight sweep in its memo, and no other
+record of its cuts: the masks, crossing sizes and cyclic flags of the
+bipartitions crossed by at most the largest bound asked so far.
+``enumerate_cuts`` and ``cyclic_cuts_up_to`` filter it for any smaller
+bound and build their ``EdgeCut`` lists from it afresh on each call; a
+question that only asks whether a cyclic cut of at most k edges exists,
+or how small the least one is (``cyclic_edge_connectivity``), reads its
+sizes and flags and builds no ``EdgeCut``.  A larger bound sweeps again
+and classifies only the masks it adds.  One classifier (``_cyclic_flags``)
+decides whether a cut is cyclic, for the sweep and for ``build_cut``
+alike: it reads the edge counts of the two sides, and an exact flood over
+neighbour bitmasks counts their parts only where those counts leave it
+open.  An ``EdgeCut`` is built only for a cut that is returned.
 The union-find it replaced is kept in the test oracles.  The k-almost
 search builds no graph and reads only its root's sweep: contracting
 connected vertex sets keeps exactly the bipartitions that split none of
@@ -343,50 +347,58 @@ def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[Edge
     """All bipartitions with crossing size <= max_size, side A holding vertex 0.
 
     Ordered by ascending side-A bitmask (deterministic); flagged cyclic when
-    both sides contain a cycle, and filtered to those when requested.  Read
-    from the graph's one memoized sweep, which is swept again only when
-    max_size passes the largest bound asked so far; the list is kept in the
-    graph's memo under (max_size, cyclic_only).
+    both sides contain a cycle, and filtered to those when requested.  Built
+    afresh from the graph's one memoized sweep, which is swept again only
+    when max_size passes the largest bound asked so far.
     """
     if g.vertex_count > CUT_CAP:
         raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
+    return list(_unit_sweep(g, max_size).cuts(g, max_size, cyclic_only))
 
-    return list(_memoized(
-        g, ("cuts", max_size, cyclic_only),
-        lambda: _unit_sweep(g, max_size).cuts(g, max_size, cyclic_only),
-    ))
+
+def _least_cyclic_size(g: Multigraph, max_size: int) -> int | None:
+    """The size of g's smallest cyclic cut of at most max_size edges, or None.
+
+    Read from the sizes and flags of g's sweep, swept no further than
+    max_size; no ``EdgeCut`` is built.  Refused above ``CUT_CAP`` vertices,
+    as ``enumerate_cuts`` refuses.
+    """
+    if g.vertex_count > CUT_CAP:
+        raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
+    sweep = _unit_sweep(g, max_size)
+    return min(
+        (size for size, flag in zip(sweep.sizes, sweep.cyclic) if flag and size <= max_size),
+        default=None,
+    )
 
 
 def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
     """Minimum size of a cyclic edge-cut, found by exhaustive sweep.
 
     The graph's sweep is read at bound 3, 4, 5, 6 and then at doubled
-    bounds; the value is the smallest size flagged cyclic at the first bound
-    that flags any.  A graph with no cyclic cut stops at the first bound
-    whose sweep selects every proper bipartition (at most the edge count),
+    bounds, up to the edge count; the value is the least size flagged
+    cyclic at the first bound that flags any, and None when the edge count
+    flags none.  A bound that the sweep already covers (it selected every
+    proper bipartition, or a larger bound was asked before) sweeps nothing,
     and no mask is classified at two bounds.  The value is kept in the
-    graph's memo, and its cuts stay in the graph's sweep, where
-    ``enumerate_cuts(g, value, cyclic_only=True)`` finds them unswept.
+    graph's memo; its cuts stay only in the graph's sweep, from which
+    ``enumerate_cuts(g, value, cyclic_only=True)`` builds them unswept.
     """
-    if g.vertex_count > CUT_CAP:
-        raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
 
     def search():
         bound = 3
-        while True:
-            sweep = _unit_sweep(g, bound)
-            sizes = [size for size, flag in zip(sweep.sizes, sweep.cyclic) if flag]
-            if sizes:
-                return CyclicConnectivity(min(sizes))
-            if sweep.bound >= g.edge_count:  # every proper bipartition was selected
+        while (least := _least_cyclic_size(g, bound)) is None:
+            if bound >= g.edge_count:  # every proper bipartition was read
                 return CyclicConnectivity(None)
             bound = bound + 1 if bound < 6 else 2 * bound
+        return CyclicConnectivity(least)
 
     return _memoized(g, "cyclic connectivity", search)
 
 
 def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> tuple[EdgeCut, ...]:
-    """The cyclic cuts of size <= max_size (deterministic order)."""
+    """The cyclic cuts of size <= max_size (deterministic order), built afresh
+    from the graph's sweep on each call."""
     return tuple(enumerate_cuts(g, max_size, cyclic_only=True))
 
 
@@ -413,7 +425,7 @@ def ordered_4cut_chain(g: Multigraph, e: int) -> list[EdgeCut]:
     On a cyclically 4-edge-connected graph those sides form a chain under
     inclusion; a ChainViolation indicates a precondition violation or a bug.
     """
-    if cyclic_cuts_up_to(g, 3):
+    if _least_cyclic_size(g, 3) is not None:
         raise NotCyclically4EC("chain ordering needs cyclic 4-edge-connectivity")
     anchor = g.endpoints(e)[0]
     cuts = []

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .connectivity import bridges, cut_sums_at_most, cyclic_cuts_up_to, mask_sizes
+from .connectivity import _least_cyclic_size, bridges, cut_sums_at_most, mask_sizes
 from .errors import (
     FlowInfeasible,
     InconsistentQuery,
@@ -96,8 +96,10 @@ class _StateDag:
     edges are covered from the start.  A transition covers the first
     uncovered position and one uncovered neighbour of it through an edge
     that is not forbidden, so every matching of the query is one path from
-    the start to the full mask.  ``levels[k]`` maps each state reached by k
-    transitions to alpha, the number of paths into it.
+    the start to the full mask.  That neighbour sits at a later position,
+    so each edge is a move of its earlier end only.  ``levels[k]`` maps
+    each state reached by k transitions to alpha, the number of paths into
+    it.
 
     The vertex cap does not bound the states of a dense graph under it, so
     a level is expanded only while its size times the longest move list,
@@ -116,13 +118,15 @@ class _StateDag:
         bit = [1 << p for p in pos]
         self.edge_count = g.edge_count
         self.full = full = (1 << n) - 1
-        # moves[p]: (edge id, position bit of its other end) at position p
+        # moves[p]: (edge id, position bit of its later end) for each edge whose
+        # earlier end sits at position p; a move from the later end never fires,
+        # since the first uncovered position is the least one
         self.moves = moves = [[] for _ in range(n)]
         forbidden = q.forbidden
         for e, (u, v) in enumerate(g.edges):
             if e not in forbidden:
-                moves[pos[u]].append((e, bit[v]))
-                moves[pos[v]].append((e, bit[u]))
+                first, last = sorted((pos[u], pos[v]))
+                moves[first].append((e, 1 << last))
         self.levels: list[dict[int, int]] = []
         self.start = 0
         for v in q.missed_vertices:
@@ -340,7 +344,7 @@ def special_pair(g: Multigraph, e: int, f: int) -> SpecialPairResult:
         raise InconsistentQuery("e and f must be distinct edges")
     if not g.is_cubic:
         raise NotCyclically4EC("graph is not cubic")
-    if cyclic_cuts_up_to(g, 3):
+    if _least_cyclic_size(g, 3) is not None:
         raise NotCyclically4EC("graph is not cyclically 4-edge-connected")
     _validate(g, CountQuery(required=frozenset({f}), forbidden=frozenset({e})))
     pairs = pair_counts(g)

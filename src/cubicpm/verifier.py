@@ -40,6 +40,7 @@ from .connectivity import (
     ALMOST_CAP,
     CUT_CAP,
     EdgeCut,
+    _least_cyclic_size,
     _unit_sweep,
     bridges,
     build_cut,
@@ -374,7 +375,7 @@ def _attach_edge_ids(subdivided: Multigraph) -> list[int]:
 
 
 def _c4ec(g: Multigraph) -> bool:
-    return not cyclic_cuts_up_to(g, 3)
+    return _least_cyclic_size(g, 3) is None
 
 
 def _is_solid_side(g: Multigraph, side: frozenset[int]) -> bool:
@@ -556,7 +557,7 @@ _split5_hypothesis = _first(
     _swept(
         "needs cyclically 5-edge-connected cubic, >= 12 vertices",
         lambda g: g.is_cubic and g.vertex_count >= 12,
-        lambda g: not cyclic_cuts_up_to(g, 4),
+        lambda g: _least_cyclic_size(g, 4) is None,
     ),
     # splitting off drops two vertices before the k-almost search
     _cap(ALMOST_CAP + 2, f"split graph over the k-almost search cap of {ALMOST_CAP} vertices"),
@@ -969,16 +970,21 @@ def _check_lm_twisted_bis(inst, params):
     return _judge(Bound.pow2(Fraction(g.vertex_count - 4, 108)), best)
 
 
+def _opposite_sides(g: Multigraph, e: int) -> list[frozenset[int]]:
+    """The side of each cyclic 4-cut that holds neither end of e, in cut order.
+
+    Read from the cut-side slots, which give each cut's two sides in turn.
+    The edge e crosses no cyclic 4-cut, so one side of each holds both of
+    its ends and the other neither.
+    """
+    a, b = g.endpoints(e)
+    sides = (params["side"] for params in _cut_side_params(g))
+    return [frozenset(side) for side in sides if a not in side and b not in side]
+
+
 def _check_lm_twisted_struc(inst, params):
     g = inst.graph
-    a, b = g.endpoints(params["edge"])
-    sides = []
-    for cut in _cyclic_cuts_of_size(g, 4):
-        if a in cut.side_a and b in cut.side_a:
-            sides.append(frozenset(range(g.vertex_count)) - cut.side_a)
-        elif a not in cut.side_a and b not in cut.side_a:
-            sides.append(cut.side_a)
-        # e crossing is impossible: the edge is outside every cyclic 4-cut
+    sides = _opposite_sides(g, params["edge"])
     for s in sides:
         if _is_solid_side(g, s):
             return _skip("an opposite side is solid")

@@ -15,7 +15,9 @@ root (given "lex_max", it splits along the greatest tight cut where
 sweeps every graph of the k-almost search where ``is_k_almost_cyclically_4ec``
 builds no graph and reads only the root's sweep; ``minimal_cyclic3_sides``
 serves it.  ``slow_is_3ec`` runs a bridge search on G and on every G - e,
-where the verifier reads 3-edge-connectivity from the graph's sweep.  The
+where the verifier reads 3-edge-connectivity from the graph's sweep, and
+``slow_opposite_sides`` lists the cyclic 4-cuts for every LM_TWISTED_STRUC
+slot, where the verifier reads the cut-side slots that LM_SPLIT4A shares.  The
 twisted-net generator replays its recipe into a new graph at every step, where
 ``families`` applies each step once to a net without its graph.
 ``slow_neighbors`` collects and sorts a vertex's neighbours on every call,
@@ -474,6 +476,27 @@ def slow_k_almost_c4ec(g: Multigraph, k: int) -> bool:
         if slow_k_almost_c4ec(h, k - (len(s) - 1)):
             return True
     return False
+
+
+def slow_opposite_sides(g: Multigraph, e: int) -> list[frozenset[int]]:
+    """The side of each cyclic 4-cut that holds neither end of e, in cut order.
+
+    The per-slot loop of LM_TWISTED_STRUC that reading the cut-side slots
+    replaced: it lists the cyclic 4-cuts for every slot and takes side A or
+    its complement by where the ends of e lie, skipping a cut that e crosses.
+    """
+    from cubicpm.connectivity import cyclic_cuts_up_to
+
+    a, b = g.endpoints(e)
+    sides = []
+    for cut in cyclic_cuts_up_to(g, 4):
+        if cut.size != 4:
+            continue
+        if a in cut.side_a and b in cut.side_a:
+            sides.append(frozenset(range(g.vertex_count)) - cut.side_a)
+        elif a not in cut.side_a and b not in cut.side_a:
+            sides.append(cut.side_a)
+    return sides
 
 
 def minimal_cyclic3_sides(g: Multigraph) -> list[frozenset[int]]:

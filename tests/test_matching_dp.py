@@ -31,7 +31,7 @@ from cubicpm.connectivity import (
     cyclic_edge_connectivity,
     enumerate_cuts,
 )
-from cubicpm import matchings
+from cubicpm import connectivity, matchings
 from cubicpm.errors import TooLarge
 from cubicpm.matchings import (
     COUNT_CAP,
@@ -157,6 +157,21 @@ def test_the_dp_stops_before_a_level_past_the_state_cap(monkeypatch):
             query(named("cube"))
 
 
+def test_each_edge_is_one_move_at_its_earlier_end():
+    """Each edge that is not forbidden is one move, kept at the earlier of
+    its ends' frontier positions and pointing to the later one."""
+    for name, g in GRAPHS:
+        forbidden = frozenset(range(0, g.edge_count, 3))
+        dag = matchings._StateDag(g, CountQuery(forbidden=forbidden), COUNT_CAP, "counting")
+        pos = {v: p for p, v in enumerate(g.frontier_order)}
+        moves = [(e, p, b) for p, at in enumerate(dag.moves) for e, b in at]
+        assert sorted(e for e, _, _ in moves) == [
+            e for e in range(g.edge_count) if e not in forbidden
+        ], name
+        for e, p, b in moves:
+            assert [p, b.bit_length() - 1] == sorted(pos[v] for v in g.endpoints(e)), name
+
+
 def _widest_frontier(g: Multigraph) -> int:
     """Most unplaced neighbours of placed vertices along ``g.frontier_order``."""
     placed: set[int] = set()
@@ -205,6 +220,9 @@ CUT_QUERIES = {  # each lists the objects it hands out
 
 
 def test_the_memo_belongs_to_one_graph_object_and_not_to_its_equality():
+    """The counts and the cyclic connectivity are kept on the graph object
+    asked; its cut lists are built afresh on each call from the one sweep
+    that object keeps.  An equal graph object keeps nothing."""
     g, twin = random_cubic_bridgeless(3, 12), random_cubic_bridgeless(3, 12)
     pairs = pair_counts(g)
     assert g == twin and hash(g) == hash(twin)
@@ -213,7 +231,15 @@ def test_the_memo_belongs_to_one_graph_object_and_not_to_its_equality():
     for name, query in CUT_QUERIES.items():
         twin, kept = random_cubic_bridgeless(3, 12), len(g._memo)
         got = query(g)
-        assert got and len(g._memo) > kept and not twin._memo, name
-        assert all(a is b for a, b in zip(query(g), got)), name
+        assert got and not twin._memo, name
+        if name == "cyclic_edge_connectivity":
+            assert len(g._memo) > kept, name
+            assert all(a is b for a, b in zip(query(g), got)), name
+        else:  # the kept object is the sweep, and each call builds new cuts from it
+            sweep = g._memo["sweep"]
+            again = query(g)
+            assert g._memo["sweep"] is sweep is connectivity._unit_sweep(g, 4), name
+            assert again == got and not any(a is b for a, b in zip(again, got)), name
         fresh = query(twin)
         assert fresh == got and not any(a is b for a, b in zip(fresh, got)), name
+        assert twin._memo["sweep"] is not g._memo["sweep"], name

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ladder_host, pendant_triangle_chain
-from oracles import identity_group, slow_check_lm_bb_3ef
+from conftest import circular_ladder, ladder_host, moebius_ladder, pendant_triangle_chain
+from oracles import identity_group, slow_check_lm_bb_3ef, slow_opposite_sides
 from cubicpm import check, check_lm_ladder, named, random_cubic_bridgeless
-from cubicpm import Multigraph, connectivity, verifier
+from cubicpm import Multigraph, connectivity, matchings, verifier
 from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut, is_k_almost_cyclically_4ec
 from cubicpm.matchings import COUNT_CAP, EMPTY_QUERY
 from cubicpm.errors import CubicpmError
@@ -387,6 +387,65 @@ def test_orbit_shared_results_equal_the_per_slot_reports(monkeypatch):
     alone = [r.to_json() for r in sweep(lemmas, _catalog_corpus(), fail_fast=False)]
     assert shared == alone
     assert Counter(r["verdict"] for r in alone) == {"Pass": 2478, "Skipped": 40778}
+
+
+def test_a_catalog_sweep_keeps_no_cut_list():
+    """A graph keeps its one sweep and builds its cut lists from it afresh."""
+    corpus = _catalog_corpus()
+    sweep(list(LemmaId), corpus, fail_fast=False)
+    keys = [key for inst in corpus for key in inst.graph._memo]
+    assert "sweep" in keys
+    assert not [key for key in keys if isinstance(key, tuple) and key[0] == "cuts"]
+
+
+def test_cut_emptiness_tests_build_no_edge_cut(monkeypatch):
+    """``_c4ec``, ``special_pair`` and the LM_SPLIT5 hypothesis read sizes and
+    flags from the sweep: with ``_edge_cut`` raising they answer as before."""
+    graphs = [named(name) for name in (
+        "theta", "k4", "k33", "prism", "cube", "petersen", "moebius_kantor", "dodecahedron",
+    )] + [circular_ladder(5), moebius_ladder(4), ladder_host(3), random_cubic_bridgeless(5, 12)]
+    graphs = [g for g in graphs if g.is_cubic and g.vertex_count <= CUT_CAP]
+
+    def outcome(call):
+        try:
+            return call()
+        except CubicpmError as exc:
+            return type(exc).__name__
+
+    def answers():
+        out = []
+        for g in (Multigraph(g.vertex_count, g.edges) for g in graphs):  # fresh memos
+            out.append(verifier._c4ec(g))
+            out.append(verifier._split5_hypothesis(Instance("g", g)))
+            out += [outcome(lambda: matchings.special_pair(g, 0, f).verdict)
+                    for f in range(1, g.edge_count)]
+        return out
+
+    expected = answers()
+    assert False in expected and True in expected and "NotCyclically4EC" in expected
+
+    def refuse(*args):
+        raise AssertionError("an EdgeCut was built")
+
+    monkeypatch.setattr(connectivity, "_edge_cut", refuse)
+    assert answers() == expected
+
+
+def test_twisted_struc_sides_equal_the_per_cut_loop():
+    """LM_TWISTED_STRUC takes its opposite sides from the cut-side slots; on
+    every slot of the catalog corpus (the twisted corpus among it) they are
+    the sides that listing the cyclic 4-cuts per slot gives, in order."""
+    slots = with_sides = 0
+    for inst in _catalog_corpus():
+        g = inst.graph
+        for params in params_for(LemmaId.LM_TWISTED_STRUC, inst):
+            if params is None:
+                continue
+            sides = verifier._opposite_sides(g, params["edge"])
+            assert sides == slow_opposite_sides(g, params["edge"]), (inst.name, params)
+            slots += 1
+            with_sides += bool(sides)
+    assert slots > 300 and with_sides > 50
 
 
 @pytest.mark.parametrize("lemmas,size", [
