@@ -19,9 +19,9 @@ name the same commit, and the medians are taken over all of them.  Running
 one file per checkout.
 
 Each run also makes one traced pass per workload (``perfbench/run.py
---trace 1``) and keeps its sweep, k-almost and ``build_cut`` call counts, the
-k-almost search's self time, the calls into ``multigraph`` and the self time
-of each layer, so the trace evidence lands with the pair.
+--trace 1``) and keeps its sweep, k-almost, ``build_cut`` and ``tight_cuts``
+call counts, the k-almost search's self time, the calls into ``multigraph``
+and the self time of each layer, so the trace evidence lands with the pair.
 
 Each run also sweeps the catalog workload once in-process, in a fresh
 interpreter under ``tracemalloc``, and keeps the MB still allocated after the
@@ -54,6 +54,7 @@ TRACED = (
     "connectivity.is_k_almost_cyclically_4ec.calls",
     "connectivity.is_k_almost_cyclically_4ec.self_s",
     "connectivity.build_cut.calls",
+    "decomposition.tight_cuts.calls",
     "multigraph.calls",
     *(f"{layer}.self_s" for layer in LAYERS),
 )

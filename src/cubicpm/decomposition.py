@@ -149,7 +149,7 @@ def decompose(g: Multigraph) -> DecompositionNode:
     sorted vertex sequence is taken.  The leaf multiset does not depend on
     this order, which the test suite checks against a recursion that takes
     the greatest cut instead.  Only g itself is swept (``tight_cuts``); the
-    tree is kept in g's memo.
+    tree is kept in g's memo, where ``brick_count`` reads it.
     """
     return _memoized(g, "decomposition", lambda: _split(g, tight_cuts(g)))
 
@@ -177,8 +177,17 @@ def _split(g: Multigraph, tight: list[frozenset[int]]) -> DecompositionNode:
 
 
 def brick_count(g: Multigraph) -> int:
-    """b(G), read from the leaves of the memoized tree."""
-    return sum(1 for leaf in decompose(g).leaves() if leaf.kind == "brick")
+    """b(G), the bricks among the leaves of g's decomposition, kept in g's memo as an int.
+
+    A tree that ``decompose`` already kept is read; otherwise the tree is
+    built, counted and dropped, since no caller of the count reads it.
+    """
+
+    def count():
+        tree = g._memo.get("decomposition") or _split(g, tight_cuts(g))
+        return sum(1 for leaf in tree.leaves() if leaf.kind == "brick")
+
+    return _memoized(g, "bricks", count)
 
 
 def elp_bound(g: Multigraph) -> int:

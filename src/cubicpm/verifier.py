@@ -11,17 +11,23 @@ the same Skipped report in every slot, so sweeps can never pass silently by
 checking nothing.  A graph above a size cap is Skipped with a reason naming
 the cap.  The checks do only per-slot work.
 
-The lemmas are statements about a graph up to isomorphism, so three results
-that hold no vertex or edge id are kept once per orbit of Aut(g), under the
-orbit's least key.  The splitting lemmas key by the split signature, the
-graph that splitting off a path builds: LM_SPLIT5_SAME and LM_SPLIT5_DIFF
-keep its k-almost verdict and LM_SPLITOFF its "no violating side" bit.
-LM_SPECIAL keeps its verdict pair per ordered pair of edge ends, since an
-automorphism may shuffle parallel edges.  What names ids is never shared
-across an orbit: a violating side (kept per split signature), a broken
-``special_pair`` assertion and a degenerate path's Skipped message are found
-for the slot itself.  The group is searched only when one of these checks
-first needs it.
+The lemmas are statements about a graph up to isomorphism, so five checks
+keep the results that hold no vertex or edge id once per orbit of Aut(g),
+under the orbit's least key.  The splitting lemmas key by the split
+signature, the graph that splitting off a path builds: LM_SPLIT5_SAME and
+LM_SPLIT5_DIFF keep its k-almost verdict and LM_SPLITOFF its "no violating
+side" bit.  The other keys are edge ends, since an automorphism may shuffle
+parallel edges: LM_SPECIAL keeps its verdict pair per ordered pair of edge
+ends, and LM_BB_3E and LM_BB_3EF keep b(G - e) and b(G - e - f) per
+multiset of the deleted edges' ends.  What names ids is never shared across
+an orbit: a violating side (kept per split signature), a broken
+``special_pair`` assertion, a degenerate path's Skipped message and the
+companion that LM_BB_3EF names are found for the slot itself.  The group is
+searched only when one of these checks first needs it.
+
+The edge-slot lemmas (THM_BIP, LM_3CONN, LM_BB_3E, LM_BB_3EF, LM_ORDERED
+and LM_TWISTED_STRUC) take their params dicts from one table per graph, so
+a sweep's reports hold one dict per edge.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .connectivity import (
     ALMOST_CAP,
     CUT_CAP,
     EdgeCut,
+    _crossing_edges,
     _least_cyclic_size,
     _unit_sweep,
     bridges,
@@ -49,6 +56,7 @@ from .connectivity import (
     cyclic_edge_connectivity,
     enumerate_cuts,
     is_k_almost_cyclically_4ec,
+    mask_sides,
     ordered_4cut_chain,
 )
 from .errors import BadSize, ChainViolation, CubicpmError, NotMatchingCovered
@@ -268,13 +276,24 @@ def _is_3ec_cubic(g: Multigraph) -> bool:
     return g.is_cubic and _is_3ec(g)
 
 
-def _cyclic_cuts_of_size(g: Multigraph, k: int) -> list[EdgeCut]:
-    return [cut for cut in cyclic_cuts_up_to(g, k) if cut.size == k]
+def _cyclic_cuts_of_size(g: Multigraph, k: int) -> list[frozenset[int]]:
+    """Side A of each cyclic cut of exactly k edges, in the order of g's sweep.
+
+    Read from the sweep's masks, sizes and flags; no ``EdgeCut`` is built.
+    """
+    sweep = _unit_sweep(g, k)
+    masks = [
+        mask for mask, size, flag in zip(sweep.masks, sweep.sizes, sweep.cyclic)
+        if flag and size == k
+    ]
+    return list(mask_sides(masks, g.vertex_count))
 
 
 def _cyclic_cut_edges(g: Multigraph, k: int) -> frozenset[int]:
-    """Edges crossing some cyclic cut of exactly k edges."""
-    return frozenset().union(*(cut.crossing_edges for cut in _cyclic_cuts_of_size(g, k)))
+    """Edges crossing some cyclic cut of exactly k edges, kept in g's memo."""
+    return _memoized(g, ("cyclic cut edges", k), lambda: frozenset().union(
+        *(_crossing_edges(g, side) for side in _cyclic_cuts_of_size(g, k))
+    ))
 
 
 def _avoid_count(g: Multigraph, e: int) -> int:
@@ -396,8 +415,17 @@ def _is_solid_side(g: Multigraph, side: frozenset[int]) -> bool:
 # parameterless slot, Skipped with the entry's no-slot reason
 
 
+def _edge_slots(g: Multigraph) -> tuple[dict, ...]:
+    """One ``{"edge": e}`` dict per edge id, kept in g's memo.
+
+    Every edge-slot generator picks its slots from this table, so the
+    reports of the six edge-slot lemmas hold one params dict per edge.
+    """
+    return _memoized(g, "edge slots", lambda: tuple({"edge": e} for e in range(g.edge_count)))
+
+
 def _edge_params(g: Multigraph) -> list[dict]:
-    return [{"edge": e} for e in range(g.edge_count)]
+    return list(_edge_slots(g))
 
 
 def _edge_pair_params(g: Multigraph) -> list[dict]:
@@ -477,16 +505,18 @@ def _3ec_edge_params(g: Multigraph) -> list[dict]:
     if not _is_3ec_cubic(g):
         return []
     bad = _cyclic_cut_edges(g, 3)
-    return [{"edge": e} for e in range(g.edge_count) if e not in bad]
+    return [slot for e, slot in enumerate(_edge_slots(g)) if e not in bad]
 
 
 @_cut_sweeping
 def _cut_side_params(g: Multigraph) -> list[dict]:
-    """One params dict per (cyclic 4-cut, side), sides given by vertex list."""
+    """One params dict per (cyclic 4-cut, side), sides given by vertex list:
+    side A, then its complement."""
+    everything = frozenset(range(g.vertex_count))
     return [
         {"side": sorted(side)}
-        for cut in _cyclic_cuts_of_size(g, 4)
-        for side in (cut.side_a, cut.flipped(g).side_a)
+        for side_a in _cyclic_cuts_of_size(g, 4)
+        for side in (side_a, everything - side_a)
     ]
 
 
@@ -496,7 +526,7 @@ def _4cut_edge_params(inside: bool):
     @_cut_sweeping
     def params(g: Multigraph) -> list[dict]:
         in4 = _cyclic_cut_edges(g, 4)
-        return [{"edge": e} for e in range(g.edge_count) if (e in in4) == inside]
+        return [slot for e, slot in enumerate(_edge_slots(g)) if (e in in4) == inside]
 
     return params
 
@@ -581,13 +611,16 @@ def _orbit_rep(g: Multigraph, kind: str, key, image):
     """The least image of ``key`` under Aut(g), where ``image(perm, key)`` maps
     it to a tuple of vertex pairs.
 
-    The first key asked for in an orbit maps the whole orbit, and g's memo
-    keeps the least image for each of its keys.  Each kept image takes its
-    pairs that are edges from one per-graph table of the ``g.edges``
-    tuples, so the images of an orbit share them; a pair that is not an
-    edge, such as a split signature's new edges, is kept as it is.  With
-    the trivial group the key is its own representative, and ``image`` is
-    not called.
+    Each ``kind`` of key has its own map in g's memo: "edge pair" for
+    LM_SPECIAL's ordered pairs of edge ends, "edge set" for the sorted ends
+    of the one or two edges that LM_BB_3E and LM_BB_3EF delete, and "split"
+    for split signatures.  The first key asked for in an orbit maps the
+    whole orbit, and the map keeps the least image for each of its keys.
+    Each kept image takes its pairs that are edges from one per-graph table
+    of the ``g.edges`` tuples, so the images of an orbit share them; a pair
+    that is not an edge, such as a split signature's new edges, is kept as
+    it is.  With the trivial group the key is its own representative, and
+    ``image`` is not called.
     """
     group = automorphisms(g)
     if len(group) == 1:
@@ -607,6 +640,24 @@ def _pair(a: int, b: int) -> tuple[int, int]:
 def _image(perm, pairs) -> tuple:
     """The vertex pairs ``pairs`` moved by ``perm``, each with its lesser end first."""
     return tuple(_pair(perm[a], perm[b]) for a, b in pairs)
+
+
+def _set_image(perm, pairs) -> tuple:
+    """``_image`` of a sorted tuple of pairs, sorted: the image of their multiset."""
+    return tuple(sorted(_image(perm, pairs)))
+
+
+def _bricks_without(g: Multigraph, drop: tuple[int, ...]) -> int | None:
+    """``_bricks`` of g minus the edges ``drop``, kept in g's memo once per orbit.
+
+    Deleting edges whose multiset of end pairs lies in one orbit of Aut(g)
+    leaves isomorphic graphs, since an automorphism may shuffle parallel
+    edges, so the key is that orbit's least multiset.  The count names no
+    id, and a graph that is not matching-covered keeps its None.
+    """
+    ends = tuple(sorted(g.edges[e] for e in drop))
+    key = ("bricks without", _orbit_rep(g, "edge set", ends, _set_image))
+    return _memoized(g, key, lambda: _bricks(_delete_edges(g, set(drop))))
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +764,7 @@ def _check_lm_bb_bip(inst, params):
 
 def _check_lm_bb_3e(inst, params):
     g = inst.graph
-    b = _bricks(_delete_edges(g, {params["edge"]}))
+    b = _bricks_without(g, (params["edge"],))
     if b is None:
         return _skip("graph minus edge: not matching-covered")
     return _judge(Bound.rational(Fraction(3 * g.vertex_count, 8) - 2), b, direction="<=")
@@ -729,7 +780,7 @@ def _check_lm_bb_3ef(inst, params):
     bound = Bound.rational(Fraction(g.vertex_count, 4) - 1)
     # deleting any other edge leaves a stuck one, so only these can be companions
     for f in stuck:
-        b = _bricks(_delete_edges(g, {e, f}))
+        b = _bricks_without(g, (e, f))
         if b is not None:
             return {**_judge(bound, b, direction="<="), "params": {**params, "companion": f}}
     return _fail(

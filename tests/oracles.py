@@ -17,7 +17,9 @@ builds no graph and reads only the root's sweep; ``minimal_cyclic3_sides``
 serves it.  ``slow_is_3ec`` runs a bridge search on G and on every G - e,
 where the verifier reads 3-edge-connectivity from the graph's sweep, and
 ``slow_opposite_sides`` lists the cyclic 4-cuts for every LM_TWISTED_STRUC
-slot, where the verifier reads the cut-side slots that LM_SPLIT4A shares.  The
+slot, where the verifier reads the cut-side slots that LM_SPLIT4A shares, and
+``slow_cut_slots`` builds the slots of the cut-sweeping generators from
+``EdgeCut`` lists, where the verifier reads its sweep's masks.  The
 twisted-net generator replays its recipe into a new graph at every step, where
 ``families`` applies each step once to a net without its graph.
 ``slow_neighbors`` collects and sorts a vertex's neighbours on every call,
@@ -497,6 +499,35 @@ def slow_opposite_sides(g: Multigraph, e: int) -> list[frozenset[int]]:
         elif a not in cut.side_a and b not in cut.side_a:
             sides.append(cut.side_a)
     return sides
+
+
+def slow_cut_slots(g: Multigraph) -> dict[str, list]:
+    """The slots of the verifier's cut-sweeping generators, by a loop over each cut.
+
+    The route that reading the sweep's masks replaced: it lists the cyclic
+    cuts as ``EdgeCut``s and gives the cut sides (side A, then the other
+    side, per cyclic 4-cut), the edges in no cyclic 3-cut of a
+    3-edge-connected cubic graph, and the edges in and not in a cyclic
+    4-cut.  Every list is empty above the cut cap.
+    """
+    from cubicpm.connectivity import CUT_CAP, cyclic_cuts_up_to
+
+    if g.vertex_count > CUT_CAP:
+        return {"sides": [], "3ec": [], "in 4-cut": [], "no 4-cut": []}
+    crossed = {3: set(), 4: set()}
+    sides = []
+    for cut in cyclic_cuts_up_to(g, 4):
+        if cut.size in crossed:
+            crossed[cut.size] |= cut.crossing_edges
+        if cut.size == 4:
+            sides += [sorted(cut.side_a), sorted(cut.flipped(g).side_a)]
+    edges = range(g.edge_count)
+    return {
+        "sides": sides,
+        "3ec": [e for e in edges if e not in crossed[3]] if g.is_cubic and slow_is_3ec(g) else [],
+        "in 4-cut": [e for e in edges if e in crossed[4]],
+        "no 4-cut": [e for e in edges if e not in crossed[4]],
+    }
 
 
 def minimal_cyclic3_sides(g: Multigraph) -> list[frozenset[int]]:

@@ -103,6 +103,19 @@ def test_brick_counts_and_elp_bound(name, b, bound, pms):
     assert pms >= bound
 
 
+def test_brick_count_keeps_an_int_and_reads_a_kept_tree(monkeypatch):
+    """``brick_count`` keeps the count and drops its tree; after ``decompose``
+    it reads the kept tree and sweeps nothing."""
+    from cubicpm import decomposition
+
+    g = named("prism")
+    assert brick_count(g) == 1 and "decomposition" not in g._memo
+    h = named("prism")
+    tree = decompose(h)
+    monkeypatch.setattr(decomposition, "tight_cuts", lambda g: pytest.fail("swept again"))
+    assert brick_count(h) == 1 and h._memo["decomposition"] is tree
+
+
 def test_prism_brick_count_respects_quarter_bound(named_graphs):
     # K4 with one vertex expanded to a triangle
     g = named_graphs["prism"]

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import circular_ladder, ladder_host, moebius_ladder, pendant_triangle_chain
-from oracles import identity_group, slow_check_lm_bb_3ef, slow_opposite_sides
+from oracles import identity_group, slow_check_lm_bb_3ef, slow_cut_slots, slow_opposite_sides
 from cubicpm import check, check_lm_ladder, named, random_cubic_bridgeless
-from cubicpm import Multigraph, connectivity, matchings, verifier
+from cubicpm import Multigraph, connectivity, decomposition, matchings, verifier
 from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut, is_k_almost_cyclically_4ec
 from cubicpm.matchings import COUNT_CAP, EMPTY_QUERY
 from cubicpm.errors import CubicpmError
@@ -378,15 +378,26 @@ def _catalog_corpus():
 
 def test_orbit_shared_results_equal_the_per_slot_reports(monkeypatch):
     """The lemmas that share results across an orbit of Aut(g) report what
-    judging every slot alone (the identity group) reports, byte for byte."""
-    lemmas = [LemmaId.LM_SPLITOFF, LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF, LemmaId.LM_SPECIAL]
+    judging every slot alone (the identity group) reports, byte for byte;
+    so do the edge-slot lemmas, which share one slot table per graph."""
+    keyed = [LemmaId.LM_SPLITOFF, LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF, LemmaId.LM_SPECIAL]
+    edge_slots = [
+        LemmaId.LM_BB_3E, LemmaId.LM_BB_3EF, LemmaId.THM_BIP, LemmaId.LM_3CONN,
+        LemmaId.LM_ORDERED, LemmaId.LM_TWISTED_STRUC,
+    ]
     corpus = _catalog_corpus()
-    shared = [r.to_json() for r in sweep(lemmas, corpus, fail_fast=False)]
+    shared = [r.to_json() for r in sweep(keyed + edge_slots, corpus, fail_fast=False)]
     assert sum(len(verifier.automorphisms(inst.graph)) > 1 for inst in corpus) > 50
     monkeypatch.setattr(verifier, "automorphisms", identity_group)
-    alone = [r.to_json() for r in sweep(lemmas, _catalog_corpus(), fail_fast=False)]
+    alone = [r.to_json() for r in sweep(keyed + edge_slots, _catalog_corpus(), fail_fast=False)]
     assert shared == alone
-    assert Counter(r["verdict"] for r in alone) == {"Pass": 2478, "Skipped": 40778}
+
+    def verdicts(lemmas):
+        names = {lemma.value for lemma in lemmas}
+        return Counter(r["verdict"] for r in alone if r["lemma"] in names)
+
+    assert verdicts(keyed) == {"Pass": 2478, "Skipped": 40778}
+    assert verdicts(edge_slots) == {"Pass": 628, "Fail": 18, "Skipped": 3893}
 
 
 def test_a_catalog_sweep_keeps_no_cut_list():
@@ -431,6 +442,28 @@ def test_cut_emptiness_tests_build_no_edge_cut(monkeypatch):
     assert answers() == expected
 
 
+def test_cut_sweeping_slots_build_no_edge_cut(monkeypatch):
+    """The cut-side and edge slots of the cut-sweeping generators are read
+    from the sweep's masks: with ``_edge_cut`` raising they equal the slots
+    that a loop over each ``EdgeCut`` gives, on the catalog corpus."""
+    graphs = [inst.graph for inst in _catalog_corpus()]
+    expected = [slow_cut_slots(g) for g in graphs]
+    assert all(any(slots[kind] for slots in expected) for kind in expected[0])
+
+    def refuse(*args):
+        raise AssertionError("an EdgeCut was built")
+
+    monkeypatch.setattr(connectivity, "_edge_cut", refuse)
+    for g, want in zip(graphs, expected):
+        g = Multigraph(g.vertex_count, g.edges)  # a fresh memo
+        assert {
+            "sides": [p["side"] for p in verifier._cut_side_params(g)],
+            "3ec": [p["edge"] for p in verifier._3ec_edge_params(g)],
+            "in 4-cut": [p["edge"] for p in verifier._4cut_edge_params(inside=True)(g)],
+            "no 4-cut": [p["edge"] for p in verifier._4cut_edge_params(inside=False)(g)],
+        } == want
+
+
 def test_twisted_struc_sides_equal_the_per_cut_loop():
     """LM_TWISTED_STRUC takes its opposite sides from the cut-side slots; on
     every slot of the catalog corpus (the twisted corpus among it) they are
@@ -469,6 +502,36 @@ def test_lemmas_that_share_a_cut_sweeping_generator_share_its_slots(monkeypatch,
     for params in by_lemma[1:]:
         assert len(params) == len(first) and all(p is q for p, q in zip(params, first))
     assert params_for(lemmas[0], inst) is not params_for(lemmas[1], inst)  # fresh lists
+
+
+@pytest.mark.parametrize("name,slots", [("petersen", 15), ("moebius_kantor", 24), ("cube", 12)])
+def test_lm_bb_3e_decomposes_once_per_edge_orbit(monkeypatch, name, slots):
+    """On an edge-transitive graph every G - e is one graph up to isomorphism,
+    so LM_BB_3E finds its brick count once for all of its slots."""
+    calls = []
+    tight_cuts = decomposition.tight_cuts
+    monkeypatch.setattr(decomposition, "tight_cuts", lambda h: calls.append(h) or tight_cuts(h))
+    reports = sweep([LemmaId.LM_BB_3E], [Instance(name, named(name))], fail_fast=False)
+    assert len(reports) == slots and all(r.hypothesis_met for r in reports)
+    assert len({r.measured for r in reports}) == 1 and len(calls) == 1
+
+
+def test_edge_slot_lemmas_hand_out_one_params_dict_per_edge():
+    """THM_BIP, LM_3CONN, LM_BB_3E, LM_BB_3EF, LM_ORDERED and LM_TWISTED_STRUC
+    take their slots from one table per graph: the same dict for an edge."""
+    lemmas = [
+        LemmaId.THM_BIP, LemmaId.LM_3CONN, LemmaId.LM_BB_3E, LemmaId.LM_BB_3EF,
+        LemmaId.LM_ORDERED, LemmaId.LM_TWISTED_STRUC,
+    ]
+    seen = set()
+    for inst in _catalog_corpus():
+        table = {}
+        for lemma in lemmas:
+            for params in params_for(lemma, inst):
+                if params is not None:
+                    assert table.setdefault(params["edge"], params) is params
+                    seen.add(lemma)
+    assert seen == set(lemmas)
 
 
 def test_orbit_images_take_their_edge_pairs_from_the_graph():
@@ -510,13 +573,24 @@ def test_split5_same_names_its_tail_guard_ahead_of_the_hypothesis(monkeypatch):
 def test_lm_bb_3ef_tries_only_stuck_companions_and_reports_what_every_edge_gave(monkeypatch):
     """An edge of G - e in no perfect matching stays uncovered in G - e - f
     unless it is f, so only those edges are tried as companions: one
-    decomposition per judged slot, and the reports of trying every edge."""
+    decomposition per orbit of the judged (edge, companion) pairs' ends, and
+    the reports of trying every edge."""
     decomposed = []
     bricks = verifier._bricks
     monkeypatch.setattr(verifier, "_bricks", lambda h: decomposed.append(h) or bricks(h))
-    stuck = [r.to_json() for r in sweep([LemmaId.LM_BB_3EF], _catalog_corpus(), fail_fast=False)]
+    corpus = _catalog_corpus()
+    stuck = [r.to_json() for r in sweep([LemmaId.LM_BB_3EF], corpus, fail_fast=False)]
     judged = [r for r in stuck if r["verdict"] != "Skipped"]
-    assert judged and len(decomposed) == len(judged)
+    graphs = {inst.name: inst.graph for inst in corpus}
+    orbits = set()
+    for r in judged:
+        g = graphs[r["instance"]]
+        ends = [g.edges[r["params"]["edge"]], g.edges[r["params"]["companion"]]]
+        orbits.add((r["instance"], min(
+            tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in ends))
+            for p in verifier.automorphisms(g)
+        )))
+    assert judged and len(decomposed) == len(orbits) < len(judged)
     entry = verifier._LEMMAS[LemmaId.LM_BB_3EF]
     monkeypatch.setitem(
         verifier._LEMMAS, LemmaId.LM_BB_3EF, dataclasses.replace(entry, check=slow_check_lm_bb_3ef),
