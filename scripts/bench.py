@@ -23,11 +23,11 @@ Each run also makes one traced pass per workload (``perfbench/run.py
 call counts, the k-almost search's self time, the calls into ``multigraph``
 and the self time of each layer, so the trace evidence lands with the pair.
 
-Each run also sweeps the catalog workload once in-process, in a fresh
+Each run also makes one pass per workload in-process, in a fresh
 interpreter under ``tracemalloc``, and keeps the MB still allocated after the
-sweep (``held_mb``, reports included) and once its reports are dropped
-(``graphs_mb``: the corpus graphs and their memos), so a memory claim lands
-with the layer it comes from.
+pass (``held_mb``, results included) and once its results are dropped
+(``graphs_mb``: the graphs the ops hold and their memos), as
+``<workload>_memory``, so a memory claim lands with the layer it comes from.
 """
 
 from __future__ import annotations
@@ -60,18 +60,21 @@ TRACED = (
 )
 
 
-# One in-process catalog sweep: the ops of ``perfbench`` built from the
-# package in argv[1]/src, allocations traced from just before the corpus.
+# One in-process pass of workload argv[2] at seed argv[3]: the ops of
+# ``perfbench`` built from the package in argv[1]/src and made in order as
+# ``perfbench`` makes them (an op that raises keeps its exception),
+# allocations traced from just before the ops are built.
 MEMORY_PASS = """
-import gc, json, sys, tracemalloc
+import gc, json, sys, time, tracemalloc
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
 import cubicpm.verifier
+from bench_ops import run_timed
 from bench_workloads import build
 tracemalloc.start()
-ops = build("catalog", int(sys.argv[2]))
-reports = [op.call() for op in ops]
+ops = build(sys.argv[2], int(sys.argv[3]))
+results = run_timed([op.call for op in ops], time.perf_counter)[0]
 held = tracemalloc.get_traced_memory()[0]
-del reports
+del results
 gc.collect()
 graphs = tracemalloc.get_traced_memory()[0]
 print(json.dumps({"held_mb": held / 2**20, "graphs_mb": graphs / 2**20}))
@@ -123,14 +126,14 @@ def traced(root: Path, workload: str, seed: int) -> dict:
     return {key: result[key] for key in ("correct", "failed", *TRACED)}
 
 
-def catalog_memory(root: Path, seed: int) -> dict:
-    """The tracemalloc MB of one in-process catalog sweep (``MEMORY_PASS``)."""
+def workload_memory(root: Path, workload: str, seed: int) -> dict:
+    """The tracemalloc MB of one in-process pass of the workload (``MEMORY_PASS``)."""
     done = subprocess.run(
-        [sys.executable, "-c", MEMORY_PASS, str(root), str(seed)],
+        [sys.executable, "-c", MEMORY_PASS, str(root), workload, str(seed)],
         cwd=root, capture_output=True, text=True,
     )
     if done.returncode:
-        raise SystemExit(f"catalog memory pass failed:\n{done.stderr}")
+        raise SystemExit(f"{workload} memory pass failed:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -191,7 +194,8 @@ def main() -> int:
         run[workload] = perfbench(root, workload, args.seed)
     for workload in WORKLOADS:
         run[f"{workload}_trace"] = traced(root, workload, args.seed)
-    run["catalog_memory"] = catalog_memory(root, args.seed)
+    for workload in WORKLOADS:
+        run[f"{workload}_memory"] = workload_memory(root, workload, args.seed)
     runs = (old["runs"] if old else []) + [run]
     out = {
         "label": args.label,

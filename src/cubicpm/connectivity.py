@@ -343,6 +343,13 @@ def _unit_sweep(g: Multigraph, bound: int) -> _Sweep:
     return sweep
 
 
+def _capped_sweep(g: Multigraph, max_size: int) -> _Sweep:
+    """g's sweep at max_size (``_unit_sweep``), refused above ``CUT_CAP`` vertices."""
+    if g.vertex_count > CUT_CAP:
+        raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
+    return _unit_sweep(g, max_size)
+
+
 def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[EdgeCut]:
     """All bipartitions with crossing size <= max_size, side A holding vertex 0.
 
@@ -351,9 +358,7 @@ def enumerate_cuts(g: Multigraph, max_size: int, cyclic_only: bool) -> list[Edge
     afresh from the graph's one memoized sweep, which is swept again only
     when max_size passes the largest bound asked so far.
     """
-    if g.vertex_count > CUT_CAP:
-        raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
-    return list(_unit_sweep(g, max_size).cuts(g, max_size, cyclic_only))
+    return list(_capped_sweep(g, max_size).cuts(g, max_size, cyclic_only))
 
 
 def _least_cyclic_size(g: Multigraph, max_size: int) -> int | None:
@@ -363,9 +368,7 @@ def _least_cyclic_size(g: Multigraph, max_size: int) -> int | None:
     max_size; no ``EdgeCut`` is built.  Refused above ``CUT_CAP`` vertices,
     as ``enumerate_cuts`` refuses.
     """
-    if g.vertex_count > CUT_CAP:
-        raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
-    sweep = _unit_sweep(g, max_size)
+    sweep = _capped_sweep(g, max_size)
     return min(
         (size for size, flag in zip(sweep.sizes, sweep.cyclic) if flag and size <= max_size),
         default=None,
@@ -424,17 +427,21 @@ def ordered_4cut_chain(g: Multigraph, e: int) -> list[EdgeCut]:
 
     On a cyclically 4-edge-connected graph those sides form a chain under
     inclusion; a ChainViolation indicates a precondition violation or a bug.
+    The cuts through e are picked from the masks of g's sweep, and an
+    ``EdgeCut`` is built for those only.
     """
     if _least_cyclic_size(g, 3) is not None:
         raise NotCyclically4EC("chain ordering needs cyclic 4-edge-connectivity")
-    anchor = g.endpoints(e)[0]
+    sweep, n = _unit_sweep(g, 4), g.vertex_count
+    anchor, other = g.endpoints(e)
     cuts = []
-    for cut in cyclic_cuts_up_to(g, 4):
-        if cut.size != 4 or e not in cut.crossing_edges:
-            continue
-        if anchor not in cut.side_a:
-            cut = cut.flipped(g)
-        cuts.append(cut)
+    for mask, size, flag in zip(sweep.masks, sweep.sizes, sweep.cyclic):
+        side = mask << 1 | 1  # side A over all vertices: vertex 0 and bit v for vertex v
+        if size == 4 and flag and (side >> anchor ^ side >> other) & 1:  # e crosses it
+            side_a = _mask_to_side(mask, n)
+            if anchor not in side_a:
+                side_a = frozenset(range(n)) - side_a
+            cuts.append(_edge_cut(g, side_a, True))
     cuts.sort(key=lambda c: (len(c.side_a), tuple(sorted(c.side_a))))
     for a, b in zip(cuts, cuts[1:]):
         if not a.side_a <= b.side_a:

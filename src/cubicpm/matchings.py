@@ -45,12 +45,21 @@ POLYTOPE_CAP = 20
 
 @dataclass(frozen=True, slots=True)
 class Matching:
-    """A set of pairwise non-adjacent edges, by id."""
+    """A set of pairwise non-adjacent edges, kept as its sorted edge-id tuple.
 
-    edge_ids: frozenset[int]
+    The tuple is the only field, the one ``enumerate_matchings`` builds, so
+    equality and hashing are those of the edge set.  ``edge_ids`` gives the
+    set for membership tests, built on each read.
+    """
+
+    edges: tuple[int, ...]
+
+    @property
+    def edge_ids(self) -> frozenset[int]:
+        return frozenset(self.edges)
 
     def to_json(self) -> list[int]:
-        return sorted(self.edge_ids)
+        return list(self.edges)
 
 
 # a weight vector assigns an exact rational to every edge id
@@ -125,7 +134,9 @@ class _StateDag:
         forbidden = q.forbidden
         for e, (u, v) in enumerate(g.edges):
             if e not in forbidden:
-                first, last = sorted((pos[u], pos[v]))
+                first, last = pos[u], pos[v]
+                if first > last:
+                    first, last = last, first
                 moves[first].append((e, 1 << last))
         self.levels: list[dict[int, int]] = []
         self.start = 0
@@ -231,7 +242,7 @@ def enumerate_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> list[Matc
     if beta:
         walk(dag.start)
     out.sort()
-    return [Matching(frozenset(t)) for t in out]
+    return [Matching(t) for t in out]
 
 
 def containment_counts(g: Multigraph) -> list[int]:
@@ -403,9 +414,8 @@ def polytope_membership(
 
 
 def matching_indicator(g: Multigraph, m: Matching) -> dict[int, Fraction]:
-    return {
-        e: Fraction(1 if e in m.edge_ids else 0) for e in range(g.edge_count)
-    }
+    chosen = m.edge_ids
+    return {e: Fraction(1 if e in chosen else 0) for e in range(g.edge_count)}
 
 
 # ---------------------------------------------------------------------------

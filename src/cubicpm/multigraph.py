@@ -76,14 +76,18 @@ class Multigraph:
             inc[v].append(eid)
         return tuple(tuple(x) for x in inc)
 
-    @cached_property
-    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's distinct neighbours, sorted, from one pass over the edges."""
+    def _neighbour_sets(self) -> list[set[int]]:
+        """Each vertex's set of distinct neighbours, from one pass over the edges."""
         nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
         for u, v in self.edges:
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return tuple(tuple(sorted(x)) for x in nbrs)
+        return nbrs
+
+    @cached_property
+    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's distinct neighbours, sorted: the table ``neighbors`` reads."""
+        return tuple(tuple(sorted(x)) for x in self._neighbour_sets())
 
     @cached_property
     def frontier_order(self) -> tuple[int, ...]:
@@ -95,11 +99,12 @@ class Multigraph:
         are kept incrementally: a vertex leaves the pool of unplaced
         vertices off the boundary once, and then each of its d neighbours'
         costs drops by one.  Each step scans the n keys once for the
-        minimum.  Neighbours come from the graph's neighbour table; every
-        update is a decrement, so the order does not depend on how they are
-        listed.
+        minimum.  The neighbour sets are built here and dropped on return,
+        so a graph asked only matching questions keeps no neighbour table;
+        every update is a decrement, so the order does not depend on how
+        the sets list their members.
         """
-        n, nbrs = self.vertex_count, self._neighbors
+        n, nbrs = self.vertex_count, self._neighbour_sets()
         # key = 2 * (neighbours in the pool) + (1 while in the pool)
         key = [2 * len(x) + 1 for x in nbrs]
         placed = 2 * n  # above every key, and even: not in the pool

@@ -46,6 +46,7 @@ from .connectivity import (
     ALMOST_CAP,
     CUT_CAP,
     EdgeCut,
+    _capped_sweep,
     _crossing_edges,
     _least_cyclic_size,
     _unit_sweep,
@@ -54,9 +55,9 @@ from .connectivity import (
     cut_surgery_pair,
     cyclic_cuts_up_to,
     cyclic_edge_connectivity,
-    enumerate_cuts,
     is_k_almost_cyclically_4ec,
     mask_sides,
+    mask_sizes,
     ordered_4cut_chain,
 )
 from .errors import BadSize, ChainViolation, CubicpmError, NotMatchingCovered
@@ -398,16 +399,19 @@ def _c4ec(g: Multigraph) -> bool:
 
 
 def _is_solid_side(g: Multigraph, side: frozenset[int]) -> bool:
-    """No 2-edge-cut of the induced side with two or more vertices per part."""
+    """No 2-edge-cut of the induced side with two or more vertices per part.
+
+    Read from the sizes and masks of the side's sweep; no ``EdgeCut`` is built.
+    """
     sub, _, _ = induced_subgraph(g, side)
-    if sub.vertex_count < 4:
+    n = sub.vertex_count
+    if n < 4:
         return False
-    for cut in enumerate_cuts(sub, 2, cyclic_only=False):
-        if cut.size != 2:
-            continue
-        if len(cut.side_a) >= 2 and sub.vertex_count - len(cut.side_a) >= 2:
-            return False
-    return True
+    sweep = _capped_sweep(sub, 2)
+    return not any(
+        size == 2 and 2 <= part <= n - 2
+        for part, size in zip(mask_sizes(sweep.masks), sweep.sizes)
+    )
 
 
 # ---------------------------------------------------------------------------

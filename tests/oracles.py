@@ -19,11 +19,15 @@ where the verifier reads 3-edge-connectivity from the graph's sweep, and
 ``slow_opposite_sides`` lists the cyclic 4-cuts for every LM_TWISTED_STRUC
 slot, where the verifier reads the cut-side slots that LM_SPLIT4A shares, and
 ``slow_cut_slots`` builds the slots of the cut-sweeping generators from
-``EdgeCut`` lists, where the verifier reads its sweep's masks.  The
+``EdgeCut`` lists, where the verifier reads its sweep's masks; so do
+``slow_4cut_chain`` for ``ordered_4cut_chain`` and ``slow_is_solid_side``
+for the verifier's solid-side test.  The
 twisted-net generator replays its recipe into a new graph at every step, where
 ``families`` applies each step once to a net without its graph.
 ``slow_neighbors`` collects and sorts a vertex's neighbours on every call,
-where ``Multigraph.neighbors`` reads one table per graph.
+where ``Multigraph.neighbors`` reads one table per graph, and
+``slow_frontier_order`` recounts every greedy cost from it at each step,
+where ``Multigraph.frontier_order`` keeps the costs and decrements them.
 ``brute_automorphisms`` tests every vertex permutation, where
 ``multigraph.automorphisms`` backtracks through neighbours; given
 ``identity_group``, the verifier shares a result only between slots with
@@ -501,6 +505,38 @@ def slow_opposite_sides(g: Multigraph, e: int) -> list[frozenset[int]]:
     return sides
 
 
+def slow_4cut_chain(g: Multigraph, e: int) -> list:
+    """The cyclic 4-cuts through e, sides holding e's first end, by side size.
+
+    The loop of ``connectivity.ordered_4cut_chain`` that picking the cuts
+    from the sweep's masks replaced: it lists every cyclic cut of at most 4
+    edges as an ``EdgeCut`` and keeps those that e crosses.  The chain check
+    is left out.
+    """
+    from cubicpm.connectivity import cyclic_cuts_up_to
+
+    anchor = g.endpoints(e)[0]
+    cuts = [
+        cut if anchor in cut.side_a else cut.flipped(g)
+        for cut in cyclic_cuts_up_to(g, 4)
+        if cut.size == 4 and e in cut.crossing_edges
+    ]
+    return sorted(cuts, key=lambda c: (len(c.side_a), tuple(sorted(c.side_a))))
+
+
+def slow_is_solid_side(g: Multigraph, side: frozenset[int]) -> bool:
+    """``verifier._is_solid_side`` by a loop over the induced side's 2-cut ``EdgeCut``s."""
+    from cubicpm.connectivity import enumerate_cuts
+    from cubicpm.multigraph import induced_subgraph
+
+    sub, _, _ = induced_subgraph(g, side)
+    n = sub.vertex_count
+    return n >= 4 and not any(
+        cut.size == 2 and 2 <= len(cut.side_a) <= n - 2
+        for cut in enumerate_cuts(sub, 2, cyclic_only=False)
+    )
+
+
 def slow_cut_slots(g: Multigraph) -> dict[str, list]:
     """The slots of the verifier's cut-sweeping generators, by a loop over each cut.
 
@@ -571,6 +607,28 @@ def slow_k_almost_search(g: Multigraph, k: int) -> tuple[bool, tuple[tuple[int, 
 def slow_neighbors(g: Multigraph, v: int) -> tuple[int, ...]:
     """Reference for ``Multigraph.neighbors``: the far ends of v's edges, deduplicated and sorted."""
     return tuple(sorted({g.other_end(e, v) for e in g.incident(v)}))
+
+
+def slow_frontier_order(g: Multigraph) -> tuple[int, ...]:
+    """Reference for ``Multigraph.frontier_order``, each step counted afresh.
+
+    The boundary is the unplaced neighbours of placed vertices and the pool
+    the unplaced vertices off it.  Each step places the unplaced vertex with
+    the fewest neighbours in the pool, then one on the boundary, then the
+    lowest id.
+    """
+    n = g.vertex_count
+    order: list[int] = []
+    boundary: set[int] = set()
+    for _ in range(n):
+        pool = set(range(n)) - set(order) - boundary
+        v = min(
+            pool | boundary,
+            key=lambda u: (sum(x in pool for x in slow_neighbors(g, u)), u in pool, u),
+        )
+        order.append(v)
+        boundary = (boundary | set(slow_neighbors(g, v))) - set(order)
+    return tuple(order)
 
 
 def brute_automorphisms(g: Multigraph) -> list[tuple[int, ...]]:

@@ -5,8 +5,10 @@ per-pair containment, coverage, enumeration) reads one state DAG; each is
 compared with the memoized recursion kept in ``oracles`` on every query
 kind, including parallel edges, odd and disconnected graphs and the empty
 graph.  So are the lemma checks that read avoided and contained edges from
-per-edge and per-pair counts instead of one count per slot, and the
-neighbour table that the DP's frontier order reads.
+per-edge and per-pair counts instead of one count per slot.  The DP's
+frontier order is compared with a greedy that recounts every cost at each
+step, and it leaves no neighbour table on the graph; the enumerated
+matchings keep only their sorted edge-id tuples.
 """
 
 from itertools import combinations, permutations
@@ -46,6 +48,7 @@ from oracles import (
     slow_contain_avoid,
     slow_count_matchings,
     slow_enumerate_matchings,
+    slow_frontier_order,
     slow_neighbors,
     slow_worst_avoided_pair,
 )
@@ -102,8 +105,10 @@ def test_dp_agrees_with_the_label_order_recursion(name, g):
         assert count_matchings(g, q) == want, q
         assert has_matching(g, q) == (want > 0), q
         if n <= ENUMERATE_CAP:
-            got = [tuple(sorted(m.edge_ids)) for m in enumerate_matchings(g, q)]
-            assert got == slow_enumerate_matchings(g, q), q
+            ms = enumerate_matchings(g, q)
+            assert [m.edges for m in ms] == slow_enumerate_matchings(g, q), q
+            for m in ms:  # the sorted tuple is the set and the JSON form
+                assert m.edges == tuple(sorted(m.edge_ids)) and m.to_json() == list(m.edges), q
     through = containment_counts(g)
     assert through == [
         slow_count_matchings(g, CountQuery(required=frozenset({e})))
@@ -187,6 +192,22 @@ def _widest_frontier(g: Multigraph) -> int:
 def test_the_neighbour_table_equals_the_per_call_route(name, g):
     vertices = range(g.vertex_count)
     assert [g.neighbors(v) for v in vertices] == [slow_neighbors(g, v) for v in vertices]
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_frontier_order_is_the_recounted_greedy_and_keeps_no_neighbour_table(name, g):
+    fresh = Multigraph(g.vertex_count, g.edges)
+    assert fresh.frontier_order == slow_frontier_order(g)
+    assert "_neighbors" not in vars(fresh)
+
+
+def test_matching_and_cut_queries_leave_no_neighbour_table():
+    """A one-shot graph asked for its count and its cuts keeps no neighbour table."""
+    g = random_cubic_bridgeless(3, 16)
+    assert count_matchings(g) > 0 and enumerate_cuts(g, 3, cyclic_only=False)
+    assert cyclic_edge_connectivity(g).value and containment_counts(g)
+    assert "frontier_order" in vars(g) and "sweep" in g._memo
+    assert "_neighbors" not in vars(g)
 
 
 def test_frontier_order_is_a_permutation_with_a_small_frontier():

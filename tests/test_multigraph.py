@@ -473,7 +473,7 @@ def _value_objects():
         connectivity.CyclicConnectivity(3),
         connectivity._Sweep(3, [], [], []),
         decomposition.DecompositionNode(g, "brick"),
-        matchings.Matching(frozenset({0})),
+        matchings.Matching((0,)),
         matchings.CountQuery(),
         matchings.SpecialPairResult(True),
         DegreeExcess(()),

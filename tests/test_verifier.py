@@ -8,12 +8,19 @@ from fractions import Fraction
 import pytest
 
 from conftest import circular_ladder, ladder_host, moebius_ladder, pendant_triangle_chain
-from oracles import identity_group, slow_check_lm_bb_3ef, slow_cut_slots, slow_opposite_sides
+from oracles import (
+    identity_group,
+    slow_4cut_chain,
+    slow_check_lm_bb_3ef,
+    slow_cut_slots,
+    slow_is_solid_side,
+    slow_opposite_sides,
+)
 from cubicpm import check, check_lm_ladder, named, random_cubic_bridgeless
 from cubicpm import Multigraph, connectivity, decomposition, matchings, verifier
 from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut, is_k_almost_cyclically_4ec
 from cubicpm.matchings import COUNT_CAP, EMPTY_QUERY
-from cubicpm.errors import CubicpmError
+from cubicpm.errors import ChainViolation, CubicpmError
 from cubicpm.multigraph import from_edge_list, split_off, split_off_ends
 from cubicpm.verifier import (
     Bound,
@@ -462,6 +469,51 @@ def test_cut_sweeping_slots_build_no_edge_cut(monkeypatch):
             "in 4-cut": [p["edge"] for p in verifier._4cut_edge_params(inside=True)(g)],
             "no 4-cut": [p["edge"] for p in verifier._4cut_edge_params(inside=False)(g)],
         } == want
+
+
+def test_chain_and_solid_side_build_only_the_cuts_they_return(monkeypatch):
+    """``ordered_4cut_chain`` builds an ``EdgeCut`` only for a cut through e,
+    and ``_is_solid_side`` reads the induced side's 2-cuts from its sweep and
+    builds none; on the LM_ORDERED and LM_TWISTED_STRUC slots of the catalog
+    corpus they answer what the loops over every ``EdgeCut`` answer."""
+    corpus = _catalog_corpus()
+
+    def slots(lemma):
+        return [
+            (inst.graph, params["edge"])
+            for inst in corpus for params in params_for(lemma, inst) if params is not None
+        ]
+
+    chains = [(g, e) for g, e in slots(LemmaId.LM_ORDERED) if verifier._c4ec(g)]
+    sides = [
+        (g, side) for g, e in slots(LemmaId.LM_TWISTED_STRUC)
+        for side in verifier._opposite_sides(g, e)
+    ]
+    through = [slow_4cut_chain(g, e) for g, e in chains]
+    want_chains = [
+        cuts if all(a.side_a <= b.side_a for a, b in zip(cuts, cuts[1:])) else "ChainViolation"
+        for cuts in through
+    ]
+    want_solid = [slow_is_solid_side(g, side) for g, side in sides]
+    assert "ChainViolation" in want_chains and sum(map(bool, want_chains)) > 20
+    assert True in want_solid and False in want_solid
+
+    def chain(g, e):
+        try:
+            return connectivity.ordered_4cut_chain(g, e)
+        except ChainViolation:
+            return "ChainViolation"
+
+    built = []
+    edge_cut = connectivity._edge_cut
+    monkeypatch.setattr(connectivity, "_edge_cut", lambda *args: built.append(args) or edge_cut(*args))
+    fresh = {}  # one fresh memo per graph, as a sweep has
+    for (g, e), want in zip(chains, want_chains):
+        h = fresh.setdefault(id(g), Multigraph(g.vertex_count, g.edges))
+        assert chain(h, e) == want
+    assert len(built) == sum(map(len, through))
+    assert [verifier._is_solid_side(g, side) for g, side in sides] == want_solid
+    assert len(built) == sum(map(len, through))
 
 
 def test_twisted_struc_sides_equal_the_per_cut_loop():
