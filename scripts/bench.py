@@ -9,6 +9,11 @@ commit.  The start-ups time the package import, which ``perfbench`` cannot
 show because its passes import numpy themselves.
 
     python scripts/bench.py --label change [--root DIR] [--seed 7] [--append]
+        [--tier1 0|1]
+
+With ``--tier1 0`` the run skips the tier-1 suite, which takes most of a
+run's time and repeats its counts from run to run, and records no ``tier1``
+entry; the medians of each part are taken over the runs that hold it.
 
 The file is written beside this script's checkout, whichever ``--root`` is
 measured, so one checkout can collect the files of others.
@@ -173,12 +178,23 @@ def medians(runs: list[dict]) -> dict:
     return {k: median(run[k] for run in runs) for k in numeric}
 
 
+def part_medians(runs: list[dict]) -> dict:
+    """``medians`` of each part over the runs that hold it (a run made with
+    ``--tier1 0`` holds no ``tier1``)."""
+    parts = dict.fromkeys(part for run in runs for part in run)
+    return {part: medians([run[part] for run in runs if part in run]) for part in parts}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     ap.add_argument("--root", type=Path, default=HERE.parent, help="checkout to measure")
     ap.add_argument("--seed", type=int, default=7, help="perfbench seed")
     ap.add_argument("--append", action="store_true", help="add to the runs in the file")
+    ap.add_argument(
+        "--tier1", type=int, choices=(0, 1), default=1,
+        help="1 (the default) runs the tier-1 suite in this run; 0 skips it",
+    )
     args = ap.parse_args()
 
     root = args.root.resolve()
@@ -189,7 +205,8 @@ def main() -> int:
     if old and (old["commit"], old["dirty"], old["seed"]) != (commit, dirty, args.seed):
         raise SystemExit(f"{path} holds another commit or seed; drop --append")
 
-    run = {"tier1": tier1(root), "startup": startup(root)}
+    run = {"tier1": tier1(root)} if args.tier1 else {}
+    run["startup"] = startup(root)
     for workload in WORKLOADS:
         run[workload] = perfbench(root, workload, args.seed)
     for workload in WORKLOADS:
@@ -203,7 +220,7 @@ def main() -> int:
         "dirty": dirty,
         "seed": args.seed,
         "environment": environment(),
-        "median": {part: medians([r[part] for r in runs]) for part in run},
+        "median": part_medians(runs),
         "runs": runs,
     }
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")

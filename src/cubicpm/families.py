@@ -569,7 +569,8 @@ def random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
     """Pairing-model sample conditioned on loopless, connected, bridgeless.
 
     Parallel edges are kept (the model allows them).  Deterministic for a
-    fixed seed.
+    fixed seed.  The pairing is tested on a graph of its own, so the
+    incidence table the tests build is not cached on the graph returned.
     """
     if n < 4 or n % 2:
         raise BadSize("need an even number of vertices, at least 4")
@@ -580,10 +581,7 @@ def random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
         pairs = list(zip(stubs[::2], stubs[1::2]))
         if any(u == v for u, v in pairs):
             continue
-        g = from_edge_list(n, pairs)
-        if not g.is_connected():
-            continue
-        if bridges(g):
-            continue
-        return g
+        probe = from_edge_list(n, pairs)
+        if probe.is_connected() and not bridges(probe):
+            return Multigraph(n, probe.edges)
     raise GenerationFailed(f"no admissible pairing after {PAIRING_TRIES} tries")

@@ -25,9 +25,11 @@ an orbit: a violating side (kept per split signature), a broken
 companion that LM_BB_3EF names are found for the slot itself.  The group is
 searched only when one of these checks first needs it.
 
+A slot is a plain tuple of values, one per key that the lemma's table
+entry names, and a report renders it as its params dict only when read.
 The edge-slot lemmas (THM_BIP, LM_3CONN, LM_BB_3E, LM_BB_3EF, LM_ORDERED
-and LM_TWISTED_STRUC) take their params dicts from one table per graph, so
-a sweep's reports hold one dict per edge.
+and LM_TWISTED_STRUC) take their slots from one table per graph, so a
+sweep's reports hold one slot per edge.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .connectivity import (
     bridges,
     build_cut,
     cut_surgery_pair,
-    cyclic_cuts_up_to,
     cyclic_edge_connectivity,
     is_k_almost_cyclically_4ec,
     mask_sides,
@@ -174,12 +175,15 @@ class LemmaReport(NamedTuple):
     """One verdict of one lemma on one instance and parameter choice.
 
     An immutable tuple, so a sweep's tens of thousands of reports, most of
-    them Skipped copies of one reason, cost one tuple each.
+    them Skipped copies of one reason, cost one tuple each.  ``slot`` holds
+    the parameter values as a plain tuple, in the order of the lemma's
+    ``keys``, the slot generators' own tuples where the check added nothing;
+    ``params`` renders it as a dict on each read.
     """
 
     lemma: LemmaId
     instance: str
-    params: dict | None
+    slot: tuple | None
     hypothesis_met: bool
     bound: Bound | None
     measured: int | Fraction | None
@@ -187,6 +191,14 @@ class LemmaReport(NamedTuple):
     verdict: str = "Pass"  # Pass | Fail | Skipped
     reason: str | None = None
     note: str | None = None
+
+    @property
+    def params(self) -> dict | None:
+        """A fresh dict of the slot under the lemma's keys, each tuple value as a list."""
+        if self.slot is None:
+            return None
+        keys = _LEMMAS[self.lemma].keys
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in zip(keys, self.slot)}
 
     def to_json(self) -> dict:
         meas = self.measured
@@ -229,9 +241,10 @@ class Instance:
     known_twisted: bool = False
 
 
-# A check returns the verdict fields of its report; the dispatcher adds the
-# lemma, the instance name and the params, unless the check names its own
-# "params" (an aggregate's argument, or the params plus what it derived).
+# A check takes the instance and its slot tuple and returns the verdict
+# fields of its report; the dispatcher adds the lemma, the instance name and
+# the slot, unless the check names its own "slot" (an aggregate's argument,
+# or the slot with what it derived appended).
 
 
 def _skip(reason: str) -> dict:
@@ -356,9 +369,9 @@ def _on_cut_side(check):
     side vertex, is Skipped.
     """
 
-    def run(inst, params):
+    def run(inst, slot):
         g = inst.graph
-        cut = build_cut(g, params["side"])
+        cut = build_cut(g, slot[0])
         if not (cut.size == 4 and cut.cyclic):
             return _skip("side does not define a cyclic 4-cut")
         ends = (g.endpoints(e) for e in sorted(cut.crossing_edges))
@@ -415,32 +428,33 @@ def _is_solid_side(g: Multigraph, side: frozenset[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# parameter generators: admissible params per graph; none means one
-# parameterless slot, Skipped with the entry's no-slot reason
+# slot generators: the admissible slots per graph, each a tuple of values in
+# the order of the lemma's keys; none means one parameterless slot, Skipped
+# with the entry's no-slot reason
 
 
-def _edge_slots(g: Multigraph) -> tuple[dict, ...]:
-    """One ``{"edge": e}`` dict per edge id, kept in g's memo.
+def _edge_slots(g: Multigraph) -> tuple[tuple[int], ...]:
+    """One ``(e,)`` slot per edge id, kept in g's memo.
 
     Every edge-slot generator picks its slots from this table, so the
-    reports of the six edge-slot lemmas hold one params dict per edge.
+    reports of the six edge-slot lemmas hold one slot tuple per edge.
     """
-    return _memoized(g, "edge slots", lambda: tuple({"edge": e} for e in range(g.edge_count)))
+    return _memoized(g, "edge slots", lambda: tuple((e,) for e in range(g.edge_count)))
 
 
-def _edge_params(g: Multigraph) -> list[dict]:
+def _edge_params(g: Multigraph) -> list[tuple]:
     return list(_edge_slots(g))
 
 
-def _edge_pair_params(g: Multigraph) -> list[dict]:
+def _edge_pair_params(g: Multigraph) -> list[tuple]:
     return [
-        {"e": e, "f": f}
+        (e, f)
         for e in range(g.edge_count)
         for f in range(e + 1, g.edge_count)
     ]
 
 
-def _path_params(g: Multigraph) -> list[dict]:
+def _path_params(g: Multigraph) -> list[tuple]:
     ps = []
     for v2, v3 in g.edges:
         for e1 in g.incident(v2):
@@ -451,22 +465,22 @@ def _path_params(g: Multigraph) -> list[dict]:
                 v4 = g.other_end(e4, v3)
                 if v4 in (v1, v2, v3):
                     continue
-                ps.append({"path": [v1, v2, v3, v4]})
+                ps.append(((v1, v2, v3, v4),))
     return ps
 
 
-def _triple_params(g: Multigraph) -> list[dict]:
+def _triple_params(g: Multigraph) -> list[tuple]:
     ps = []
     for v2 in range(g.vertex_count):
         nbrs = g.neighbors(v2)
         for v1 in nbrs:
             for v3 in nbrs:
                 if v3 != v1:
-                    ps.append({"triple": [v1, v2, v3]})
+                    ps.append(((v1, v2, v3),))
     return ps
 
 
-def _branch_params(g: Multigraph) -> list[dict]:
+def _branch_params(g: Multigraph) -> list[tuple]:
     ps = []
     for v2 in range(g.vertex_count):
         for v1 in g.neighbors(v2):
@@ -480,22 +494,23 @@ def _branch_params(g: Multigraph) -> list[dict]:
                 for v4p in g.neighbors(v3p):
                     if v4p == v2:
                         continue
-                    ps.append({"v1": v1, "v2": v2, "v4": v4, "v4p": v4p})
+                    ps.append((v1, v2, v4, v4p))
     return ps
 
 
-def _cut_sweeping(params: Callable[[Multigraph], list[dict]]):
-    """A generator that sweeps cuts: no params above the sweep cap, and its
+def _cut_sweeping(params: Callable[[Multigraph], list[tuple]]):
+    """A generator that sweeps cuts: no slots above the sweep cap, and its
     slots kept in g's memo, keyed by the generator.
 
-    Each call returns a fresh list of the kept dicts, so the lemmas that
-    share a generator (LM_SPLIT4A, LM_SPLIT4B and LM_LADDER; LM_3CONN,
-    LM_BB_3E and LM_BB_3EF) share one set of params per graph and sweep its
-    cuts for them once.  The other generators keep nothing: each serves one
-    lemma, and keeping its slots would only hold them longer.
+    Each call returns a fresh list of the kept slot tuples, so the lemmas
+    that share a generator (LM_SPLIT4A, LM_SPLIT4B and LM_LADDER; LM_3CONN,
+    LM_BB_3E and LM_BB_3EF) share one set of slot tuples per graph, which
+    their reports hold, and sweep its cuts for them once.  The other
+    generators keep nothing: each serves one lemma, and keeping its slots
+    would only hold them longer.
     """
 
-    def kept(g: Multigraph) -> list[dict]:
+    def kept(g: Multigraph) -> list[tuple]:
         if g.vertex_count > CUT_CAP:
             return []
         return list(_memoized(g, ("slots", params), lambda: tuple(params(g))))
@@ -504,7 +519,7 @@ def _cut_sweeping(params: Callable[[Multigraph], list[dict]]):
 
 
 @_cut_sweeping
-def _3ec_edge_params(g: Multigraph) -> list[dict]:
+def _3ec_edge_params(g: Multigraph) -> list[tuple]:
     """On 3-edge-connected cubic graphs, the edges in no cyclic 3-cut."""
     if not _is_3ec_cubic(g):
         return []
@@ -513,12 +528,12 @@ def _3ec_edge_params(g: Multigraph) -> list[dict]:
 
 
 @_cut_sweeping
-def _cut_side_params(g: Multigraph) -> list[dict]:
-    """One params dict per (cyclic 4-cut, side), sides given by vertex list:
-    side A, then its complement."""
+def _cut_side_params(g: Multigraph) -> list[tuple]:
+    """One ``(side,)`` slot per (cyclic 4-cut, side), each side a sorted
+    vertex tuple: side A, then its complement."""
     everything = frozenset(range(g.vertex_count))
     return [
-        {"side": sorted(side)}
+        (tuple(sorted(side)),)
         for side_a in _cyclic_cuts_of_size(g, 4)
         for side in (side_a, everything - side_a)
     ]
@@ -528,7 +543,7 @@ def _4cut_edge_params(inside: bool):
     """The edges that do (inside) or do not cross some cyclic 4-cut."""
 
     @_cut_sweeping
-    def params(g: Multigraph) -> list[dict]:
+    def params(g: Multigraph) -> list[tuple]:
         in4 = _cyclic_cut_edges(g, 4)
         return [slot for e, slot in enumerate(_edge_slots(g)) if (e in in4) == inside]
 
@@ -668,18 +683,18 @@ def _bricks_without(g: Multigraph, drop: tuple[int, ...]) -> int | None:
 # the checks: per-slot work on an instance whose hypothesis holds
 
 
-def _check_th_half(inst, params):
+def _check_th_half(inst, slot):
     g = inst.graph
     return _judge(Bound.rational(Fraction(g.vertex_count, 2)), count_matchings(g))
 
 
-def _check_thm_bip(inst, params):
+def _check_thm_bip(inst, slot):
     g = inst.graph
     half = g.vertex_count // 2
-    return _judge(Bound.rational(Fraction(4**half, 3**half)), _avoid_count(g, params["edge"]))
+    return _judge(Bound.rational(Fraction(4**half, 3**half)), _avoid_count(g, slot[0]))
 
 
-def _check_thm_klee(inst, params):
+def _check_thm_klee(inst, slot):
     g = inst.graph
     return _judge(
         Bound.pow2(Fraction(g.vertex_count, KLEE_DENOMINATOR)), count_matchings(g),
@@ -687,27 +702,27 @@ def _check_thm_klee(inst, params):
     )
 
 
-def _check_thm_ef(inst, params):
+def _check_thm_ef(inst, slot):
     g = inst.graph
     total, p = count_matchings(g), pair_counts(g)
     worst, pair = min(  # the first pair in edge order among the tightest
         (total - p[e][e] - p[f][f] + p[e][f], (e, f))  # N - c(e) - c(f) + P[e][f]
         for e, f in combinations(range(g.edge_count), 2)
     )
-    return {**_judge(Bound.rational(1), worst), "params": {"worst_pair": list(pair)}}
+    return {**_judge(Bound.rational(1), worst), "slot": (pair,)}
 
 
-def _check_lm_double(inst, params):
+def _check_lm_double(inst, slot):
     return _judge(Bound.rational(2), min(containment_counts(inst.graph)))
 
 
-def _check_lm_triple(inst, params):
+def _check_lm_triple(inst, slot):
     return _judge(Bound.rational(3), min(containment_counts(inst.graph)))
 
 
-def _check_lm_special(inst, params):
+def _check_lm_special(inst, slot):
     g = inst.graph
-    e, f = params["e"], params["f"]
+    e, f = slot
     # an automorphism may shuffle each set of parallel edges, so two ordered
     # edge pairs share an orbit exactly when their pairs of ends do
     key = ("special", _orbit_rep(g, "edge pair", (g.edges[e], g.edges[f]), _image))
@@ -720,7 +735,7 @@ def _check_lm_special(inst, params):
     return _judge(Bound.rational(1), 1, note=note)
 
 
-def _check_lm_bridge(inst, params):
+def _check_lm_bridge(inst, slot):
     g = inst.graph
     try:
         e = kotzig_bridge(g)
@@ -730,19 +745,19 @@ def _check_lm_bridge(inst, params):
     return _judge(Bound.rational(1), int(ok), note=f"bridge={e}")
 
 
-def _check_lm_3conn(inst, params):
+def _check_lm_3conn(inst, slot):
     g = inst.graph
-    return _judge(Bound.rational(Fraction(g.vertex_count, 8)), _avoid_count(g, params["edge"]))
+    return _judge(Bound.rational(Fraction(g.vertex_count, 8)), _avoid_count(g, slot[0]))
 
 
-def _check_lm_semiblock(inst, params):
+def _check_lm_semiblock(inst, slot):
     g = inst.graph
     _, s = fam.semiblocks(g)
     worst = count_matchings(g) - max(containment_counts(g))  # the least N - c(e)
     return _judge(Bound.rational(s + 1), worst, note=f"s={s}")
 
 
-def _check_thm_bb(inst, params):
+def _check_thm_bb(inst, slot):
     g = inst.graph
     b = _bricks(g)
     if b is None:
@@ -751,7 +766,7 @@ def _check_thm_bb(inst, params):
     return _judge(Bound.rational(bound), count_matchings(g), note=f"b={b}")
 
 
-def _check_lm_bb_cubic(inst, params):
+def _check_lm_bb_cubic(inst, slot):
     g = inst.graph
     b = _bricks(g)
     if b is None:
@@ -759,24 +774,24 @@ def _check_lm_bb_cubic(inst, params):
     return _judge(Bound.rational(Fraction(g.vertex_count, 4)), b, direction="<=")
 
 
-def _check_lm_bb_bip(inst, params):
+def _check_lm_bb_bip(inst, slot):
     b = _bricks(inst.graph)
     if b is None:
         return _skip("not matching-covered")
     return _judge(Bound.rational(0), b, direction="<=")
 
 
-def _check_lm_bb_3e(inst, params):
+def _check_lm_bb_3e(inst, slot):
     g = inst.graph
-    b = _bricks_without(g, (params["edge"],))
+    b = _bricks_without(g, slot[:1])
     if b is None:
         return _skip("graph minus edge: not matching-covered")
     return _judge(Bound.rational(Fraction(3 * g.vertex_count, 8) - 2), b, direction="<=")
 
 
-def _check_lm_bb_3ef(inst, params):
+def _check_lm_bb_3ef(inst, slot):
     g = inst.graph
-    e, p = params["edge"], pair_counts(g)
+    e, p = slot[0], pair_counts(g)
     # f lies in no perfect matching of G - e when each one through f meets e
     stuck = [f for f in range(g.edge_count) if f != e and p[f][f] == p[f][e]]
     if not stuck:
@@ -786,7 +801,7 @@ def _check_lm_bb_3ef(inst, params):
     for f in stuck:
         b = _bricks_without(g, (e, f))
         if b is not None:
-            return {**_judge(bound, b, direction="<="), "params": {**params, "companion": f}}
+            return {**_judge(bound, b, direction="<="), "slot": (e, f)}
     return _fail(
         bound, g.edge_count, direction="<=",
         note="no companion edge makes the graph matching-covered",
@@ -820,18 +835,28 @@ def _split_image(perm, signature):
 
 
 def _violating_side(h: Multigraph, ell: int) -> list[int] | None:
-    """A side of a cyclic cut of h below ell - 2 edges or through a new edge, or None."""
-    new_edges = {h.edge_count - 2, h.edge_count - 1}
-    for cut in cyclic_cuts_up_to(h, ell - 1):
-        if cut.size < ell - 2 or (cut.crossing_edges & new_edges):
-            return sorted(cut.side_a)
+    """Side A of the first cyclic cut of h, in sweep order, of at most
+    ell - 1 edges that has fewer than ell - 2 or is crossed by a new edge,
+    or None.
+
+    Read from the masks, sizes and flags of h's sweep; no ``EdgeCut`` is
+    built.
+    """
+    sweep, n = _capped_sweep(h, ell - 1), h.vertex_count
+    new_ends = [h.endpoints(e) for e in (h.edge_count - 2, h.edge_count - 1)]
+    for mask, size, flag in zip(sweep.masks, sweep.sizes, sweep.cyclic):
+        if not flag or size > ell - 1:
+            continue
+        side = mask << 1 | 1  # side A over all vertices: vertex 0 and bit v for vertex v
+        if size < ell - 2 or any((side >> u ^ side >> v) & 1 for u, v in new_ends):
+            return [v for v in range(n) if side >> v & 1]
     return None
 
 
-def _check_lm_splitoff(inst, params):
+def _check_lm_splitoff(inst, slot):
     g = inst.graph
     ell = _effective_connectivity(g)
-    path = tuple(params["path"])
+    path = slot[0]
     try:  # the paths (a, v2, v3, c) and (b, v2, v3, d) split off one graph
         signature = _split_signature(g, path)
     except CubicpmError as exc:
@@ -848,7 +873,7 @@ def _check_lm_splitoff(inst, params):
     ok = worst is None
     return {
         **_judge(Bound.rational(1), int(ok), note=None if ok else f"violating side {worst}"),
-        "params": {**params, "ell": ell},
+        "slot": (path, ell),
     }
 
 
@@ -870,30 +895,30 @@ def _split5(g: Multigraph, paths):
     )))
 
 
-def _tail_guard(g: Multigraph, params) -> str | None:
+def _tail_guard(g: Multigraph, slot) -> str | None:
     """Why the triple (v1, v2, v3) has no two paths to split off: v3 has not
     two neighbours (tails) besides v2."""
-    _, v2, v3 = params["triple"]
+    _, v2, v3 = slot[0]
     return None if sum(w != v2 for w in g.neighbors(v3)) == 2 else "tail neighbors not distinct"
 
 
-def _check_lm_split5_same(inst, params):
+def _check_lm_split5_same(inst, slot):
     g = inst.graph
-    why = _tail_guard(g, params)
+    why = _tail_guard(g, slot)
     if why:
         return _skip(why)
-    v1, v2, v3 = params["triple"]
+    v1, v2, v3 = slot[0]
     return _split5(g, [(v1, v2, v3, tail) for tail in g.neighbors(v3) if tail != v2])
 
 
-def _check_lm_split5_diff(inst, params):
+def _check_lm_split5_diff(inst, slot):
     g = inst.graph
-    v1, v2 = params["v1"], params["v2"]
+    v1, v2, v4, v4p = slot
     rest = sorted(x for x in g.neighbors(v2) if x != v1)
     if len(rest) != 2:
         return _skip("branch neighbors not distinct")
     v3, v3p = rest
-    return _split5(g, [(v1, v2, v3, params["v4"]), (v1, v2, v3p, params["v4p"])])
+    return _split5(g, [(v1, v2, v3, v4), (v1, v2, v3p, v4p)])
 
 
 @_on_cut_side
@@ -931,9 +956,9 @@ def _check_lm_split4b(g, cut, anchors):
     )
 
 
-def _check_lm_ordered(inst, params):
+def _check_lm_ordered(inst, slot):
     try:
-        chain = ordered_4cut_chain(inst.graph, params["edge"])
+        chain = ordered_4cut_chain(inst.graph, slot[0])
     except ChainViolation as exc:
         return _fail(Bound.rational(1), 0, note=str(exc))
     return _judge(Bound.rational(1), 1, note=f"chain length {len(chain)}")
@@ -988,12 +1013,12 @@ def _check_lm_ladder(g, cut, anchors):
     return _judge(Bound.rational(1), 1, note=f"zero case verified {counts}")
 
 
-def _check_lm_twisted_num(inst, params):
+def _check_lm_twisted_num(inst, slot):
     g = inst.graph
     return _judge(Bound.pow2(Fraction(g.vertex_count + 12, 18)), count_matchings(g))
 
 
-def _check_lm_twisted_bip(inst, params):
+def _check_lm_twisted_bip(inst, slot):
     g = inst.graph
     color = two_coloring(g)
     cs = fam.corners(g)
@@ -1011,7 +1036,7 @@ def _check_lm_twisted_bip(inst, params):
     return _judge(bound, max(cross.values()))
 
 
-def _check_lm_twisted_nonbip(inst, params):
+def _check_lm_twisted_nonbip(inst, slot):
     g = inst.graph
     prod = 1
     for c in _corner_pair_counts(g):
@@ -1019,7 +1044,7 @@ def _check_lm_twisted_nonbip(inst, params):
     return _judge(Bound.pow2(Fraction(g.vertex_count + 8, 18)), prod)
 
 
-def _check_lm_twisted_bis(inst, params):
+def _check_lm_twisted_bis(inst, slot):
     g = inst.graph
     best = max(_corner_pair_counts(g))
     return _judge(Bound.pow2(Fraction(g.vertex_count - 4, 108)), best)
@@ -1033,13 +1058,13 @@ def _opposite_sides(g: Multigraph, e: int) -> list[frozenset[int]]:
     its ends and the other neither.
     """
     a, b = g.endpoints(e)
-    sides = (params["side"] for params in _cut_side_params(g))
+    sides = (slot[0] for slot in _cut_side_params(g))
     return [frozenset(side) for side in sides if a not in side and b not in side]
 
 
-def _check_lm_twisted_struc(inst, params):
+def _check_lm_twisted_struc(inst, slot):
     g = inst.graph
-    sides = _opposite_sides(g, params["edge"])
+    sides = _opposite_sides(g, slot[0])
     for s in sides:
         if _is_solid_side(g, s):
             return _skip("an opposite side is solid")
@@ -1067,16 +1092,18 @@ class _Lemma:
     The hypothesis runs once per (lemma, instance), and its reason fills every
     slot with the same Skipped report.  A generator that yields nothing gives
     one parameterless slot, Skipped with ``no_slot`` before the hypothesis runs.
-    A ``guard(g, params)`` gives a per-slot reason that the reports name ahead
+    A ``guard(g, slot)`` gives a per-slot reason that the reports name ahead
     of the hypothesis's; the check applies it too, so it is the same whether
-    the hypothesis holds or not.
+    the hypothesis holds or not.  ``keys`` names a slot's values in order,
+    the generator's first and then those a check appends.
     """
 
-    check: Callable[[Instance, dict | None], dict]
+    check: Callable[[Instance, tuple | None], dict]
     hypothesis: _Hypothesis
-    params: Callable[[Multigraph], list[dict]] | None = None
+    params: Callable[[Multigraph], list[tuple]] | None = None
     no_slot: str | None = None
-    guard: Callable[[Multigraph, dict], str | None] | None = None
+    guard: Callable[[Multigraph, tuple], str | None] | None = None
+    keys: tuple[str, ...] = ()
 
 
 # reasons shared by a hypothesis and the empty parameter set of its lemma
@@ -1091,19 +1118,21 @@ _STRUC = "needs cyclically 4-edge-connected cubic with an admissible edge"
 _needs_3ec_edge = _needs(_3EC_EDGE, _is_3ec_cubic)
 _twisted_net = _first(_twisted_skip, _COUNTING)  # known nets skip the recognizer and its cap
 _needs_4cut = _swept(_4CUT, _is_cubic, _c4ec)
+_EDGE = ("edge",)
+_SIDE = ("side",)
 
 _LEMMAS: dict[LemmaId, _Lemma] = {
     LemmaId.TH_HALF: _Lemma(_check_th_half, _first(_BRIDGELESS_CUBIC, _COUNTING)),
     LemmaId.THM_BIP: _Lemma(_check_thm_bip, _first(
         _needs(_BIP, lambda g: _is_bridgeless_cubic(g) and is_bipartite(g)), _COUNTING,
-    ), _edge_params, _BIP),
+    ), _edge_params, _BIP, keys=_EDGE),
     LemmaId.THM_KLEE: _Lemma(_check_thm_klee, _first(
         _cap(fam.KLEE_CAP, "recognizer size cap"),
         _needs("not a Klee graph", lambda g: g.is_cubic and fam.is_klee(g)),
     )),
     LemmaId.THM_EF: _Lemma(_check_thm_ef, _first(
         _BRIDGELESS_CUBIC, _COUNTING, _needs("fewer than two edges", lambda g: g.edge_count >= 2),
-    )),
+    ), keys=("worst_pair",)),
     LemmaId.LM_DOUBLE: _Lemma(_check_lm_double, _first(
         _needs("not cyclically 3-edge-connected cubic", _is_3ec_cubic),
         _cap(fam.KLEE_CAP, "Klee recognizer size cap"),
@@ -1115,7 +1144,7 @@ _LEMMAS: dict[LemmaId, _Lemma] = {
     )),
     LemmaId.LM_SPECIAL: _Lemma(
         _check_lm_special, _swept(_C4EC_CUBIC, _is_cubic, _c4ec),
-        _edge_pair_params, _C4EC_CUBIC,
+        _edge_pair_params, _C4EC_CUBIC, keys=("e", "f"),
     ),
     LemmaId.LM_BRIDGE: _Lemma(_check_lm_bridge, _first(
         _cap(ENUMERATE_CAP, "enumeration size cap"),
@@ -1124,6 +1153,7 @@ _LEMMAS: dict[LemmaId, _Lemma] = {
     )),
     LemmaId.LM_3CONN: _Lemma(
         _check_lm_3conn, _needs(_3EC_CUBIC, _is_3ec_cubic), _3ec_edge_params, _3EC_CUBIC,
+        keys=_EDGE,
     ),
     LemmaId.LM_SEMIBLOCK: _Lemma(_check_lm_semiblock, _first(
         _BRIDGELESS_CUBIC, _CUT_SWEEP, _needs("no edges", lambda g: g.edge_count >= 1),
@@ -1137,29 +1167,37 @@ _LEMMAS: dict[LemmaId, _Lemma] = {
     LemmaId.LM_BB_3E: _Lemma(
         _check_lm_bb_3e,  # G - e keeps every vertex, so its cap is decided on G
         _first(_needs_3ec_edge, _cap(dc.TIGHT_CAP, "graph minus edge: decomposition size cap")),
-        _3ec_edge_params, _3EC_EDGE,
+        _3ec_edge_params, _3EC_EDGE, keys=_EDGE,
     ),
     LemmaId.LM_BB_3EF: _Lemma(
         _check_lm_bb_3ef, _first(_needs_3ec_edge, _DECOMPOSITION), _3ec_edge_params, _3EC_EDGE,
+        keys=("edge", "companion"),
     ),
     LemmaId.LM_SPLITOFF: _Lemma(
         _check_lm_splitoff, _first(_needs(_PATH, _is_cubic), _CUT_SWEEP, _splitoff_connectivity),
-        _path_params, _PATH,
+        _path_params, _PATH, keys=("path", "ell"),
     ),
     LemmaId.LM_SPLIT5_SAME: _Lemma(
         _check_lm_split5_same, _split5_hypothesis, _triple_params, "no admissible path",
-        _tail_guard,
+        _tail_guard, keys=("triple",),
     ),
     LemmaId.LM_SPLIT5_DIFF: _Lemma(
         _check_lm_split5_diff, _split5_hypothesis, _branch_params, "no admissible path",
+        keys=("v1", "v2", "v4", "v4p"),
     ),
-    LemmaId.LM_SPLIT4A: _Lemma(_check_lm_split4a, _needs_4cut, _cut_side_params, _4CUT),
-    LemmaId.LM_SPLIT4B: _Lemma(_check_lm_split4b, _needs_4cut, _cut_side_params, _4CUT),
+    LemmaId.LM_SPLIT4A: _Lemma(
+        _check_lm_split4a, _needs_4cut, _cut_side_params, _4CUT, keys=_SIDE,
+    ),
+    LemmaId.LM_SPLIT4B: _Lemma(
+        _check_lm_split4b, _needs_4cut, _cut_side_params, _4CUT, keys=_SIDE,
+    ),
     LemmaId.LM_ORDERED: _Lemma(
         _check_lm_ordered, _swept(_4CUT_EDGE, _is_cubic, _c4ec),
-        _4cut_edge_params(inside=True), _4CUT_EDGE,
+        _4cut_edge_params(inside=True), _4CUT_EDGE, keys=_EDGE,
     ),
-    LemmaId.LM_LADDER: _Lemma(_check_lm_ladder, _needs_4cut, _cut_side_params, _4CUT),
+    LemmaId.LM_LADDER: _Lemma(
+        _check_lm_ladder, _needs_4cut, _cut_side_params, _4CUT, keys=_SIDE,
+    ),
     LemmaId.LM_TWISTED_NUM: _Lemma(_check_lm_twisted_num, _twisted_net),
     LemmaId.LM_TWISTED_BIP: _Lemma(
         _check_lm_twisted_bip, _first(_twisted_net, _needs("not bipartite", is_bipartite)),
@@ -1171,18 +1209,19 @@ _LEMMAS: dict[LemmaId, _Lemma] = {
     LemmaId.LM_TWISTED_BIS: _Lemma(_check_lm_twisted_bis, _twisted_net),
     LemmaId.LM_TWISTED_STRUC: _Lemma(
         _check_lm_twisted_struc, _swept(_STRUC, _is_cubic, _c4ec),
-        _4cut_edge_params(inside=False), _STRUC,
+        _4cut_edge_params(inside=False), _STRUC, keys=_EDGE,
     ),
 }
 
 
-def params_for(lemma: LemmaId, inst: Instance) -> list[dict | None]:
-    """The lemma's admissible params on the instance, or one parameterless slot."""
+def params_for(lemma: LemmaId, inst: Instance) -> list[tuple | None]:
+    """The lemma's admissible slots on the instance, each a tuple of values in
+    the order of the lemma's ``keys``, or one parameterless slot (None)."""
     entry = _LEMMAS[lemma]
     return (entry.params(inst.graph) if entry.params else []) or [None]
 
 
-def _reports(lemma: LemmaId, inst: Instance, slots: list[dict | None]) -> Iterable[LemmaReport]:
+def _reports(lemma: LemmaId, inst: Instance, slots: list[tuple | None]) -> Iterable[LemmaReport]:
     """One report per slot, with the hypothesis tested once, before the first.
 
     A failed hypothesis gives the whole run of Skipped reports at once, each
@@ -1203,7 +1242,7 @@ def _reports(lemma: LemmaId, inst: Instance, slots: list[dict | None]) -> Iterab
             for p in slots
         ]
     return (
-        LemmaReport(lemma=lemma, instance=name, **{"params": p, **entry.check(inst, p)})
+        LemmaReport(lemma=lemma, instance=name, **{"slot": p, **entry.check(inst, p)})
         for p in slots
     )
 
@@ -1217,12 +1256,22 @@ def check(
 ) -> LemmaReport:
     """Run one lemma check; with no params, aggregate over all admissible ones.
 
-    Aggregation returns the worst report: any Fail wins, otherwise the
-    tightest margin; if nothing is admissible the result is Skipped.
+    A params dict is taken as the report would render it: its values under
+    the lemma's keys, in key order, become the slot, with each list as a
+    tuple.  Aggregation returns the worst report: any Fail wins, otherwise
+    the tightest margin; if nothing is admissible the result is Skipped.
     """
     inst = Instance(instance, g, known_twisted)
-    slots = params_for(lemma, inst) if params is None else [params]
+    slots = params_for(lemma, inst) if params is None else [_slot(lemma, params)]
     return _aggregate(list(_reports(lemma, inst, slots)))
+
+
+def _slot(lemma: LemmaId, params: dict) -> tuple:
+    """The slot that renders as ``params``: its values in the order of the lemma's keys."""
+    return tuple(
+        tuple(params[k]) if isinstance(params[k], list) else params[k]
+        for k in _LEMMAS[lemma].keys if k in params
+    )
 
 
 def check_lm_ladder(g: Multigraph, cut: EdgeCut, instance: str = "adhoc") -> LemmaReport:

@@ -20,8 +20,11 @@ where the verifier reads 3-edge-connectivity from the graph's sweep, and
 slot, where the verifier reads the cut-side slots that LM_SPLIT4A shares, and
 ``slow_cut_slots`` builds the slots of the cut-sweeping generators from
 ``EdgeCut`` lists, where the verifier reads its sweep's masks; so do
-``slow_4cut_chain`` for ``ordered_4cut_chain`` and ``slow_is_solid_side``
-for the verifier's solid-side test.  The
+``slow_4cut_chain`` for ``ordered_4cut_chain``, ``slow_is_solid_side``
+for the verifier's solid-side test and ``slow_violating_side`` for
+LM_SPLITOFF's.  ``slow_params_dicts`` builds the params dicts of the slot
+generators, where the verifier builds slot tuples that a report renders as
+those dicts on read.  The
 twisted-net generator replays its recipe into a new graph at every step, where
 ``families`` applies each step once to a net without its graph.
 ``slow_neighbors`` collects and sorts a vertex's neighbours on every call,
@@ -344,7 +347,7 @@ def slow_decompose(g: Multigraph, order: str = "lex_min"):
     )
 
 
-def slow_check_lm_bb_3ef(inst, params) -> dict:
+def slow_check_lm_bb_3ef(inst, slot) -> dict:
     """LM_BB_3EF's check with its own coverage test of G - e and every edge tried.
 
     The route that reading stuck edges from ``matchings.pair_counts`` replaced:
@@ -355,7 +358,7 @@ def slow_check_lm_bb_3ef(inst, params) -> dict:
     from cubicpm import verifier as vf
     from cubicpm.matchings import is_matching_covered
 
-    g, e = inst.graph, params["edge"]
+    g, e = inst.graph, slot[0]
     if is_matching_covered(vf._delete_edges(g, {e})):
         return vf._skip("graph minus edge is matching-covered")
     bound = vf.Bound.rational(Fraction(g.vertex_count, 4) - 1)
@@ -364,7 +367,7 @@ def slow_check_lm_bb_3ef(inst, params) -> dict:
             continue
         b = vf._bricks(vf._delete_edges(g, {e, f}))
         if b is not None:
-            return {**vf._judge(bound, b, direction="<="), "params": {**params, "companion": f}}
+            return {**vf._judge(bound, b, direction="<="), "slot": (e, f)}
     return vf._fail(
         bound, g.edge_count, direction="<=",
         note="no companion edge makes the graph matching-covered",
@@ -564,6 +567,70 @@ def slow_cut_slots(g: Multigraph) -> dict[str, list]:
         "in 4-cut": [e for e in edges if e in crossed[4]],
         "no 4-cut": [e for e in edges if e not in crossed[4]],
     }
+
+
+def slow_violating_side(h: Multigraph, ell: int) -> list[int] | None:
+    """``verifier._violating_side`` by a loop over h's cyclic cut ``EdgeCut``s.
+
+    The loop that reading the split graph's sweep masks replaced: the first
+    cyclic cut of at most ell - 1 edges that has fewer than ell - 2 or is
+    crossed by one of the two new edges names its side A.
+    """
+    from cubicpm.connectivity import cyclic_cuts_up_to
+
+    new_edges = {h.edge_count - 2, h.edge_count - 1}
+    for cut in cyclic_cuts_up_to(h, ell - 1):
+        if cut.size < ell - 2 or (cut.crossing_edges & new_edges):
+            return sorted(cut.side_a)
+    return None
+
+
+def slow_params_dicts(g: Multigraph) -> dict[str, list[dict]]:
+    """The params dicts of each verifier slot generator, by lemma id value.
+
+    The generators that built one dict per slot, with a list for each vertex
+    sequence, before slots became tuples rendered on read; the cut-sweeping
+    ones take their edges and sides from ``slow_cut_slots``.  A lemma with
+    no generator, or with no slot on g, is absent.
+    """
+    edges = range(g.edge_count)
+    paths, triples, branches = [], [], []
+    for v2, v3 in g.edges:
+        for e1 in g.incident(v2):
+            v1 = g.other_end(e1, v2)
+            if v1 in (v2, v3):
+                continue
+            for e4 in g.incident(v3):
+                v4 = g.other_end(e4, v3)
+                if v4 not in (v1, v2, v3):
+                    paths.append({"path": [v1, v2, v3, v4]})
+    for v2 in range(g.vertex_count):
+        nbrs = g.neighbors(v2)
+        triples += [{"triple": [v1, v2, v3]} for v1 in nbrs for v3 in nbrs if v3 != v1]
+        for v1 in nbrs:
+            rest = [x for x in nbrs if x != v1]
+            if len(rest) != 2:
+                continue
+            v3, v3p = sorted(rest)
+            branches += [
+                {"v1": v1, "v2": v2, "v4": v4, "v4p": v4p}
+                for v4 in g.neighbors(v3) if v4 != v2
+                for v4p in g.neighbors(v3p) if v4p != v2
+            ]
+    cuts = slow_cut_slots(g)
+    sides = [{"side": side} for side in cuts["sides"]]
+    out = {
+        "THM_BIP": [{"edge": e} for e in edges],
+        "LM_SPECIAL": [{"e": e, "f": f} for e, f in combinations(edges, 2)],
+        **dict.fromkeys(["LM_3CONN", "LM_BB_3E", "LM_BB_3EF"], [{"edge": e} for e in cuts["3ec"]]),
+        "LM_SPLITOFF": paths,
+        "LM_SPLIT5_SAME": triples,
+        "LM_SPLIT5_DIFF": branches,
+        **dict.fromkeys(["LM_SPLIT4A", "LM_SPLIT4B", "LM_LADDER"], sides),
+        "LM_ORDERED": [{"edge": e} for e in cuts["in 4-cut"]],
+        "LM_TWISTED_STRUC": [{"edge": e} for e in cuts["no 4-cut"]],
+    }
+    return {lemma: dicts for lemma, dicts in out.items() if dicts}
 
 
 def minimal_cyclic3_sides(g: Multigraph) -> list[frozenset[int]]:

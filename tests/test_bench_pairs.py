@@ -1,5 +1,6 @@
-"""``scripts/bench_pairs.py`` on two small synthetic BENCH files."""
+"""``scripts/bench_pairs.py``, and the medians of ``scripts/bench.py``, on small synthetic BENCH files."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -42,3 +43,30 @@ def test_each_row_gives_medians_wins_and_a_verdict(tmp_path):
     assert rows["catalog", "wall_s"].endswith("unresolved")  # the parent's IQR is 0.6 s of 1 s
     assert rows["oracle_queries", "wall_s"].endswith("worse than bound")
     assert rows["catalog", "setup_s"].endswith("wins 0/10  gain +0 (parent IQR 0)  within bound")
+
+
+def test_runs_made_without_the_tier1_suite_are_read_and_summarized(tmp_path):
+    """``bench.py --tier1 0`` records no ``tier1`` part: ``bench_pairs.py``
+    reads such files, and the medians of a part cover the runs that hold it."""
+    extra = {"startup": {"wall_s": 0.2}, "catalog_memory": {"held_mb": 14.0}}
+    parent = _bench(tmp_path / "parent.json", [{} for _ in range(10)])
+    change = _bench(tmp_path / "change.json", [{"catalog": {"peak_rss_mb": 48.0}}] * 10)
+    for path, tier1 in ((parent, {"tier1": {"wall_s": 120.0, "passed": 801}}), (change, {})):
+        data = json.loads(Path(path).read_text())
+        data["runs"] = [{**tier1, **extra, **run} for run in data["runs"]]
+        Path(path).write_text(json.dumps(data))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), parent, change],
+        capture_output=True, text=True,
+    )
+    rows = {tuple(line.split()[:2]): line for line in done.stdout.splitlines()}
+    assert done.returncode == 0 and len(rows) == len(WORKLOADS) * len(METRICS)
+    assert rows["catalog", "peak_rss_mb"].endswith("gain met")
+
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    runs = [{"tier1": {"wall_s": 120.0}, **extra}, extra, {**extra, "startup": {"wall_s": 0.4}}]
+    assert bench.part_medians(runs) == {
+        "tier1": {"wall_s": 120.0}, "startup": {"wall_s": 0.2}, "catalog_memory": {"held_mb": 14.0},
+    }

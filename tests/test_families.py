@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -344,6 +346,23 @@ def test_sampler_postconditions():
 
 def test_sampler_deterministic():
     assert random_cubic_bridgeless(7, 12) == random_cubic_bridgeless(7, 12)
+
+
+# sha256 of the compact JSON of [seed, n, edges] for seeds 0..39 and n = 4..24,
+# recorded while the sampler still tested connectivity on the graph it returned
+SAMPLER_DIGEST = "b494a3173196344bd6cf9e330b6abf52781641fcd7084eec7a51cd185dd74387"
+
+
+def test_sampler_edges_are_pinned_and_no_incidence_table_is_left_cached():
+    rows, cached = [], []
+    for seed in range(40):
+        for n in range(4, 26, 2):
+            g = random_cubic_bridgeless(seed, n)
+            rows.append([seed, n, [list(pair) for pair in g.edges]])
+            cached += [key for key in ("_incidence", "_memo") if key in vars(g)]
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLER_DIGEST
+    assert cached == []
 
 
 def test_sampler_distribution_sanity(named_graphs):

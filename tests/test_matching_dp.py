@@ -134,7 +134,7 @@ def test_pair_counts_agree_with_one_count_per_pair(name, g):
     if 2 <= m and g.vertex_count <= 20:  # the oracle counts every pair
         worst, pair = slow_worst_avoided_pair(g)
         report = _check_thm_ef(Instance(name, g), None)
-        assert (report["measured"], report["params"]["worst_pair"]) == (worst, list(pair))
+        assert (report["measured"], report["slot"]) == (worst, (pair,))
     if g.is_cubic and 0 < g.vertex_count <= CUT_CAP and cyclic_edge_connectivity(g).at_least(4):
         for e, f in permutations(range(0, m, max(1, m // 6)), 2):
             assert special_pair(g, e, f).pm_exists == (slow_contain_avoid(g, f, e) > 0)

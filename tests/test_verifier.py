@@ -15,6 +15,8 @@ from oracles import (
     slow_cut_slots,
     slow_is_solid_side,
     slow_opposite_sides,
+    slow_params_dicts,
+    slow_violating_side,
 )
 from cubicpm import check, check_lm_ladder, named, random_cubic_bridgeless
 from cubicpm import Multigraph, connectivity, decomposition, matchings, verifier
@@ -464,10 +466,10 @@ def test_cut_sweeping_slots_build_no_edge_cut(monkeypatch):
     for g, want in zip(graphs, expected):
         g = Multigraph(g.vertex_count, g.edges)  # a fresh memo
         assert {
-            "sides": [p["side"] for p in verifier._cut_side_params(g)],
-            "3ec": [p["edge"] for p in verifier._3ec_edge_params(g)],
-            "in 4-cut": [p["edge"] for p in verifier._4cut_edge_params(inside=True)(g)],
-            "no 4-cut": [p["edge"] for p in verifier._4cut_edge_params(inside=False)(g)],
+            "sides": [list(side) for side, in verifier._cut_side_params(g)],
+            "3ec": [e for e, in verifier._3ec_edge_params(g)],
+            "in 4-cut": [e for e, in verifier._4cut_edge_params(inside=True)(g)],
+            "no 4-cut": [e for e, in verifier._4cut_edge_params(inside=False)(g)],
         } == want
 
 
@@ -480,8 +482,8 @@ def test_chain_and_solid_side_build_only_the_cuts_they_return(monkeypatch):
 
     def slots(lemma):
         return [
-            (inst.graph, params["edge"])
-            for inst in corpus for params in params_for(lemma, inst) if params is not None
+            (inst.graph, slot[0])
+            for inst in corpus for slot in params_for(lemma, inst) if slot is not None
         ]
 
     chains = [(g, e) for g, e in slots(LemmaId.LM_ORDERED) if verifier._c4ec(g)]
@@ -516,6 +518,75 @@ def test_chain_and_solid_side_build_only_the_cuts_they_return(monkeypatch):
     assert len(built) == sum(map(len, through))
 
 
+def test_splitoff_reads_violating_sides_from_the_sweep(monkeypatch):
+    """LM_SPLITOFF reads the violating side of a split graph from its sweep's
+    masks: with ``_edge_cut`` raising, its catalog reports equal those of the
+    ``EdgeCut`` loop, also when a cut of exactly ell - 2 edges violates too."""
+    violating_side = verifier._violating_side
+
+    def reports(side, shift):
+        monkeypatch.setattr(verifier, "_violating_side", lambda h, ell: side(h, ell + shift))
+        return [
+            r.to_json()
+            for r in sweep([LemmaId.LM_SPLITOFF], _catalog_corpus(), fail_fast=False)
+        ]
+
+    def refuse(*args):
+        raise AssertionError("an EdgeCut was built")
+
+    for shift in (0, 1):
+        want = reports(slow_violating_side, shift)
+        with monkeypatch.context() as patched:
+            patched.setattr(connectivity, "_edge_cut", refuse)
+            assert reports(violating_side, shift) == want
+        judged = Counter(r["verdict"] for r in want if r["hypothesis_met"])
+        assert judged["Pass"] and bool(judged["Fail"]) == bool(shift)
+
+
+EXTENDED = {LemmaId.THM_EF: "worst_pair", LemmaId.LM_BB_3EF: "companion", LemmaId.LM_SPLITOFF: "ell"}
+
+
+def test_reports_hold_slot_tuples_and_render_the_generators_params_dicts():
+    """Every lemma over the catalog corpus, twisted nets included: the params
+    a report renders are the dicts that the dict-building generators gave,
+    plus the one key its check appends; each slot is a tuple of ints and
+    int tuples; and ``params`` returns a fresh dict on every read."""
+    corpus = _catalog_corpus()
+    reports = sweep(list(LemmaId), corpus, fail_fast=False)
+    by_slot = {}
+    for r in reports:
+        by_slot.setdefault((r.lemma, r.instance), []).append(r)
+    appended = Counter()
+    for inst in corpus:
+        want = slow_params_dicts(inst.graph)
+        for lemma in LemmaId:
+            mine = by_slot[lemma, inst.name]
+            slots = params_for(lemma, inst)
+            assert all(type(slot) is tuple for slot in slots if slot is not None)
+            key = EXTENDED.get(lemma)
+            got = []
+            for r in mine:
+                params = r.params
+                if params and key in params:
+                    assert r.hypothesis_met
+                    appended[lemma] += 1
+                    del params[key]
+                got.append(params or None)
+            assert got == want.get(lemma.value, [None]), (lemma, inst.name)
+    assert set(appended) == set(EXTENDED)
+    for r in reports:
+        if r.slot is not None:
+            assert type(r.slot) is tuple and all(
+                type(v) is int or type(v) is tuple and all(type(x) is int for x in v)
+                for v in r.slot
+            ), r
+    listed = next(r for r in reports if r.lemma is LemmaId.LM_SPLITOFF and r.slot)
+    first, second = listed.params, listed.params
+    first["path"].append(-1)
+    assert first is not second and first["path"] is not second["path"]
+    assert listed.params == second != first
+
+
 def test_twisted_struc_sides_equal_the_per_cut_loop():
     """LM_TWISTED_STRUC takes its opposite sides from the cut-side slots; on
     every slot of the catalog corpus (the twisted corpus among it) they are
@@ -523,11 +594,11 @@ def test_twisted_struc_sides_equal_the_per_cut_loop():
     slots = with_sides = 0
     for inst in _catalog_corpus():
         g = inst.graph
-        for params in params_for(LemmaId.LM_TWISTED_STRUC, inst):
-            if params is None:
+        for slot in params_for(LemmaId.LM_TWISTED_STRUC, inst):
+            if slot is None:
                 continue
-            sides = verifier._opposite_sides(g, params["edge"])
-            assert sides == slow_opposite_sides(g, params["edge"]), (inst.name, params)
+            sides = verifier._opposite_sides(g, slot[0])
+            assert sides == slow_opposite_sides(g, slot[0]), (inst.name, slot)
             slots += 1
             with_sides += bool(sides)
     assert slots > 300 and with_sides > 50
@@ -539,7 +610,7 @@ def test_twisted_struc_sides_equal_the_per_cut_loop():
 ], ids=["cut-side", "3ec-edge"])
 def test_lemmas_that_share_a_cut_sweeping_generator_share_its_slots(monkeypatch, lemmas, size):
     """The generator reads g's cyclic cuts once, and the lemmas' reports hold
-    one set of params dicts."""
+    one set of slot tuples."""
     g = named("cube")
     inst, reads = Instance("cube", g), []
     cuts_of_size = verifier._cyclic_cuts_of_size
@@ -548,11 +619,11 @@ def test_lemmas_that_share_a_cut_sweeping_generator_share_its_slots(monkeypatch,
     ) or cuts_of_size(h, k))
     reports = sweep(lemmas, [inst], fail_fast=False)
     assert reads.count(size) == 1
-    by_lemma = [[r.params for r in reports if r.lemma is lemma] for lemma in lemmas]
+    by_lemma = [[r.slot for r in reports if r.lemma is lemma] for lemma in lemmas]
     first = by_lemma[0]
     assert first and None not in first and "Pass" in {r.verdict for r in reports}
-    for params in by_lemma[1:]:
-        assert len(params) == len(first) and all(p is q for p, q in zip(params, first))
+    for slots in by_lemma[1:]:
+        assert len(slots) == len(first) and all(p is q for p, q in zip(slots, first))
     assert params_for(lemmas[0], inst) is not params_for(lemmas[1], inst)  # fresh lists
 
 
@@ -570,7 +641,7 @@ def test_lm_bb_3e_decomposes_once_per_edge_orbit(monkeypatch, name, slots):
 
 def test_edge_slot_lemmas_hand_out_one_params_dict_per_edge():
     """THM_BIP, LM_3CONN, LM_BB_3E, LM_BB_3EF, LM_ORDERED and LM_TWISTED_STRUC
-    take their slots from one table per graph: the same dict for an edge."""
+    take their slots from one table per graph: the same tuple for an edge."""
     lemmas = [
         LemmaId.THM_BIP, LemmaId.LM_3CONN, LemmaId.LM_BB_3E, LemmaId.LM_BB_3EF,
         LemmaId.LM_ORDERED, LemmaId.LM_TWISTED_STRUC,
@@ -579,9 +650,9 @@ def test_edge_slot_lemmas_hand_out_one_params_dict_per_edge():
     for inst in _catalog_corpus():
         table = {}
         for lemma in lemmas:
-            for params in params_for(lemma, inst):
-                if params is not None:
-                    assert table.setdefault(params["edge"], params) is params
+            for slot in params_for(lemma, inst):
+                if slot is not None:
+                    assert table.setdefault(slot[0], slot) is slot
                     seen.add(lemma)
     assert seen == set(lemmas)
 
@@ -768,11 +839,11 @@ def test_equal_split_signatures_split_off_equal_graphs(monkeypatch):
     monkeypatch.setattr(verifier, "_split5_hypothesis", lambda inst: None)
     for inst in (inst for inst in _catalog_corpus() if inst.graph.is_cubic):
         g = inst.graph
-        paths += [(g, tuple(p["path"])) for p in verifier._path_params(g)]
+        paths += [(g, path) for path, in verifier._path_params(g)]
         for lemma in (LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF):
             entry = verifier._LEMMAS[lemma]
-            for params in entry.params(g):
-                entry.check(inst, params)
+            for slot in entry.params(g):
+                entry.check(inst, slot)
 
     by_signature, degenerate = {}, 0
     for g, path in paths:
@@ -857,7 +928,7 @@ def test_a_fail_fast_sweep_runs_no_check_after_the_first_fail(monkeypatch):
     assert len(slots) == 12
     with pytest.raises(LemmaFailure) as caught:
         sweep([LemmaId.THM_BIP], cube, fail_fast=True)
-    assert calls == slots[:1] and caught.value.report.params == slots[0]
+    assert calls == slots[:1] and caught.value.report.slot == slots[0]
     calls.clear()
     reports = sweep([LemmaId.THM_BIP], cube, fail_fast=False)
     assert calls == slots and [r.verdict for r in reports] == ["Fail"] * 12
@@ -867,26 +938,26 @@ def test_a_report_is_an_immutable_tuple_whose_defaults_match_the_full_form():
     half = Bound.rational(Fraction(1, 2))
     cases = [
         (
-            LemmaReport(lemma=LemmaId.TH_HALF, instance="cube", params=None,
+            LemmaReport(lemma=LemmaId.TH_HALF, instance="cube", slot=None,
                         hypothesis_met=True, bound=half, measured=9),
             LemmaReport(LemmaId.TH_HALF, "cube", None, True, half, 9, ">=", "Pass", None, None),
             {"measured": 9, "verdict": "Pass", "reason": None},
         ),
         (
-            LemmaReport(lemma=LemmaId.LM_BB_3E, instance="theta", params={"edge": 0},
+            LemmaReport(lemma=LemmaId.LM_BB_3E, instance="theta", slot=(0,),
                         hypothesis_met=True, bound=half, measured=Fraction(1, 3),
                         verdict="Fail", note="refuted"),
-            LemmaReport(LemmaId.LM_BB_3E, "theta", {"edge": 0}, True, half, Fraction(1, 3),
+            LemmaReport(LemmaId.LM_BB_3E, "theta", (0,), True, half, Fraction(1, 3),
                         ">=", "Fail", None, "refuted"),
-            {"measured": [1, 3], "verdict": "Fail", "note": "refuted"},
+            {"params": {"edge": 0}, "measured": [1, 3], "verdict": "Fail", "note": "refuted"},
         ),
         (
-            LemmaReport(lemma=LemmaId.LM_SPECIAL, instance="prism", params={"e": 0, "f": 1},
+            LemmaReport(lemma=LemmaId.LM_SPECIAL, instance="prism", slot=(0, 1),
                         hypothesis_met=False, bound=None, measured=None,
                         verdict="Skipped", reason="not cyclically 4-edge-connected cubic"),
-            LemmaReport(LemmaId.LM_SPECIAL, "prism", {"e": 0, "f": 1}, False, None, None,
+            LemmaReport(LemmaId.LM_SPECIAL, "prism", (0, 1), False, None, None,
                         ">=", "Skipped", "not cyclically 4-edge-connected cubic", None),
-            {"bound": None, "verdict": "Skipped", "direction": ">="},
+            {"params": {"e": 0, "f": 1}, "bound": None, "verdict": "Skipped", "direction": ">="},
         ),
     ]
     for by_keyword, positional, expected in cases:
