@@ -1256,9 +1256,8 @@ def check(
 ) -> LemmaReport:
     """Run one lemma check; with no params, aggregate over all admissible ones.
 
-    A params dict is taken as the report would render it: its values under
-    the lemma's keys, in key order, become the slot, with each list as a
-    tuple.  Aggregation returns the worst report: any Fail wins, otherwise
+    A params dict is taken as a report renders it: its values, in the order
+    of the lemma's keys, become the slot, each list as a tuple.  Aggregation returns the worst report: any Fail wins, otherwise
     the tightest margin; if nothing is admissible the result is Skipped.
     """
     inst = Instance(instance, g, known_twisted)
@@ -1267,10 +1266,14 @@ def check(
 
 
 def _slot(lemma: LemmaId, params: dict) -> tuple:
-    """The slot that renders as ``params``: its values in the order of the lemma's keys."""
+    """The slot that renders as ``params``, whose keys must be the leading
+    keys of the lemma, in any order; a KeyError names them otherwise."""
+    keys = _LEMMAS[lemma].keys
+    if set(params) != set(keys[:len(params)]):
+        raise KeyError(f"{lemma.value} takes params keyed {keys}, not {tuple(params)}")
     return tuple(
         tuple(params[k]) if isinstance(params[k], list) else params[k]
-        for k in _LEMMAS[lemma].keys if k in params
+        for k in keys[:len(params)]
     )
 
 

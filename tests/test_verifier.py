@@ -142,6 +142,24 @@ def test_lm_bb_3ef_finds_companion(named_graphs):
     assert r.direction == "<="
 
 
+def test_a_params_dict_becomes_the_slot_it_renders_as(named_graphs):
+    g = named_graphs["dodecahedron"]
+    v3, v3p = (w for w in g.neighbors(0) if w != 1)
+    v4, v4p = (next(w for w in g.neighbors(v) if w != 0) for v in (v3, v3p))
+    params = {"v4p": v4p, "v4": v4, "v2": 0, "v1": 1}  # any key order
+    r = check(LemmaId.LM_SPLIT5_DIFF, g, params=params, instance="dodecahedron")
+    assert r.slot == (1, 0, v4, v4p) and r.params == params and r.verdict == "Pass"
+    r = check(LemmaId.LM_SPLIT5_SAME, g, params={"triple": [1, 0, 10]}, instance="dodecahedron")
+    assert r.slot == ((1, 0, 10),) and r.params == {"triple": [1, 0, 10]}
+    for lemma, params in [
+        (LemmaId.LM_BB_3EF, {"companion": 3}),  # a later key without the leading one
+        (LemmaId.LM_SPECIAL, {"e": 0, "g": 1}),
+        (LemmaId.TH_HALF, {"edge": 0}),
+    ]:
+        with pytest.raises(KeyError, match=lemma.value):
+            check(lemma, named_graphs["prism"], params=params)
+
+
 def test_lm_bb_3e_on_cube(named_graphs):
     r = check(LemmaId.LM_BB_3E, named_graphs["cube"], params={"edge": 0}, instance="cube")
     assert r.verdict == "Pass" and r.direction == "<="
@@ -553,19 +571,16 @@ def test_reports_hold_slot_tuples_and_render_the_generators_params_dicts():
     int tuples; and ``params`` returns a fresh dict on every read."""
     corpus = _catalog_corpus()
     reports = sweep(list(LemmaId), corpus, fail_fast=False)
-    by_slot = {}
+    by_run = {}
     for r in reports:
-        by_slot.setdefault((r.lemma, r.instance), []).append(r)
+        by_run.setdefault((r.lemma, r.instance), []).append(r)
     appended = Counter()
     for inst in corpus:
         want = slow_params_dicts(inst.graph)
         for lemma in LemmaId:
-            mine = by_slot[lemma, inst.name]
-            slots = params_for(lemma, inst)
-            assert all(type(slot) is tuple for slot in slots if slot is not None)
             key = EXTENDED.get(lemma)
             got = []
-            for r in mine:
+            for r in by_run[lemma, inst.name]:
                 params = r.params
                 if params and key in params:
                     assert r.hypothesis_met
