@@ -22,6 +22,12 @@ Each row ends with a verdict, the first that applies:
   more than the bound;
 - ``within bound``: otherwise.
 
+When every run of both files holds the start-up of ``scripts/bench.py``
+(``cubicpm count --name petersen`` from a fresh interpreter), one more row
+gives its ``startup.wall_s``: each side's median and quartiles and the pairs
+in which the change is faster, marked ``informational``.  It has no bound in
+``BENCHMARK.json``, so it gives no verdict and does not set the exit code.
+
 Exits 1 when some row is worse than its bound, and 0 otherwise.
 """
 
@@ -43,17 +49,26 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def compare(parent: list[float], change: list[float], lower_better: bool, bound: float) -> dict:
-    """The row of one metric, from its values in the parent's and the change's runs."""
+def sides(parent: list[float], change: list[float], lower_better: bool) -> dict:
+    """Each side's median and quartiles, and the pairs in which the change is better."""
     sign = 1 if lower_better else -1
     pairs = list(zip(parent, change))
-    wins = sum(sign * (p - c) > 0 for p, c in pairs)
-    mid = median(parent)
-    gain = sign * (mid - median(change))
-    q1, q3 = quartiles(parent)
+    return {
+        "parent": (median(parent), *quartiles(parent)),
+        "change": (median(change), *quartiles(change)),
+        "wins": sum(sign * (p - c) > 0 for p, c in pairs),
+        "pairs": len(pairs),
+    }
+
+
+def compare(parent: list[float], change: list[float], lower_better: bool, bound: float) -> dict:
+    """The row of one metric, from its values in the parent's and the change's runs."""
+    row = sides(parent, change, lower_better)
+    (mid, q1, q3), wins, pairs = row["parent"], row["wins"], row["pairs"]
+    gain = (1 if lower_better else -1) * (mid - row["change"][0])
     iqr = q3 - q1
     apart = max(change) < min(parent) if lower_better else min(change) > max(parent)
-    if pairs and 10 * wins >= 9 * len(pairs) and gain > iqr:
+    if pairs and 10 * wins >= 9 * pairs and gain > iqr:
         verdict = "gain met"
     elif iqr > bound * abs(mid) and not apart:
         verdict = "unresolved"
@@ -61,10 +76,7 @@ def compare(parent: list[float], change: list[float], lower_better: bool, bound:
         verdict = WORSE
     else:
         verdict = "within bound"
-    return {
-        "parent": (mid, q1, q3), "change": (median(change), *quartiles(change)),
-        "wins": wins, "pairs": len(pairs), "gain": gain, "iqr": iqr, "verdict": verdict,
-    }
+    return {**row, "gain": gain, "iqr": iqr, "verdict": verdict}
 
 
 def rows(parent: dict, change: dict, benchmark: dict) -> list[tuple[str, str, dict]]:
@@ -79,15 +91,27 @@ def rows(parent: dict, change: dict, benchmark: dict) -> list[tuple[str, str, di
     return out
 
 
+def startup_row(parent: dict, change: dict) -> dict | None:
+    """The ``sides`` of ``startup.wall_s``, or None unless every run holds it."""
+    runs = parent["runs"] + change["runs"]
+    if not runs or any("startup" not in run for run in runs):
+        return None
+    values = [[run["startup"]["wall_s"] for run in side["runs"]] for side in (parent, change)]
+    return sides(*values, lower_better=True)
+
+
 def render(workload: str, metric: str, row: dict) -> str:
     def side(label: str) -> str:
         mid, q1, q3 = row[label]
         return f"{label} {mid:.4g} [{q1:.4g}, {q3:.4g}]"
 
+    judged = (
+        f"  gain {row['gain']:+.4g} (parent IQR {row['iqr']:.4g})  {row['verdict']}"
+        if "verdict" in row else "  informational"
+    )
     return (
         f"{workload:<15} {metric:<12} {side('parent')}  {side('change')}  "
-        f"wins {row['wins']}/{row['pairs']}  gain {row['gain']:+.4g} (parent IQR {row['iqr']:.4g})"
-        f"  {row['verdict']}"
+        f"wins {row['wins']}/{row['pairs']}{judged}"
     )
 
 
@@ -99,6 +123,9 @@ def main(argv: list[str]) -> int:
     table = rows(parent, change, json.loads(BENCHMARK.read_text()))
     for workload, metric, row in table:
         print(render(workload, metric, row))
+    startup = startup_row(parent, change)
+    if startup is not None:
+        print(render("startup", "wall_s", startup))
     return int(any(row["verdict"] == WORSE for _, _, row in table))
 
 

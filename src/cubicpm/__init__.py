@@ -1,6 +1,12 @@
 """Exact verification toolkit for perfect-matching structure in cubic
 bridgeless multigraphs: graph surgeries, cut machinery, matching counts,
-tight-cut decomposition, family generators, and a lemma-checking harness."""
+tight-cut decomposition, family generators, and a lemma-checking harness.
+
+The kernel modules and ``formats`` are imported with the package.  The
+lemma-checking harness, ``verifier``, is imported on first use: its names
+below resolve through the module ``__getattr__`` (PEP 562), so a process
+that only asks kernel questions never loads it.
+"""
 
 from .multigraph import (
     DegreeExcess,
@@ -71,15 +77,30 @@ from .families import (
     semiblocks,
     twisted_net,
 )
-from .verifier import (
-    Bound,
-    Instance,
-    LemmaFailure,
-    LemmaId,
-    LemmaReport,
-    check,
-    check_lm_ladder,
-    sweep,
+
+# The verifier's public names: the first read of one, or of ``verifier``, imports it.
+_VERIFIER = (
+    "Bound",
+    "Instance",
+    "LemmaFailure",
+    "LemmaId",
+    "LemmaReport",
+    "check",
+    "check_lm_ladder",
+    "sweep",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | {*_VERIFIER, "verifier"})
+
+
+def __getattr__(name: str):
+    if name != "verifier" and name not in _VERIFIER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.verifier")  # binds the module as "verifier" here
+    if name != "verifier":  # kept, so later reads do not come back here
+        globals()[name] = getattr(globals()["verifier"], name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

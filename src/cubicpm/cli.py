@@ -4,6 +4,10 @@ Output is deterministic for a fixed (argv, input, seed): no ambient entropy,
 no wall-clock content, canonical JSON key order.  Exit codes: 0 for success
 or an all-pass sweep, 1 for any lemma Fail, 2 for usage errors and
 malformed input.
+
+Only the ``generate``, ``verify`` and ``report`` handlers import the
+lemma catalog (``verifier``), so ``count``, ``cuts`` and ``decompose`` never
+load it.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from . import families as fam
 from .connectivity import bridges, cyclic_edge_connectivity, enumerate_cuts
@@ -18,16 +23,9 @@ from .decomposition import brick_count, decompose, elp_bound
 from .errors import CubicpmError
 from .formats import read_edge_list, read_graph6, write_edge_list
 from .matchings import count_matchings
-from .verifier import (
-    Instance,
-    LemmaFailure,
-    LemmaId,
-    named_instances,
-    random_instances,
-    sweep,
-    tally_csv,
-    twisted_instances,
-)
+
+if TYPE_CHECKING:  # the handlers that use the verifier import it when they run
+    from .verifier import Instance, LemmaId
 
 # size range of each generated corpus when --n is not given
 DEFAULT_N = {"random": (4, 14), "twisted": (4, 26)}
@@ -127,6 +125,8 @@ def _cmd_generate(args) -> int:
         raise CubicpmError("generate needs --name NAME or --random COUNT")
     if args.seed is None:
         raise CubicpmError("random generation requires an explicit --seed")
+    from .verifier import random_instances
+
     lo, hi = args.n or DEFAULT_N["random"]
     blocks = [
         write_edge_list(inst.graph)
@@ -137,6 +137,8 @@ def _cmd_generate(args) -> int:
 
 
 def _parse_lemmas(spec: str) -> list[LemmaId]:
+    from .verifier import LemmaId
+
     if spec.strip().lower() == "all":
         return list(LemmaId)
     out = []
@@ -152,6 +154,15 @@ def _parse_lemmas(spec: str) -> list[LemmaId]:
 
 
 def _cmd_verify(args) -> int:
+    from .verifier import (
+        Instance,
+        LemmaFailure,
+        named_instances,
+        random_instances,
+        sweep,
+        twisted_instances,
+    )
+
     lemmas = _parse_lemmas(args.lemma)
     instances: list[Instance] = []
     if args.name:
@@ -191,6 +202,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .verifier import tally_csv
+
     text = _read_input(args.graph or "-")
     try:
         csv = tally_csv((r["lemma"], r["verdict"]) for r in json.loads(text))

@@ -30,7 +30,7 @@ else is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ChainViolation,
@@ -46,8 +46,7 @@ CUT_CAP = 24
 ALMOST_CAP = 20
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeCut:
+class EdgeCut(NamedTuple):
     """One side of a vertex bipartition plus its crossing edges."""
 
     side_a: frozenset[int]
@@ -60,8 +59,7 @@ class EdgeCut:
         return EdgeCut(other, self.crossing_edges, self.size, self.cyclic)
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicConnectivity:
+class CyclicConnectivity(NamedTuple):
     """Minimum cyclic edge-cut size; value None means no cyclic cut exists."""
 
     value: int | None
@@ -302,8 +300,7 @@ def _cyclic_flags(g: Multigraph, masks: list[int], crossing: list[int]) -> list[
     return flags
 
 
-@dataclass(frozen=True, slots=True)
-class _Sweep:
+class _Sweep(NamedTuple):
     """A graph's unit-weight sweep: each bipartition, side B nonempty, crossed
     by at most ``bound`` edges, as parallel lists in ascending mask order."""
 

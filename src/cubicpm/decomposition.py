@@ -18,7 +18,7 @@ leaves rather than assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .connectivity import _crossing_edges, cut_sums_at_most, mask_sides, mask_sizes
 from .errors import NotMatchingCovered, TooLarge
@@ -108,8 +108,7 @@ def is_brace(g: Multigraph) -> bool:
         return False
 
 
-@dataclass(frozen=True, slots=True)
-class DecompositionNode:
+class DecompositionNode(NamedTuple):
     """Either a leaf (kind set) or an internal node split along a tight cut.
 
     side_a is the side of that cut holding vertex 0; child_a contracts it,

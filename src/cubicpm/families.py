@@ -9,10 +9,10 @@ sampler for cubic bridgeless multigraphs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Union
+from operator import eq
+from typing import NamedTuple, Union
 
-from .connectivity import _minimal_sides, bridges, enumerate_cuts
+from .connectivity import _capped_sweep, _minimal_sides, bridges, mask_sides
 from .errors import (
     BadDegrees,
     BadSize,
@@ -157,8 +157,7 @@ def ladder_pm_count(k: int) -> int:
 # Klee graphs
 
 
-@dataclass(frozen=True, slots=True)
-class KleeRecipe:
+class KleeRecipe(NamedTuple):
     """Vertices to replace by triangles, in order, starting from K4."""
 
     steps: tuple[int, ...] = ()
@@ -241,16 +240,14 @@ def is_klee(g: Multigraph) -> bool:
 # twisted nets
 
 
-@dataclass(frozen=True, slots=True)
-class Increment:
+class Increment(NamedTuple):
     """Attach a 3-edge path between corners u and v of the current net."""
 
     u: int
     v: int
 
 
-@dataclass(frozen=True, slots=True)
-class Multiply:
+class Multiply(NamedTuple):
     """Join the current net and another by two corner-to-corner edges."""
 
     other: "TwistedNetRecipe"
@@ -263,8 +260,7 @@ class Multiply:
 Step = Union[Increment, Multiply]
 
 
-@dataclass(frozen=True, slots=True)
-class TwistedNetRecipe:
+class TwistedNetRecipe(NamedTuple):
     """Build trace: a 4-cycle followed by incrementations/multiplications."""
 
     steps: tuple[Step, ...] = ()
@@ -306,8 +302,7 @@ class TwistedNetRecipe:
         return TwistedNetRecipe(tuple(steps))
 
 
-@dataclass(frozen=True, slots=True)
-class _Net:
+class _Net(NamedTuple):
     """A twisted net without its graph: size, endpoint pairs, corners in id order."""
 
     size: int
@@ -542,14 +537,17 @@ def semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
     """Inclusion-minimal 2-edge-cut sides and their number s(G).
 
     A graph without 2-edge-cuts is its own single semiblock.  The sides are
-    pairwise disjoint, which is asserted.
+    pairwise disjoint, which is asserted.  The 2-edge cuts are read from the
+    masks of g's memoized sweep, refused above ``CUT_CAP`` vertices, and only
+    their sides are decoded; no ``EdgeCut`` is built.
     """
     if not g.is_cubic:
         raise BadDegrees("semiblocks are defined for cubic graphs")
     if bridges(g):
         raise Bridged("graph has a bridge")
-    sides = [c.side_a for c in enumerate_cuts(g, 2, cyclic_only=False) if c.size == 2]
-    minimal = sorted(_minimal_sides(g.vertex_count, sides), key=min)
+    sweep = _capped_sweep(g, 2)
+    two = [mask for mask, size in zip(sweep.masks, sweep.sizes) if size == 2]
+    minimal = sorted(_minimal_sides(g.vertex_count, mask_sides(two, g.vertex_count)), key=min)
     if not minimal:
         return (frozenset(range(g.vertex_count)),), 1
     for i, a in enumerate(minimal):
@@ -565,12 +563,54 @@ def semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
 PAIRING_TRIES = 100_000  # pairings drawn before random_cubic_bridgeless gives up
 
 
+def _connected_and_bridgeless(n: int, pairs: list[tuple[int, int]]) -> bool:
+    """Is the loopless multigraph on vertices 0..n-1 with these endpoint pairs
+    connected and free of bridges?
+
+    One iterative depth-first search from vertex 0 keeps each vertex's
+    discovery time and lowpoint.  Only the edge that entered a vertex is
+    skipped, so a parallel edge counts as a back edge; a tree edge into w is
+    a bridge iff no back edge from w's subtree reaches above w.
+    """
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(pairs):
+        inc[u].append(e)
+        inc[v].append(e)
+    disc = [0] * n  # 0: not yet reached; times start at 1
+    low = [0] * n
+    disc[0] = low[0] = reached = 1
+    stack = [(0, -1, iter(inc[0]))]  # vertex, the edge that entered it, its edges left
+    while stack:
+        v, entry, edges = stack[-1]
+        for e in edges:
+            if e == entry:
+                continue
+            a, b = pairs[e]
+            w = b if a == v else a
+            if disc[w]:
+                low[v] = min(low[v], disc[w])
+                continue
+            reached += 1
+            disc[w] = low[w] = reached
+            stack.append((w, e, iter(inc[w])))
+            break
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] > disc[u]:
+                    return False  # the edge into v is a bridge
+                low[u] = min(low[u], low[v])
+    return reached == n
+
+
 def random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
     """Pairing-model sample conditioned on loopless, connected, bridgeless.
 
     Parallel edges are kept (the model allows them).  Deterministic for a
-    fixed seed.  The pairing is tested on a graph of its own, so the
-    incidence table the tests build is not cached on the graph returned.
+    fixed seed.  Each pairing is tested on its list of endpoint pairs, and a
+    graph is built only for the one accepted, so no table the test needs is
+    cached on the graph returned.
     """
     if n < 4 or n % 2:
         raise BadSize("need an even number of vertices, at least 4")
@@ -578,10 +618,10 @@ def random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
     stubs = [v for v in range(n) for _ in range(3)]
     for _ in range(PAIRING_TRIES):
         rng.shuffle(stubs)
-        pairs = list(zip(stubs[::2], stubs[1::2]))
-        if any(u == v for u, v in pairs):
+        ends = stubs[::2], stubs[1::2]
+        if any(map(eq, *ends)):  # a loop
             continue
-        probe = from_edge_list(n, pairs)
-        if probe.is_connected() and not bridges(probe):
-            return Multigraph(n, probe.edges)
+        pairs = list(zip(*ends))
+        if _connected_and_bridgeless(n, pairs):
+            return from_edge_list(n, pairs)
     raise GenerationFailed(f"no admissible pairing after {PAIRING_TRIES} tries")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .connectivity import _least_cyclic_size, bridges, cut_sums_at_most, mask_sizes
 from .errors import (
@@ -43,8 +43,7 @@ ENUMERATE_CAP = 20
 POLYTOPE_CAP = 20
 
 
-@dataclass(frozen=True, slots=True)
-class Matching:
+class Matching(NamedTuple):
     """A set of pairwise non-adjacent edges, kept as its sorted edge-id tuple.
 
     The tuple is the only field, the one ``enumerate_matchings`` builds, so
@@ -66,8 +65,7 @@ class Matching:
 WeightVector = dict[int, Fraction]
 
 
-@dataclass(frozen=True, slots=True)
-class CountQuery:
+class CountQuery(NamedTuple):
     """Constraints for matching counts.
 
     ``missed_vertices`` are left uncovered on purpose: the count is over

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -275,8 +275,7 @@ def induced_subgraph(
 # degree excess
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeExcess:
+class DegreeExcess(NamedTuple):
     """Multiset of vertex degrees different from three."""
 
     counts: tuple[tuple[int, int], ...]  # (degree, multiplicity), sorted
@@ -416,8 +415,7 @@ def is_isomorphic(g: Multigraph, h: Multigraph) -> bool:
 # surgeries and traces
 
 
-@dataclass(frozen=True, slots=True)
-class SurgeryRecord:
+class SurgeryRecord(NamedTuple):
     """One replayable operation.
 
     vertex_map maps input vertex -> output vertex (None if removed);
@@ -430,8 +428,7 @@ class SurgeryRecord:
     edge_map: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class SurgeryTrace:
+class SurgeryTrace(NamedTuple):
     """A sequence of surgery records, optionally with expansion clusters.
 
     ``clusters`` names, for each expanded source vertex, the vertex set of

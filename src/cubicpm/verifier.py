@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -119,8 +118,7 @@ class LemmaId(Enum):
 KLEE_DENOMINATOR = 655978752  # exponent denominator from the planar cubic bound
 
 
-@dataclass(frozen=True, slots=True)
-class Bound:
+class Bound(NamedTuple):
     """A rational value p/q, or the power 2^(p/q)."""
 
     kind: str  # "rational" | "pow2"
@@ -232,8 +230,7 @@ class LemmaFailure(CubicpmError):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Instance:
+class Instance(NamedTuple):
     """A corpus entry: a name, a graph, and whether it is known to be a twisted net."""
 
     name: str
@@ -1085,8 +1082,7 @@ def _check_lm_twisted_struc(inst, slot):
 # the registry: one entry per lemma
 
 
-@dataclass(frozen=True, slots=True)
-class _Lemma:
+class _Lemma(NamedTuple):
     """A lemma's check, its hypothesis and the generator of its parameter slots.
 
     The hypothesis runs once per (lemma, instance), and its reason fills every

@@ -27,6 +27,11 @@ generators, where the verifier builds slot tuples that a report renders as
 those dicts on read.  The
 twisted-net generator replays its recipe into a new graph at every step, where
 ``families`` applies each step once to a net without its graph.
+``slow_random_cubic_bridgeless`` builds a probe graph for every pairing it
+tests, where ``families`` tests the list of endpoint pairs with one lowpoint
+search, and ``slow_semiblocks`` takes the 2-edge cuts from ``EdgeCut``
+lists, where ``families.semiblocks`` decodes only the sides of the sweep's
+size-2 masks.
 ``slow_neighbors`` collects and sorts a vertex's neighbours on every call,
 where ``Multigraph.neighbors`` reads one table per graph, and
 ``slow_frontier_order`` recounts every greedy cost from it at each step,
@@ -891,3 +896,45 @@ def slow_random_twisted_net(seed: int, target_n: int, want_bipartite: bool | Non
     raise GenerationFailed(
         f"no twisted net with bipartite={want_bipartite} at n={target_n} in budget"
     )
+
+
+def slow_random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
+    """Reference for ``families.random_cubic_bridgeless``: each pairing is built
+    into a probe graph and tested with ``is_connected`` and ``bridges``."""
+    import random
+
+    from cubicpm.connectivity import bridges
+    from cubicpm.errors import BadSize, GenerationFailed
+    from cubicpm.families import PAIRING_TRIES
+    from cubicpm.multigraph import from_edge_list
+
+    if n < 4 or n % 2:
+        raise BadSize("need an even number of vertices, at least 4")
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(3)]
+    for _ in range(PAIRING_TRIES):
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if any(u == v for u, v in pairs):
+            continue
+        probe = from_edge_list(n, pairs)
+        if probe.is_connected() and not bridges(probe):
+            return Multigraph(n, probe.edges)
+    raise GenerationFailed(f"no admissible pairing after {PAIRING_TRIES} tries")
+
+
+def slow_semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
+    """Reference for ``families.semiblocks``: the 2-edge cuts are taken from
+    the ``EdgeCut`` list of ``enumerate_cuts``."""
+    from cubicpm.connectivity import _minimal_sides, bridges, enumerate_cuts
+    from cubicpm.errors import BadDegrees, Bridged
+
+    if not g.is_cubic:
+        raise BadDegrees("semiblocks are defined for cubic graphs")
+    if bridges(g):
+        raise Bridged("graph has a bridge")
+    sides = [c.side_a for c in enumerate_cuts(g, 2, cyclic_only=False) if c.size == 2]
+    minimal = sorted(_minimal_sides(g.vertex_count, sides), key=min)
+    if not minimal:
+        return (frozenset(range(g.vertex_count)),), 1
+    return tuple(minimal), len(minimal)

@@ -60,8 +60,9 @@ def test_runs_made_without_the_tier1_suite_are_read_and_summarized(tmp_path):
         capture_output=True, text=True,
     )
     rows = {tuple(line.split()[:2]): line for line in done.stdout.splitlines()}
-    assert done.returncode == 0 and len(rows) == len(WORKLOADS) * len(METRICS)
+    assert done.returncode == 0 and len(rows) == len(WORKLOADS) * len(METRICS) + 1
     assert rows["catalog", "peak_rss_mb"].endswith("gain met")
+    assert rows["startup", "wall_s"].endswith("wins 0/10  informational")
 
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
@@ -70,3 +71,48 @@ def test_runs_made_without_the_tier1_suite_are_read_and_summarized(tmp_path):
     assert bench.part_medians(runs) == {
         "tier1": {"wall_s": 120.0}, "startup": {"wall_s": 0.2}, "catalog_memory": {"held_mb": 14.0},
     }
+
+
+def _with_startup(path, samples):
+    """Give run i of the BENCH file at ``path`` the start-up median ``samples[i]``."""
+    data = json.loads(Path(path).read_text())
+    for run, wall in zip(data["runs"], samples):
+        if wall is not None:
+            run["startup"] = {"wall_s": wall, "samples_s": [wall] * 3}
+    Path(path).write_text(json.dumps(data))
+    return path
+
+
+def _pairs(parent, change):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), parent, change],
+        capture_output=True, text=True,
+    )
+    return done.returncode, done.stdout.splitlines()
+
+
+def test_the_start_up_row_is_informational(tmp_path):
+    """``startup.wall_s`` gets one row, with each side's median and quartiles
+    and the pairs won, but no verdict, and a slower start-up sets no exit code."""
+    jitter = [0.0, 0.01, -0.01, 0.02, -0.02, 0.0, 0.01, -0.01, 0.02, -0.02]
+    parent = _with_startup(
+        _bench(tmp_path / "parent.json", [{}] * 10), [0.2 + j for j in jitter]
+    )
+    change = _with_startup(
+        _bench(tmp_path / "change.json", [{}] * 10), [0.17 + j for j in jitter]
+    )
+    code, lines = _pairs(parent, change)
+    assert code == 0 and len(lines) == len(WORKLOADS) * len(METRICS) + 1
+    assert lines[-1].split() == [
+        "startup", "wall_s", "parent", "0.2", "[0.19,", "0.21]",
+        "change", "0.17", "[0.16,", "0.18]", "wins", "10/10", "informational",
+    ]
+
+    slower = _with_startup(_bench(tmp_path / "slower.json", [{}] * 10), [2.0] * 10)
+    code, lines = _pairs(parent, slower)
+    assert code == 0 and lines[-1].endswith("wins 0/10  informational")
+
+    gap = _with_startup(_bench(tmp_path / "gap.json", [{}] * 10), [0.17] * 9 + [None])
+    code, lines = _pairs(parent, gap)
+    assert code == 0 and len(lines) == len(WORKLOADS) * len(METRICS)
+    assert not any(line.startswith("startup") for line in lines)

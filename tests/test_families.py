@@ -26,12 +26,14 @@ from cubicpm import (
     semiblocks,
     twisted_net,
 )
-from cubicpm import Multigraph, families
+from cubicpm import Multigraph, connectivity, families
 from cubicpm.errors import (
     BadDegrees,
     BadSize,
     Bridged,
     CubicpmError,
+    GenerationFailed,
+    TooLarge,
     UnknownName,
     UnreachableParity,
 )
@@ -43,8 +45,13 @@ from cubicpm.families import (
     ladder_pm_count,
 )
 from cubicpm.matchings import is_bipartite
-from cubicpm.verifier import twisted_instances
-from oracles import slow_random_twisted_net, slow_twisted_net
+from cubicpm.verifier import named_instances, random_instances, twisted_instances
+from oracles import (
+    slow_random_cubic_bridgeless,
+    slow_random_twisted_net,
+    slow_semiblocks,
+    slow_twisted_net,
+)
 
 C4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
@@ -328,6 +335,31 @@ def test_semiblocks_disjoint_on_random_two_cut_instances():
     assert found >= 5
 
 
+def test_semiblocks_read_the_sweep_and_build_no_edge_cut(monkeypatch):
+    """``semiblocks`` decodes only the sides of the sweep's size-2 masks: with
+    ``_edge_cut`` raising it answers what the ``EdgeCut`` route answers on
+    the catalog corpus, refusals included."""
+    corpus = named_instances() + random_instances(40, 4, 14, seed=7)
+    corpus += twisted_instances(60, seed=8, n_lo=4, n_hi=26)
+    graphs = [inst.graph for inst in corpus] + [random_cubic_bridgeless(3, 26)]
+
+    def outcome(find, g):
+        try:
+            return find(Multigraph(g.vertex_count, g.edges))  # a fresh memo
+        except (BadDegrees, TooLarge) as exc:
+            return type(exc).__name__
+
+    expected = [outcome(slow_semiblocks, g) for g in graphs]
+    counts = [x[1] for x in expected if isinstance(x, tuple)]
+    assert {"BadDegrees", "TooLarge"} <= set(expected) and 1 in counts and max(counts) >= 3
+
+    def refuse(*args):
+        raise AssertionError("an EdgeCut was built")
+
+    monkeypatch.setattr(connectivity, "_edge_cut", refuse)
+    assert [outcome(semiblocks, g) for g in graphs] == expected
+
+
 def test_semiblocks_reject_bridged():
     from conftest import bridged_cubic
 
@@ -342,6 +374,32 @@ def test_sampler_postconditions():
     for seed in range(100):
         g = random_cubic_bridgeless(seed, 10)
         assert g.is_cubic and g.is_connected() and not bridges(g)
+
+
+def test_sampler_equals_the_probe_graph_route():
+    """Testing each pairing on its list of pairs accepts the pairings that a
+    probe graph accepts: the same graph for every seed and size."""
+    for n in range(4, 32, 2):
+        for seed in range(50):
+            assert random_cubic_bridgeless(seed, n) == slow_random_cubic_bridgeless(seed, n)
+
+
+def test_sampler_gives_up_as_the_probe_graph_route_does(monkeypatch):
+    """With one try per call, a seed whose first pairing is refused raises the
+    same ``GenerationFailed`` on both routes."""
+    monkeypatch.setattr(families, "PAIRING_TRIES", 1)
+
+    def outcome(sample, seed, n):
+        try:
+            return sample(seed, n).edges
+        except GenerationFailed as exc:
+            return str(exc)
+
+    for n in (4, 6, 10, 16, 30):
+        got = [outcome(random_cubic_bridgeless, seed, n) for seed in range(50)]
+        assert got == [outcome(slow_random_cubic_bridgeless, seed, n) for seed in range(50)]
+        assert "no admissible pairing after 1 tries" in got
+        assert any(isinstance(x, tuple) for x in got)
 
 
 def test_sampler_deterministic():

@@ -498,6 +498,26 @@ def test_value_classes_are_slotted(value):
         object.__setattr__(value, "extra", 1)
 
 
+def _records():
+    return [value for value in _value_objects() if isinstance(value, tuple)]
+
+
+def test_every_value_class_but_one_is_a_named_tuple():
+    """``SpecialPairResult`` stays a dataclass: it leaves its coloring out of
+    equality, which a tuple cannot."""
+    assert [type(v).__name__ for v in _value_objects() if not isinstance(v, tuple)] == [
+        "SpecialPairResult"
+    ]
+    assert len(_records()) == 17 and all(type(v)._fields for v in _records())
+
+
+@pytest.mark.parametrize("value", _records(), ids=lambda v: type(v).__name__)
+def test_records_refuse_assignment_to_a_field(value):
+    with pytest.raises(AttributeError):
+        setattr(value, type(value)._fields[0], None)
+    assert not hasattr(value, "__dict__")
+
+
 def test_multigraph_keeps_its_dict_for_the_cached_properties():
     g = named("petersen")
     order, memo = g.frontier_order, g._memo

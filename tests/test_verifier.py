@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import json
@@ -371,8 +370,8 @@ def test_split5_lemmas_split_no_kept_path_and_test_the_hypothesis_once(monkeypat
     lemmas = [LemmaId.LM_SPLIT5_SAME, LemmaId.LM_SPLIT5_DIFF]
     for lemma in lemmas:  # count the hypothesis calls through each table entry
         entry = verifier._LEMMAS[lemma]
-        monkeypatch.setitem(verifier._LEMMAS, lemma, dataclasses.replace(
-            entry, hypothesis=lambda inst, h=entry.hypothesis, lemma=lemma: (
+        monkeypatch.setitem(verifier._LEMMAS, lemma, entry._replace(
+            hypothesis=lambda inst, h=entry.hypothesis, lemma=lemma: (
                 hypotheses.append((lemma, inst.name)) or h(inst)
             ),
         ))
@@ -702,7 +701,7 @@ def test_split5_same_names_its_tail_guard_ahead_of_the_hypothesis(monkeypatch):
     assert why and set(reasons) == {tails, why}
     monkeypatch.setitem(
         verifier._LEMMAS, LemmaId.LM_SPLIT5_SAME,
-        dataclasses.replace(entry, hypothesis=lambda inst: None),
+        entry._replace(hypothesis=lambda inst: None),
     )
     held = sweep([LemmaId.LM_SPLIT5_SAME], [inst], fail_fast=False)
     assert [r.reason == tails for r in held] == [reason == tails for reason in reasons]
@@ -731,7 +730,7 @@ def test_lm_bb_3ef_tries_only_stuck_companions_and_reports_what_every_edge_gave(
     assert judged and len(decomposed) == len(orbits) < len(judged)
     entry = verifier._LEMMAS[LemmaId.LM_BB_3EF]
     monkeypatch.setitem(
-        verifier._LEMMAS, LemmaId.LM_BB_3EF, dataclasses.replace(entry, check=slow_check_lm_bb_3ef),
+        verifier._LEMMAS, LemmaId.LM_BB_3EF, entry._replace(check=slow_check_lm_bb_3ef),
     )
     every = [r.to_json() for r in sweep([LemmaId.LM_BB_3EF], _catalog_corpus(), fail_fast=False)]
     assert every == stuck
@@ -918,7 +917,7 @@ def test_the_hypothesis_runs_once_per_lemma_and_instance(monkeypatch):
         return entry.hypothesis(inst)
 
     monkeypatch.setitem(
-        verifier._LEMMAS, LemmaId.LM_SPECIAL, dataclasses.replace(entry, hypothesis=counted),
+        verifier._LEMMAS, LemmaId.LM_SPECIAL, entry._replace(hypothesis=counted),
     )
     reports = sweep([LemmaId.LM_SPECIAL], named_instances(["prism"]), fail_fast=True)
     assert len(reports) == 36 and all(r.verdict == "Skipped" for r in reports)
@@ -936,7 +935,7 @@ def test_a_fail_fast_sweep_runs_no_check_after_the_first_fail(monkeypatch):
         return verifier._fail(Bound.rational(1), 0)
 
     monkeypatch.setitem(
-        verifier._LEMMAS, LemmaId.THM_BIP, dataclasses.replace(entry, check=failing),
+        verifier._LEMMAS, LemmaId.THM_BIP, entry._replace(check=failing),
     )
     cube = named_instances(["cube"])
     slots = params_for(LemmaId.THM_BIP, cube[0])
