@@ -17,7 +17,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from cubicpm import write_edge_list
 from cubicpm.verifier import (
     Instance,
     LemmaId,
+    encode_reports,
     named_instances,
     random_instances,
     summarize_csv,
@@ -38,49 +38,6 @@ def build_corpus(args) -> list[Instance]:
     corpus += random_instances(args.random, 4, 14, seed=args.seed)
     corpus += twisted_instances(args.twisted, seed=args.seed + 1, n_lo=4, n_hi=26)
     return corpus
-
-
-def _members(obj: dict) -> str:
-    """The members of ``obj`` as ``json.dumps(indent=2, sort_keys=True)``
-    writes them inside an object that is an item of a top-level list."""
-    return "  " + json.dumps(obj, indent=2, sort_keys=True)[2:-2].replace("\n", "\n  ")
-
-
-def encode_reports(reports) -> str:
-    """``json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True)``.
-
-    The same text, with the parts that reports repeat encoded once each
-    (an indent sends ``json`` to its pure-Python encoder) and joined in
-    sorted-key order: the members that sort before ``params``, kept per
-    lemma under the other fields they come from; ``params``, per lemma
-    under the slot; and ``reason`` with ``verdict``.  A key is the repr of
-    those values, which tells True from 1 and Fraction(3) from 3: values
-    that compare equal but that JSON writes apart never share an entry.  A
-    report renders its dict only where one of its parts is new.
-    """
-    by_lemma: dict = {}
-    tails: dict = {}
-    items = []
-    lemma = None
-    for r in reports:
-        if r.lemma is not lemma:
-            lemma = r.lemma
-            heads, params = by_lemma.setdefault(lemma, ({}, {}))
-        bound = r.bound and tuple(r.bound)  # the repr of a plain tuple is the faster
-        head_key = repr((r.instance, r.hypothesis_met, bound, r.measured, r.direction, r.note))
-        slot_key = repr(r.slot)
-        tail_key = r.reason, r.verdict
-        head, slot, tail = heads.get(head_key), params.get(slot_key), tails.get(tail_key)
-        if head is None or slot is None or tail is None:
-            d = r.to_json()
-            if head is None:
-                head = heads[head_key] = _members({k: v for k, v in d.items() if k < "params"})
-            if slot is None:
-                slot = params[slot_key] = _members({"params": d["params"]})
-            if tail is None:
-                tail = tails[tail_key] = _members({"reason": d["reason"], "verdict": d["verdict"]})
-        items.append(f"  {{\n{head},\n{slot},\n{tail}\n  }}")
-    return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
 
 
 def main() -> int:

@@ -157,6 +157,7 @@ def _cmd_verify(args) -> int:
     from .verifier import (
         Instance,
         LemmaFailure,
+        encode_reports,
         named_instances,
         random_instances,
         sweep,
@@ -190,7 +191,7 @@ def _cmd_verify(args) -> int:
         reports = [exc.report]
         failed = True
     if args.json:
-        _emit(args, _json_dumps([r.to_json() for r in reports]))
+        _emit(args, encode_reports(reports) + "\n")
     else:
         lines = []
         for r in reports:

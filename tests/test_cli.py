@@ -6,7 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from cubicpm import Multigraph, count_matchings, named, random_cubic_bridgeless, write_edge_list
+from cubicpm import (
+    LemmaId,
+    Multigraph,
+    count_matchings,
+    named,
+    random_cubic_bridgeless,
+    write_edge_list,
+)
 from cubicpm.cli import run
 from cubicpm.matchings import STATE_CAP
 
@@ -111,6 +118,21 @@ def test_verify_json_exit_zero(capsys):
     assert len(reports) == 5
     assert all(r["verdict"] == "Pass" for r in reports)
     assert all(r["lemma"] == "TH_HALF" for r in reports)
+
+
+@pytest.mark.parametrize("lemmas", ["TH_HALF,THM_EF,LM_SPECIAL", "all"])
+def test_verify_json_writes_what_json_dumps_writes(capsys, lemmas):
+    """``verify --json`` encodes its reports with ``verifier.encode_reports``."""
+    from cubicpm.verifier import LemmaFailure, named_instances, sweep
+
+    code, out, _ = _capture(capsys, ["verify", "--lemma", lemmas, "--name", "petersen", "--json"])
+    ids = list(LemmaId) if lemmas == "all" else [LemmaId(t) for t in lemmas.split(",")]
+    try:
+        reports = sweep(ids, named_instances(["petersen"]), fail_fast=True)
+    except LemmaFailure as exc:
+        reports = [exc.report]
+    assert code == (reports[-1].verdict == "Fail")
+    assert out == json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_cut_sweeping_lemmas_above_the_cut_cap(capsys):

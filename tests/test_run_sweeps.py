@@ -6,7 +6,6 @@ change that alters any report byte fails here and must say why.
 """
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +13,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from cubicpm.verifier import Bound, LemmaId, LemmaReport, named_instances, sweep
+from cubicpm.verifier import (
+    Bound,
+    LemmaId,
+    LemmaReport,
+    encode_reports,
+    named_instances,
+    sweep,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 HEADLINE = ["--seed", "7", "--random", "40", "--twisted", "60"]
@@ -43,17 +49,9 @@ def test_the_readme_headline_sweep_exits_1_with_its_known_reports(tmp_path):
     assert len(list((tmp_path / "graphs").iterdir())) == 109
 
 
-def _run_sweeps():
-    spec = importlib.util.spec_from_file_location("run_sweeps", ROOT / "scripts" / "run_sweeps.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_the_report_encoder_writes_what_json_dumps_writes():
     """Values that compare equal but that JSON writes apart (True and 1,
     Fraction(3) and 3) get parts of their own."""
-    encode = _run_sweeps().encode_reports
     two, edge = Bound.rational(2), LemmaId.THM_BIP
     reports = [
         LemmaReport(edge, "g", (1,), True, two, 1),
@@ -67,4 +65,4 @@ def test_the_report_encoder_writes_what_json_dumps_writes():
         *sweep([LemmaId.LM_SPLIT5_DIFF, LemmaId.THM_EF], named_instances(["petersen"]), False),
     ]
     for some in (reports, reports[::-1], []):
-        assert encode(some) == json.dumps([r.to_json() for r in some], indent=2, sort_keys=True)
+        assert encode_reports(some) == json.dumps([r.to_json() for r in some], indent=2, sort_keys=True)

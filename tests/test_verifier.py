@@ -80,6 +80,18 @@ def test_bound_json_shape():
     }
 
 
+def test_bounds_compare_equal_but_refuse_to_order():
+    """Field order is not value order: ("rational", 1, 2) > ("rational", 1, 1)."""
+    half, one = Bound.rational(Fraction(1, 2)), Bound.rational(1)
+    assert half == Bound.rational(Fraction(2, 4)) and half != one
+    assert hash(half) == hash(Bound.rational(Fraction(1, 2)))
+    for op in (lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(TypeError):
+            op(half, one)
+    with pytest.raises(TypeError):
+        sorted([one, half])
+
+
 # --- individual checks against hand values -----------------------------------------
 
 
