@@ -28,6 +28,12 @@ gives its ``startup.wall_s``: each side's median and quartiles and the pairs
 in which the change is faster, marked ``informational``.  It has no bound in
 ``BENCHMARK.json``, so it gives no verdict and does not set the exit code.
 
+Each traced counter then gets one ``informational`` row, under the same
+rule: the sweep calls (``connectivity.sweep_calls``) and every ``*.calls``
+entry of ``<workload>_trace``, where every run of both files holds it.  The
+row gives each side's median and says whether the count was equal in every
+run of both files, so a change that claims to leave the work alone shows it.
+
 Exits 1 when some row is worse than its bound, and 0 otherwise.
 """
 
@@ -100,6 +106,37 @@ def startup_row(parent: dict, change: dict) -> dict | None:
     return sides(*values, lower_better=True)
 
 
+def counter_rows(parent: dict, change: dict, benchmark: dict) -> list[tuple[str, str, dict]]:
+    """One (workload, counter, row) per traced counter that every run of both files holds.
+
+    A row holds each side's median and whether every run of both files
+    counted the same.
+    """
+    runs = parent["runs"] + change["runs"]
+    out = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        key = f"{workload}_trace"
+        if not runs or any(key not in run for run in runs):
+            continue
+        held = set.intersection(*(set(run[key]) for run in runs))
+        for name in sorted(n for n in held if n == "connectivity.sweep_calls" or n.endswith(".calls")):
+            values = [[run[key][name] for run in side["runs"]] for side in (parent, change)]
+            out.append((workload, name, {
+                "parent": median(values[0]),
+                "change": median(values[1]),
+                "equal": len(set(values[0] + values[1])) == 1,
+            }))
+    return out
+
+
+def render_counter(workload: str, counter: str, row: dict) -> str:
+    same = "equal in every run" if row["equal"] else "not equal in every run"
+    return (
+        f"{workload:<15} {counter}  parent {row['parent']:g}  change {row['change']:g}  "
+        f"{same}  informational"
+    )
+
+
 def render(workload: str, metric: str, row: dict) -> str:
     def side(label: str) -> str:
         mid, q1, q3 = row[label]
@@ -120,12 +157,15 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(f"usage: {Path(__file__).name} PARENT.json CHANGE.json\n")
         return 2
     parent, change = (json.loads(Path(path).read_text()) for path in argv)
-    table = rows(parent, change, json.loads(BENCHMARK.read_text()))
+    benchmark = json.loads(BENCHMARK.read_text())
+    table = rows(parent, change, benchmark)
     for workload, metric, row in table:
         print(render(workload, metric, row))
     startup = startup_row(parent, change)
     if startup is not None:
         print(render("startup", "wall_s", startup))
+    for workload, counter, row in counter_rows(parent, change, benchmark):
+        print(render_counter(workload, counter, row))
     return int(any(row["verdict"] == WORSE for _, _, row in table))
 
 

@@ -7,7 +7,9 @@ Writes, under --out:
   graphs/*.el    every corpus graph in edge-list format
 
 Everything is seeded; rerunning with the same arguments reproduces the same
-bytes.  Exit code 1 if any lemma failed (the run still writes all reports).
+bytes.  Exit code 1 if any lemma failed (the run still writes all reports),
+and 2, with one ``error:`` line and before anything is swept, if --out
+cannot be created as a directory.
 
 Usage:
     python scripts/run_sweeps.py --out runs/demo --seed 7 [--random 40]
@@ -27,8 +29,8 @@ from cubicpm.verifier import (
     encode_reports,
     named_instances,
     random_instances,
-    summarize_csv,
     sweep,
+    tally_csv,
     twisted_instances,
 )
 
@@ -49,7 +51,11 @@ def main() -> int:
     args = ap.parse_args()
 
     out = Path(args.out)
-    (out / "graphs").mkdir(parents=True, exist_ok=True)
+    try:
+        (out / "graphs").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {out / 'graphs'}: {exc}", file=sys.stderr)
+        return 2
 
     corpus = build_corpus(args)
     for inst in corpus:
@@ -58,11 +64,12 @@ def main() -> int:
 
     reports = sweep(list(LemmaId), corpus, fail_fast=False)
 
+    summary = tally_csv((r.lemma.value, r.verdict) for r in reports)
     (out / "reports.json").write_text(encode_reports(reports) + "\n")
-    (out / "summary.csv").write_text(summarize_csv(reports))
+    (out / "summary.csv").write_text(summary)
 
     fails = [r for r in reports if r.verdict == "Fail"]
-    print(summarize_csv(reports))
+    print(summary)
     if fails:
         print(f"{len(fails)} failing reports, e.g.:", file=sys.stderr)
         for r in fails[:5]:

@@ -9,13 +9,11 @@ that only asks kernel questions never loads it.
 """
 
 from .multigraph import (
-    DegreeExcess,
     Multigraph,
     SurgeryRecord,
     SurgeryTrace,
     b_expand,
     contract,
-    degree_excess,
     find_isomorphism,
     from_edge_list,
     glue,
@@ -40,7 +38,6 @@ from .connectivity import (
 from .matchings import (
     CountQuery,
     Matching,
-    WeightVector,
     count_matchings,
     enumerate_matchings,
     fractional_pm_via_flow,
@@ -56,9 +53,6 @@ from .decomposition import (
     brick_count,
     decompose,
     elp_bound,
-    is_bicritical,
-    is_brace,
-    is_brick,
     tight_cuts,
 )
 from .families import (
@@ -86,7 +80,6 @@ _VERIFIER = (
     "LemmaId",
     "LemmaReport",
     "check",
-    "check_lm_ladder",
     "sweep",
 )
 

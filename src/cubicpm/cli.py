@@ -2,8 +2,8 @@
 
 Output is deterministic for a fixed (argv, input, seed): no ambient entropy,
 no wall-clock content, canonical JSON key order.  Exit codes: 0 for success
-or an all-pass sweep, 1 for any lemma Fail, 2 for usage errors and
-malformed input.
+or an all-pass sweep, 1 for any lemma Fail, 2 for usage errors, malformed
+input and an input or --out file that cannot be read or written.
 
 Only the ``generate``, ``verify`` and ``report`` handlers import the
 lemma catalog (``verifier``), so ``count``, ``cuts`` and ``decompose`` never
@@ -53,9 +53,13 @@ def _load_graph(args):
 
 
 def _emit(args, text: str) -> None:
+    """Write ``text`` to the file named by --out, or to standard output."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CubicpmError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -5,15 +5,16 @@ vertex 0 on side A, swept by ``cut_sums_at_most`` on Python ints: vertices
 are placed one at a time and a prefix is dropped once the weight it cuts
 exceeds the caller's bound, so a sweep costs what its bound selects, and
 masks and sums are exact at any size.  Only this module decodes a mask into
-a side.
+a side, but for ``verifier._violating_side``, which reads the side
+``mask << 1 | 1`` of a split graph's sweep as a vertex bitmask.
 Each graph object keeps one unit-weight sweep in its memo, and no other
 record of its cuts: the masks, crossing sizes and cyclic flags of the
 bipartitions crossed by at most the largest bound asked so far.
-``enumerate_cuts`` and ``cyclic_cuts_up_to`` filter it for any smaller
-bound and build their ``EdgeCut`` lists from it afresh on each call; a
-question that only asks whether a cyclic cut of at most k edges exists,
-or how small the least one is (``cyclic_edge_connectivity``), reads its
-sizes and flags and builds no ``EdgeCut``.  A larger bound sweeps again
+``enumerate_cuts`` filters it for any smaller bound and builds its
+``EdgeCut`` list from it afresh on each call; a question that only asks
+whether a cyclic cut of at most k edges exists, or how small the least one
+is (``cyclic_edge_connectivity``), reads its sizes and flags and builds no
+``EdgeCut``.  A larger bound sweeps again
 and classifies only the masks it adds.  One classifier (``_cyclic_flags``)
 decides whether a cut is cyclic, for the sweep and for ``build_cut``
 alike: it reads the edge counts of the two sides, and an exact flood over
@@ -24,8 +25,10 @@ search builds no graph and reads only its root's sweep: contracting
 connected vertex sets keeps exactly the bipartitions that split none of
 them, crossed by the same edges, and in the cubic loopless graphs it
 reaches a cut of at most 3 edges is cyclic iff both sides keep 2 vertices.
-Correctness beats asymptotics here: these sweeps are the oracles everything
-else is checked against.
+One low-link search (``_low_link``) finds the connected parts and bridges
+of a list of endpoint pairs, for ``bridges`` and for the sampler's test of
+a pairing.  Correctness beats asymptotics here: these sweeps are the
+oracles everything else is checked against.
 """
 
 from __future__ import annotations
@@ -77,44 +80,59 @@ class CyclicConnectivity(NamedTuple):
         )
 
 
+def _low_link(n: int, pairs) -> tuple[int, frozenset[int]]:
+    """The number of connected parts and the bridges of the loopless
+    multigraph on vertices 0..n-1 whose edge e joins the ends ``pairs[e]``.
+
+    One iterative depth-first search per part, from its lowest vertex, keeps
+    each vertex's discovery time and lowpoint (Tarjan, IPL 2, 1974).  Only
+    the edge that entered a vertex is skipped, so a parallel edge counts as
+    a back edge and never as a bridge; a tree edge into w is a bridge iff
+    no back edge from w's subtree reaches above w.  It reads plain endpoint
+    pairs, so the sampler tests a pairing without building a graph.
+    """
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(pairs):
+        inc[u].append(e)
+        inc[v].append(e)
+    disc = [0] * n  # 0: not yet reached; times start at 1
+    low = [0] * n
+    reached = parts = 0
+    out = []
+    for root in range(n):
+        if disc[root]:
+            continue
+        parts += 1
+        reached += 1
+        disc[root] = low[root] = reached
+        stack = [(root, -1, iter(inc[root]))]  # vertex, the edge that entered it, its edges left
+        while stack:
+            v, entry, edges = stack[-1]
+            for e in edges:
+                if e == entry:
+                    continue
+                a, b = pairs[e]
+                w = b if a == v else a
+                if disc[w]:
+                    low[v] = min(low[v], disc[w])
+                    continue
+                reached += 1
+                disc[w] = low[w] = reached
+                stack.append((w, e, iter(inc[w])))
+                break
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] > disc[u]:
+                        out.append(entry)
+                    low[u] = min(low[u], low[v])
+    return parts, frozenset(out)
+
+
 def bridges(g: Multigraph) -> frozenset[int]:
     """Edge ids whose removal disconnects the graph (parallel pairs never qualify)."""
-    n = g.vertex_count
-    disc = [-1] * n
-    low = [0] * n
-    out: set[int] = set()
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # vertex, entry edge, ptr
-        while stack:
-            v, pe, i = stack.pop()
-            if i == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            inc = g.incident(v)
-            advanced = False
-            while i < len(inc):
-                e = inc[i]
-                i += 1
-                if e == pe:
-                    continue
-                w = g.other_end(e, v)
-                if disc[w] == -1:
-                    stack.append((v, pe, i))
-                    stack.append((w, e, 0))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            if pe != -1:
-                u = g.other_end(pe, v)
-                low[u] = min(low[u], low[v])
-                if low[v] > disc[u]:
-                    out.add(pe)
-    return frozenset(out)
+    return _low_link(g.vertex_count, g.edges)[1]
 
 
 def cut_sums_at_most(
@@ -394,12 +412,6 @@ def cyclic_edge_connectivity(g: Multigraph) -> CyclicConnectivity:
         return CyclicConnectivity(least)
 
     return _memoized(g, "cyclic connectivity", search)
-
-
-def cyclic_cuts_up_to(g: Multigraph, max_size: int) -> tuple[EdgeCut, ...]:
-    """The cyclic cuts of size <= max_size (deterministic order), built afresh
-    from the graph's sweep on each call."""
-    return tuple(enumerate_cuts(g, max_size, cyclic_only=True))
 
 
 def observation_cyc_check(g: Multigraph, cut: EdgeCut) -> bool:

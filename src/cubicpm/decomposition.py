@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .connectivity import _crossing_edges, cut_sums_at_most, mask_sides, mask_sizes
 from .errors import NotMatchingCovered, TooLarge
-from .matchings import CountQuery, containment_counts, has_matching, is_bipartite
-from .multigraph import Multigraph, _memoized, components, contract
+from .matchings import containment_counts, is_bipartite
+from .multigraph import Multigraph, _memoized, contract
 
 TIGHT_CAP = 16
 
@@ -62,50 +62,6 @@ def tight_cuts(g: Multigraph) -> list[frozenset[int]]:
         if size % 2 and 3 <= size <= n - 3 and s == pm_count
     ]
     return sorted(mask_sides(tight, n), key=sorted)
-
-
-def _simple(g: Multigraph) -> Multigraph:
-    return Multigraph(g.vertex_count, g.simple_pairs())
-
-
-def is_three_vertex_connected(g: Multigraph) -> bool:
-    """3-vertex-connectivity of the underlying simple graph, by brute force."""
-    s = _simple(g)
-    n = s.vertex_count
-    if n < 4:
-        return False
-    return all(
-        len(components(s, set(range(n)) - {u, v})) == 1
-        for u in range(n)
-        for v in range(u + 1, n)
-    )
-
-
-def is_bicritical(g: Multigraph) -> bool:
-    """Does removing any two vertices leave a graph with a perfect matching?"""
-    n = g.vertex_count
-    if n % 2 or n < 2:
-        return False
-    return all(
-        has_matching(g, CountQuery(missed_vertices=frozenset({u, v})))
-        for u in range(n)
-        for v in range(u + 1, n)
-    )
-
-
-def is_brick(g: Multigraph) -> bool:
-    """Edmonds-Lovasz-Pulleyblank characterization: 3-connected and bicritical."""
-    return is_three_vertex_connected(g) and is_bicritical(g)
-
-
-def is_brace(g: Multigraph) -> bool:
-    """Bipartite, matching-covered (read from ``tight_cuts``) and free of tight cuts."""
-    if not is_bipartite(g):
-        return False
-    try:
-        return not tight_cuts(g)
-    except NotMatchingCovered:
-        return False
 
 
 class DecompositionNode(NamedTuple):
@@ -192,10 +148,3 @@ def brick_count(g: Multigraph) -> int:
 def elp_bound(g: Multigraph) -> int:
     """Edmonds-Lovasz-Pulleyblank lower bound m - n + 1 - b(G) on PM counts."""
     return g.edge_count - g.vertex_count + 1 - brick_count(g)
-
-
-def leaf_simple_multiset(node: DecompositionNode) -> list[Multigraph]:
-    """Leaf graphs reduced to their underlying simple graphs (sorted by size)."""
-    leaves = [_simple(leaf.graph) for leaf in node.leaves()]
-    leaves.sort(key=lambda h: (h.vertex_count, h.edge_count))
-    return leaves

@@ -12,7 +12,7 @@ import random
 from operator import eq
 from typing import NamedTuple, Union
 
-from .connectivity import _capped_sweep, _minimal_sides, bridges, mask_sides
+from .connectivity import _capped_sweep, _low_link, _minimal_sides, bridges, mask_sides
 from .errors import (
     BadDegrees,
     BadSize,
@@ -143,14 +143,6 @@ def recognize_ladder(g: Multigraph) -> tuple[int, int] | None:
         if res is not None:
             return res
     return None
-
-
-def ladder_pm_count(k: int) -> int:
-    """Transfer-matrix count of perfect matchings of the 2 x k grid."""
-    a, b = 1, 1  # counts for heights 0 and 1
-    for _ in range(k - 1):
-        a, b = b, a + b
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -563,54 +555,15 @@ def semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
 PAIRING_TRIES = 100_000  # pairings drawn before random_cubic_bridgeless gives up
 
 
-def _connected_and_bridgeless(n: int, pairs: list[tuple[int, int]]) -> bool:
-    """Is the loopless multigraph on vertices 0..n-1 with these endpoint pairs
-    connected and free of bridges?
-
-    One iterative depth-first search from vertex 0 keeps each vertex's
-    discovery time and lowpoint.  Only the edge that entered a vertex is
-    skipped, so a parallel edge counts as a back edge; a tree edge into w is
-    a bridge iff no back edge from w's subtree reaches above w.
-    """
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(pairs):
-        inc[u].append(e)
-        inc[v].append(e)
-    disc = [0] * n  # 0: not yet reached; times start at 1
-    low = [0] * n
-    disc[0] = low[0] = reached = 1
-    stack = [(0, -1, iter(inc[0]))]  # vertex, the edge that entered it, its edges left
-    while stack:
-        v, entry, edges = stack[-1]
-        for e in edges:
-            if e == entry:
-                continue
-            a, b = pairs[e]
-            w = b if a == v else a
-            if disc[w]:
-                low[v] = min(low[v], disc[w])
-                continue
-            reached += 1
-            disc[w] = low[w] = reached
-            stack.append((w, e, iter(inc[w])))
-            break
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] > disc[u]:
-                    return False  # the edge into v is a bridge
-                low[u] = min(low[u], low[v])
-    return reached == n
-
-
 def random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
     """Pairing-model sample conditioned on loopless, connected, bridgeless.
 
     Parallel edges are kept (the model allows them).  Deterministic for a
-    fixed seed.  Each pairing is tested on its list of endpoint pairs, and a
-    graph is built only for the one accepted, so no table the test needs is
-    cached on the graph returned.
+    fixed seed.  Each pairing is tested on its list of endpoint pairs by the
+    low-link search that ``bridges`` runs (``connectivity._low_link``): it
+    is accepted with one connected part and no bridge.  A graph is built
+    only for the one accepted, so no table the test needs is cached on the
+    graph returned.
     """
     if n < 4 or n % 2:
         raise BadSize("need an even number of vertices, at least 4")
@@ -622,6 +575,7 @@ def random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
         if any(map(eq, *ends)):  # a loop
             continue
         pairs = list(zip(*ends))
-        if _connected_and_bridgeless(n, pairs):
+        parts, cut = _low_link(n, pairs)
+        if parts == 1 and not cut:
             return from_edge_list(n, pairs)
     raise GenerationFailed(f"no admissible pairing after {PAIRING_TRIES} tries")

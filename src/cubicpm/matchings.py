@@ -61,10 +61,6 @@ class Matching(NamedTuple):
         return list(self.edges)
 
 
-# a weight vector assigns an exact rational to every edge id
-WeightVector = dict[int, Fraction]
-
-
 class CountQuery(NamedTuple):
     """Constraints for matching counts.
 
@@ -411,11 +407,6 @@ def polytope_membership(
     return not any(size % 2 or (n - size) % 2 for size in mask_sizes(light))
 
 
-def matching_indicator(g: Multigraph, m: Matching) -> dict[int, Fraction]:
-    chosen = m.edge_ids
-    return {e: Fraction(1 if e in chosen else 0) for e in range(g.edge_count)}
-
-
 # ---------------------------------------------------------------------------
 # fractional perfect matching from a 4-unit flow
 
@@ -501,27 +492,3 @@ def fractional_pm_via_flow(
     for e in range(h.edge_count):
         out[e] = Fraction(1, 3) + Fraction(flow[2 * e], 6) - Fraction(flow[2 * e + 1], 6)
     return out
-
-
-# ---------------------------------------------------------------------------
-# independent-route helper for bipartite counts
-
-
-def biadjacency(g: Multigraph) -> tuple[list[list[int]], list[int], list[int]] | None:
-    """Biadjacency matrix with multiplicities, or None if not bipartite.
-
-    Returns (matrix, left vertex ids, right vertex ids); entry [i][j] is the
-    number of parallel edges between left i and right j.
-    """
-    color = two_coloring(g)
-    if color is None:
-        return None
-    left = [x for x in range(g.vertex_count) if color[x] == 0]
-    right = [x for x in range(g.vertex_count) if color[x] == 1]
-    li = {x: i for i, x in enumerate(left)}
-    ri = {x: i for i, x in enumerate(right)}
-    mat = [[0] * len(right) for _ in left]
-    for a, b in g.edges:
-        x, y = (a, b) if color[a] == 0 else (b, a)
-        mat[li[x]][ri[y]] += 1
-    return mat, left, right

@@ -10,8 +10,10 @@ and each surgery has a record builder so a trace can be replayed bit for bit
 The package's graph searches live here: ``components`` finds the connected
 parts of an induced subgraph minus some edges, and ``two_coloring`` 2-colors
 a graph minus some edges or finds an odd cycle.  Other modules ask these
-two for connected parts and 2-colorings; ``connectivity`` keeps its low-link
-search for bridges and its bitmask flood that tests a cut's sides for cycles.
+two for connected parts and 2-colorings; ``connectivity`` keeps its bitmask
+flood that tests a cut's sides for cycles and the one low-link search for
+bridges, which ``bridges`` and the pairing-model sampler of ``families``
+share.
 """
 
 from __future__ import annotations
@@ -162,18 +164,8 @@ class Multigraph:
         pair = (u, v) if u <= v else (v, u)
         return sum(1 for e in self.edges if e == pair)
 
-    def simple_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Distinct endpoint pairs, sorted (the underlying simple graph)."""
-        return tuple(sorted(set(self.edges)))
-
     def is_connected(self) -> bool:
         return len(components(self)) <= 1
-
-    def relabel(self, perm: Sequence[int]) -> "Multigraph":
-        """Apply a vertex permutation (perm[old] = new), preserving edge order."""
-        if sorted(perm) != list(range(self.vertex_count)):
-            raise VertexIdOutOfRange("perm is not a permutation of the vertex ids")
-        return Multigraph(self.vertex_count, tuple((perm[u], perm[v]) for u, v in self.edges))
 
     def __repr__(self):  # keep failure dumps readable
         return f"Multigraph(n={self.vertex_count}, m={self.edge_count}, edges={list(self.edges)})"
@@ -190,10 +182,6 @@ def _memoized(g: Multigraph, key, build):
 def from_edge_list(vertex_count: int, pairs: Sequence[tuple[int, int]]) -> Multigraph:
     """Build a multigraph from endpoint pairs; edge ids follow input order."""
     return Multigraph(vertex_count, tuple(tuple(p) for p in pairs))
-
-
-def handshake_ok(g: Multigraph) -> bool:
-    return sum(g.degrees) == 2 * g.edge_count
 
 
 def components(
@@ -269,28 +257,6 @@ def induced_subgraph(
             edges.append((vmap[u], vmap[v]))
             eids.append(eid)
     return Multigraph(len(keep), tuple(edges)), vmap, tuple(eids)
-
-
-# ---------------------------------------------------------------------------
-# degree excess
-
-
-class DegreeExcess(NamedTuple):
-    """Multiset of vertex degrees different from three."""
-
-    counts: tuple[tuple[int, int], ...]  # (degree, multiplicity), sorted
-
-    @property
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    def __bool__(self):
-        return bool(self.counts)
-
-
-def degree_excess(g: Multigraph) -> DegreeExcess:
-    c = Counter(d for d in g.degrees if d != 3)
-    return DegreeExcess(tuple(sorted(c.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +409,6 @@ class SurgeryTrace(NamedTuple):
         for rec in self.records:
             g = _apply_record(g, rec)
         return g
-
-    def edge_source(self, eid: int) -> int | None:
-        """Map an edge of the derived graph back to the source, if it survives."""
-        cur: int | None = eid
-        for rec in reversed(self.records):
-            if cur is None:
-                return None
-            cur = rec.edge_map[cur]
-        return cur
 
 
 def _apply_record(g: Multigraph, rec: SurgeryRecord) -> Multigraph:

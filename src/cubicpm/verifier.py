@@ -1281,14 +1281,6 @@ def _slot(lemma: LemmaId, params: dict) -> tuple:
     )
 
 
-def check_lm_ladder(g: Multigraph, cut: EdgeCut, instance: str = "adhoc") -> LemmaReport:
-    """The zero/one/ladder trichotomy for near-perfect counts on side A of a 4-cut.
-
-    For the other side, pass ``cut.flipped(g)``.
-    """
-    return check(LemmaId.LM_LADDER, g, {"side": sorted(cut.side_a)}, instance)
-
-
 def _aggregate(reports: list[LemmaReport]) -> LemmaReport:
     fails = [r for r in reports if r.verdict == "Fail"]
     if fails:
@@ -1327,11 +1319,6 @@ def sweep(
                 if rep.verdict == "Fail" and fail_fast:
                     raise LemmaFailure(rep, inst.graph)
     return out
-
-
-def summarize_csv(reports: list[LemmaReport]) -> str:
-    """Per-lemma pass/fail/skip tallies as CSV."""
-    return tally_csv((r.lemma.value, r.verdict) for r in reports)
 
 
 def tally_csv(verdicts: Iterable[tuple[str, str]]) -> str:

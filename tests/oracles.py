@@ -27,11 +27,14 @@ generators, where the verifier builds slot tuples that a report renders as
 those dicts on read.  The
 twisted-net generator replays its recipe into a new graph at every step, where
 ``families`` applies each step once to a net without its graph.
+``slow_bridges`` deletes each edge and counts the parts of
+``slow_components``, where ``connectivity._low_link`` runs one lowpoint
+search for ``bridges`` and the sampler alike.
 ``slow_random_cubic_bridgeless`` builds a probe graph for every pairing it
-tests, where ``families`` tests the list of endpoint pairs with one lowpoint
-search, and ``slow_semiblocks`` takes the 2-edge cuts from ``EdgeCut``
-lists, where ``families.semiblocks`` decodes only the sides of the sweep's
-size-2 masks.
+tests and asks those two, where ``families`` tests the list of endpoint
+pairs with that lowpoint search, and ``slow_semiblocks`` takes the 2-edge
+cuts from ``EdgeCut`` lists, where ``families.semiblocks`` decodes only the
+sides of the sweep's size-2 masks.
 ``slow_neighbors`` collects and sorts a vertex's neighbours on every call,
 where ``Multigraph.neighbors`` reads one table per graph, and
 ``slow_frontier_order`` recounts every greedy cost from it at each step,
@@ -44,6 +47,15 @@ where it shares results across an orbit of Aut(g).  ``slow_check_lm_bb_3ef``
 tests G - e for coverage and tries every companion edge, where the verifier
 reads the stuck edges of G - e from ``matchings.pair_counts``.  They exist so
 every exact value the tests assert was computed by a second route.
+
+The last part holds routes that the package does not run: ``biadjacency``
+(whose ``permanent`` counts a bipartite graph's perfect matchings),
+``matching_indicator`` (a matching as a polytope vertex), ``ladder_pm_count``
+(the 2 x k grid by its transfer matrix), the Edmonds-Lovasz-Pulleyblank
+characterization ``is_brick`` / ``is_brace`` (3-vertex-connected and
+bicritical; bipartite and free of tight cuts), an independent check of the
+leaf types of ``decompose``, with ``leaf_simple_multiset``, and the helpers
+``relabel`` and ``edge_source`` that tests build their cases with.
 """
 
 from __future__ import annotations
@@ -56,7 +68,7 @@ from operator import add
 
 from cubicpm import Multigraph
 from cubicpm.matchings import EMPTY_QUERY, CountQuery
-from cubicpm.multigraph import components, contract
+from cubicpm.multigraph import components, contract, two_coloring
 
 
 def brute_pm_count(g: Multigraph) -> int:
@@ -471,7 +483,7 @@ def slow_is_3ec(g: Multigraph) -> bool:
 def slow_k_almost_c4ec(g: Multigraph, k: int) -> bool:
     """Reference for the k-almost reduction: try all cyclic-3-cut sides,
     minimal or not, in every order."""
-    from cubicpm.connectivity import cyclic_cuts_up_to, cyclic_edge_connectivity
+    from cubicpm.connectivity import cyclic_edge_connectivity, enumerate_cuts
 
     if cyclic_edge_connectivity(g).at_least(4):
         return True
@@ -479,7 +491,7 @@ def slow_k_almost_c4ec(g: Multigraph, k: int) -> bool:
         return False
     allv = frozenset(range(g.vertex_count))
     sides = set()
-    for cut in cyclic_cuts_up_to(g, 3):
+    for cut in enumerate_cuts(g, 3, cyclic_only=True):
         if cut.size == 3:
             sides.add(cut.side_a)
             sides.add(allv - cut.side_a)
@@ -499,11 +511,11 @@ def slow_opposite_sides(g: Multigraph, e: int) -> list[frozenset[int]]:
     replaced: it lists the cyclic 4-cuts for every slot and takes side A or
     its complement by where the ends of e lie, skipping a cut that e crosses.
     """
-    from cubicpm.connectivity import cyclic_cuts_up_to
+    from cubicpm.connectivity import enumerate_cuts
 
     a, b = g.endpoints(e)
     sides = []
-    for cut in cyclic_cuts_up_to(g, 4):
+    for cut in enumerate_cuts(g, 4, cyclic_only=True):
         if cut.size != 4:
             continue
         if a in cut.side_a and b in cut.side_a:
@@ -521,12 +533,12 @@ def slow_4cut_chain(g: Multigraph, e: int) -> list:
     edges as an ``EdgeCut`` and keeps those that e crosses.  The chain check
     is left out.
     """
-    from cubicpm.connectivity import cyclic_cuts_up_to
+    from cubicpm.connectivity import enumerate_cuts
 
     anchor = g.endpoints(e)[0]
     cuts = [
         cut if anchor in cut.side_a else cut.flipped(g)
-        for cut in cyclic_cuts_up_to(g, 4)
+        for cut in enumerate_cuts(g, 4, cyclic_only=True)
         if cut.size == 4 and e in cut.crossing_edges
     ]
     return sorted(cuts, key=lambda c: (len(c.side_a), tuple(sorted(c.side_a))))
@@ -554,13 +566,13 @@ def slow_cut_slots(g: Multigraph) -> dict[str, list]:
     3-edge-connected cubic graph, and the edges in and not in a cyclic
     4-cut.  Every list is empty above the cut cap.
     """
-    from cubicpm.connectivity import CUT_CAP, cyclic_cuts_up_to
+    from cubicpm.connectivity import CUT_CAP, enumerate_cuts
 
     if g.vertex_count > CUT_CAP:
         return {"sides": [], "3ec": [], "in 4-cut": [], "no 4-cut": []}
     crossed = {3: set(), 4: set()}
     sides = []
-    for cut in cyclic_cuts_up_to(g, 4):
+    for cut in enumerate_cuts(g, 4, cyclic_only=True):
         if cut.size in crossed:
             crossed[cut.size] |= cut.crossing_edges
         if cut.size == 4:
@@ -581,10 +593,10 @@ def slow_violating_side(h: Multigraph, ell: int) -> list[int] | None:
     cyclic cut of at most ell - 1 edges that has fewer than ell - 2 or is
     crossed by one of the two new edges names its side A.
     """
-    from cubicpm.connectivity import cyclic_cuts_up_to
+    from cubicpm.connectivity import enumerate_cuts
 
     new_edges = {h.edge_count - 2, h.edge_count - 1}
-    for cut in cyclic_cuts_up_to(h, ell - 1):
+    for cut in enumerate_cuts(h, ell - 1, cyclic_only=True):
         if cut.size < ell - 2 or (cut.crossing_edges & new_edges):
             return sorted(cut.side_a)
     return None
@@ -641,9 +653,9 @@ def slow_params_dicts(g: Multigraph) -> dict[str, list[dict]]:
 def minimal_cyclic3_sides(g: Multigraph) -> list[frozenset[int]]:
     """Inclusion-minimal sides over all cyclic 3-edge-cuts of a fresh sweep, in
     the order (size, sorted vertices)."""
-    from cubicpm.connectivity import _minimal_sides, cyclic_cuts_up_to
+    from cubicpm.connectivity import _minimal_sides, enumerate_cuts
 
-    sides = [cut.side_a for cut in cyclic_cuts_up_to(g, 3) if cut.size == 3]
+    sides = [cut.side_a for cut in enumerate_cuts(g, 3, cyclic_only=True) if cut.size == 3]
     return sorted(_minimal_sides(g.vertex_count, sides), key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -656,10 +668,10 @@ def slow_k_almost_search(g: Multigraph, k: int) -> tuple[bool, tuple[tuple[int, 
     backtracking over the same inclusion-minimal cyclic-3-cut sides in the
     same order, so it gives the same witness.
     """
-    from cubicpm.connectivity import cyclic_cuts_up_to
+    from cubicpm.connectivity import enumerate_cuts
 
     def search(h: Multigraph, budget: int, acc):
-        if not cyclic_cuts_up_to(h, 3):
+        if not enumerate_cuts(h, 3, cyclic_only=True):
             return acc
         if budget < 2:
             return None
@@ -739,6 +751,15 @@ def slow_components(g: Multigraph, vertices=None, skip=frozenset()) -> list[froz
     for v in keep:
         parts.setdefault(find(v), set()).add(v)
     return sorted((frozenset(p) for p in parts.values()), key=min)
+
+
+def slow_bridges(g: Multigraph) -> frozenset[int]:
+    """Reference for ``connectivity.bridges``: the edges whose deletion raises
+    the number of ``slow_components`` parts."""
+    parts = len(slow_components(g))
+    return frozenset(
+        e for e in range(g.edge_count) if len(slow_components(g, skip={e})) > parts
+    )
 
 
 def slow_patterned_pairs(g: Multigraph) -> set[tuple[int, int]]:
@@ -900,10 +921,9 @@ def slow_random_twisted_net(seed: int, target_n: int, want_bipartite: bool | Non
 
 def slow_random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
     """Reference for ``families.random_cubic_bridgeless``: each pairing is built
-    into a probe graph and tested with ``is_connected`` and ``bridges``."""
+    into a probe graph and tested with ``slow_components`` and ``slow_bridges``."""
     import random
 
-    from cubicpm.connectivity import bridges
     from cubicpm.errors import BadSize, GenerationFailed
     from cubicpm.families import PAIRING_TRIES
     from cubicpm.multigraph import from_edge_list
@@ -918,7 +938,7 @@ def slow_random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
         if any(u == v for u, v in pairs):
             continue
         probe = from_edge_list(n, pairs)
-        if probe.is_connected() and not bridges(probe):
+        if len(slow_components(probe)) == 1 and not slow_bridges(probe):
             return Multigraph(n, probe.edges)
     raise GenerationFailed(f"no admissible pairing after {PAIRING_TRIES} tries")
 
@@ -938,3 +958,114 @@ def slow_semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
     if not minimal:
         return (frozenset(range(g.vertex_count)),), 1
     return tuple(minimal), len(minimal)
+
+
+def relabel(g: Multigraph, perm) -> Multigraph:
+    """g with vertex v renamed perm[v] (a permutation), edge order kept."""
+    assert sorted(perm) == list(range(g.vertex_count)), "perm is not a permutation"
+    return Multigraph(g.vertex_count, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def edge_source(trace, eid: int) -> int | None:
+    """The edge of a trace's source graph that edge ``eid`` of the derived
+    graph comes from, read back through each record's edge map, or None
+    when a surgery created it."""
+    for rec in reversed(trace.records):
+        if eid is None:
+            return None
+        eid = rec.edge_map[eid]
+    return eid
+
+
+def ladder_pm_count(k: int) -> int:
+    """Perfect matchings of the 2 x k grid by the Fibonacci transfer matrix."""
+    a, b = 1, 1  # counts for heights 0 and 1
+    for _ in range(k - 1):
+        a, b = b, a + b
+    return b
+
+
+def biadjacency(g: Multigraph) -> tuple[list[list[int]], list[int], list[int]] | None:
+    """Biadjacency matrix with multiplicities, or None if not bipartite.
+
+    Returns (matrix, left vertex ids, right vertex ids); entry [i][j] is the
+    number of parallel edges between left i and right j, so its
+    ``permanent`` counts the perfect matchings.
+    """
+    color = two_coloring(g)
+    if color is None:
+        return None
+    left = [x for x in range(g.vertex_count) if color[x] == 0]
+    right = [x for x in range(g.vertex_count) if color[x] == 1]
+    li = {x: i for i, x in enumerate(left)}
+    ri = {x: i for i, x in enumerate(right)}
+    mat = [[0] * len(right) for _ in left]
+    for a, b in g.edges:
+        x, y = (a, b) if color[a] == 0 else (b, a)
+        mat[li[x]][ri[y]] += 1
+    return mat, left, right
+
+
+def matching_indicator(g: Multigraph, m) -> dict[int, Fraction]:
+    """The 0/1 weight vector of a ``Matching``, one exact entry per edge id."""
+    chosen = m.edge_ids
+    return {e: Fraction(1 if e in chosen else 0) for e in range(g.edge_count)}
+
+
+def _simple(g: Multigraph) -> Multigraph:
+    """The underlying simple graph: one edge per distinct endpoint pair, sorted."""
+    return Multigraph(g.vertex_count, tuple(sorted(set(g.edges))))
+
+
+def is_three_vertex_connected(g: Multigraph) -> bool:
+    """3-vertex-connectivity of the underlying simple graph, by brute force."""
+    s = _simple(g)
+    n = s.vertex_count
+    if n < 4:
+        return False
+    return all(
+        len(components(s, set(range(n)) - {u, v})) == 1
+        for u in range(n)
+        for v in range(u + 1, n)
+    )
+
+
+def is_bicritical(g: Multigraph) -> bool:
+    """Does removing any two vertices leave a graph with a perfect matching?"""
+    from cubicpm.matchings import has_matching
+
+    n = g.vertex_count
+    if n % 2 or n < 2:
+        return False
+    return all(
+        has_matching(g, CountQuery(missed_vertices=frozenset({u, v})))
+        for u in range(n)
+        for v in range(u + 1, n)
+    )
+
+
+def is_brick(g: Multigraph) -> bool:
+    """Edmonds-Lovasz-Pulleyblank characterization: 3-connected and bicritical."""
+    return is_three_vertex_connected(g) and is_bicritical(g)
+
+
+def is_brace(g: Multigraph) -> bool:
+    """Bipartite, matching-covered (read from ``tight_cuts``) and free of tight cuts."""
+    from cubicpm.decomposition import tight_cuts
+    from cubicpm.errors import NotMatchingCovered
+    from cubicpm.matchings import is_bipartite
+
+    if not is_bipartite(g):
+        return False
+    try:
+        return not tight_cuts(g)
+    except NotMatchingCovered:
+        return False
+
+
+def leaf_simple_multiset(node) -> list[Multigraph]:
+    """Leaf graphs of a decomposition reduced to their underlying simple
+    graphs, sorted by size."""
+    leaves = [_simple(leaf.graph) for leaf in node.leaves()]
+    leaves.sort(key=lambda h: (h.vertex_count, h.edge_count))
+    return leaves

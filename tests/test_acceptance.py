@@ -44,15 +44,18 @@ from cubicpm import (
     split_off,
 )
 from cubicpm.connectivity import cyclic_edge_connectivity, is_k_almost_cyclically_4ec
-from cubicpm.decomposition import brick_count, decompose, leaf_simple_multiset
-from cubicpm.families import ladder_pm_count
+from cubicpm.decomposition import brick_count, decompose
 from cubicpm.matchings import is_bipartite, is_matching_covered, uniform_third
 from cubicpm.verifier import Instance, LemmaId, check, named_instances, sweep, twisted_instances
 from oracles import (
     all_cubic_multigraphs,
+    biadjacency,
     brute_pm_count,
     flow_contraction_instance,
+    ladder_pm_count,
+    leaf_simple_multiset,
     permanent,
+    relabel,
     slow_k_almost_c4ec,
 )
 
@@ -89,8 +92,6 @@ def test_criterion_1_named_counts():
     assert count_matchings(named("theta")) == 3
     assert count_matchings(named("k4")) == 3
     # independent permanent oracle for the bipartite instances
-    from cubicpm.matchings import biadjacency
-
     for name, want in (("k33", 6), ("cube", 9)):
         g = named(name)
         mat, _, _ = biadjacency(g)
@@ -184,7 +185,7 @@ def test_criterion_4_brick_brace_suite():
         for _ in range(20):
             perm = list(range(g.vertex_count))
             rng.shuffle(perm)
-            other = leaf_simple_multiset(decompose(g.relabel(perm)))
+            other = leaf_simple_multiset(decompose(relabel(g, perm)))
             ok &= len(base) == len(other)
             rest = list(other)
             for leaf in base:
@@ -328,10 +329,10 @@ def test_criterion_9_polytope():
     scenarios = [(named("k4"), 0), (named("prism"), 0)]
     for seed, n in ((11, 8), (3, 10)):
         g = random_klee(seed, n)
-        from cubicpm.connectivity import cyclic_cuts_up_to
+        from cubicpm.connectivity import enumerate_cuts
 
         bad = set()
-        for cut in cyclic_cuts_up_to(g, 3):
+        for cut in enumerate_cuts(g, 3, cyclic_only=True):
             if cut.size == 3:
                 bad |= cut.crossing_edges
         for e in range(g.edge_count):

@@ -116,3 +116,45 @@ def test_the_start_up_row_is_informational(tmp_path):
     code, lines = _pairs(parent, gap)
     assert code == 0 and len(lines) == len(WORKLOADS) * len(METRICS)
     assert not any(line.startswith("startup") for line in lines)
+
+
+def _with_trace(path, traces):
+    """Give run i of the BENCH file at ``path`` the catalog trace ``traces[i]``."""
+    data = json.loads(Path(path).read_text())
+    for run, trace in zip(data["runs"], traces):
+        if trace is not None:
+            run["catalog_trace"] = trace
+    Path(path).write_text(json.dumps(data))
+    return path
+
+
+def test_each_traced_counter_gets_an_informational_row(tmp_path):
+    """The sweep calls and the ``*.calls`` counters that every run of both
+    files holds get a row with each side's median and whether the count was
+    equal in every run; times, flags and counters some run lacks get none,
+    and no counter sets the exit code."""
+    trace = {
+        "connectivity.sweep_calls": 330, "connectivity.build_cut.calls": 30,
+        "multigraph.calls": 10456, "connectivity.self_s": 0.07, "correct": True,
+    }
+    parent = _with_trace(_bench(tmp_path / "parent.json", [{}] * 10), [trace] * 10)
+    more = [{**trace, "multigraph.calls": 10000 + 100 * i} for i in range(10)]
+    change = _with_trace(_bench(tmp_path / "change.json", [{}] * 10), more)
+    code, lines = _pairs(parent, change)
+    counters = [line.split() for line in lines[len(WORKLOADS) * len(METRICS):]]
+    assert code == 0 and [row[:2] for row in counters] == [
+        ["catalog", "connectivity.build_cut.calls"],
+        ["catalog", "connectivity.sweep_calls"],
+        ["catalog", "multigraph.calls"],
+    ]
+    assert " ".join(counters[1][2:]) == "parent 330 change 330 equal in every run informational"
+    assert " ".join(counters[2][2:]) == (
+        "parent 10456 change 10450 not equal in every run informational"
+    )
+
+    gap = [trace] * 9 + [{k: v for k, v in trace.items() if k != "connectivity.sweep_calls"}]
+    code, lines = _pairs(parent, _with_trace(_bench(tmp_path / "gap.json", [{}] * 10), gap))
+    assert code == 0 and not any("sweep_calls" in line for line in lines)
+    assert sum("informational" in line for line in lines) == 2
+    code, lines = _pairs(parent, _with_trace(_bench(tmp_path / "none.json", [{}] * 10), [None] * 10))
+    assert code == 0 and len(lines) == len(WORKLOADS) * len(METRICS)

@@ -211,8 +211,8 @@ def test_byte_identical_across_runs():
     assert a.stdout == b.stdout
 
 
-# argv with FILE standing for a path in the test's directory, and the text
-# written there first (None: the file does not exist)
+# argv with FILE standing for a path in the test's directory and DIR for that
+# directory, and the text written to FILE first (None: the file does not exist)
 MALFORMED = {
     "random-corpus-without-even-size": (
         ["verify", "--lemma", "TH_HALF", "--random", "3", "--n", "5..5", "--seed", "1"], None,
@@ -228,6 +228,8 @@ MALFORMED = {
     "missing-graph-file": (["count", "--graph", "FILE"], None),
     "report-row-without-verdict": (["report", "--graph", "FILE"], '[{"lemma": "TH_HALF"}]'),
     "report-not-json": (["report", "--graph", "FILE"], "TH_HALF,Pass\n"),
+    "out-in-a-missing-directory": (["count", "--name", "petersen", "--out", "FILE/x"], None),
+    "out-names-a-directory": (["count", "--name", "petersen", "--out", "DIR"], None),
 }
 
 
@@ -236,5 +238,6 @@ def test_malformed_input_exits_2_with_an_error_line(tmp_path, capsys, argv, text
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text)
-    code, _, err = _capture(capsys, [str(path) if a == "FILE" else a for a in argv])
+    argv = [a.replace("FILE", str(path)).replace("DIR", str(tmp_path)) for a in argv]
+    code, _, err = _capture(capsys, argv)
     assert code == 2 and err.startswith("error: ") and "Traceback" not in err

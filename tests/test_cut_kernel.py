@@ -15,7 +15,8 @@ cyclic cut below k" is compared with the connectivity value.  Sweeps and
 classified masks are counted: a graph with no cyclic cut stops once every
 bipartition is selected, and no mask is classified twice.  The
 verifier's read of 3-edge-connectivity from the graph's sweep is compared
-with the bridge search on G and on every G - e that it replaced.
+with the bridge search on G and on every G - e that it replaced, and that
+low-link bridge search with deleting each edge and counting the parts.
 """
 
 import random
@@ -29,6 +30,7 @@ from conftest import bridged_cubic, two_block_chain
 from cubicpm import (
     Multigraph,
     brick_count,
+    bridges,
     cyclic_edge_connectivity,
     decompose,
     elp_bound,
@@ -46,14 +48,16 @@ from cubicpm.connectivity import (
     _crossing_counts,
     _cycle_certificates,
     cut_sums_at_most,
-    cyclic_cuts_up_to,
 )
 from cubicpm.decomposition import TIGHT_CAP
 from cubicpm.errors import NotMatchingCovered, TooLarge
-from cubicpm.matchings import containment_counts, matching_indicator, uniform_third
-from cubicpm.verifier import _is_3ec
+from cubicpm.matchings import containment_counts, uniform_third
+from cubicpm.verifier import _is_3ec, named_instances, random_instances, twisted_instances
 from oracles import (
     all_cubic_multigraphs,
+    matching_indicator,
+    slow_bridges,
+    slow_components,
     slow_crossing_counts,
     slow_cyclic_edge_connectivity,
     slow_decompose,
@@ -288,7 +292,7 @@ def test_cyclicity_from_the_certificates_agrees_with_a_build_per_mask(g):
         assert enumerate_cuts(g, k, cyclic_only=True) == [cut for cut in want if cut.cyclic]
     assert cyclic_edge_connectivity(g).value == slow_cyclic_edge_connectivity(g)
     for k in range(1, 7):  # the form every cyclic-k-edge-connectivity test reads
-        assert (not cyclic_cuts_up_to(g, k - 1)) == cyclic_edge_connectivity(g).at_least(k)
+        assert (not enumerate_cuts(g, k - 1, cyclic_only=True)) == cyclic_edge_connectivity(g).at_least(k)
 
 
 @pytest.mark.parametrize("g", [g for _, g in SWEPT], ids=[name for name, _ in SWEPT])
@@ -412,6 +416,41 @@ EVERY_CUBIC = [
 def test_3_edge_connectivity_by_bridges_agrees_with_the_cut_sweep(graphs):
     for g in graphs:
         assert _is_3ec(g) == slow_is_3ec(g), g
+
+
+def _loose_multigraphs() -> list[Multigraph]:
+    """Seeded loopless multigraphs on 1 to 12 vertices, of any degrees: their
+    edges join vertices of a random subset, so some vertices stay isolated,
+    and repeat pairs, so some edges are parallel."""
+    rng, out = random.Random(11), []
+    for n in range(1, 13):
+        for _ in range(25):
+            touched = rng.sample(range(n), rng.randint(1, n))
+            edges = []
+            if len(touched) > 1:
+                for _ in range(rng.randint(0, 2 * n)):
+                    u, v = rng.sample(touched, 2)
+                    edges += [(u, v)] * rng.choice((1, 1, 1, 2))
+            out.append(Multigraph(n, tuple(edges)))
+    return out
+
+
+def test_the_low_link_search_equals_deleting_each_edge():
+    """``bridges``, and the parts and bridges of ``_low_link`` that the
+    sampler reads, equal what deleting each edge does to the parts of the
+    union-find: on the catalog corpus, on the edge-deleted graphs with tight
+    cuts and on loose multigraphs with parallel edges, isolated vertices and
+    several parts."""
+    catalog = named_instances() + random_instances(40, 4, 14, seed=7)
+    catalog += twisted_instances(60, seed=8, n_lo=4, n_hi=26)
+    loose = _loose_multigraphs()
+    for g in [inst.graph for inst in catalog] + [g for _, g in DELETED] + loose:
+        want = slow_bridges(g)
+        assert bridges(g) == want, g
+        assert connectivity._low_link(g.vertex_count, g.edges) == (len(slow_components(g)), want), g
+    assert any(len(slow_components(g)) > 2 and slow_bridges(g) for g in loose)
+    assert any(len(set(g.edges)) < g.edge_count and slow_bridges(g) for g in loose)
+    assert any(0 in g.degrees for g in loose)
 
 
 def test_the_cross_check_meets_every_outcome():

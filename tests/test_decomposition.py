@@ -9,18 +9,21 @@ from cubicpm import (
     decompose,
     elp_bound,
     enumerate_matchings,
-    is_bicritical,
-    is_brace,
-    is_brick,
     is_isomorphic,
     named,
     random_cubic_bridgeless,
     tight_cuts,
 )
-from cubicpm.decomposition import leaf_simple_multiset
 from cubicpm.errors import NotMatchingCovered, TooLarge
 from cubicpm.multigraph import contract
-from oracles import slow_decompose
+from oracles import (
+    is_bicritical,
+    is_brace,
+    is_brick,
+    leaf_simple_multiset,
+    relabel,
+    slow_decompose,
+)
 
 
 def test_k4_has_no_nontrivial_tight_cut(named_graphs):
@@ -151,7 +154,7 @@ def test_leaf_multiset_invariant_under_relabeling(named_graphs):
         for _ in range(5):
             perm = list(range(g.vertex_count))
             rng.shuffle(perm)
-            other = leaf_simple_multiset(decompose(g.relabel(perm)))
+            other = leaf_simple_multiset(decompose(relabel(g, perm)))
             assert _multiset_isomorphic(base, other)
 
 

@@ -42,11 +42,11 @@ from cubicpm.families import (
     KleeRecipe,
     Multiply,
     TwistedNetRecipe,
-    ladder_pm_count,
 )
 from cubicpm.matchings import is_bipartite
 from cubicpm.verifier import named_instances, random_instances, twisted_instances
 from oracles import (
+    ladder_pm_count,
     slow_random_cubic_bridgeless,
     slow_random_twisted_net,
     slow_semiblocks,

@@ -29,7 +29,6 @@ from cubicpm import (
 )
 from cubicpm.connectivity import (
     CUT_CAP,
-    cyclic_cuts_up_to,
     cyclic_edge_connectivity,
     enumerate_cuts,
 )
@@ -44,6 +43,7 @@ from cubicpm.matchings import (
 )
 from cubicpm.verifier import Instance, _avoid_count, _check_thm_ef
 from oracles import (
+    relabel,
     slow_avoid_count,
     slow_contain_avoid,
     slow_count_matchings,
@@ -221,7 +221,7 @@ def test_frontier_order_is_a_permutation_with_a_small_frontier():
 @pytest.mark.parametrize("n", [40, COUNT_CAP])
 def test_counts_beyond_the_recursion_reach_do_not_depend_on_labels(n):
     g = random_cubic_bridgeless(1, n)
-    flipped = g.relabel([n - 1 - v for v in range(n)])
+    flipped = relabel(g, [n - 1 - v for v in range(n)])
     # checked first: a wide order would make the DP below exhaust memory
     assert max(_widest_frontier(g), _widest_frontier(flipped)) <= n // 4 + 2
     assert g.frontier_order != tuple(n - 1 - v for v in flipped.frontier_order)
@@ -235,7 +235,7 @@ def test_counts_beyond_the_recursion_reach_do_not_depend_on_labels(n):
 
 CUT_QUERIES = {  # each lists the objects it hands out
     "cyclic_edge_connectivity": lambda h: [cyclic_edge_connectivity(h)],
-    "cyclic_cuts_up_to": lambda h: list(cyclic_cuts_up_to(h, 4)),
+    "enumerate_cuts cyclic_only": lambda h: enumerate_cuts(h, 4, cyclic_only=True),
     "enumerate_cuts": lambda h: enumerate_cuts(h, 3, cyclic_only=False),
 }
 

@@ -36,12 +36,17 @@ from cubicpm.errors import (
 from cubicpm.matchings import (
     COUNT_CAP,
     _bipartition_with_pattern,
-    biadjacency,
     containment_counts,
-    matching_indicator,
     uniform_third,
 )
-from oracles import brute_pm_count, flow_contraction_instance, permanent, slow_patterned_pairs
+from oracles import (
+    biadjacency,
+    brute_pm_count,
+    flow_contraction_instance,
+    matching_indicator,
+    permanent,
+    slow_patterned_pairs,
+)
 
 SIXTHS = {Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)}
 
@@ -359,13 +364,13 @@ def test_flow_on_contractions_from_named(builder, e):
 
 def test_flow_on_contractions_from_klee_graphs():
     from cubicpm import Multigraph, random_klee
-    from cubicpm.connectivity import cyclic_cuts_up_to
+    from cubicpm.connectivity import enumerate_cuts
 
     built = 0
     for seed, n in ((11, 8), (3, 10), (5, 10)):
         g = random_klee(seed, n)
         bad = set()
-        for cut in cyclic_cuts_up_to(g, 3):
+        for cut in enumerate_cuts(g, 3, cyclic_only=True):
             if cut.size == 3:
                 bad |= cut.crossing_edges
         for e in range(g.edge_count):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cubicpm import (
     b_expand,
     contract,
-    degree_excess,
     find_isomorphism,
     from_edge_list,
     glue,
@@ -29,13 +28,11 @@ from cubicpm.errors import (
     VertexIdOutOfRange,
 )
 from cubicpm.multigraph import (
-    DegreeExcess,
     Multigraph,
     SurgeryRecord,
     SurgeryTrace,
     automorphisms,
     components,
-    handshake_ok,
     isomorphisms,
     split_off_record,
     triangle_record,
@@ -47,7 +44,7 @@ from conftest import (
     pendant_triangle_chain,
     two_block_chain,
 )
-from oracles import all_cubic_multigraphs, brute_automorphisms, slow_components
+from oracles import all_cubic_multigraphs, brute_automorphisms, edge_source, relabel, slow_components
 
 
 def test_from_edge_list_theta():
@@ -72,7 +69,7 @@ def test_vertex_id_out_of_range():
 
 def test_handshake_on_named(named_graphs):
     for g in named_graphs.values():
-        assert handshake_ok(g)
+        assert sum(g.degrees) == 2 * g.edge_count
 
 
 # --- contract -------------------------------------------------------------
@@ -113,7 +110,7 @@ def test_contract_trace_replays_bit_for_bit(named_graphs):
     out, trace = contract(g, {0, 1, 2, 3, 4})
     assert trace.replay(g) == out
     # every surviving edge maps back to a spoke or an inner edge
-    assert all(trace.edge_source(e) is not None for e in range(out.edge_count))
+    assert all(edge_source(trace, e) is not None for e in range(out.edge_count))
 
 
 # --- glue -------------------------------------------------------------------
@@ -197,7 +194,7 @@ def test_split_off_result_has_no_small_cyclic_cut(named_graphs):
     from cubicpm import cyclic_edge_connectivity
 
     g = named_graphs["petersen"]
-    for v2, v3 in g.simple_pairs():
+    for v2, v3 in sorted(set(g.edges)):
         for v1 in g.neighbors(v2):
             if v1 == v3:
                 continue
@@ -246,7 +243,7 @@ def test_split_off_preserves_parity_and_cubicity(seed):
             continue
         assert h.vertex_count == g.vertex_count - 2
         assert h.vertex_count % 2 == 0 and h.is_cubic
-        assert handshake_ok(h)
+        assert sum(h.degrees) == 2 * h.edge_count
 
 
 # --- expansion ------------------------------------------------------------------
@@ -294,19 +291,6 @@ def test_record_builders_replay():
     assert SurgeryTrace((rec2,)).replay(g) == out2
 
 
-# --- degree excess ----------------------------------------------------------------
-
-
-def test_degree_excess_examples(named_graphs):
-    k4 = named_graphs["k4"]
-    assert not degree_excess(k4)
-    minus_edge = Multigraph(4, k4.edges[1:])
-    assert degree_excess(minus_edge).as_dict == {2: 2}
-    minus_vertex = from_edge_list(3, [(0, 1), (0, 2), (1, 2)])
-    assert degree_excess(minus_vertex).as_dict == {2: 3}
-    assert degree_excess(named_graphs["exceptional6"]).as_dict == {2: 4}
-
-
 # --- isomorphism ---------------------------------------------------------------------
 
 
@@ -317,7 +301,7 @@ def test_isomorphism_under_relabeling(named_graphs):
     rng = random.Random(5)
     perm = list(range(10))
     rng.shuffle(perm)
-    h = g.relabel(perm)
+    h = relabel(g, perm)
     assert is_isomorphic(g, h)
     mapping = find_isomorphism(g, h)
     assert mapping is not None
@@ -342,7 +326,7 @@ def _simple_cubic(seed, n):
 def _relabeled(g, seed):
     perm = list(range(g.vertex_count))
     random.Random(seed).shuffle(perm)
-    return g.relabel(perm)
+    return relabel(g, perm)
 
 
 @pytest.mark.parametrize(
@@ -412,7 +396,7 @@ def test_automorphism_group_orders(name, order):
 def test_isomorphisms_are_the_automorphisms_moved_by_a_relabelling(g):
     perm = list(range(g.vertex_count))
     random.Random(5).shuffle(perm)
-    h = g.relabel(perm)
+    h = relabel(g, perm)
     want = sorted(tuple(perm[a[v]] for v in range(g.vertex_count)) for a in automorphisms(g))
     assert sorted(map(tuple, isomorphisms(g, h))) == want
     assert tuple(find_isomorphism(g, h)) in want
@@ -457,11 +441,11 @@ def test_components_on_the_small_cases():
 @given(st.integers(0, 10**6))
 def test_handshake_after_surgeries(seed):
     g = random_cubic_bridgeless(seed, 10)
-    assert handshake_ok(g)
+    assert sum(g.degrees) == 2 * g.edge_count
     exp = replace_vertex_with_triangle(g, seed % 10)
-    assert handshake_ok(exp) and exp.is_cubic
+    assert sum(exp.degrees) == 2 * exp.edge_count and exp.is_cubic
     back, _ = contract(exp, {seed % 10, 10, 11})
-    assert handshake_ok(back) and back == g
+    assert sum(back.degrees) == 2 * back.edge_count and back == g
 
 
 def _value_objects():
@@ -476,7 +460,6 @@ def _value_objects():
         matchings.Matching((0,)),
         matchings.CountQuery(),
         matchings.SpecialPairResult(True),
-        DegreeExcess(()),
         SurgeryRecord("contract", (), (), ()),
         SurgeryTrace(()),
         families.KleeRecipe(),
@@ -508,7 +491,7 @@ def test_every_value_class_but_one_is_a_named_tuple():
     assert [type(v).__name__ for v in _value_objects() if not isinstance(v, tuple)] == [
         "SpecialPairResult"
     ]
-    assert len(_records()) == 17 and all(type(v)._fields for v in _records())
+    assert len(_records()) == 16 and all(type(v)._fields for v in _records())
 
 
 @pytest.mark.parametrize("value", _records(), ids=lambda v: type(v).__name__)

@@ -32,13 +32,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_the_readme_headline_sweep_exits_1_with_its_known_reports(tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _source_env() -> dict:
+    """The environment with the checkout's ``src`` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     )}
+
+
+def test_the_readme_headline_sweep_exits_1_with_its_known_reports(tmp_path):
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_sweeps.py"), "--out", str(tmp_path), *HEADLINE],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_source_env(),
     )
     assert done.returncode == 1, done.stderr
     reports = json.loads((tmp_path / "reports.json").read_text())
@@ -47,6 +51,19 @@ def test_the_readme_headline_sweep_exits_1_with_its_known_reports(tmp_path):
     assert _sha256(tmp_path / "reports.json") == REPORTS_SHA256
     assert _sha256(tmp_path / "summary.csv") == SUMMARY_SHA256
     assert len(list((tmp_path / "graphs").iterdir())) == 109
+
+
+def test_an_out_path_that_is_a_file_exits_2_before_sweeping(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_sweeps.py"), "--out", str(taken),
+         "--seed", "7", "--random", "0", "--twisted", "0"],
+        capture_output=True, text=True, env=_source_env(),
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: cannot create ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and taken.read_text() == "kept\n"
 
 
 def test_the_report_encoder_writes_what_json_dumps_writes():

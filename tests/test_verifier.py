@@ -17,7 +17,7 @@ from oracles import (
     slow_params_dicts,
     slow_violating_side,
 )
-from cubicpm import check, check_lm_ladder, named, random_cubic_bridgeless
+from cubicpm import check, named, random_cubic_bridgeless
 from cubicpm import Multigraph, connectivity, decomposition, matchings, verifier
 from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut, is_k_almost_cyclically_4ec
 from cubicpm.matchings import COUNT_CAP, EMPTY_QUERY
@@ -32,8 +32,8 @@ from cubicpm.verifier import (
     named_instances,
     params_for,
     random_instances,
-    summarize_csv,
     sweep,
+    tally_csv,
     twisted_instances,
 )
 
@@ -187,7 +187,7 @@ def test_lm_ladder_branch_fires_on_ladder_host():
     g = ladder_host(3)
     n = g.vertex_count
     cut = build_cut(g, frozenset(range(6)))  # the grid side
-    r = check_lm_ladder(g, cut, instance="ladder_host3")
+    r = check(LemmaId.LM_LADDER, g, {"side": sorted(cut.side_a)}, "ladder_host3")
     assert r.verdict == "Pass"
     assert "zero case verified" in r.note
 
@@ -195,7 +195,7 @@ def test_lm_ladder_branch_fires_on_ladder_host():
 def test_lm_ladder_all_positive_branch(named_graphs):
     g = ladder_host(4)
     cut = build_cut(g, frozenset(range(8, 12)))  # the closing 4-cycle side
-    r = check_lm_ladder(g, cut, instance="ladder_host4")
+    r = check(LemmaId.LM_LADDER, g, {"side": sorted(cut.side_a)}, "ladder_host4")
     assert r.verdict in ("Pass", "Skipped")
 
 
@@ -254,7 +254,7 @@ def test_fail_fast_raises_with_instance_dump():
 
 def test_csv_summary():
     reports = sweep([LemmaId.TH_HALF], named_instances(["petersen", "k4"]), fail_fast=True)
-    csv = summarize_csv(reports)
+    csv = tally_csv((r.lemma.value, r.verdict) for r in reports)
     assert csv.splitlines()[0] == "lemma,total,pass,fail,skipped"
     assert "TH_HALF,2,2,0,0" in csv
 
