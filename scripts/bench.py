@@ -28,6 +28,12 @@ Each run also makes one traced pass per workload (``perfbench/run.py
 call counts, the k-almost search's self time, the calls into ``multigraph``
 and the self time of each layer, so the trace evidence lands with the pair.
 
+Each run times ``CALIBRATION``, one fixed pure-Python loop in a fresh
+interpreter, just before and just after its timed workload passes, and keeps
+both seconds as ``calibration``.  A host whose speed drifts slows the loop
+with the passes, so ``scripts/bench_pairs.py`` can show ``wall_s`` divided
+by it beside the raw metric.
+
 Each run also makes one pass per workload in-process, in a fresh
 interpreter under ``tracemalloc``, and keeps the MB still allocated after the
 pass (``held_mb``, results included) and once its results are dropped
@@ -83,6 +89,20 @@ del results
 gc.collect()
 graphs = tracemalloc.get_traced_memory()[0]
 print(json.dumps({"held_mb": held / 2**20, "graphs_mb": graphs / 2**20}))
+"""
+
+
+# The calibration loop: integer arithmetic and small-dict updates, the kind of
+# work the matching DP and the cut sweeps do, timed inside the interpreter so
+# start-up is left out.  It prints its seconds.
+CALIBRATION = """
+import time
+start = time.perf_counter()
+table = {}
+for i in range(1_000_000):
+    key = (i * 7919) & 4095
+    table[key] = table.get(key, 0) + (i | key)
+print(time.perf_counter() - start)
 """
 
 
@@ -155,6 +175,14 @@ def startup(root: Path) -> dict:
     return {"wall_s": median(samples), "samples_s": samples}
 
 
+def calibration() -> float:
+    """Seconds of one ``CALIBRATION`` loop in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", CALIBRATION], capture_output=True, text=True, check=True
+    )
+    return float(done.stdout)
+
+
 def environment() -> dict:
     """The host, and whether bytecode caching is off: then every pass compiles the package."""
     out = {
@@ -207,8 +235,10 @@ def main() -> int:
 
     run = {"tier1": tier1(root)} if args.tier1 else {}
     run["startup"] = startup(root)
+    before = calibration()
     for workload in WORKLOADS:
         run[workload] = perfbench(root, workload, args.seed)
+    run["calibration"] = {"before_s": before, "after_s": calibration()}
     for workload in WORKLOADS:
         run[f"{workload}_trace"] = traced(root, workload, args.seed)
     for workload in WORKLOADS:

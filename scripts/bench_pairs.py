@@ -28,6 +28,14 @@ gives its ``startup.wall_s``: each side's median and quartiles and the pairs
 in which the change is faster, marked ``informational``.  It has no bound in
 ``BENCHMARK.json``, so it gives no verdict and does not set the exit code.
 
+When every run of both files holds a ``calibration`` (the seconds of a fixed
+pure-Python loop that ``scripts/bench.py`` times just before and just after
+its workload passes), each workload gets one more ``informational`` row,
+``wall_s/cal``: each run's ``wall_s`` divided by the mean of its two
+calibration times, with each side's median and quartiles and the pairs in
+which the change is lower.  It shows whether the host's drift explains a
+spread; it gives no verdict and does not set the exit code.
+
 Each traced counter then gets one ``informational`` row, under the same
 rule: the sweep calls (``connectivity.sweep_calls``) and every ``*.calls``
 entry of ``<workload>_trace``, where every run of both files holds it.  The
@@ -106,6 +114,25 @@ def startup_row(parent: dict, change: dict) -> dict | None:
     return sides(*values, lower_better=True)
 
 
+def calibrated_rows(parent: dict, change: dict, benchmark: dict) -> list[tuple[str, dict]]:
+    """One (workload, ``sides``) of ``wall_s`` over the mean calibration time
+    per workload, or none unless every run holds a calibration."""
+    runs = parent["runs"] + change["runs"]
+    if not runs or any("calibration" not in run for run in runs):
+        return []
+
+    def ratio(run: dict, workload: str) -> float:
+        cal = run["calibration"]
+        return run[workload]["wall_s"] / ((cal["before_s"] + cal["after_s"]) / 2)
+
+    return [
+        (workload, sides(*(
+            [ratio(run, workload) for run in side["runs"]] for side in (parent, change)
+        ), lower_better=True))
+        for workload in (w["name"] for w in benchmark["workloads"])
+    ]
+
+
 def counter_rows(parent: dict, change: dict, benchmark: dict) -> list[tuple[str, str, dict]]:
     """One (workload, counter, row) per traced counter that every run of both files holds.
 
@@ -164,6 +191,8 @@ def main(argv: list[str]) -> int:
     startup = startup_row(parent, change)
     if startup is not None:
         print(render("startup", "wall_s", startup))
+    for workload, row in calibrated_rows(parent, change, benchmark):
+        print(render(workload, "wall_s/cal", row))
     for workload, counter, row in counter_rows(parent, change, benchmark):
         print(render_counter(workload, counter, row))
     return int(any(row["verdict"] == WORSE for _, _, row in table))

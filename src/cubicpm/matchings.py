@@ -3,26 +3,31 @@
 One DP over covered-vertex bitmasks serves every matching query.  Vertices
 are taken in a frontier order (``Multigraph.frontier_order``), which keeps
 few vertices half-finished at a time and so keeps the number of states
-small.  Each step matches the first uncovered vertex.  Constraints (required
-edges, forbidden edges, vertices deliberately left uncovered) are folded
-into the initial state.  A forward pass, level by level, counts the paths
-into each state, which gives the count.  A backward pass counts each
-state's completions; summing the product of the two over the transitions
-that use an edge gives the number of matchings through it, for every edge
-at once.  The same two passes with one edge required give the matchings
-through each pair of edges (``pair_counts``), from which inclusion-exclusion
-gives the matchings that avoid or contain one or two edges.  A constrained
-``count_matchings`` query does not read them: it runs a fresh DP.  The
-unconstrained count, the per-edge and the per-pair counts are kept in the
-memo of the graph object asked (``_memoized``) and die with it; constrained
-counts are not kept.  The vertex caps do not bound the states
-of a dense graph, so the DP also stops at ``STATE_CAP`` states per level.
-Everything is exact: counts are ints, polytope arithmetic uses Fractions.
-"""
+small.  Each step matches the first uncovered vertex.  A forward pass,
+level by level, counts the paths into each state, which gives the count.
+A backward pass counts each state's completions; summing the product of
+the two over the transitions that use an edge gives the number of
+matchings through it, for every edge at once.
 
+Each graph object keeps one table of the unconstrained DP in its memo
+(``_memoized``), and every count on it reads that table: the first count
+runs the forward pass, keeping the paths into each reached state grouped
+by the state's first uncovered position, and the first query that needs
+completions runs the backward pass once, keeping them where nonzero and
+the count through each edge.  A constrained count (required edges,
+forbidden edges, vertices deliberately left uncovered) seeds from the
+table and stops at table states, so it never reruns the whole DP; it
+raises the state-cap ``TooLarge`` exactly when the unconstrained table
+does.  Constrained counts themselves are not kept.  The same two passes
+with one edge required, run afresh, give the matchings through each pair
+of edges (``pair_counts``, kept), and with the query's constraints folded
+into the initial state, the matchings ``enumerate_matchings`` lists.  The
+vertex caps do not bound the states of a dense graph, so the DP also stops
+at ``STATE_CAP`` states per level.  Everything is exact: counts are ints,
+polytope arithmetic uses Fractions.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple
@@ -100,9 +105,14 @@ class _StateDag:
     uncovered position and one uncovered neighbour of it through an edge
     that is not forbidden, so every matching of the query is one path from
     the start to the full mask.  That neighbour sits at a later position,
-    so each edge is a move of its earlier end only.  ``levels[k]`` maps
-    each state reached by k transitions to alpha, the number of paths into
-    it.
+    so each edge is a move of its earlier end only.  The sweep goes level
+    by level, level k holding the states reached by k transitions, and
+    keeps alpha, the number of paths into each state, grouped by the
+    state's first uncovered position: ``groups[p]`` maps each reached state
+    whose first uncovered position is p to alpha, and ``groups[n]`` holds
+    the full mask, if it is reached.  A transition leaves a state for one
+    of a later group, so the groups in decreasing order are a backward
+    order of the states.
 
     The vertex cap does not bound the states of a dense graph under it, so
     a level is expanded only while its size times the longest move list,
@@ -124,15 +134,16 @@ class _StateDag:
         # moves[p]: (edge id, position bit of its later end) for each edge whose
         # earlier end sits at position p; a move from the later end never fires,
         # since the first uncovered position is the least one
-        self.moves = moves = [[] for _ in range(n)]
+        at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         forbidden = q.forbidden
         for e, (u, v) in enumerate(g.edges):
             if e not in forbidden:
-                first, last = pos[u], pos[v]
-                if first > last:
-                    first, last = last, first
-                moves[first].append((e, 1 << last))
-        self.levels: list[dict[int, int]] = []
+                if pos[u] > pos[v]:
+                    u, v = v, u
+                at[pos[u]].append((e, bit[v]))
+        self.moves = moves = [tuple(x) for x in at]  # kept with a table: no spare slots
+        self.groups: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        self._outside: tuple[dict[int, int], list[int]] | None = None
         self.start = 0
         for v in q.missed_vertices:
             self.start |= bit[v]
@@ -142,8 +153,8 @@ class _StateDag:
             if self.start & ends:
                 return  # two required edges collide: no matching
             self.start |= ends
+        groups = self.groups
         level = {self.start: 1}
-        self.levels.append(level)
         widest = max(map(len, moves), default=0)
         while level and full not in level:
             if len(level) * widest > STATE_CAP:
@@ -151,60 +162,144 @@ class _StateDag:
             nxt: dict[int, int] = {}
             for s, paths in level.items():
                 low = ~s & (s + 1)
-                for _, b in moves[low.bit_length() - 1]:
+                p = low.bit_length() - 1
+                groups[p][s] = paths
+                for _, b in moves[p]:
                     if not s & b:
                         t = s | low | b
                         nxt[t] = nxt.get(t, 0) + paths
             level = nxt
-            self.levels.append(level)
+        groups[n] = level  # the full mask alone, or nothing
 
     @property
     def count(self) -> int:
-        return self.levels[-1].get(self.full, 0) if self.levels else 0
+        return self.groups[-1].get(self.full, 0)
 
     def outside(self) -> tuple[dict[int, int], list[int]]:
-        """The backward pass: beta and the number c(e) of matchings through e.
+        """The backward pass, run on the first call: beta and the number c(e)
+        of matchings through each edge e.
 
         beta(s), the number of paths from s to the full mask, is kept only
         where it is nonzero.  The transitions through edge e lie on
         alpha(s)·beta(t) matchings each, summed into c(e).  Required edges
         are not transitions and keep c(e) = 0.
         """
-        beta: dict[int, int] = {}
-        through = [0] * self.edge_count
-        if not self.count:
-            return beta, through
-        moves = self.moves
-        beta[self.full] = 1
-        for level in reversed(self.levels[:-1]):
-            for s, paths in level.items():
-                low = ~s & (s + 1)
-                total = 0
-                for e, b in moves[low.bit_length() - 1]:
-                    if not s & b:
-                        rest = beta.get(s | low | b)
-                        if rest:
-                            total += rest
-                            through[e] += paths * rest
-                if total:
-                    beta[s] = total
-        return beta, through
+        if self._outside is None:
+            beta: dict[int, int] = {}
+            through = [0] * self.edge_count
+            if self.count:
+                beta[self.full] = 1
+                for p in range(len(self.moves) - 1, -1, -1):
+                    low, at = 1 << p, self.moves[p]
+                    for s, paths in self.groups[p].items():
+                        total = 0
+                        for e, b in at:
+                            if not s & b:
+                                rest = beta.get(s | low | b)
+                                if rest:
+                                    total += rest
+                                    through[e] += paths * rest
+                        if total:
+                            beta[s] = total
+            self._outside = beta, through
+        return self._outside
 
 
-def _through_all(g: Multigraph, q: CountQuery) -> list[int]:
-    """The number of the query's matchings through each edge (``_StateDag.outside``)."""
-    return _StateDag(g, q, COUNT_CAP, "counting").outside()[1]
+def _table(g: Multigraph) -> _StateDag:
+    """The unconstrained DP of g, kept in its memo: every count on g reads it."""
+    return _memoized(g, "dp", lambda: _StateDag(g, EMPTY_QUERY, COUNT_CAP, "counting"))
+
+
+def _seeded(dag: _StateDag, pre: int, tail: list[tuple[int, int]]) -> int:
+    """Matchings that cover every position but those of ``pre`` and avoid
+    the ``tail`` moves, read from the unconstrained table ``dag``.
+
+    ``pre`` holds the bits covered from the start, ``tail`` (earlier end's
+    position, edge id) for each avoided edge, none earlier than the least
+    bit of ``pre``, p0.  Below p0 the matching is an unconstrained path prefix that ends at
+    a table state s with first uncovered position p0 and no bit of ``pre``,
+    so the count starts at s | pre with mass alpha(s).  It goes on by the
+    DP's move, and a state of the table past the tail's last earlier end
+    adds its mass times its completions, beta, and stops there: those
+    depend only on the state.
+    """
+    beta = dag.outside()[0]
+    groups, moves = dag.groups, dag.moves
+    n = len(moves)
+    cut: dict[int, list[tuple[int, int]]] = {}
+    last = -1
+    for p, e in tail:
+        cut[p] = [move for move in cut.get(p, moves[p]) if move[0] != e]
+        last = max(last, p)
+    pending: list[dict[int, int] | None] = [None] * (n + 1)
+    p = (pre & -pre).bit_length() - 1
+    states, low, at = groups[p], 0, ((-1, pre),)  # the seeds: s -> s | pre
+    total = 0
+    while True:
+        for s, mass in states.items():
+            for _, b in at:
+                if not s & b:
+                    t = s | low | b
+                    q = (~t & (t + 1)).bit_length() - 1
+                    if q > last and t in groups[q]:
+                        total += mass * beta.get(t, 0)
+                    else:
+                        got = pending[q]
+                        if got is None:
+                            pending[q] = {t: mass}
+                        else:
+                            got[t] = got.get(t, 0) + mass
+        p += 1
+        while p < n and pending[p] is None:
+            p += 1
+        if p == n:
+            return total + (pending[n] or {}).get(dag.full, 0)
+        states, low, at = pending[p], 1 << p, cut.get(p, moves[p])
 
 
 def count_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> int:
     """Exact number of matchings covering V minus the missed vertices.
 
-    Parallel edges count as distinct matchings.  The unconstrained count is
-    kept in the graph's memo.
+    Parallel edges count as distinct matchings.  Every count on a graph reads
+    one table of the unconstrained DP, kept in its memo: the first count runs
+    the forward pass, and N is read from it.  A constrained count runs the
+    backward pass once, if no count has, and seeds from the table with the
+    missed vertices and the ends of the required edges covered, stopping at
+    table states (``_seeded``), so it never runs a whole DP again.  The
+    forbidden edges F, sorted by their earlier ends' positions, are taken
+    out by count(R, X, avoid F) = count(R, X) − Σᵢ count(R ∪ {eᵢ}, X, avoid
+    {eᵢ₊₁, …}): |F| + 1 seeded counts, where one required edge alone is c(e).
+    So a constrained count raises the state-cap ``TooLarge`` exactly when the
+    unconstrained count does.
     """
-    if q != EMPTY_QUERY:
-        return _StateDag(g, q, COUNT_CAP, "counting").count
-    return _memoized(g, "count", lambda: _StateDag(g, q, COUNT_CAP, "counting").count)
+    dag = _table(g)
+    if q == EMPTY_QUERY:
+        return dag.count
+    _validate(g, q)
+    order = g.frontier_order
+
+    def ends(e: int) -> int:
+        u, v = g.endpoints(e)
+        return 1 << order.index(u) | 1 << order.index(v)
+
+    def term(required: list[int], tail: list[tuple[int, int]]) -> int:
+        if not q.missed_vertices and not tail and len(required) == 1:
+            return dag.outside()[1][required[0]]
+        pre = sum(1 << order.index(v) for v in q.missed_vertices)
+        for e in required:
+            if pre & ends(e):
+                return 0  # two required edges collide, or one meets a missed vertex
+            pre |= ends(e)
+        return _seeded(dag, pre, tail) if pre else dag.count
+
+    forbidden = sorted(
+        (min(order.index(v) for v in g.endpoints(e)), e) for e in q.forbidden
+    )
+    required = list(q.required)
+    total = term(required, [])
+    for i, (_, e) in enumerate(forbidden):
+        total -= term(required + [e], forbidden[i + 1:])
+    return total
 
 
 def has_matching(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> bool:
@@ -242,10 +337,10 @@ def enumerate_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> list[Matc
 def containment_counts(g: Multigraph) -> list[int]:
     """Number c(e) of perfect matchings through each edge, by edge id.
 
-    One forward and one backward pass over the DP states, not one count per
-    edge, kept in the graph's memo.
+    Read from the backward pass of the graph's one DP table (``count_matchings``),
+    not one count per edge.
     """
-    return list(_memoized(g, "through", lambda: tuple(_through_all(g, EMPTY_QUERY))))
+    return list(_table(g).outside()[1])
 
 
 def pair_counts(g: Multigraph) -> tuple[tuple[int, ...], ...]:
@@ -261,7 +356,8 @@ def pair_counts(g: Multigraph) -> tuple[tuple[int, ...], ...]:
     def row(f: int, through: int) -> tuple[int, ...]:
         out = [0] * g.edge_count
         if through:
-            out = _through_all(g, CountQuery(required=frozenset({f})))
+            dag = _StateDag(g, CountQuery(required=frozenset({f})), COUNT_CAP, "counting")
+            out = dag.outside()[1]
         out[f] = through
         return tuple(out)
 
@@ -298,17 +394,39 @@ def kotzig_bridge(g: Multigraph) -> int:
 # forbidden/required pair structure
 
 
-@dataclass(frozen=True, slots=True)
 class SpecialPairResult:
     """Outcome of the avoid-e/contain-f test on a cyclically 4ec cubic graph.
 
     When no such matching exists, ``coloring`` is a proper 2-coloring of the
     graph minus both edges with e's endpoints in one class and f's in the
-    other; otherwise it is None.
+    other; otherwise it is None.  Frozen and slotted; equality and hashing
+    read ``pm_exists`` only, not the coloring.
     """
 
+    __slots__ = ("pm_exists", "coloring")
     pm_exists: bool
-    coloring: dict[int, int] | None = field(default=None, compare=False)
+    coloring: dict[int, int] | None
+
+    def __init__(self, pm_exists: bool, coloring: dict[int, int] | None = None):
+        object.__setattr__(self, "pm_exists", pm_exists)
+        object.__setattr__(self, "coloring", coloring)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pm_exists == other.pm_exists
+
+    def __hash__(self):
+        return hash((self.pm_exists,))
+
+    def __repr__(self):
+        return f"SpecialPairResult(pm_exists={self.pm_exists!r}, coloring={self.coloring!r})"
 
     @property
     def verdict(self) -> str:

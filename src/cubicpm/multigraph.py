@@ -19,7 +19,6 @@ share.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -34,28 +33,46 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class Multigraph:
     """A labeled multigraph on vertices 0..vertex_count-1.
 
     Invariants: no loops, dense vertex ids, edge ids equal to positions in
     ``edges``.  Endpoint pairs are canonicalized to (min, max) but the
     sequence order, and hence edge identity, is preserved.
+
+    Frozen: the two fields refuse assignment, and equality and hashing are
+    those of ``(vertex_count, edges)`` within the class.  The instance keeps
+    its ``__dict__`` for the cached properties, which write to it directly.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]):
+        n = vertex_count
         canon = []
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise LoopRejected(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexIdOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
             canon.append((u, v) if u <= v else (v, u))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(canon))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.edges) == (other.vertex_count, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.edges))
 
     @property
     def edge_count(self) -> int:

@@ -158,3 +158,53 @@ def test_each_traced_counter_gets_an_informational_row(tmp_path):
     assert sum("informational" in line for line in lines) == 2
     code, lines = _pairs(parent, _with_trace(_bench(tmp_path / "none.json", [{}] * 10), [None] * 10))
     assert code == 0 and len(lines) == len(WORKLOADS) * len(METRICS)
+
+
+def _with_calibration(path, walls, speeds):
+    """Give run i of the BENCH file at ``path`` the catalog ``wall_s``
+    ``walls[i]`` and the calibration seconds 0.2 / ``speeds[i]`` before and
+    after, or no calibration where ``speeds[i]`` is None."""
+    data = json.loads(Path(path).read_text())
+    for run, wall, speed in zip(data["runs"], walls, speeds):
+        run["catalog"]["wall_s"] = wall
+        if speed is not None:
+            run["calibration"] = {"before_s": 0.2 / speed, "after_s": 0.2 / speed}
+    Path(path).write_text(json.dumps(data))
+    return path
+
+
+def test_the_calibrated_wall_time_row_is_informational(tmp_path):
+    """With a calibration in every run, each workload gets a ``wall_s/cal``
+    row: ``wall_s`` over the mean calibration time, each side's median and
+    quartiles and the pairs won, no verdict, and no exit code.  A host whose
+    speed drifts widens the raw spread but not this one."""
+    speeds = [1.0, 0.8, 1.25, 0.8, 1.25, 1.0, 0.8, 1.25, 0.8, 1.25]
+    parent = _with_calibration(
+        _bench(tmp_path / "parent.json", [{}] * 10), [1.0 / s for s in speeds], speeds
+    )
+    change = _with_calibration(
+        _bench(tmp_path / "change.json", [{}] * 10), [0.9 / s for s in speeds], speeds
+    )
+    code, lines = _pairs(parent, change)
+    assert code == 0 and len(lines) == len(WORKLOADS) * (len(METRICS) + 1)
+    rows = {tuple(line.split()[:2]): line for line in lines}
+    assert rows["catalog", "wall_s"].endswith("unresolved")  # the raw IQR is 45% of 1 s
+    assert rows["catalog", "wall_s/cal"].split()[2:] == [
+        "parent", "5", "[5,", "5]", "change", "4.5", "[4.5,", "4.5]",
+        "wins", "10/10", "informational",
+    ]
+    assert rows["oracle_queries", "wall_s/cal"].endswith("wins 0/10  informational")
+
+    slower = _with_calibration(
+        _bench(tmp_path / "slower.json", [{}] * 10), [9.0 / s for s in speeds], speeds
+    )
+    code, lines = _pairs(parent, slower)
+    rows = {tuple(line.split()[:2]): line for line in lines}
+    assert rows["catalog", "wall_s"].endswith("unresolved") and code == 0
+    assert "parent 5 [5, 5]  change 45 [45, 45]  wins 0/10  informational" in rows[
+        "catalog", "wall_s/cal"
+    ]
+
+    gap = _with_calibration(_bench(tmp_path / "gap.json", [{}] * 10), [1.0] * 10, [1.0] * 9 + [None])
+    code, lines = _pairs(parent, gap)
+    assert code == 0 and not any("wall_s/cal" in line for line in lines)

@@ -326,8 +326,8 @@ def test_k_almost_sweeps_only_the_root(monkeypatch):
 
 def test_the_k_almost_search_builds_no_graph(monkeypatch):
     built = []
-    init = Multigraph.__post_init__
-    monkeypatch.setattr(Multigraph, "__post_init__", lambda g: built.append(g) or init(g))
+    init = Multigraph.__init__
+    monkeypatch.setattr(Multigraph, "__init__", lambda g, *a: init(g, *a) or built.append(g))
     for g in _k_almost_corpus() + _nested_cyclic_3_cuts():
         for k in range(7):
             fresh = Multigraph(g.vertex_count, g.edges)

@@ -11,6 +11,7 @@ step, and it leaves no neighbour table on the graph; the enumerated
 matchings keep only their sorted edge-id tuples.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -75,11 +76,18 @@ def _queries(g: Multigraph) -> list[CountQuery]:
     """Each query kind once or a few times, with edges and vertices spread out."""
     n, m = g.vertex_count, g.edge_count
     edges, verts = range(0, m, max(1, m // 4)), range(0, n, max(1, n // 4))
+    edges, verts = list(edges), list(verts)
     out = [CountQuery()]
     out += [CountQuery(forbidden=frozenset({e})) for e in edges]
     out += [CountQuery(forbidden=frozenset(p)) for p in combinations(edges, 2)]
+    out += [CountQuery(forbidden=frozenset(edges[:k])) for k in (3, 4)]
     out += [CountQuery(missed_vertices=frozenset(p)) for p in combinations(verts, 2)]
     out += [CountQuery(missed_vertices=frozenset({v})) for v in verts]
+    out += [CountQuery(missed_vertices=frozenset(verts[:k])) for k in (3, 4)]  # 3 is odd
+    if n:  # the edges at the first vertex of the frontier order share their earlier end
+        at_first = g.incident(g.frontier_order[0])
+        out.append(CountQuery(forbidden=frozenset(at_first[:2]) | {edges[-1]}))
+        out.append(CountQuery(forbidden=frozenset(at_first) | set(edges[1:2])))
     for e, f in combinations(range(m), 2):
         if set(g.endpoints(e)) & set(g.endpoints(f)):  # colliding required edges
             out.append(CountQuery(required=frozenset({e, f})))
@@ -93,6 +101,11 @@ def _queries(g: Multigraph) -> list[CountQuery]:
                 forbidden=frozenset({m - 1} - {e, f}),
                 missed_vertices=frozenset(rest[:2]),
             ))
+            out.append(CountQuery(  # e and the edges at a missed vertex are forbidden
+                required=frozenset({f}),
+                forbidden=frozenset({e, *g.incident(rest[0])} - {f}),
+                missed_vertices=frozenset(rest[:3:2]),
+            ) if rest else CountQuery(required=frozenset({f}), forbidden=frozenset({e})))
             break
     return out
 
@@ -118,6 +131,27 @@ def test_dp_agrees_with_the_label_order_recursion(name, g):
     for v in range(n):
         assert sum(through[e] for e in g.incident(v)) == total
     assert is_matching_covered(g) == all(through)
+
+
+@pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_constrained_counts_do_not_depend_on_what_the_table_holds(name, g):
+    """A constrained count reads the graph's one DP table: the same answers
+    on a fresh graph object (the count builds the table), after
+    ``count_matchings`` (forward pass only) and after ``containment_counts``
+    (backward pass too)."""
+    queries = _queries(g)[1:]
+
+    def fresh() -> Multigraph:
+        return Multigraph(g.vertex_count, g.edges)
+
+    alone = [count_matchings(fresh(), q) for q in queries]
+    counted, covered = fresh(), fresh()
+    count_matchings(counted)
+    containment_counts(covered)
+    assert counted._memo["dp"]._outside is None is not covered._memo["dp"]._outside
+    assert [count_matchings(counted, q) for q in queries] == alone
+    assert [count_matchings(covered, q) for q in queries] == alone
+    assert list(counted._memo) == ["dp"]  # constrained counts are not kept
 
 
 @pytest.mark.parametrize("name,g", GRAPHS, ids=[name for name, _ in GRAPHS])
@@ -152,12 +186,18 @@ def test_colliding_required_edges_and_the_empty_graph():
 def test_the_dp_stops_before_a_level_past_the_state_cap(monkeypatch):
     """A level is expanded only while its size times the longest move list,
     3 on the cube, stays within ``STATE_CAP``."""
-    levels = matchings._StateDag(named("cube"), CountQuery(), COUNT_CAP, "counting").levels
-    need = 3 * max(map(len, levels[:-1]))
+    dag = matchings._StateDag(named("cube"), CountQuery(), COUNT_CAP, "counting")
+    # level k holds the states of 2k covered positions; the last is the full mask
+    sizes = Counter(s.bit_count() for group in dag.groups[:-1] for s in group)
+    need = 3 * max(sizes.values())
     monkeypatch.setattr(matchings, "STATE_CAP", need)
     assert count_matchings(named("cube")) == 9
     monkeypatch.setattr(matchings, "STATE_CAP", need - 1)
-    for query in (count_matchings, containment_counts, enumerate_matchings):
+    missed = CountQuery(missed_vertices=frozenset({0, 1}))
+    for query in (
+        count_matchings, containment_counts, enumerate_matchings,
+        lambda g: count_matchings(g, missed),
+    ):
         with pytest.raises(TooLarge, match=f"capped at {need - 1} DP states"):
             query(named("cube"))
 

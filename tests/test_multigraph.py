@@ -486,8 +486,8 @@ def _records():
 
 
 def test_every_value_class_but_one_is_a_named_tuple():
-    """``SpecialPairResult`` stays a dataclass: it leaves its coloring out of
-    equality, which a tuple cannot."""
+    """``SpecialPairResult`` stays a plain slotted class: it leaves its
+    coloring out of equality, which a tuple cannot."""
     assert [type(v).__name__ for v in _value_objects() if not isinstance(v, tuple)] == [
         "SpecialPairResult"
     ]
@@ -499,6 +499,25 @@ def test_records_refuse_assignment_to_a_field(value):
     with pytest.raises(AttributeError):
         setattr(value, type(value)._fields[0], None)
     assert not hasattr(value, "__dict__")
+
+
+def test_the_plain_value_classes_keep_their_frozen_semantics():
+    """``Multigraph`` and ``SpecialPairResult`` refuse assignment, compare
+    and hash by their fields within the class, and keep their reprs."""
+    g, twin = named("k4"), Multigraph(4, tuple((v, u) for u, v in named("k4").edges))
+    assert g == twin and hash(g) == hash((4, g.edges)) == hash(twin)
+    assert g != Multigraph(4, g.edges[1:]) and g != (4, g.edges)
+    assert repr(g).startswith("Multigraph(n=4, m=6, edges=[(0, 1)")
+    found = matchings.SpecialPairResult(False, {0: 1})
+    assert found == matchings.SpecialPairResult(False) != matchings.SpecialPairResult(True)
+    assert hash(found) == hash(matchings.SpecialPairResult(False))
+    assert repr(found) == "SpecialPairResult(pm_exists=False, coloring={0: 1})"
+    for value, field in ((g, "edges"), (g, "vertex_count"), (found, "coloring")):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(value, field)
+    assert g.edges == twin.edges and found.coloring == {0: 1}
 
 
 def test_multigraph_keeps_its_dict_for_the_cached_properties():

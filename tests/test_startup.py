@@ -1,4 +1,6 @@
-"""What a fresh process imports: the verifier loads only where it is used.
+"""What a fresh process imports: the verifier loads only where it is used,
+and a process that checks no lemma imports neither ``dataclasses`` nor
+``inspect``.
 
 Each case runs a new interpreter under ``-X importtime``, which names every
 module the process imports on its standard error.
@@ -60,6 +62,7 @@ def test_a_process_that_checks_no_lemma_never_imports_the_verifier(args):
     imported = _imported(*args)
     assert {"cubicpm", "cubicpm.matchings", "cubicpm.families"} <= imported
     assert "cubicpm.verifier" not in imported
+    assert not {"dataclasses", "inspect"} & imported  # the value classes are plain classes
 
 
 @pytest.mark.parametrize("args", [
