@@ -272,11 +272,10 @@ def count_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> int:
     So a constrained count raises the state-cap ``TooLarge`` exactly when the
     unconstrained count does.
     """
-    dag = _table(g)
     if q == EMPTY_QUERY:
-        return dag.count
+        return _table(g).count
     _validate(g, q)
-    order = g.frontier_order
+    dag, order = _table(g), g.frontier_order
 
     def ends(e: int) -> int:
         u, v = g.endpoints(e)
