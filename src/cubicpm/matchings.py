@@ -26,6 +26,7 @@ vertex caps do not bound the states of a dense graph, so the DP also stops
 at ``STATE_CAP`` states per level.  Everything is exact: counts are ints,
 polytope arithmetic uses Fractions.
 """
+
 from __future__ import annotations
 
 from fractions import Fraction
@@ -216,12 +217,12 @@ def _seeded(dag: _StateDag, pre: int, tail: list[tuple[int, int]]) -> int:
 
     ``pre`` holds the bits covered from the start, ``tail`` (earlier end's
     position, edge id) for each avoided edge, none earlier than the least
-    bit of ``pre``, p0.  Below p0 the matching is an unconstrained path prefix that ends at
-    a table state s with first uncovered position p0 and no bit of ``pre``,
-    so the count starts at s | pre with mass alpha(s).  It goes on by the
-    DP's move, and a state of the table past the tail's last earlier end
-    adds its mass times its completions, beta, and stops there: those
-    depend only on the state.
+    bit of ``pre``, p0.  Below p0 the matching is an unconstrained path
+    prefix that ends at a table state s with first uncovered position p0
+    and no bit of ``pre``, so the count starts at s | pre with mass
+    alpha(s).  It goes on by the DP's move, and a state of the table past
+    the tail's last earlier end adds its mass times its completions, beta,
+    and stops there: those depend only on the state.
     """
     beta = dag.outside()[0]
     groups, moves = dag.groups, dag.moves

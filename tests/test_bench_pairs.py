@@ -205,6 +205,8 @@ def test_the_calibrated_wall_time_row_is_informational(tmp_path):
         "catalog", "wall_s/cal"
     ]
 
-    gap = _with_calibration(_bench(tmp_path / "gap.json", [{}] * 10), [1.0] * 10, [1.0] * 9 + [None])
+    gap = _with_calibration(
+        _bench(tmp_path / "gap.json", [{}] * 10), [1.0] * 10, [1.0] * 9 + [None]
+    )
     code, lines = _pairs(parent, gap)
     assert code == 0 and not any("wall_s/cal" in line for line in lines)
