@@ -36,6 +36,14 @@ calibration times, with each side's median and quartiles and the pairs in
 which the change is lower.  It shows whether the host's drift explains a
 spread; it gives no verdict and does not set the exit code.
 
+Each entry of ``<workload>_memory`` (``held_mb`` and ``graphs_mb``, the
+MB that ``scripts/bench.py`` measures under ``tracemalloc``) and each
+``*.self_s`` entry of ``<workload>_trace`` (a layer's or a kernel's self
+time in the traced pass) then gets one ``informational`` row, where every
+run of both files holds it: each side's median and quartiles and the pairs
+in which the change is lower.  They show where a change's memory or time
+went; they give no verdict and do not set the exit code.
+
 Each traced counter then gets one ``informational`` row, under the same
 rule: the sweep calls (``connectivity.sweep_calls``) and every ``*.calls``
 entry of ``<workload>_trace``, where every run of both files holds it.  The
@@ -133,6 +141,30 @@ def calibrated_rows(parent: dict, change: dict, benchmark: dict) -> list[tuple[s
     ]
 
 
+def held(runs: list[dict], part: str) -> list[str]:
+    """The entries of ``part`` that every run holds, sorted; none unless every run holds it."""
+    if not runs or any(part not in run for run in runs):
+        return []
+    return sorted(set.intersection(*(set(run[part]) for run in runs)))
+
+
+def measured_rows(parent: dict, change: dict, benchmark: dict) -> list[tuple[str, str, dict]]:
+    """One (workload, entry, ``sides``) per ``<workload>_memory`` entry and
+    ``*.self_s`` entry of ``<workload>_trace`` that every run of both files holds."""
+    runs = parent["runs"] + change["runs"]
+    out = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        memory, trace = f"{workload}_memory", f"{workload}_trace"
+        for part, names in (
+            (memory, held(runs, memory)),
+            (trace, [n for n in held(runs, trace) if n.endswith(".self_s")]),
+        ):
+            for name in names:
+                values = [[run[part][name] for run in side["runs"]] for side in (parent, change)]
+                out.append((workload, name, sides(*values, lower_better=True)))
+    return out
+
+
 def counter_rows(parent: dict, change: dict, benchmark: dict) -> list[tuple[str, str, dict]]:
     """One (workload, counter, row) per traced counter that every run of both files holds.
 
@@ -143,10 +175,9 @@ def counter_rows(parent: dict, change: dict, benchmark: dict) -> list[tuple[str,
     out = []
     for workload in (w["name"] for w in benchmark["workloads"]):
         key = f"{workload}_trace"
-        if not runs or any(key not in run for run in runs):
-            continue
-        held = set.intersection(*(set(run[key]) for run in runs))
-        for name in sorted(n for n in held if n == "connectivity.sweep_calls" or n.endswith(".calls")):
+        for name in held(runs, key):
+            if name != "connectivity.sweep_calls" and not name.endswith(".calls"):
+                continue
             values = [[run[key][name] for run in side["runs"]] for side in (parent, change)]
             out.append((workload, name, {
                 "parent": median(values[0]),
@@ -193,6 +224,8 @@ def main(argv: list[str]) -> int:
         print(render("startup", "wall_s", startup))
     for workload, row in calibrated_rows(parent, change, benchmark):
         print(render(workload, "wall_s/cal", row))
+    for workload, name, row in measured_rows(parent, change, benchmark):
+        print(render(workload, name, row))
     for workload, counter, row in counter_rows(parent, change, benchmark):
         print(render_counter(workload, counter, row))
     return int(any(row["verdict"] == WORSE for _, _, row in table))

@@ -1,30 +1,23 @@
 """Exact perfect-matching counting and the matching-polytope machinery.
 
-One DP over covered-vertex bitmasks serves every matching query.  Vertices
-are taken in a frontier order (``Multigraph.frontier_order``), which keeps
-few vertices half-finished at a time and so keeps the number of states
-small.  Each step matches the first uncovered vertex.  A forward pass,
-level by level, counts the paths into each state, which gives the count.
-A backward pass counts each state's completions; summing the product of
-the two over the transitions that use an edge gives the number of
+One DP over covered-vertex bitmasks answers every matching query, from one
+table per graph that only ``_table`` builds and that the graph's memo keeps
+(``_memoized``).  Vertices are taken in a frontier order
+(``Multigraph.frontier_order``), which keeps few vertices half-finished at
+a time and so keeps the number of states small.  Each step matches the
+first uncovered vertex.  The forward pass, group by group, counts the paths
+into each state, which gives the count.  The backward pass, run once on
+the first query that needs it, counts each state's completions; the sum of
+the two's product over the transitions through an edge is the number of
 matchings through it, for every edge at once.
 
-Each graph object keeps one table of the unconstrained DP in its memo
-(``_memoized``), and every count on it reads that table: the first count
-runs the forward pass, keeping the paths into each reached state grouped
-by the state's first uncovered position, and the first query that needs
-completions runs the backward pass once, keeping them where nonzero and
-the count through each edge.  A constrained count (required edges,
-forbidden edges, vertices deliberately left uncovered) seeds from the
-table and stops at table states, so it never reruns the whole DP; it
-raises the state-cap ``TooLarge`` exactly when the unconstrained table
-does.  Constrained counts themselves are not kept.  The same two passes
-with one edge required, run afresh, give the matchings through each pair
-of edges (``pair_counts``, kept), and with the query's constraints folded
-into the initial state, the matchings ``enumerate_matchings`` lists.  The
-vertex caps do not bound the states of a dense graph, so the DP also stops
-at ``STATE_CAP`` states per level.  Everything is exact: counts are ints,
-polytope arithmetic uses Fractions.
+A constrained count (required edges, forbidden edges, vertices left
+uncovered on purpose) seeds from the table and stops at table states.  Row
+f of ``pair_counts`` is one backward pass over the groups before f's.
+``enumerate_matchings`` walks the states with a completion in the table of
+the graph a query leaves.  The vertex caps do not bound the states of a
+dense graph, so the table also stops at ``STATE_CAP`` states in all.
+Everything is exact: counts are ints, polytope arithmetic uses Fractions.
 """
 
 from __future__ import annotations
@@ -41,10 +34,10 @@ from .errors import (
     NotUniquePM,
     TooLarge,
 )
-from .multigraph import Multigraph, _memoized, two_coloring
+from .multigraph import Multigraph, _memoized, induced_subgraph, two_coloring
 
 COUNT_CAP = 64
-STATE_CAP = 1 << 20  # DP states one level may expand to, at most: bounds the DP's memory
+STATE_CAP = 1 << 20  # states the DP table may hold, at most: bounds its memory
 ENUMERATE_CAP = 20
 POLYTOPE_CAP = 20
 
@@ -98,79 +91,52 @@ def _validate(g: Multigraph, q: CountQuery) -> None:
 
 
 class _StateDag:
-    """The states of the matching DP, one forward sweep level by level.
+    """A graph's DP table: the states of the matching DP, swept group by group.
 
-    Vertex v sits at its position in ``g.frontier_order`` and a state is the
-    bitmask of covered positions.  Missed vertices and the ends of required
-    edges are covered from the start.  A transition covers the first
-    uncovered position and one uncovered neighbour of it through an edge
-    that is not forbidden, so every matching of the query is one path from
-    the start to the full mask.  That neighbour sits at a later position,
-    so each edge is a move of its earlier end only.  The sweep goes level
-    by level, level k holding the states reached by k transitions, and
-    keeps alpha, the number of paths into each state, grouped by the
-    state's first uncovered position: ``groups[p]`` maps each reached state
-    whose first uncovered position is p to alpha, and ``groups[n]`` holds
-    the full mask, if it is reached.  A transition leaves a state for one
-    of a later group, so the groups in decreasing order are a backward
-    order of the states.
-
-    The vertex cap does not bound the states of a dense graph under it, so
-    a level is expanded only while its size times the longest move list,
-    the most states the next level can get, stays within ``STATE_CAP``;
-    past it the DP raises ``TooLarge`` before it allocates that level.
+    Vertex v sits at ``pos[v]``, its position in ``g.frontier_order``, and a
+    state is the bitmask of covered positions.  A transition covers the
+    first uncovered position and one uncovered neighbour of it, which sits
+    later, so each edge is a move of its earlier end only and every perfect
+    matching is one path from the empty mask to the full one.  ``groups[p]``
+    maps each reached state whose first uncovered position is p to alpha,
+    the number of paths into it; ``groups[n]`` holds the full mask, if it is
+    reached.  A transition leads to a later group, so the forward pass
+    expands the groups in increasing order, each once complete, and each
+    state is stored once.  A group is expanded only while the states held
+    plus its size times its move count, the most it can add, stay within
+    ``STATE_CAP``: past it the table raises ``TooLarge`` before allocating.
     """
 
-    def __init__(self, g: Multigraph, q: CountQuery, cap: int, what: str):
-        if g.vertex_count > cap:
-            raise TooLarge(f"{what} capped at {cap} vertices")
-        _validate(g, q)
+    def __init__(self, g: Multigraph):
+        if g.vertex_count > COUNT_CAP:
+            raise TooLarge(f"counting capped at {COUNT_CAP} vertices")
         n = g.vertex_count
-        pos = [0] * n
+        self.pos = pos = [0] * n
         for p, v in enumerate(g.frontier_order):
             pos[v] = p
-        bit = [1 << p for p in pos]
         self.edge_count = g.edge_count
-        self.full = full = (1 << n) - 1
+        self.full = (1 << n) - 1
         # moves[p]: (edge id, position bit of its later end) for each edge whose
         # earlier end sits at position p; a move from the later end never fires,
         # since the first uncovered position is the least one
         at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        forbidden = q.forbidden
         for e, (u, v) in enumerate(g.edges):
-            if e not in forbidden:
-                if pos[u] > pos[v]:
-                    u, v = v, u
-                at[pos[u]].append((e, bit[v]))
+            a, z = sorted((pos[u], pos[v]))
+            at[a].append((e, 1 << z))
         self.moves = moves = [tuple(x) for x in at]  # kept with a table: no spare slots
-        self.groups: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        self.groups = groups = [{} for _ in range(n + 1)]
         self._outside: tuple[dict[int, int], list[int]] | None = None
-        self.start = 0
-        for v in q.missed_vertices:
-            self.start |= bit[v]
-        for e in q.required:
-            u, v = g.endpoints(e)
-            ends = bit[u] | bit[v]
-            if self.start & ends:
-                return  # two required edges collide: no matching
-            self.start |= ends
-        groups = self.groups
-        level = {self.start: 1}
-        widest = max(map(len, moves), default=0)
-        while level and full not in level:
-            if len(level) * widest > STATE_CAP:
-                raise TooLarge(f"{what} capped at {STATE_CAP} DP states")
-            nxt: dict[int, int] = {}
-            for s, paths in level.items():
-                low = ~s & (s + 1)
-                p = low.bit_length() - 1
-                groups[p][s] = paths
+        groups[0][0] = 1
+        for p in range(n):
+            group, low = groups[p], 1 << p
+            if sum(map(len, groups)) + len(group) * len(moves[p]) > STATE_CAP:
+                raise TooLarge(f"counting capped at {STATE_CAP} DP states")
+            for s, paths in group.items():
                 for _, b in moves[p]:
                     if not s & b:
                         t = s | low | b
-                        nxt[t] = nxt.get(t, 0) + paths
-            level = nxt
-        groups[n] = level  # the full mask alone, or nothing
+                        later = groups[(~t & (t + 1)).bit_length() - 1]
+                        later[t] = later.get(t, 0) + paths
 
     @property
     def count(self) -> int:
@@ -182,38 +148,42 @@ class _StateDag:
 
         beta(s), the number of paths from s to the full mask, is kept only
         where it is nonzero.  The transitions through edge e lie on
-        alpha(s)·beta(t) matchings each, summed into c(e).  Required edges
-        are not transitions and keep c(e) = 0.
+        alpha(s)·beta(t) matchings each, summed into c(e).
         """
         if self._outside is None:
-            beta: dict[int, int] = {}
             through = [0] * self.edge_count
-            if self.count:
-                beta[self.full] = 1
-                for p in range(len(self.moves) - 1, -1, -1):
-                    low, at = 1 << p, self.moves[p]
-                    for s, paths in self.groups[p].items():
-                        total = 0
-                        for e, b in at:
-                            if not s & b:
-                                rest = beta.get(s | low | b)
-                                if rest:
-                                    total += rest
-                                    through[e] += paths * rest
-                        if total:
-                            beta[s] = total
-            self._outside = beta, through
+            self._outside = _backward(self, {self.full: 1}, len(self.moves), through), through
         return self._outside
 
 
+def _backward(dag: _StateDag, beta: dict[int, int], top: int, through: list[int]) -> dict[int, int]:
+    """Extend ``beta``, the completions of the states at and past group
+    ``top`` (nonzero only), down through groups top - 1, …, 0, adding
+    alpha(s)·beta(t) of each transition s → t through edge e into
+    ``through[e]``."""
+    for p in range(top - 1, -1, -1):
+        low, at = 1 << p, dag.moves[p]
+        for s, paths in dag.groups[p].items():
+            total = 0
+            for e, b in at:
+                if not s & b:
+                    rest = beta.get(s | low | b)
+                    if rest:
+                        total += rest
+                        through[e] += paths * rest
+            if total:
+                beta[s] = total
+    return beta
+
+
 def _table(g: Multigraph) -> _StateDag:
-    """The unconstrained DP of g, kept in its memo: every count on g reads it."""
-    return _memoized(g, "dp", lambda: _StateDag(g, EMPTY_QUERY, COUNT_CAP, "counting"))
+    """The DP table of g, kept in its memo: every matching query on g reads it."""
+    return _memoized(g, "dp", lambda: _StateDag(g))
 
 
 def _seeded(dag: _StateDag, pre: int, tail: list[tuple[int, int]]) -> int:
     """Matchings that cover every position but those of ``pre`` and avoid
-    the ``tail`` moves, read from the unconstrained table ``dag``.
+    the ``tail`` moves, read from the table ``dag``.
 
     ``pre`` holds the bits covered from the start, ``tail`` (earlier end's
     position, edge id) for each avoided edge, none earlier than the least
@@ -262,39 +232,38 @@ def count_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> int:
     """Exact number of matchings covering V minus the missed vertices.
 
     Parallel edges count as distinct matchings.  Every count on a graph reads
-    one table of the unconstrained DP, kept in its memo: the first count runs
-    the forward pass, and N is read from it.  A constrained count runs the
-    backward pass once, if no count has, and seeds from the table with the
-    missed vertices and the ends of the required edges covered, stopping at
-    table states (``_seeded``), so it never runs a whole DP again.  The
-    forbidden edges F, sorted by their earlier ends' positions, are taken
-    out by count(R, X, avoid F) = count(R, X) − Σᵢ count(R ∪ {eᵢ}, X, avoid
-    {eᵢ₊₁, …}): |F| + 1 seeded counts, where one required edge alone is c(e).
-    So a constrained count raises the state-cap ``TooLarge`` exactly when the
-    unconstrained count does.
+    its one DP table (``_table``), and N is read from the forward pass.  A
+    constrained count runs the backward pass once, if no query has, and
+    seeds from the table with the missed vertices and the ends of the
+    required edges covered, stopping at table states (``_seeded``), so it
+    never runs a whole DP again.  The forbidden edges F, sorted by their
+    earlier ends' positions, are taken out by count(R, X, avoid F) =
+    count(R, X) − Σᵢ count(R ∪ {eᵢ}, X, avoid {eᵢ₊₁, …}): |F| + 1 seeded
+    counts, where one required edge alone is c(e).  So a constrained count
+    raises the state-cap ``TooLarge`` exactly when the unconstrained count
+    does.
     """
     if q == EMPTY_QUERY:
         return _table(g).count
     _validate(g, q)
-    dag, order = _table(g), g.frontier_order
+    dag = _table(g)
+    pos = dag.pos
 
     def ends(e: int) -> int:
         u, v = g.endpoints(e)
-        return 1 << order.index(u) | 1 << order.index(v)
+        return 1 << pos[u] | 1 << pos[v]
 
     def term(required: list[int], tail: list[tuple[int, int]]) -> int:
         if not q.missed_vertices and not tail and len(required) == 1:
             return dag.outside()[1][required[0]]
-        pre = sum(1 << order.index(v) for v in q.missed_vertices)
+        pre = sum(1 << pos[v] for v in q.missed_vertices)
         for e in required:
             if pre & ends(e):
                 return 0  # two required edges collide, or one meets a missed vertex
             pre |= ends(e)
         return _seeded(dag, pre, tail) if pre else dag.count
 
-    forbidden = sorted(
-        (min(order.index(v) for v in g.endpoints(e)), e) for e in q.forbidden
-    )
+    forbidden = sorted((min(pos[v] for v in g.endpoints(e)), e) for e in q.forbidden)
     required = list(q.required)
     total = term(required, [])
     for i, (_, e) in enumerate(forbidden):
@@ -310,10 +279,26 @@ def has_matching(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> bool:
 def enumerate_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> list[Matching]:
     """All matchings for the query, sorted by their sorted edge-id tuples.
 
-    Walks only the states with a completion, so no branch is a dead end.
+    A query is answered on the graph it leaves: g without the missed
+    vertices, the ends of the required edges and the forbidden edges, whose
+    matchings plus the required edges are the query's.  The walk reads that
+    graph's table and goes only through states with a completion, so no
+    branch is a dead end.
     """
-    dag = _StateDag(g, q, ENUMERATE_CAP, "enumeration")
-    beta, _ = dag.outside()
+    if g.vertex_count > ENUMERATE_CAP:
+        raise TooLarge(f"enumeration capped at {ENUMERATE_CAP} vertices")
+    _validate(g, q)
+    h, ids = g, range(g.edge_count)
+    if q != EMPTY_QUERY:
+        covered = q.missed_vertices.union(*map(g.endpoints, q.required))
+        if len(covered) < len(q.missed_vertices) + 2 * len(q.required):
+            return []  # two required edges collide
+        sub, _, kept = induced_subgraph(g, set(range(g.vertex_count)) - covered)
+        left = [i for i, e in enumerate(kept) if e not in q.forbidden]
+        h = Multigraph(sub.vertex_count, tuple(sub.edges[i] for i in left))
+        ids = [kept[i] for i in left]
+    dag = _table(h)
+    beta = dag.outside()[0]
     out: list[tuple[int, ...]] = []
     chosen = sorted(q.required)
 
@@ -324,12 +309,11 @@ def enumerate_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> list[Matc
         low = ~s & (s + 1)
         for e, b in dag.moves[low.bit_length() - 1]:
             if not s & b and (s | low | b) in beta:
-                chosen.append(e)
+                chosen.append(ids[e])
                 walk(s | low | b)
                 chosen.pop()
 
-    if beta:
-        walk(dag.start)
+    walk(0)
     out.sort()
     return [Matching(t) for t in out]
 
@@ -346,24 +330,36 @@ def containment_counts(g: Multigraph) -> list[int]:
 def pair_counts(g: Multigraph) -> tuple[tuple[int, ...], ...]:
     """P[f][e], the number of perfect matchings through both f and e.
 
-    The diagonal holds c(f).  Row f is one forward and one backward pass
-    with f required, skipped when c(f) = 0, which makes the row zero.  By
-    inclusion-exclusion, N - c(e) - c(f) + P[e][f] perfect matchings avoid
-    both e and f, and c(f) - P[f][e] contain f and avoid e.  Kept in the
-    graph's memo.
+    The diagonal holds c(f).  Row f reads the graph's one DP table: with f's
+    transitions leaving group p, a backward pass over the groups before p
+    gives beta_f(s), the completions of s through f, and each transition
+    s → t through e there adds alpha(s)·beta_f(t) to P[f][e].  P is
+    symmetric, so this gives every pair whose edges' earlier ends differ;
+    edges whose earlier ends coincide share a vertex.  A row with c(f) = 0
+    is zero.  By inclusion-exclusion, N - c(e) - c(f) + P[e][f] perfect
+    matchings avoid both e and f, and c(f) - P[f][e] contain f and avoid e.
+    Kept in the graph's memo.
     """
 
-    def row(f: int, through: int) -> tuple[int, ...]:
-        out = [0] * g.edge_count
-        if through:
-            dag = _StateDag(g, CountQuery(required=frozenset({f})), COUNT_CAP, "counting")
-            out = dag.outside()[1]
-        out[f] = through
-        return tuple(out)
+    def build() -> tuple[tuple[int, ...], ...]:
+        dag = _table(g)
+        beta, through = dag.outside()
+        rows = [[0] * g.edge_count for _ in through]
+        for f, c in enumerate(through):
+            rows[f][f] = c
+            if c:
+                a, z = sorted(dag.pos[v] for v in g.endpoints(f))
+                low, b = 1 << a, 1 << z
+                used = {s: beta[s | low | b] for s in dag.groups[a]
+                        if not s & b and (s | low | b) in beta}
+                row = [0] * g.edge_count
+                _backward(dag, used, a, row)
+                for e, x in enumerate(row):
+                    if x:
+                        rows[f][e] = rows[e][f] = x
+        return tuple(map(tuple, rows))
 
-    return _memoized(g, "pairs", lambda: tuple(
-        row(f, through) for f, through in enumerate(containment_counts(g))
-    ))
+    return _memoized(g, "pairs", build)
 
 
 def is_matching_covered(g: Multigraph) -> bool:

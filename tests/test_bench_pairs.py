@@ -60,9 +60,10 @@ def test_runs_made_without_the_tier1_suite_are_read_and_summarized(tmp_path):
         capture_output=True, text=True,
     )
     rows = {tuple(line.split()[:2]): line for line in done.stdout.splitlines()}
-    assert done.returncode == 0 and len(rows) == len(WORKLOADS) * len(METRICS) + 1
+    assert done.returncode == 0 and len(rows) == len(WORKLOADS) * len(METRICS) + 2
     assert rows["catalog", "peak_rss_mb"].endswith("gain met")
     assert rows["startup", "wall_s"].endswith("wins 0/10  informational")
+    assert rows["catalog", "held_mb"].endswith("wins 0/10  informational")
 
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
@@ -141,7 +142,7 @@ def test_each_traced_counter_gets_an_informational_row(tmp_path):
     more = [{**trace, "multigraph.calls": 10000 + 100 * i} for i in range(10)]
     change = _with_trace(_bench(tmp_path / "change.json", [{}] * 10), more)
     code, lines = _pairs(parent, change)
-    counters = [line.split() for line in lines[len(WORKLOADS) * len(METRICS):]]
+    counters = [line.split() for line in lines if "in every run" in line]
     assert code == 0 and [row[:2] for row in counters] == [
         ["catalog", "connectivity.build_cut.calls"],
         ["catalog", "connectivity.sweep_calls"],
@@ -155,7 +156,7 @@ def test_each_traced_counter_gets_an_informational_row(tmp_path):
     gap = [trace] * 9 + [{k: v for k, v in trace.items() if k != "connectivity.sweep_calls"}]
     code, lines = _pairs(parent, _with_trace(_bench(tmp_path / "gap.json", [{}] * 10), gap))
     assert code == 0 and not any("sweep_calls" in line for line in lines)
-    assert sum("informational" in line for line in lines) == 2
+    assert sum("in every run" in line for line in lines) == 2
     code, lines = _pairs(parent, _with_trace(_bench(tmp_path / "none.json", [{}] * 10), [None] * 10))
     assert code == 0 and len(lines) == len(WORKLOADS) * len(METRICS)
 
@@ -210,3 +211,52 @@ def test_the_calibrated_wall_time_row_is_informational(tmp_path):
     )
     code, lines = _pairs(parent, gap)
     assert code == 0 and not any("wall_s/cal" in line for line in lines)
+
+
+def _with_parts(path, parts):
+    """Give run i of the BENCH file at ``path`` the entries ``parts[i]``
+    (part name to its dict)."""
+    data = json.loads(Path(path).read_text())
+    for run, part in zip(data["runs"], parts):
+        run.update(part)
+    Path(path).write_text(json.dumps(data))
+    return path
+
+
+def test_memory_and_self_time_entries_get_informational_rows(tmp_path):
+    """Each ``<workload>_memory`` entry and each ``*.self_s`` entry of
+    ``<workload>_trace`` that every run of both files holds gets a row with
+    each side's median and quartiles and the pairs the change wins (lower),
+    no verdict and no exit code; an entry some run lacks gets none."""
+    jitter = [0.0, 0.01, -0.01, 0.02, -0.02, 0.0, 0.01, -0.01, 0.02, -0.02]
+
+    def parts(graphs, self_s):
+        return [{
+            "catalog_memory": {"held_mb": 14.0 + j, "graphs_mb": graphs + j},
+            "catalog_trace": {"matchings.self_s": self_s + j, "multigraph.calls": 10456},
+        } for j in jitter]
+
+    parent = _with_parts(_bench(tmp_path / "parent.json", [{}] * 10), parts(3.7, 0.05))
+    change = _with_parts(_bench(tmp_path / "change.json", [{}] * 10), parts(3.2, 0.5))
+    code, lines = _pairs(parent, change)
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines}
+    assert code == 0 and len(lines) == len(WORKLOADS) * len(METRICS) + 4
+    assert rows["catalog", "graphs_mb"] == [
+        "parent", "3.7", "[3.69,", "3.71]", "change", "3.2", "[3.19,", "3.21]",
+        "wins", "10/10", "informational",
+    ]
+    assert rows["catalog", "held_mb"][-3:] == ["wins", "0/10", "informational"]
+    assert rows["catalog", "matchings.self_s"] == [
+        "parent", "0.05", "[0.04,", "0.06]", "change", "0.5", "[0.49,", "0.51]",
+        "wins", "0/10", "informational",
+    ]
+    assert " ".join(rows["catalog", "multigraph.calls"]) == (
+        "parent 10456 change 10456 equal in every run informational"
+    )
+
+    gap = parts(3.2, 0.5)
+    del gap[3]["catalog_memory"]["graphs_mb"], gap[5]["catalog_trace"]["matchings.self_s"]
+    code, lines = _pairs(parent, _with_parts(_bench(tmp_path / "gap.json", [{}] * 10), gap))
+    assert code == 0 and [line.split()[1] for line in lines[len(WORKLOADS) * len(METRICS):]] == [
+        "held_mb", "multigraph.calls",
+    ]

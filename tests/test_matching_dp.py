@@ -1,17 +1,18 @@
 """The frontier-ordered matching DP against the label-order recursion it replaced.
 
 Every public matching query (count, existence, per-edge containment,
-per-pair containment, coverage, enumeration) reads one state DAG; each is
-compared with the memoized recursion kept in ``oracles`` on every query
-kind, including parallel edges, odd and disconnected graphs and the empty
-graph.  So are the lemma checks that read avoided and contained edges from
-per-edge and per-pair counts instead of one count per slot.  The DP's
-frontier order is compared with a greedy that recounts every cost at each
-step, and it leaves no neighbour table on the graph; the enumerated
-matchings keep only their sorted edge-id tuples.
+per-pair containment, coverage, enumeration) reads the graph's one DP
+table, which only ``matchings._table`` builds; an enumeration with a query
+reads the table of the graph the query leaves.  Each is compared with the
+memoized recursion kept in ``oracles`` on every query kind, including
+parallel edges, odd and disconnected graphs and the empty graph, and the
+table's moves and state cap are pinned.  So are the lemma checks that read
+avoided and contained edges from per-edge and per-pair counts instead of
+one count per slot.  The DP's frontier order is compared with a greedy
+that recounts every cost at each step, and it leaves no neighbour table on
+the graph; the enumerated matchings keep only their sorted edge-id tuples.
 """
 
-from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -159,7 +160,9 @@ def test_pair_counts_agree_with_one_count_per_pair(name, g):
     m = g.edge_count
     total, through, pairs = count_matchings(g), containment_counts(g), pair_counts(g)
     assert [pairs[f][f] for f in range(m)] == through
-    for e, f in permutations(range(0, m, max(1, m // 6)), 2):
+    # every ordered pair where n <= 12, so e comes before, at and after f's position
+    step = 1 if g.vertex_count <= 12 else max(1, m // 6)
+    for e, f in permutations(range(0, m, step), 2):
         assert pairs[f][e] == slow_count_matchings(g, CountQuery(required=frozenset({e, f})))
         avoid_both = slow_count_matchings(g, CountQuery(forbidden=frozenset({e, f})))
         assert total - through[e] - through[f] + pairs[e][f] == avoid_both
@@ -184,16 +187,25 @@ def test_colliding_required_edges_and_the_empty_graph():
 
 
 def test_the_dp_stops_before_a_level_past_the_state_cap(monkeypatch):
-    """A level is expanded only while its size times the longest move list,
-    3 on the cube, stays within ``STATE_CAP``."""
-    dag = matchings._StateDag(named("cube"), CountQuery(), COUNT_CAP, "counting")
-    # level k holds the states of 2k covered positions; the last is the full mask
-    sizes = Counter(s.bit_count() for group in dag.groups[:-1] for s in group)
-    need = 3 * max(sizes.values())
-    monkeypatch.setattr(matchings, "STATE_CAP", need)
-    assert count_matchings(named("cube")) == 9
-    monkeypatch.setattr(matchings, "STATE_CAP", need - 1)
+    """The table expands its group p only while the states it holds plus the
+    group's size times its move count stay within ``STATE_CAP``.  The states
+    held before group p is expanded are those reached from the start by the
+    groups before it; ``need`` is the most the cube's table asks for."""
+    g = named("cube")
+    pos = {v: p for p, v in enumerate(g.frontier_order)}
+    reached, need = {0}, 0
+    for p in range(g.vertex_count):
+        group = [s for s in reached if (~s & (s + 1)).bit_length() - 1 == p]
+        later = [max(pos[u], pos[v]) for u, v in g.edges if min(pos[u], pos[v]) == p]
+        need = max(need, len(reached) + len(group) * len(later))
+        reached |= {s | 1 << p | 1 << z for s in group for z in later if not s >> z & 1}
+    assert len(reached) == sum(map(len, matchings._table(g).groups))  # the whole table
     missed = CountQuery(missed_vertices=frozenset({0, 1}))
+    monkeypatch.setattr(matchings, "STATE_CAP", need)
+    assert count_matchings(named("cube")) == len(enumerate_matchings(named("cube"))) == 9
+    assert containment_counts(named("cube")) == [3] * 12  # the cube is edge-transitive
+    assert count_matchings(named("cube"), missed) == slow_count_matchings(g, missed)
+    monkeypatch.setattr(matchings, "STATE_CAP", need - 1)
     for query in (
         count_matchings, containment_counts, enumerate_matchings,
         lambda g: count_matchings(g, missed),
@@ -203,16 +215,15 @@ def test_the_dp_stops_before_a_level_past_the_state_cap(monkeypatch):
 
 
 def test_each_edge_is_one_move_at_its_earlier_end():
-    """Each edge that is not forbidden is one move, kept at the earlier of
-    its ends' frontier positions and pointing to the later one."""
+    """Each edge is one move of the table, kept at the earlier of its ends'
+    frontier positions and pointing to the later one; the table keeps each
+    vertex's position."""
     for name, g in GRAPHS:
-        forbidden = frozenset(range(0, g.edge_count, 3))
-        dag = matchings._StateDag(g, CountQuery(forbidden=forbidden), COUNT_CAP, "counting")
+        dag = matchings._table(g)
         pos = {v: p for p, v in enumerate(g.frontier_order)}
+        assert dag.pos == [pos[v] for v in range(g.vertex_count)], name
         moves = [(e, p, b) for p, at in enumerate(dag.moves) for e, b in at]
-        assert sorted(e for e, _, _ in moves) == [
-            e for e in range(g.edge_count) if e not in forbidden
-        ], name
+        assert sorted(e for e, _, _ in moves) == list(range(g.edge_count)), name
         for e, p, b in moves:
             assert [p, b.bit_length() - 1] == sorted(pos[v] for v in g.endpoints(e)), name
 
