@@ -126,11 +126,14 @@ class _StateDag:
         self.moves = moves = [tuple(x) for x in at]  # kept with a table: no spare slots
         self.groups = groups = [{} for _ in range(n + 1)]
         self._outside: tuple[dict[int, int], list[int]] | None = None
-        groups[0][0] = 1
+        groups[0][0] = held = 1  # held bounds the states held from above, exact near the cap
         for p in range(n):
             group, low = groups[p], 1 << p
-            if sum(map(len, groups)) + len(group) * len(moves[p]) > STATE_CAP:
-                raise TooLarge(f"counting capped at {STATE_CAP} DP states")
+            held += len(group) * len(moves[p])
+            if held > STATE_CAP:
+                held = sum(map(len, groups)) + len(group) * len(moves[p])
+                if held > STATE_CAP:
+                    raise TooLarge(f"counting capped at {STATE_CAP} DP states")
             for s, paths in group.items():
                 for _, b in moves[p]:
                     if not s & b:
@@ -288,7 +291,7 @@ def enumerate_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> list[Matc
     if g.vertex_count > ENUMERATE_CAP:
         raise TooLarge(f"enumeration capped at {ENUMERATE_CAP} vertices")
     _validate(g, q)
-    h, ids = g, range(g.edge_count)
+    h, ids = g, None
     if q != EMPTY_QUERY:
         covered = q.missed_vertices.union(*map(g.endpoints, q.required))
         if len(covered) < len(q.missed_vertices) + 2 * len(q.required):
@@ -299,6 +302,7 @@ def enumerate_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> list[Matc
         ids = [kept[i] for i in left]
     dag = _table(h)
     beta = dag.outside()[0]
+    moves = dag.moves if ids is None else [[(ids[e], b) for e, b in at] for at in dag.moves]
     out: list[tuple[int, ...]] = []
     chosen = sorted(q.required)
 
@@ -307,9 +311,9 @@ def enumerate_matchings(g: Multigraph, q: CountQuery = EMPTY_QUERY) -> list[Matc
             out.append(tuple(sorted(chosen)))
             return
         low = ~s & (s + 1)
-        for e, b in dag.moves[low.bit_length() - 1]:
+        for e, b in moves[low.bit_length() - 1]:
             if not s & b and (s | low | b) in beta:
-                chosen.append(ids[e])
+                chosen.append(e)
                 walk(s | low | b)
                 chosen.pop()
 
