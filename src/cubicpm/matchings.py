@@ -356,11 +356,10 @@ def pair_counts(g: Multigraph) -> tuple[tuple[int, ...], ...]:
                 low, b = 1 << a, 1 << z
                 used = {s: beta[s | low | b] for s in dag.groups[a]
                         if not s & b and (s | low | b) in beta}
-                row = [0] * g.edge_count
-                _backward(dag, used, a, row)
-                for e, x in enumerate(row):
-                    if x:
-                        rows[f][e] = rows[e][f] = x
+                # adds to P[f][e] only where e leaves a group before a, which no other row sets
+                _backward(dag, used, a, rows[f])
+                for e, x in enumerate(rows[f]):
+                    rows[e][f] = x
         return tuple(map(tuple, rows))
 
     return _memoized(g, "pairs", build)

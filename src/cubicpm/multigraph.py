@@ -110,9 +110,8 @@ class Multigraph:
 
     @cached_property
     def frontier_order(self) -> tuple[int, ...]:
-        """A vertex order with a small frontier, shared by the matching DP,
-        which takes the vertices in it, and ``connectivity.cut_sums_at_most``,
-        which places them one at a time along it.
+        """A vertex order with a small frontier, along which the matching DP
+        and the cut sweep (``connectivity.cut_sums_at_most``) place vertices.
 
         Greedy: each step places the vertex that adds the fewest unplaced
         vertices to the boundary (the unplaced neighbours of placed
