@@ -361,7 +361,7 @@ def _unit_sweep(g: Multigraph, bound: int) -> _Sweep:
 def _capped_sweep(g: Multigraph, max_size: int) -> _Sweep:
     """g's sweep at max_size (``_unit_sweep``), refused above ``CUT_CAP`` vertices."""
     if g.vertex_count > CUT_CAP:
-        raise TooLarge(f"cut enumeration capped at {CUT_CAP} vertices")
+        raise TooLarge(f"cut sweep capped at {CUT_CAP} vertices")
     return _unit_sweep(g, max_size)
 
 

@@ -15,8 +15,8 @@ A constrained count (required edges, forbidden edges, vertices left
 uncovered on purpose) seeds from the table and stops at table states.  Row
 f of ``pair_counts`` is one backward pass over the groups before f's.
 ``enumerate_matchings`` walks the states with a completion in the table of
-the graph a query leaves.  The vertex caps do not bound the states of a
-dense graph, so the table also stops at ``STATE_CAP`` states in all.
+the graph a query leaves.  The table stops at ``STATE_CAP`` states in all,
+the DP's only limit, which bounds its memory whatever the vertex count.
 Everything is exact: counts are ints, polytope arithmetic uses Fractions.
 """
 
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .multigraph import Multigraph, _memoized, induced_subgraph, two_coloring
 
-COUNT_CAP = 64
 STATE_CAP = 1 << 20  # states the DP table may hold, at most: bounds its memory
 ENUMERATE_CAP = 20
 POLYTOPE_CAP = 20
@@ -105,11 +104,10 @@ class _StateDag:
     state is stored once.  A group is expanded only while the states held
     plus its size times its move count, the most it can add, stay within
     ``STATE_CAP``: past it the table raises ``TooLarge`` before allocating.
+    That is the table's only limit; the vertex count is never tested.
     """
 
     def __init__(self, g: Multigraph):
-        if g.vertex_count > COUNT_CAP:
-            raise TooLarge(f"counting capped at {COUNT_CAP} vertices")
         n = g.vertex_count
         self.pos = pos = [0] * n
         for p, v in enumerate(g.frontier_order):

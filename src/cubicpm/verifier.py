@@ -8,8 +8,12 @@ Each lemma's table entry declares its hypothesis once: a test of the
 instance that returns why the lemma does not apply, or None.  It runs once
 per (lemma, instance), ahead of the parameter slots, and a reason becomes
 the same Skipped report in every slot, so sweeps can never pass silently by
-checking nothing.  A graph above a size cap is Skipped with a reason naming
-the cap.  The checks do only per-slot work.
+checking nothing.  The checks do only per-slot work.
+
+A kernel beyond its cap raises ``TooLarge``, and only ``_reports`` catches
+it: the kernel's own message becomes the Skipped reason of every slot when
+a hypothesis raised it, and of the slot when a check did.  So no cap aborts
+a sweep, and no hypothesis restates a kernel's cap.
 
 The lemmas are statements about a graph up to isomorphism, so five checks
 keep the results that hold no vertex or edge id once per orbit of Aut(g),
@@ -20,10 +24,10 @@ side" bit.  The other keys are edge ends, since an automorphism may shuffle
 parallel edges: LM_SPECIAL keeps its verdict pair per ordered pair of edge
 ends, and LM_BB_3E and LM_BB_3EF keep b(G - e) and b(G - e - f) per
 multiset of the deleted edges' ends.  What names ids is never shared across
-an orbit: a violating side (kept per split signature), a broken
-``special_pair`` assertion, a degenerate path's Skipped message and the
-companion that LM_BB_3EF names are found for the slot itself.  The group is
-searched only when one of these checks first needs it.
+an orbit: a violating side, a broken ``special_pair`` assertion, a
+degenerate path's Skipped message and the companion that LM_BB_3EF names
+are found for the slot itself.  The group is searched only when one of
+these checks first needs it.
 
 A slot is a plain tuple of values, one per key that the lemma's table
 entry names, and a report renders it as its params dict only when read.
@@ -61,10 +65,9 @@ from .connectivity import (
     mask_sizes,
     ordered_4cut_chain,
 )
-from .errors import BadSize, ChainViolation, CubicpmError, NotMatchingCovered
+from .errors import BadSize, ChainViolation, CubicpmError, NotMatchingCovered, TooLarge
 from .formats import write_edge_list
 from .matchings import (
-    COUNT_CAP,
     ENUMERATE_CAP,
     CountQuery,
     containment_counts,
@@ -335,17 +338,9 @@ def _twisted_skip(inst: Instance) -> str | None:
     if inst.known_twisted:
         return None
     g = inst.graph
-    if g.vertex_count > fam.TWISTED_CAP:
-        return f"recognizer capped at {fam.TWISTED_CAP} vertices"
-
-    def verdict():
-        try:
-            ok = fam.recognize_twisted_net(g) is not None
-        except CubicpmError:
-            return "recognizer rejected the instance"
-        return None if ok else "not a twisted net"
-
-    return _memoized(g, "twisted net", verdict)
+    return _memoized(g, "twisted net", lambda: (
+        None if fam.recognize_twisted_net(g) is not None else "not a twisted net"
+    ))
 
 
 def _is_c4(g: Multigraph) -> bool:
@@ -577,21 +572,18 @@ def _first(*hypotheses: _Hypothesis) -> _Hypothesis:
     return lambda inst: next(filter(None, (h(inst) for h in hypotheses)), None)
 
 
-_CUT_SWEEP = _cap(CUT_CAP, f"cut sweep capped at {CUT_CAP} vertices")
-_COUNTING = _cap(COUNT_CAP, f"counting capped at {COUNT_CAP} vertices")
 _DECOMPOSITION = _cap(dc.TIGHT_CAP, "decomposition size cap")
 _BRIDGELESS_CUBIC = _needs("not cubic bridgeless", _is_bridgeless_cubic)
 # the decomposition contracts shores that must induce connected parts
 _CONNECTED = _needs("not connected", Multigraph.is_connected)
 
 
-def _swept(reason: str, test, swept) -> _Hypothesis:
-    """``test``, then the cut-sweeping ``swept``, which is not run above the sweep cap."""
-    return _first(_needs(reason, test), _CUT_SWEEP, _needs(reason, swept))
-
-
 def _is_cubic(g: Multigraph) -> bool:
     return g.is_cubic
+
+
+def _is_c4ec_cubic(g: Multigraph) -> bool:
+    return g.is_cubic and _c4ec(g)
 
 
 def _effective_connectivity(g: Multigraph) -> int | None:
@@ -608,10 +600,9 @@ def _splitoff_connectivity(inst: Instance) -> str | None:
 
 
 _split5_hypothesis = _first(
-    _swept(
+    _needs(
         "needs cyclically 5-edge-connected cubic, >= 12 vertices",
-        lambda g: g.is_cubic and g.vertex_count >= 12,
-        lambda g: _least_cyclic_size(g, 4) is None,
+        lambda g: g.is_cubic and g.vertex_count >= 12 and _least_cyclic_size(g, 4) is None,
     ),
     # splitting off drops two vertices before the k-almost search
     _cap(ALMOST_CAP + 2, f"split graph over the k-almost search cap of {ALMOST_CAP} vertices"),
@@ -869,11 +860,8 @@ def _check_lm_splitoff(inst, slot):
     key = _split_key(g, "splitoff", signature)
     if g._memo.get(key):  # a graph split off in this orbit has no violating side
         worst = None
-    else:
-        # it names vertex ids, so only the paths that split off this graph share it
-        worst = _memoized(
-            g, ("splitoff side", signature), lambda: _violating_side(split_off(g, path), ell),
-        )
+    else:  # it names vertex ids, so each path finds its own
+        worst = _violating_side(split_off(g, path), ell)
         g._memo[key] = worst is None
     ok = worst is None
     return {
@@ -1120,34 +1108,34 @@ _4CUT = "needs cyclically 4-edge-connected cubic with a cyclic 4-cut"
 _4CUT_EDGE = "needs cyclically 4-edge-connected cubic with the edge in a cyclic 4-cut"
 _STRUC = "needs cyclically 4-edge-connected cubic with an admissible edge"
 _needs_3ec_edge = _needs(_3EC_EDGE, _is_3ec_cubic)
-_twisted_net = _first(_twisted_skip, _COUNTING)  # known nets skip the recognizer and its cap
-_needs_4cut = _swept(_4CUT, _is_cubic, _c4ec)
+_needs_4cut = _needs(_4CUT, _is_c4ec_cubic)
 _EDGE = ("edge",)
 _SIDE = ("side",)
 
 _LEMMAS: dict[LemmaId, _Lemma] = {
-    LemmaId.TH_HALF: _Lemma(_check_th_half, _first(_BRIDGELESS_CUBIC, _COUNTING)),
-    LemmaId.THM_BIP: _Lemma(_check_thm_bip, _first(
-        _needs(_BIP, lambda g: _is_bridgeless_cubic(g) and is_bipartite(g)), _COUNTING,
-    ), _edge_params, _BIP, keys=_EDGE),
+    LemmaId.TH_HALF: _Lemma(_check_th_half, _BRIDGELESS_CUBIC),
+    LemmaId.THM_BIP: _Lemma(
+        _check_thm_bip, _needs(_BIP, lambda g: _is_bridgeless_cubic(g) and is_bipartite(g)),
+        _edge_params, _BIP, keys=_EDGE,
+    ),
     LemmaId.THM_KLEE: _Lemma(_check_thm_klee, _first(
         _cap(fam.KLEE_CAP, "recognizer size cap"),
         _needs("not a Klee graph", lambda g: g.is_cubic and fam.is_klee(g)),
     )),
     LemmaId.THM_EF: _Lemma(_check_thm_ef, _first(
-        _BRIDGELESS_CUBIC, _COUNTING, _needs("fewer than two edges", lambda g: g.edge_count >= 2),
+        _BRIDGELESS_CUBIC, _needs("fewer than two edges", lambda g: g.edge_count >= 2),
     ), keys=("worst_pair",)),
     LemmaId.LM_DOUBLE: _Lemma(_check_lm_double, _first(
         _needs("not cyclically 3-edge-connected cubic", _is_3ec_cubic),
         _cap(fam.KLEE_CAP, "Klee recognizer size cap"),
         _needs("Klee graphs are exempt", lambda g: not fam.is_klee(g)),
     )),
-    LemmaId.LM_TRIPLE: _Lemma(_check_lm_triple, _swept(
+    LemmaId.LM_TRIPLE: _Lemma(_check_lm_triple, _needs(
         "needs a cyclically 4-edge-connected bipartite cubic graph on >= 8 vertices",
-        lambda g: g.is_cubic and is_bipartite(g) and g.vertex_count >= 8, _c4ec,
+        lambda g: g.is_cubic and is_bipartite(g) and g.vertex_count >= 8 and _c4ec(g),
     )),
     LemmaId.LM_SPECIAL: _Lemma(
-        _check_lm_special, _swept(_C4EC_CUBIC, _is_cubic, _c4ec),
+        _check_lm_special, _needs(_C4EC_CUBIC, _is_c4ec_cubic),
         _edge_pair_params, _C4EC_CUBIC, keys=("e", "f"),
     ),
     LemmaId.LM_BRIDGE: _Lemma(_check_lm_bridge, _first(
@@ -1160,7 +1148,7 @@ _LEMMAS: dict[LemmaId, _Lemma] = {
         keys=_EDGE,
     ),
     LemmaId.LM_SEMIBLOCK: _Lemma(_check_lm_semiblock, _first(
-        _BRIDGELESS_CUBIC, _CUT_SWEEP, _needs("no edges", lambda g: g.edge_count >= 1),
+        _BRIDGELESS_CUBIC, _needs("no edges", lambda g: g.edge_count >= 1),
     )),
     LemmaId.THM_BB: _Lemma(_check_thm_bb, _first(_CONNECTED, _DECOMPOSITION)),
     LemmaId.LM_BB_CUBIC: _Lemma(_check_lm_bb_cubic, _first(_BRIDGELESS_CUBIC, _DECOMPOSITION)),
@@ -1178,7 +1166,7 @@ _LEMMAS: dict[LemmaId, _Lemma] = {
         keys=("edge", "companion"),
     ),
     LemmaId.LM_SPLITOFF: _Lemma(
-        _check_lm_splitoff, _first(_needs(_PATH, _is_cubic), _CUT_SWEEP, _splitoff_connectivity),
+        _check_lm_splitoff, _first(_needs(_PATH, _is_cubic), _splitoff_connectivity),
         _path_params, _PATH, keys=("path", "ell"),
     ),
     LemmaId.LM_SPLIT5_SAME: _Lemma(
@@ -1196,23 +1184,23 @@ _LEMMAS: dict[LemmaId, _Lemma] = {
         _check_lm_split4b, _needs_4cut, _cut_side_params, _4CUT, keys=_SIDE,
     ),
     LemmaId.LM_ORDERED: _Lemma(
-        _check_lm_ordered, _swept(_4CUT_EDGE, _is_cubic, _c4ec),
+        _check_lm_ordered, _needs(_4CUT_EDGE, _is_c4ec_cubic),
         _4cut_edge_params(inside=True), _4CUT_EDGE, keys=_EDGE,
     ),
     LemmaId.LM_LADDER: _Lemma(
         _check_lm_ladder, _needs_4cut, _cut_side_params, _4CUT, keys=_SIDE,
     ),
-    LemmaId.LM_TWISTED_NUM: _Lemma(_check_lm_twisted_num, _twisted_net),
+    LemmaId.LM_TWISTED_NUM: _Lemma(_check_lm_twisted_num, _twisted_skip),
     LemmaId.LM_TWISTED_BIP: _Lemma(
-        _check_lm_twisted_bip, _first(_twisted_net, _needs("not bipartite", is_bipartite)),
+        _check_lm_twisted_bip, _first(_twisted_skip, _needs("not bipartite", is_bipartite)),
     ),
     LemmaId.LM_TWISTED_NONBIP: _Lemma(
         _check_lm_twisted_nonbip,
-        _first(_twisted_net, _needs("bipartite", lambda g: not is_bipartite(g))),
+        _first(_twisted_skip, _needs("bipartite", lambda g: not is_bipartite(g))),
     ),
-    LemmaId.LM_TWISTED_BIS: _Lemma(_check_lm_twisted_bis, _twisted_net),
+    LemmaId.LM_TWISTED_BIS: _Lemma(_check_lm_twisted_bis, _twisted_skip),
     LemmaId.LM_TWISTED_STRUC: _Lemma(
-        _check_lm_twisted_struc, _swept(_STRUC, _is_cubic, _c4ec),
+        _check_lm_twisted_struc, _needs(_STRUC, _is_c4ec_cubic),
         _4cut_edge_params(inside=False), _STRUC, keys=_EDGE,
     ),
 }
@@ -1231,12 +1219,17 @@ def _reports(lemma: LemmaId, inst: Instance, slots: list[tuple | None]) -> Itera
     A failed hypothesis gives the whole run of Skipped reports at once, each
     slot naming its guard's reason, if any, ahead of the hypothesis's.
     Otherwise the slots are checked lazily, one per report taken, so a
-    caller that stops at a Fail runs no later check.
+    caller that stops at a Fail runs no later check.  A ``TooLarge`` is
+    caught here alone: its message is the reason of the hypothesis or, from
+    a check, of the slot's Skipped report.
     """
     entry = _LEMMAS[lemma]
     name, g = inst.name, inst.graph
     no_slot = entry.params and slots == [None]  # this slot never reaches the guard
-    why = entry.no_slot if no_slot else entry.hypothesis(inst)
+    try:
+        why = entry.no_slot if no_slot else entry.hypothesis(inst)
+    except TooLarge as exc:
+        why = str(exc)
     if why:
         guard = None if no_slot else entry.guard
         return [
@@ -1245,10 +1238,14 @@ def _reports(lemma: LemmaId, inst: Instance, slots: list[tuple | None]) -> Itera
             ))
             for p in slots
         ]
-    return (
-        LemmaReport(lemma=lemma, instance=name, **{"slot": p, **entry.check(inst, p)})
-        for p in slots
-    )
+
+    def checked(p):
+        try:
+            return entry.check(inst, p)
+        except TooLarge as exc:
+            return _skip(str(exc))
+
+    return (LemmaReport(lemma=lemma, instance=name, **{"slot": p, **checked(p)}) for p in slots)
 
 
 def check(

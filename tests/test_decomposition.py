@@ -14,13 +14,17 @@ from cubicpm import (
     random_cubic_bridgeless,
     tight_cuts,
 )
+from cubicpm.decomposition import TIGHT_CAP
 from cubicpm.errors import NotMatchingCovered, TooLarge
+from cubicpm.families import NAMED
 from cubicpm.multigraph import contract
+from cubicpm.verifier import random_instances
 from oracles import (
     is_bicritical,
     is_brace,
     is_brick,
     leaf_simple_multiset,
+    matching_rank,
     relabel,
     slow_decompose,
 )
@@ -117,6 +121,34 @@ def test_brick_count_keeps_an_int_and_reads_a_kept_tree(monkeypatch):
     tree = decompose(h)
     monkeypatch.setattr(decomposition, "tight_cuts", lambda g: pytest.fail("swept again"))
     assert brick_count(h) == 1 and h._memo["decomposition"] is tree
+
+
+def _rank_deficit(g: Multigraph) -> int:
+    """m - n + 2 - rank of g's perfect matchings: b(G) when g is matching-covered."""
+    return g.edge_count - g.vertex_count + 2 - matching_rank(g)
+
+
+def test_brick_count_is_the_matching_rank_deficit():
+    """The tight-cut brick count equals the rank route, which reads no tight cut.
+
+    On the named graphs, the seed-7 random corpus of the README batch run
+    and Petersen minus an edge, whose two bricks refute LM_BB_3E.  The
+    dodecahedron is past the decomposition cap, so its one brick is read
+    from the brick characterization instead; exceptional6 is not
+    matching-covered, so no identity applies to it.
+    """
+    dodecahedron = named("dodecahedron")
+    assert dodecahedron.vertex_count > TIGHT_CAP
+    assert is_brick(dodecahedron) and _rank_deficit(dodecahedron) == 1
+    with pytest.raises(NotMatchingCovered):
+        brick_count(named("exceptional6"))
+    corpus = [named(name) for name in NAMED if name not in ("dodecahedron", "exceptional6")]
+    corpus += [inst.graph for inst in random_instances(40, 4, 14, seed=7)]
+    for g in corpus:
+        assert _rank_deficit(g) == brick_count(g), g.edges
+    petersen = named("petersen")
+    minus_e = Multigraph(petersen.vertex_count, petersen.edges[1:])
+    assert _rank_deficit(minus_e) == brick_count(minus_e) == 2
 
 
 def test_prism_brick_count_respects_quarter_bound(named_graphs):

@@ -26,6 +26,7 @@ from cubicpm import (
     random_cubic_bridgeless,
     special_pair,
 )
+from cubicpm import matchings
 from cubicpm.errors import (
     FlowInfeasible,
     InconsistentQuery,
@@ -34,7 +35,6 @@ from cubicpm.errors import (
     TooLarge,
 )
 from cubicpm.matchings import (
-    COUNT_CAP,
     _bipartition_with_pattern,
     containment_counts,
     uniform_third,
@@ -118,7 +118,7 @@ def test_near_perfect_on_c4():
     assert len(ms) == 1 and ms[0].edge_ids == frozenset({2})
 
 
-def test_query_validation(named_graphs):
+def test_query_validation(named_graphs, monkeypatch):
     g = named_graphs["k4"]
     with pytest.raises(InconsistentQuery):
         count_matchings(g, CountQuery(required=frozenset({0}), forbidden=frozenset({0})))
@@ -126,8 +126,9 @@ def test_query_validation(named_graphs):
         count_matchings(
             g, CountQuery(required=frozenset({0}), missed_vertices=frozenset({0}))
         )
-    with pytest.raises(TooLarge):
-        count_matchings(random_cubic_bridgeless(0, COUNT_CAP + 2))
+    monkeypatch.setattr(matchings, "STATE_CAP", 8)
+    with pytest.raises(TooLarge, match="counting capped at 8 DP states"):
+        count_matchings(random_cubic_bridgeless(0, 66))
 
 
 def test_counting_consistency_at_each_vertex(named_graphs):

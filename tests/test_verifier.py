@@ -9,6 +9,7 @@ import pytest
 from conftest import circular_ladder, ladder_host, moebius_ladder, pendant_triangle_chain
 from oracles import (
     identity_group,
+    relabel,
     slow_4cut_chain,
     slow_check_lm_bb_3ef,
     slow_cut_slots,
@@ -20,7 +21,8 @@ from oracles import (
 from cubicpm import check, named, random_cubic_bridgeless
 from cubicpm import Multigraph, connectivity, decomposition, matchings, verifier
 from cubicpm.connectivity import ALMOST_CAP, CUT_CAP, build_cut, is_k_almost_cyclically_4ec
-from cubicpm.matchings import COUNT_CAP, EMPTY_QUERY
+from cubicpm.families import random_twisted_net
+from cubicpm.matchings import EMPTY_QUERY, count_matchings
 from cubicpm.errors import ChainViolation, CubicpmError
 from cubicpm.multigraph import from_edge_list, split_off, split_off_ends
 from cubicpm.verifier import (
@@ -892,15 +894,52 @@ def test_equal_split_signatures_split_off_equal_graphs(monkeypatch):
     assert degenerate and any(len(ps) > 1 for ps in by_signature.values())
 
 
-def test_counting_lemmas_skip_above_the_counting_cap():
-    g = random_cubic_bridgeless(0, COUNT_CAP + 2)
-    inst = Instance("n66", g, known_twisted=True)  # a known twisted net skips the recognizer
+def test_counting_lemmas_skip_above_the_counting_cap(monkeypatch):
+    """A count refused at the DP's state cap Skips its slot with the DP's own message."""
+    net, _ = random_twisted_net(5, 20)
+    cubic = random_cubic_bridgeless(0, 20)
+    corpus = [Instance("cubic", cubic), Instance("net", net, known_twisted=True)]
+    monkeypatch.setattr(matchings, "STATE_CAP", 8)
     lemmas = [LemmaId.TH_HALF, LemmaId.THM_EF, LemmaId.LM_TWISTED_NUM, LemmaId.LM_TWISTED_BIS]
-    reports = sweep(lemmas, [inst], fail_fast=True)
-    assert len(reports) == 4
-    assert {(r.verdict, r.reason) for r in reports} == {
-        ("Skipped", f"counting capped at {COUNT_CAP} vertices")
+    reports = sweep(lemmas, corpus, fail_fast=True)
+    assert {(r.lemma, r.instance): (r.verdict, r.reason) for r in reports} == {
+        (LemmaId.TH_HALF, "cubic"): ("Skipped", "counting capped at 8 DP states"),
+        (LemmaId.TH_HALF, "net"): ("Skipped", "not cubic bridgeless"),
+        (LemmaId.THM_EF, "cubic"): ("Skipped", "counting capped at 8 DP states"),
+        (LemmaId.THM_EF, "net"): ("Skipped", "not cubic bridgeless"),
+        # an unflagged graph goes to the recognizer, which names its own cap
+        (LemmaId.LM_TWISTED_NUM, "cubic"): ("Skipped", "recognizer capped at 16 vertices"),
+        (LemmaId.LM_TWISTED_NUM, "net"): ("Skipped", "counting capped at 8 DP states"),
+        (LemmaId.LM_TWISTED_BIS, "cubic"): ("Skipped", "recognizer capped at 16 vertices"),
+        (LemmaId.LM_TWISTED_BIS, "net"): ("Skipped", "counting capped at 8 DP states"),
     }
+    assert len(reports) == 8 and all(r.params is None for r in reports)
+
+
+def test_no_sweep_lets_a_kernel_refusal_escape(monkeypatch):
+    """Beyond the cut, recognizer and state caps a sweep of every lemma completes.
+
+    The 66-vertex graph is counted, past the old vertex cap of the DP, and
+    its count does not depend on the labels; under a small state cap its
+    counting lemmas are Skipped at that cap instead.
+    """
+    big = [random_cubic_bridgeless(3, 26), random_cubic_bridgeless(0, 66)]
+    reports = sweep(list(LemmaId), [Instance(f"n{g.vertex_count}", g) for g in big], False)
+    (half,) = [r for r in reports if r.lemma == LemmaId.TH_HALF and r.instance == "n66"]
+    assert half.verdict == "Pass" and half.measured > 33
+    flipped = relabel(big[1], [65 - v for v in range(66)])
+    assert count_matchings(flipped) == half.measured
+    monkeypatch.setattr(matchings, "STATE_CAP", 8)
+    fresh = [Instance(f"n{g.vertex_count}", Multigraph(g.vertex_count, g.edges)) for g in big]
+    capped = sweep(list(LemmaId), fresh, fail_fast=False)
+    assert len(capped) == len(reports)
+    counted = {LemmaId.TH_HALF, LemmaId.THM_EF}
+    for before, after in zip(reports, capped):
+        assert (before.lemma, before.instance) == (after.lemma, after.instance)
+        if after.lemma in counted:
+            assert (after.verdict, after.reason) == ("Skipped", "counting capped at 8 DP states")
+        else:
+            assert after == before
 
 
 def test_no_exception_escapes_on_disconnected_or_empty_graphs():
