@@ -4,27 +4,28 @@ Every exhaustive cut question is brute force over the bipartitions that keep
 vertex 0 on side A, swept by ``cut_sums_at_most`` on Python ints: vertices
 are placed one at a time and a prefix is dropped once the weight it cuts
 exceeds the caller's bound, so a sweep costs what its bound selects, and
-masks and sums are exact at any size.  Only this module decodes a mask into
-a side, but for ``verifier._violating_side``, which reads the side
-``mask << 1 | 1`` of a split graph's sweep as a vertex bitmask.
-Each graph object keeps one unit-weight sweep in its memo, and no other
-record of its cuts: the masks, crossing sizes and cyclic flags of the
-bipartitions crossed by at most the largest bound asked so far.
-``enumerate_cuts`` filters it for any smaller bound and builds its
-``EdgeCut`` list from it afresh on each call; a question that only asks
-whether a cyclic cut of at most k edges exists, or how small the least one
-is (``cyclic_edge_connectivity``), reads its sizes and flags and builds no
-``EdgeCut``.  A larger bound sweeps again
-and classifies only the masks it adds.  One classifier (``_cyclic_flags``)
-decides whether a cut is cyclic, for the sweep and for ``build_cut``
-alike: it reads the edge counts of the two sides, and an exact flood over
-neighbour bitmasks counts their parts only where those counts leave it
-open.  An ``EdgeCut`` is built only for a cut that is returned.
-The union-find it replaced is kept in the test oracles.  The k-almost
-search builds no graph and reads only its root's sweep: contracting
-connected vertex sets keeps exactly the bipartitions that split none of
-them, crossed by the same edges, and in the cubic loopless graphs it
-reaches a cut of at most 3 edges is cyclic iff both sides keep 2 vertices.
+masks and sums are exact at any size.  A side is one encoding from the
+sweep to every reader: the vertex bitmask with bit v for vertex v, bit 0
+always set on side A.  It is decoded into a vertex set (``mask_side``) only
+where a result holds one.  Each graph object keeps one unit-weight sweep
+in its memo, and no other record of its cuts: the masks, crossing sizes
+and cyclic flags of the bipartitions crossed by at most the largest bound
+asked so far.  ``enumerate_cuts`` filters it for any smaller bound and
+builds its ``EdgeCut`` list from it afresh on each call; a question that
+only asks whether a cyclic cut of at most k edges exists, or how small the
+least one is (``cyclic_edge_connectivity``), reads its sizes and flags and
+builds no ``EdgeCut``.  A larger bound sweeps again and classifies only the
+masks it adds.  One classifier (``_cyclic_flags``) decides whether a cut
+is cyclic, for the sweep and for ``build_cut`` alike: it reads the edge
+counts of the two sides, and an exact flood over neighbour bitmasks
+(``_parts``) counts their parts only where those counts leave it open.  An
+``EdgeCut`` is built only for a cut that is returned.  The union-find it
+replaced is kept in the test oracles.  The k-almost search builds no
+graph, reads only its root's sweep and keeps its sides as masks, tested
+for connectivity by the same flood: contracting connected vertex sets keeps
+exactly the bipartitions that split none of them, crossed by the same
+edges, and in the cubic loopless graphs it reaches a cut of at most 3 edges
+is cyclic iff both sides keep 2 vertices.
 One low-link search (``_low_link``) finds the connected parts and bridges
 of a list of endpoint pairs, for ``bridges`` and for the sampler's test of
 a pairing.  Correctness beats asymptotics here: these sweeps are the
@@ -43,7 +44,7 @@ from .errors import (
     SharedEndpoint,
     TooLarge,
 )
-from .multigraph import Multigraph, _memoized, components, induced_subgraph
+from .multigraph import Multigraph, _memoized, induced_subgraph
 
 CUT_CAP = 24
 ALMOST_CAP = 20
@@ -146,12 +147,12 @@ def cut_sums_at_most(
     it already cuts exceeds ``bound``: no weight is negative, so that weight
     only grows as more vertices are placed.  The cost follows the prefixes
     that survive, not 2^(n-1).  Returns ``(masks, sums)``, two parallel lists
-    of Python ints in ascending mask order: bit v-1 of a mask puts vertex v
-    on side A, and the mask with every bit set (side B empty) is included
-    when it qualifies.  The weight a placed vertex sends to side A takes one
-    ``int.bit_count`` per distinct weight among its edges to earlier
-    vertices; an edge heavier than ``bound`` never crosses a survivor, so
-    weights are clipped to bound + 1.
+    of Python ints in ascending mask order: a mask is the vertex bitmask of
+    side A, bit v for vertex v, so bit 0 is always set, and the mask with
+    every bit set (side B empty) is included when it qualifies.  The weight
+    a placed vertex sends to side A takes one ``int.bit_count`` per distinct
+    weight among its edges to earlier vertices; an edge heavier than
+    ``bound`` never crosses a survivor, so weights are clipped to bound + 1.
     """
     n = g.vertex_count
     if not n or bound < 0:
@@ -161,18 +162,16 @@ def cut_sums_at_most(
     for (u, v), x in zip(g.edges, weights):
         u, v = (u, v) if place[u] < place[v] else (v, u)
         back[v][u] = back[v].get(u, 0) + min(x, bound + 1)
-    masks, sums = [0], [0]
+    masks, sums = [1], [0]  # vertex 0 is on side A in every prefix
     for v in g.frontier_order:
-        to_zero = back[v].get(0, 0)  # vertex 0 is on side A in every prefix
         by_weight: dict[int, int] = {}  # weight -> mask of the earlier neighbours it joins
         for u, x in back[v].items():
-            if u:
-                by_weight[x] = by_weight.get(x, 0) | 1 << (u - 1)
+            by_weight[x] = by_weight.get(x, 0) | 1 << u
         terms = tuple(by_weight.items())
-        total, bit = sum(back[v].values()), 1 << (v - 1) if v else 0
+        total, bit = sum(back[v].values()), 1 << v
         placed_masks, placed_sums = [], []
         for mask, s in zip(masks, sums):
-            to_a = to_zero
+            to_a = 0
             for x, bits in terms:
                 to_a += x * (mask & bits).bit_count()
             if s + total - to_a <= bound:  # v on side A: its edges to B cross
@@ -186,33 +185,17 @@ def cut_sums_at_most(
     return [mask for mask, _ in ascending], [s for _, s in ascending]
 
 
-def mask_sizes(masks: list[int]) -> list[int]:
-    """Size of side A for each mask of ``cut_sums_at_most``."""
-    return [1 + mask.bit_count() for mask in masks]
-
-
-def mask_sides(masks: list[int], n: int):
-    """Side A of each mask, lazily, in the order given."""
-    for mask in masks:
-        yield _mask_to_side(mask, n)
-
-
-def _proper_bipartitions(n: int) -> int:
-    """How many bipartitions with vertex 0 on side A leave side B nonempty."""
-    return (1 << (n - 1)) - 1 if n else 0
+def mask_side(mask: int) -> frozenset[int]:
+    """The vertex set of a bitmask side: bit v is vertex v."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def _crossing_counts(g: Multigraph, max_size: int) -> tuple[list[int], list[int]]:
     """Masks and crossing sizes of the cuts of at most max_size edges, side B nonempty."""
     masks, counts = cut_sums_at_most(g, [1] * g.edge_count, max_size)
-    if masks and masks[-1] == (1 << (g.vertex_count - 1)) - 1:  # side B empty
+    if masks and masks[-1] == (1 << g.vertex_count) - 1:  # side B empty
         return masks[:-1], counts[:-1]
     return masks, counts
-
-
-def _mask_to_side(mask: int, n: int) -> frozenset[int]:
-    """Index i names side A = {0} plus every vertex v whose bit v-1 is set."""
-    return frozenset([0] + [v for v in range(1, n) if (mask >> (v - 1)) & 1])
 
 
 def _crossing_edges(g: Multigraph, side: frozenset[int]) -> frozenset[int]:
@@ -228,48 +211,16 @@ def _edge_cut(g: Multigraph, side: frozenset[int], cyclic: bool) -> EdgeCut:
 def build_cut(g: Multigraph, side) -> EdgeCut:
     """The cut determined by one side of a bipartition, cyclicity included.
 
-    Cyclicity is classified as the sweep classifies it, on the mask of the
-    side that holds vertex 0; a bipartition with an empty side is acyclic.
+    Cyclicity is classified as the sweep classifies it, on the side's mask:
+    the classifier reads both sides alike, so either side gives the flag.  A
+    bipartition with an empty side is acyclic.
     """
     side = frozenset(side)
     cut = _edge_cut(g, side, False)
-    n = g.vertex_count
-    side_a = side if 0 in side else frozenset(range(n)) - side
-    if not 0 < len(side_a) < n:
+    if not 0 < len(side) < g.vertex_count:
         return cut
-    mask = sum(1 << (v - 1) for v in side_a if v)
-    (cyclic,) = _cyclic_flags(g, [mask], [cut.size])
-    return EdgeCut(side, cut.crossing_edges, cut.size, cyclic)
-
-
-def _cycle_certificates(
-    g: Multigraph, masks: list[int], crossing: list[int]
-) -> tuple[list[bool], list[bool]]:
-    """Which bipartitions are certainly cyclic, and which need the exact test.
-
-    A side S spans e(S) = (deg(S) - cut(S)) / 2 edges.  With e(S) >= |S| it
-    has a cycle (a forest has fewer edges than vertices); with e(S) <= 1 it
-    has none (a loopless cycle needs two edges).  A cut is certainly cyclic
-    when both sides have a cycle, and undecided when neither side is known
-    to be acyclic and one is not yet known to have a cycle.  Side sizes are
-    read from the bits of the selected ``masks``, and degree sums from one
-    ``int.bit_count`` per degree class.
-    """
-    n, deg = g.vertex_count, g.degrees
-    by_degree: dict[int, int] = {}  # degree -> mask of the vertices 1..n-1 that have it
-    for v in range(1, n):
-        by_degree[deg[v]] = by_degree.get(deg[v], 0) | 1 << (v - 1)
-    classes = tuple(by_degree.items())
-    certain, undecided = [], []
-    for mask, cut in zip(masks, crossing):
-        size_a = 1 + mask.bit_count()
-        deg_a = deg[0] + sum(d * (mask & bits).bit_count() for d, bits in classes)
-        inner_a = (deg_a - cut) // 2
-        inner_b = (2 * g.edge_count - deg_a - cut) // 2
-        sure = inner_a >= size_a and inner_b >= n - size_a
-        certain.append(sure)
-        undecided.append(not sure and inner_a > 1 and inner_b > 1)
-    return certain, undecided
+    (cyclic,) = _cyclic_flags(g, [sum(1 << v for v in side)], [cut.size])
+    return cut._replace(cyclic=cyclic)
 
 
 def _neighbour_masks(g: Multigraph) -> list[int]:
@@ -281,40 +232,59 @@ def _neighbour_masks(g: Multigraph) -> list[int]:
     return nbrs
 
 
-def _has_cycle(g: Multigraph, nbrs: list[int], side: int, cut: int) -> bool:
-    """Does the side S, crossed by ``cut`` edges, hold a cycle?  Bit v of ``side`` is vertex v.
-
-    It spans e(S) = (deg(S) - cut) / 2 edges, a parallel pair counting
-    twice, and a forest on |S| vertices in p parts has |S| - p edges, so S
-    has a cycle iff e(S) > |S| - p.  One flood over ``nbrs`` visits each
-    vertex of S once, counting the parts and summing the degrees.
-    """
-    deg, twice_inner, parts, rest = g.degrees, -cut, 0, side
-    while rest:
-        part = frontier = rest & -rest
+def _parts(nbrs: list[int], side: int) -> int:
+    """The number of connected parts of the vertex bitmask ``side``: one
+    flood over the neighbour bitmasks ``nbrs`` visits each vertex once."""
+    parts = 0
+    while side:
+        part = frontier = side & -side
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            v = low.bit_length() - 1
-            twice_inner += deg[v]
-            new = nbrs[v] & rest & ~part
+            new = nbrs[low.bit_length() - 1] & side & ~part
             part |= new
             frontier |= new
-        rest &= ~part
+        side &= ~part
         parts += 1
-    return twice_inner // 2 > side.bit_count() - parts
+    return parts
+
+
+def _has_cycle(nbrs: list[int], side: int, inner: int) -> bool:
+    """Does the side S, spanning ``inner`` edges, hold a cycle?  A forest on
+    |S| vertices in p parts has |S| - p edges."""
+    return inner > side.bit_count() - _parts(nbrs, side)
 
 
 def _cyclic_flags(g: Multigraph, masks: list[int], crossing: list[int]) -> list[bool]:
-    """Cyclicity of the selected bipartitions: the exact flood only where undecided."""
-    certain, undecided = _cycle_certificates(g, masks, crossing)
-    nbrs, whole = _neighbour_masks(g), (1 << g.vertex_count) - 1
+    """Cyclicity of the selected bipartitions, each given by the vertex
+    bitmask of side A and its crossing size.
+
+    A side S spans e(S) = (deg(S) - cut(S)) / 2 edges, a parallel pair
+    counting twice, with deg(S) read by one ``int.bit_count`` per degree
+    class.  With e(S) >= |S| it has a cycle (a forest has fewer edges than
+    vertices); with e(S) <= 1 it has none (a loopless cycle needs two
+    edges).  Only where neither count decides does the flood of ``_parts``
+    count the parts of both sides; the neighbour bitmasks are built then.
+    """
+    n, m, deg = g.vertex_count, g.edge_count, g.degrees
+    by_degree: dict[int, int] = {}  # degree -> mask of the vertices that have it
+    for v in range(n):
+        by_degree[deg[v]] = by_degree.get(deg[v], 0) | 1 << v
+    classes, whole, nbrs = tuple(by_degree.items()), (1 << n) - 1, None
     flags = []
-    for mask, cut, sure, open_ in zip(masks, crossing, certain, undecided):
-        side = mask << 1 | 1  # side A over all vertices: vertex 0 and bit v for vertex v
-        flags.append(sure or (
-            open_ and _has_cycle(g, nbrs, side, cut) and _has_cycle(g, nbrs, whole ^ side, cut)
-        ))
+    for side, cut in zip(masks, crossing):
+        size_a = side.bit_count()
+        deg_a = sum(d * (side & bits).bit_count() for d, bits in classes)
+        inner_a, inner_b = (deg_a - cut) // 2, (2 * m - deg_a - cut) // 2
+        if inner_a >= size_a and inner_b >= n - size_a:
+            flags.append(True)
+        elif inner_a <= 1 or inner_b <= 1:
+            flags.append(False)
+        else:
+            nbrs = nbrs or _neighbour_masks(g)
+            flags.append(
+                _has_cycle(nbrs, side, inner_a) and _has_cycle(nbrs, whole ^ side, inner_b)
+            )
     return flags
 
 
@@ -329,7 +299,7 @@ class _Sweep(NamedTuple):
 
     def cuts(self, g: Multigraph, max_size: int, cyclic_only: bool) -> tuple[EdgeCut, ...]:
         return tuple(
-            _edge_cut(g, _mask_to_side(mask, g.vertex_count), flag)
+            _edge_cut(g, mask_side(mask), flag)
             for mask, size, flag in zip(self.masks, self.sizes, self.cyclic)
             if size <= max_size and (flag or not cyclic_only)
         )
@@ -352,7 +322,7 @@ def _unit_sweep(g: Multigraph, bound: int) -> _Sweep:
     fresh = [(mask, size) for mask, size in zip(masks, sizes) if mask not in seen]
     flags = iter(_cyclic_flags(g, [mask for mask, _ in fresh], [size for _, size in fresh]))
     cyclic = [seen[mask] if mask in seen else next(flags) for mask in masks]
-    if len(masks) == _proper_bipartitions(g.vertex_count):
+    if len(masks) == (1 << g.vertex_count >> 1) - 1:  # every proper bipartition
         bound = g.edge_count
     sweep = g._memo["sweep"] = _Sweep(bound, masks, sizes, cyclic)
     return sweep
@@ -441,16 +411,13 @@ def ordered_4cut_chain(g: Multigraph, e: int) -> list[EdgeCut]:
     """
     if _least_cyclic_size(g, 3) is not None:
         raise NotCyclically4EC("chain ordering needs cyclic 4-edge-connectivity")
-    sweep, n = _unit_sweep(g, 4), g.vertex_count
+    sweep, whole = _unit_sweep(g, 4), (1 << g.vertex_count) - 1
     anchor, other = g.endpoints(e)
     cuts = []
     for mask, size, flag in zip(sweep.masks, sweep.sizes, sweep.cyclic):
-        side = mask << 1 | 1  # side A over all vertices: vertex 0 and bit v for vertex v
-        if size == 4 and flag and (side >> anchor ^ side >> other) & 1:  # e crosses it
-            side_a = _mask_to_side(mask, n)
-            if anchor not in side_a:
-                side_a = frozenset(range(n)) - side_a
-            cuts.append(_edge_cut(g, side_a, True))
+        if size == 4 and flag and (mask >> anchor ^ mask >> other) & 1:  # e crosses it
+            side = mask if mask >> anchor & 1 else whole ^ mask
+            cuts.append(_edge_cut(g, mask_side(side), True))
     cuts.sort(key=lambda c: (len(c.side_a), tuple(sorted(c.side_a))))
     for a, b in zip(cuts, cuts[1:]):
         if not a.side_a <= b.side_a:
@@ -508,15 +475,15 @@ def cut_surgery_pair(
     return paired, subdivided
 
 
-def _minimal_sides(n: int, sides) -> list[frozenset[int]]:
+def _minimal_sides(n: int, sides) -> list[int]:
     """The inclusion-minimal sides, either side, of the bipartitions of
-    range(n) whose sides A are given.
+    range(n) whose sides A are given, all as vertex bitmasks.
 
     In no particular order: each caller sorts them its own way.
     """
-    allv = frozenset(range(n))
-    both = {s for side in sides for s in (side, allv - side)}
-    return [s for s in both if not any(t < s for t in both)]
+    whole = (1 << n) - 1
+    both = {s for side in sides for s in (side, whole ^ side)}
+    return [s for s in both if not any(t != s and not t & ~s for t in both)]
 
 
 def is_k_almost_cyclically_4ec(
@@ -534,35 +501,37 @@ def is_k_almost_cyclically_4ec(
     sides keep 2 vertices (2e(S) = 3|S| - c), and a contraction never makes
     a cut cyclic.  The state: the cyclic cuts as sides A over g, the current
     id of each vertex of g, and the vertices merged away (all of a
-    contracted set but its least).  Sides are tested for connectivity in g.
+    contracted set but its least), each a vertex bitmask over g, as the
+    sweep's masks are.  Sides are tested for connectivity in g by the flood
+    of ``_parts``; a side is decoded only into a witness entry.
     """
     if g.vertex_count > ALMOST_CAP:
         raise TooLarge(f"search capped at {ALMOST_CAP} vertices")
     if not g.is_cubic:
         raise DegreeMismatch("the reduction is defined on cubic graphs")
-    n, sweep = g.vertex_count, _unit_sweep(g, 3)
-    root = [(_mask_to_side(m, n), c) for m, c in zip(sweep.masks, sweep.sizes) if c <= 3]
+    n, sweep, nbrs = g.vertex_count, _unit_sweep(g, 3), _neighbour_masks(g)
+    root = [(m, c) for m, c in zip(sweep.masks, sweep.sizes) if c <= 3]
 
-    def search(cuts, ids: tuple[int, ...], merged: frozenset[int], budget: int, acc):
-        alive = n - len(merged)
-        cuts = [(side, c) for side, c in cuts if 2 <= len(side - merged) <= alive - 2]
+    def search(cuts, ids: tuple[int, ...], merged: int, budget: int, acc):
+        alive = n - merged.bit_count()
+        cuts = [(side, c) for side, c in cuts if 2 <= (side & ~merged).bit_count() <= alive - 2]
         if not cuts:
             return acc
         if budget < 2:
             return None
         sides = _minimal_sides(n, [side for side, c in cuts if c == 3])
-        parts = {tuple(sorted({ids[v] for v in s})): s for s in sides}  # current ids -> g's
+        parts = {tuple(sorted({ids[v] for v in mask_side(s)})): s for s in sides}  # ids -> g's
         for part in sorted(parts, key=lambda p: (len(p), p)):
             s, loss = parts[part], len(part) - 1
-            if loss > budget or len(components(g, s)) != 1:
+            if loss > budget or _parts(nbrs, s) != 1:
                 continue
             rank = {x: i for i, x in enumerate(sorted(set(ids).difference(part[1:])))}
-            kept = [(side, c) for side, c in cuts if s <= side or s.isdisjoint(side)]
+            kept = [(side, c) for side, c in cuts if side & s in (s, 0)]
             ids2 = tuple(rank[part[0] if x in part else x] for x in ids)
-            res = search(kept, ids2, merged | (s - {min(s)}), budget - loss, acc + (part,))
+            res = search(kept, ids2, merged | s & (s - 1), budget - loss, acc + (part,))
             if res is not None:
                 return res
         return None
 
-    witness = search(root, tuple(range(n)), frozenset(), k, ())
+    witness = search(root, tuple(range(n)), 0, k, ())
     return (witness is not None), (witness if witness is not None else ())

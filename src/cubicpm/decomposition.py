@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .connectivity import _crossing_edges, cut_sums_at_most, mask_sides, mask_sizes
+from .connectivity import _crossing_edges, cut_sums_at_most, mask_side
 from .errors import NotMatchingCovered, TooLarge
 from .matchings import containment_counts, is_bipartite
 from .multigraph import Multigraph, _memoized, contract
@@ -53,7 +53,7 @@ def tight_cuts(g: Multigraph) -> list[frozenset[int]]:
         return []
     pm_count = sum(through[e] for e in g.incident(0))
     masks, sums = cut_sums_at_most(g, through, pm_count)
-    sizes = mask_sizes(masks)
+    sizes = [mask.bit_count() for mask in masks]
     lightest = min(s for s, size in zip(sums, sizes) if size % 2)
     if lightest != pm_count:
         raise AssertionError(f"an odd cut weighs {lightest}, not {pm_count}")
@@ -61,7 +61,7 @@ def tight_cuts(g: Multigraph) -> list[frozenset[int]]:
         mask for mask, s, size in zip(masks, sums, sizes)
         if size % 2 and 3 <= size <= n - 3 and s == pm_count
     ]
-    return sorted(mask_sides(tight, n), key=sorted)
+    return sorted(map(mask_side, tight), key=sorted)
 
 
 class DecompositionNode(NamedTuple):

@@ -12,7 +12,7 @@ import random
 from operator import eq
 from typing import NamedTuple, Union
 
-from .connectivity import _capped_sweep, _low_link, _minimal_sides, bridges, mask_sides
+from .connectivity import _capped_sweep, _low_link, _minimal_sides, bridges, mask_side
 from .errors import (
     BadDegrees,
     BadSize,
@@ -26,6 +26,7 @@ from .matchings import is_bipartite
 from .multigraph import (
     Multigraph,
     components,
+    contract,
     from_edge_list,
     replace_vertex_with_triangle,
 )
@@ -207,8 +208,6 @@ def is_klee(g: Multigraph) -> bool:
         raise TooLarge(f"recognizer capped at {KLEE_CAP} vertices")
     if not g.is_cubic or g.vertex_count % 2 or g.vertex_count < 4:
         return False
-
-    from .multigraph import contract
 
     seen: set[tuple] = set()
 
@@ -530,8 +529,9 @@ def semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
 
     A graph without 2-edge-cuts is its own single semiblock.  The sides are
     pairwise disjoint, which is asserted.  The 2-edge cuts are read from the
-    masks of g's memoized sweep, refused above ``CUT_CAP`` vertices, and only
-    their sides are decoded; no ``EdgeCut`` is built.
+    masks of g's memoized sweep, refused above ``CUT_CAP`` vertices; the
+    minimal sides are found and ordered by their lowest vertex as masks,
+    and decoded on return.  No ``EdgeCut`` is built.
     """
     if not g.is_cubic:
         raise BadDegrees("semiblocks are defined for cubic graphs")
@@ -539,13 +539,13 @@ def semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
         raise Bridged("graph has a bridge")
     sweep = _capped_sweep(g, 2)
     two = [mask for mask, size in zip(sweep.masks, sweep.sizes) if size == 2]
-    minimal = sorted(_minimal_sides(g.vertex_count, mask_sides(two, g.vertex_count)), key=min)
+    minimal = sorted(_minimal_sides(g.vertex_count, two), key=lambda s: s & -s)  # by lowest vertex
     if not minimal:
         return (frozenset(range(g.vertex_count)),), 1
     for i, a in enumerate(minimal):
         for b in minimal[i + 1 :]:
             assert not (a & b), "semiblocks must be vertex disjoint"
-    return tuple(minimal), len(minimal)
+    return tuple(map(mask_side, minimal)), len(minimal)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ uncovered on purpose) seeds from the table and stops at table states.  Row
 f of ``pair_counts`` is one backward pass over the groups before f's.
 ``enumerate_matchings`` walks the states with a completion in the table of
 the graph a query leaves.  The table stops at ``STATE_CAP`` states in all,
-the DP's only limit, which bounds its memory whatever the vertex count.
+the DP's only limit, which bounds its memory whatever the vertex count;
+a refused table is kept as its message, so a graph is refused only once.
 Everything is exact: counts are ints, polytope arithmetic uses Fractions.
 """
 
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple
 
-from .connectivity import _least_cyclic_size, bridges, cut_sums_at_most, mask_sizes
+from .connectivity import _least_cyclic_size, bridges, cut_sums_at_most
 from .errors import (
     FlowInfeasible,
     InconsistentQuery,
@@ -178,8 +179,23 @@ def _backward(dag: _StateDag, beta: dict[int, int], top: int, through: list[int]
 
 
 def _table(g: Multigraph) -> _StateDag:
-    """The DP table of g, kept in its memo: every matching query on g reads it."""
-    return _memoized(g, "dp", lambda: _StateDag(g))
+    """The DP table of g, kept in its memo: every matching query on g reads it.
+
+    A refusal is kept as its message, and each later call raises a fresh
+    ``TooLarge`` from it: the first exception would hold the frames of
+    every raise it went through.
+    """
+
+    def build():
+        try:
+            return _StateDag(g)
+        except TooLarge as exc:
+            return str(exc)
+
+    table = _memoized(g, "dp", build)
+    if isinstance(table, str):
+        raise TooLarge(table)
+    return table
 
 
 def _seeded(dag: _StateDag, pre: int, tail: list[tuple[int, int]]) -> int:
@@ -519,7 +535,7 @@ def polytope_membership(
     den = lcm(*[x.denominator for x in weights.values()])
     scaled = [int(weights[e] * den) for e in range(g.edge_count)]
     light, _ = cut_sums_at_most(g, scaled, den - 1)
-    return not any(size % 2 or (n - size) % 2 for size in mask_sizes(light))
+    return not any(size % 2 or (n - size) % 2 for size in map(int.bit_count, light))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ The package's graph searches live here: ``components`` finds the connected
 parts of an induced subgraph minus some edges, and ``two_coloring`` 2-colors
 a graph minus some edges or finds an odd cycle.  Other modules ask these
 two for connected parts and 2-colorings; ``connectivity`` keeps its bitmask
-flood that tests a cut's sides for cycles and the one low-link search for
-bridges, which ``bridges`` and the pairing-model sampler of ``families``
-share.
+flood, which counts the parts of a cut side for its cycle test and for the
+k-almost search, and the one low-link search for bridges, which
+``bridges`` and the pairing-model sampler of ``families`` share.
 """
 
 from __future__ import annotations

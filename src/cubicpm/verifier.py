@@ -53,7 +53,6 @@ from .connectivity import (
     CUT_CAP,
     EdgeCut,
     _capped_sweep,
-    _crossing_edges,
     _least_cyclic_size,
     _unit_sweep,
     bridges,
@@ -61,8 +60,7 @@ from .connectivity import (
     cut_surgery_pair,
     cyclic_edge_connectivity,
     is_k_almost_cyclically_4ec,
-    mask_sides,
-    mask_sizes,
+    mask_side,
     ordered_4cut_chain,
 )
 from .errors import BadSize, ChainViolation, CubicpmError, NotMatchingCovered, TooLarge
@@ -298,23 +296,24 @@ def _is_3ec_cubic(g: Multigraph) -> bool:
     return g.is_cubic and _is_3ec(g)
 
 
-def _cyclic_cuts_of_size(g: Multigraph, k: int) -> list[frozenset[int]]:
-    """Side A of each cyclic cut of exactly k edges, in the order of g's sweep.
+def _cyclic_cuts_of_size(g: Multigraph, k: int) -> list[int]:
+    """The mask of side A of each cyclic cut of exactly k edges, in the
+    order of g's sweep.
 
     Read from the sweep's masks, sizes and flags; no ``EdgeCut`` is built.
     """
     sweep = _unit_sweep(g, k)
-    masks = [
+    return [
         mask for mask, size, flag in zip(sweep.masks, sweep.sizes, sweep.cyclic)
         if flag and size == k
     ]
-    return list(mask_sides(masks, g.vertex_count))
 
 
 def _cyclic_cut_edges(g: Multigraph, k: int) -> frozenset[int]:
     """Edges crossing some cyclic cut of exactly k edges, kept in g's memo."""
-    return _memoized(g, ("cyclic cut edges", k), lambda: frozenset().union(
-        *(_crossing_edges(g, side) for side in _cyclic_cuts_of_size(g, k))
+    return _memoized(g, ("cyclic cut edges", k), lambda: frozenset(
+        e for side in _cyclic_cuts_of_size(g, k)
+        for e, (u, v) in enumerate(g.edges) if (side >> u ^ side >> v) & 1
     ))
 
 
@@ -331,13 +330,16 @@ def _delete_edges(g: Multigraph, drop: set[int]) -> Multigraph:
 
 
 def _twisted_skip(inst: Instance) -> str | None:
-    """Why the instance is not taken as a twisted net; a known twisted net bypasses the recognizer.
+    """Why the instance is not taken as a twisted net.
 
+    A known twisted net bypasses the recognizer only with four corners:
+    exactly four degree-2 vertices, and degree 3 at every other vertex.
     The recognizer's verdict is kept in the graph's memo.
     """
-    if inst.known_twisted:
-        return None
     g = inst.graph
+    if inst.known_twisted:
+        four_corners = g.degrees.count(2) == 4 and g.degrees.count(3) == g.vertex_count - 4
+        return None if four_corners else "flagged twisted net without four corners"
     return _memoized(g, "twisted net", lambda: (
         None if fam.recognize_twisted_net(g) is not None else "not a twisted net"
     ))
@@ -423,7 +425,7 @@ def _is_solid_side(g: Multigraph, side: frozenset[int]) -> bool:
     sweep = _capped_sweep(sub, 2)
     return not any(
         size == 2 and 2 <= part <= n - 2
-        for part, size in zip(mask_sizes(sweep.masks), sweep.sizes)
+        for part, size in zip(map(int.bit_count, sweep.masks), sweep.sizes)
     )
 
 
@@ -531,11 +533,11 @@ def _3ec_edge_params(g: Multigraph) -> list[tuple]:
 def _cut_side_params(g: Multigraph) -> list[tuple]:
     """One ``(side,)`` slot per (cyclic 4-cut, side), each side a sorted
     vertex tuple: side A, then its complement."""
-    everything = frozenset(range(g.vertex_count))
+    whole = (1 << g.vertex_count) - 1
     return [
-        (tuple(sorted(side)),)
+        (tuple(sorted(mask_side(side))),)
         for side_a in _cyclic_cuts_of_size(g, 4)
-        for side in (side_a, everything - side_a)
+        for side in (side_a, whole ^ side_a)
     ]
 
 
@@ -838,14 +840,13 @@ def _violating_side(h: Multigraph, ell: int) -> list[int] | None:
     Read from the masks, sizes and flags of h's sweep; no ``EdgeCut`` is
     built.
     """
-    sweep, n = _capped_sweep(h, ell - 1), h.vertex_count
+    sweep = _capped_sweep(h, ell - 1)
     new_ends = [h.endpoints(e) for e in (h.edge_count - 2, h.edge_count - 1)]
-    for mask, size, flag in zip(sweep.masks, sweep.sizes, sweep.cyclic):
+    for side, size, flag in zip(sweep.masks, sweep.sizes, sweep.cyclic):
         if not flag or size > ell - 1:
             continue
-        side = mask << 1 | 1  # side A over all vertices: vertex 0 and bit v for vertex v
         if size < ell - 2 or any((side >> u ^ side >> v) & 1 for u, v in new_ends):
-            return [v for v in range(n) if side >> v & 1]
+            return sorted(mask_side(side))
     return None
 
 
@@ -972,34 +973,19 @@ def _check_lm_ladder(g, cut, anchors):
     if not zeros:
         return _judge(Bound.rational(1), 1, note=f"all positive {counts}")
     recognized = fam.recognize_ladder(sub)
+    got = None if recognized is None else {frozenset(sub.endpoints(e)) for e in recognized}
     for z in zeros:
         others = [pair for pair in counts if pair != z]
         if all(counts[o] >= 2 for o in others):
             continue
-        ok_branch = False
         for o in others:
             if counts[o] != 1:
                 continue
-            shared = set(z) & set(o)
-            if len(shared) != 1:
-                continue
-            (s_lbl,) = shared
-            (zj,) = set(z) - shared
-            (ok_lbl,) = set(o) - shared
-            want = {
-                frozenset({va[1], va[s_lbl]}),
-                frozenset({va[zj], va[ok_lbl]}),
-            }
-            if recognized is None:
-                continue
-            got = {
-                frozenset(sub.endpoints(recognized[0])),
-                frozenset(sub.endpoints(recognized[1])),
-            }
-            if got == want:
-                ok_branch = True
+            (s_lbl,) = set(z) & set(o)  # two distinct pairs of {2, 3, 4} share one label
+            (zj,), (ok_lbl,) = set(z) - {s_lbl}, set(o) - {s_lbl}
+            if got == {frozenset({va[1], va[s_lbl]}), frozenset({va[zj], va[ok_lbl]})}:
                 break
-        if not ok_branch:
+        else:  # no pair with one matching has the ladder's ends
             return _judge(
                 Bound.rational(1), 0, note=f"counts {counts}, ladder ends {recognized}",
             )

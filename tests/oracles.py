@@ -650,10 +650,18 @@ def slow_params_dicts(g: Multigraph) -> dict[str, list[dict]]:
     return {lemma: dicts for lemma, dicts in out.items() if dicts}
 
 
+def _minimal_sides(n: int, sides) -> list[frozenset[int]]:
+    """The inclusion-minimal sides, either side, of the bipartitions of
+    range(n) whose sides A are given, as vertex sets."""
+    allv = frozenset(range(n))
+    both = {s for side in sides for s in (side, allv - side)}
+    return [s for s in both if not any(t < s for t in both)]
+
+
 def minimal_cyclic3_sides(g: Multigraph) -> list[frozenset[int]]:
     """Inclusion-minimal sides over all cyclic 3-edge-cuts of a fresh sweep, in
     the order (size, sorted vertices)."""
-    from cubicpm.connectivity import _minimal_sides, enumerate_cuts
+    from cubicpm.connectivity import enumerate_cuts
 
     sides = [cut.side_a for cut in enumerate_cuts(g, 3, cyclic_only=True) if cut.size == 3]
     return sorted(_minimal_sides(g.vertex_count, sides), key=lambda s: (len(s), tuple(sorted(s))))
@@ -946,7 +954,7 @@ def slow_random_cubic_bridgeless(seed: int, n: int) -> Multigraph:
 def slow_semiblocks(g: Multigraph) -> tuple[tuple[frozenset[int], ...], int]:
     """Reference for ``families.semiblocks``: the 2-edge cuts are taken from
     the ``EdgeCut`` list of ``enumerate_cuts``."""
-    from cubicpm.connectivity import _minimal_sides, bridges, enumerate_cuts
+    from cubicpm.connectivity import bridges, enumerate_cuts
     from cubicpm.errors import BadDegrees, Bridged
 
     if not g.is_cubic:

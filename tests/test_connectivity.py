@@ -361,5 +361,5 @@ def test_a_cut_of_a_cubic_graph_within_3_edges_is_cyclic_iff_both_sides_have_2_v
     ]
     for g in graphs:
         masks, sizes = _crossing_counts(g, 3)
-        both = [2 <= 1 + mask.bit_count() <= g.vertex_count - 2 for mask in masks]
+        both = [2 <= mask.bit_count() <= g.vertex_count - 2 for mask in masks]
         assert _cyclic_flags(g, masks, sizes) == both, g

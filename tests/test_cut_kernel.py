@@ -44,11 +44,7 @@ from cubicpm import (
     tight_cuts,
 )
 from cubicpm import connectivity, decomposition
-from cubicpm.connectivity import (
-    _crossing_counts,
-    _cycle_certificates,
-    cut_sums_at_most,
-)
+from cubicpm.connectivity import _crossing_counts, _cyclic_flags, cut_sums_at_most
 from cubicpm.decomposition import TIGHT_CAP
 from cubicpm.errors import NotMatchingCovered, TooLarge
 from cubicpm.matchings import containment_counts, uniform_third
@@ -165,12 +161,13 @@ def _weightings(g: Multigraph, kind: str) -> list[list[int]]:
 
 
 def _assert_pruned_is_filtered(g: Multigraph, weights: list[int]):
+    """Oracle index i, over vertices 1..n-1, is the vertex bitmask 2i + 1."""
     full = slow_crossing_counts(g, weights)
     for bound in _bounds(full):
         masks, sums = cut_sums_at_most(g, weights, bound)
-        keep = [mask for mask, s in enumerate(full) if s <= bound]
-        assert masks == keep
-        assert sums == [full[mask] for mask in keep]
+        keep = [i for i, s in enumerate(full) if s <= bound]
+        assert masks == [2 * i + 1 for i in keep]
+        assert sums == [full[i] for i in keep]
 
 
 @pytest.mark.parametrize("kind", ["unit", "through", "polytope"])
@@ -194,7 +191,7 @@ def test_kernel_agrees_with_the_replaced_loops(route, g):
     if route == "cuts":  # at the largest crossing size every proper bipartition is selected
         slow = slow_crossing_counts(g)
         masks, counts = _crossing_counts(g, max(slow))
-        assert masks == list(range(len(slow) - 1))
+        assert masks == [2 * i + 1 for i in range(len(slow) - 1)]  # oracle index i is mask 2i + 1
         assert counts == slow[:-1]
     elif route == "tight" and g.vertex_count <= 16:
         if is_matching_covered(g):
@@ -328,28 +325,44 @@ def test_connectivity_with_no_cyclic_cut_stops_once_every_bipartition_is_selecte
 )
 def test_no_mask_is_classified_twice(g, monkeypatch):
     classified = []
-    certificates = connectivity._cycle_certificates
+    flags = connectivity._cyclic_flags
     monkeypatch.setattr(
-        connectivity, "_cycle_certificates",
-        lambda g, masks, crossing: classified.extend(masks) or certificates(g, masks, crossing),
+        connectivity, "_cyclic_flags",
+        lambda g, masks, crossing: classified.extend(masks) or flags(g, masks, crossing),
     )
     g = Multigraph(g.vertex_count, g.edges)  # a new object, so its memo starts empty
     cyclic_edge_connectivity(g)
     for k in range(g.edge_count + 2):
         enumerate_cuts(g, k, cyclic_only=k % 2 == 1)
     proper = (1 << g.vertex_count >> 1) - 1 if g.vertex_count else 0
-    assert sorted(classified) == list(range(proper))  # each proper bipartition once
+    assert sorted(classified) == [2 * i + 1 for i in range(proper)]  # each proper bipartition once
 
 
-def test_the_cyclicity_corpus_reaches_every_route():
-    """Some cuts are certainly cyclic, some certainly acyclic, some go to the flood."""
+def test_the_cyclicity_corpus_reaches_every_route(monkeypatch):
+    """Some cuts are certainly cyclic, some certainly acyclic, and the flood
+    counts the parts of side A exactly where the edge counts, taken here from
+    the edge list, leave it open."""
+    flooded = []
+    parts = connectivity._parts
+    monkeypatch.setattr(
+        connectivity, "_parts", lambda nbrs, side: flooded.append(side) or parts(nbrs, side),
+    )
     certain = acyclic = undecided = 0
     for _, g in GRAPHS:
         masks, counts = _crossing_counts(g, max(CUT_SIZES))
-        sure, open_ = _cycle_certificates(g, masks, counts)
-        certain += sum(sure)
-        undecided += sum(open_)
-        acyclic += sum(not a and not b for a, b in zip(sure, open_))
+        open_ = set()
+        for mask, cut, inner_a, inside in _side_cases(g, masks):
+            inner_b = g.edge_count - cut - inner_a
+            if inner_a >= len(inside) and inner_b >= g.vertex_count - len(inside):
+                certain += 1
+            elif min(inner_a, inner_b) <= 1:
+                acyclic += 1
+            else:
+                open_.add(mask)
+        flooded.clear()
+        _cyclic_flags(g, masks, counts)
+        assert {side for side in flooded if side & 1} == open_, g
+        undecided += len(open_)
     assert certain and acyclic and undecided
 
 
@@ -385,8 +398,8 @@ def test_the_bitmask_cycle_test_is_the_union_find(g, every):
     nbrs, n = connectivity._neighbour_masks(g), g.vertex_count
     rng = random.Random(n)
     masks = range(1 << n) if every else [rng.getrandbits(n) for _ in range(500)]
-    for side, cut, _, inside in _side_cases(g, masks):
-        assert connectivity._has_cycle(g, nbrs, side, cut) == side_has_cycle(g, inside), side
+    for side, _, inner, inside in _side_cases(g, masks):
+        assert connectivity._has_cycle(nbrs, side, inner) == side_has_cycle(g, inside), side
 
 
 def test_the_flood_decides_sides_the_edge_counts_leave_open():

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from cubicpm import (
+    LemmaId,
     Multigraph,
     brick_count,
     count_matchings,
@@ -10,15 +12,17 @@ from cubicpm import (
     elp_bound,
     enumerate_matchings,
     is_isomorphic,
+    is_matching_covered,
     named,
     random_cubic_bridgeless,
+    sweep,
     tight_cuts,
 )
 from cubicpm.decomposition import TIGHT_CAP
 from cubicpm.errors import NotMatchingCovered, TooLarge
 from cubicpm.families import NAMED
 from cubicpm.multigraph import contract
-from cubicpm.verifier import random_instances
+from cubicpm.verifier import named_instances, random_instances
 from oracles import (
     is_bicritical,
     is_brace,
@@ -135,7 +139,9 @@ def test_brick_count_is_the_matching_rank_deficit():
     and Petersen minus an edge, whose two bricks refute LM_BB_3E.  The
     dodecahedron is past the decomposition cap, so its one brick is read
     from the brick characterization instead; exceptional6 is not
-    matching-covered, so no identity applies to it.
+    matching-covered, so no identity applies to it.  Over the same named
+    graphs and corpus, also on every G - e that an LM_BB_3E report judges
+    and every G - e - f that an LM_BB_3EF report names, where matching-covered.
     """
     dodecahedron = named("dodecahedron")
     assert dodecahedron.vertex_count > TIGHT_CAP
@@ -149,6 +155,18 @@ def test_brick_count_is_the_matching_rank_deficit():
     petersen = named("petersen")
     minus_e = Multigraph(petersen.vertex_count, petersen.edges[1:])
     assert _rank_deficit(minus_e) == brick_count(minus_e) == 2
+    instances = named_instances() + random_instances(40, 4, 14, seed=7)
+    graphs = {inst.name: inst.graph for inst in instances}
+    checked = Counter()
+    for r in sweep([LemmaId.LM_BB_3E, LemmaId.LM_BB_3EF], instances, fail_fast=False):
+        if r.verdict == "Skipped" or (r.lemma == LemmaId.LM_BB_3EF and "companion" not in r.params):
+            continue
+        g, drop = graphs[r.instance], set(r.params.values())
+        h = Multigraph(g.vertex_count, tuple(p for e, p in enumerate(g.edges) if e not in drop))
+        if is_matching_covered(h):
+            assert _rank_deficit(h) == brick_count(h), (r.instance, r.params)
+            checked[r.lemma] += 1
+    assert checked[LemmaId.LM_BB_3E] and checked[LemmaId.LM_BB_3EF]
 
 
 def test_prism_brick_count_respects_quarter_bound(named_graphs):

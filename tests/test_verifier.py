@@ -241,14 +241,15 @@ def test_sweep_lm_special_on_cube_covers_all_pairs(named_graphs):
 
 
 def test_fail_fast_raises_with_instance_dump():
-    # a ten-cycle is not a twisted net; known_twisted forces the hypothesis so the
-    # bound genuinely fails (2 matchings against 2^(22/18))
-    c10 = from_edge_list(10, [(i, (i + 1) % 10) for i in range(10)])
-    inst = Instance("c10", c10, known_twisted=True)
+    # two triangles joined by an edge have four corners but are not a twisted
+    # net; known_twisted forces the hypothesis so the bound genuinely fails
+    # (1 matching against 2^(18/18))
+    dumbbell = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    inst = Instance("dumbbell", dumbbell, known_twisted=True)
     with pytest.raises(LemmaFailure) as exc:
         sweep([LemmaId.LM_TWISTED_NUM], [inst], fail_fast=True)
     msg = str(exc.value)
-    assert "LM_TWISTED_NUM" in msg and "10 10" in msg  # edge-list dump included
+    assert "LM_TWISTED_NUM" in msg and "6 7" in msg  # edge-list dump included
     assert exc.value.report.verdict == "Fail"
     reports = sweep([LemmaId.LM_TWISTED_NUM], [inst], fail_fast=False)
     assert [r.verdict for r in reports] == ["Fail"]
@@ -940,6 +941,48 @@ def test_no_sweep_lets_a_kernel_refusal_escape(monkeypatch):
             assert (after.verdict, after.reason) == ("Skipped", "counting capped at 8 DP states")
         else:
             assert after == before
+
+
+TWISTED = [LemmaId.LM_TWISTED_NUM, LemmaId.LM_TWISTED_BIP, LemmaId.LM_TWISTED_NONBIP,
+           LemmaId.LM_TWISTED_BIS]
+
+
+def test_a_flagged_twisted_net_without_four_corners_is_skipped():
+    """A graph flagged as a twisted net that has no four corners (degree 2,
+    the rest degree 3) is Skipped by every twisted-net lemma, and a sweep
+    of all lemmas on it raises nothing; before, the cube reported a false
+    Fail and the 66-vertex graph raised ValueError out of ``sweep``.  The
+    bowtie has four degree-2 vertices and one of degree 4."""
+    bowtie = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+    corpus = [
+        Instance(name, g, known_twisted=True)
+        for name, g in (
+            ("cube", named("cube")), ("n66", random_cubic_bridgeless(0, 66)), ("bowtie", bowtie),
+        )
+    ]
+    reports = sweep(list(LemmaId), corpus, fail_fast=False)
+    twisted = [r for r in reports if r.lemma in TWISTED]
+    assert len(twisted) == 12
+    for r in twisted:
+        assert (r.verdict, r.reason) == ("Skipped", "flagged twisted net without four corners")
+
+
+def test_a_refused_dp_table_is_built_once(monkeypatch):
+    """Every edge slot of THM_BIP on a graph past the state cap reads the
+    refusal kept in the graph's memo instead of building the table again."""
+    built = []
+    init = matchings._StateDag.__init__
+    monkeypatch.setattr(
+        matchings._StateDag, "__init__", lambda dag, g: built.append(g) or init(dag, g),
+    )
+    monkeypatch.setattr(matchings, "STATE_CAP", 40)
+    ladder = circular_ladder(20)
+    reports = sweep([LemmaId.THM_BIP], [Instance("cl20", ladder)], fail_fast=False)
+    assert len(reports) == ladder.edge_count == 60
+    assert {(r.verdict, r.reason) for r in reports} == {
+        ("Skipped", "counting capped at 40 DP states")
+    }
+    assert len(built) == 1
 
 
 def test_no_exception_escapes_on_disconnected_or_empty_graphs():
